@@ -73,7 +73,6 @@ from .models import (
 from .sim import (
     SimBatch,
     VariogramTable,
-    cholesky_with_jitter,
     kl_simulate,
     make_grid,
     make_grid_inclusive,

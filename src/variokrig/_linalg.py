@@ -1,10 +1,11 @@
 """Internal dense linear algebra with a diagonal-jitter ladder.
 
-All kriging systems and field simulations funnel through these helpers so
-the degenerate-matrix policy lives in exactly one place: a symmetric matrix
-that fails Cholesky gets ``delta * I`` added, with delta starting at
-1e-10 times the mean diagonal and doubling up to six times before the
-attempt is abandoned.
+Every covariance system is factored here, so the degenerate-matrix policy
+lives in exactly one place: a symmetric matrix that fails Cholesky gets
+``delta * I`` added, with delta starting at 1e-10 times the mean diagonal
+and doubling up to six times before the attempt is abandoned. ``spd_solve``
+is the only solve; callers stack several right-hand sides into one call.
+Only field simulation and the Bayes prior check use the factor directly.
 """
 
 import numpy as np
@@ -49,8 +50,8 @@ def chol_with_jitter(mat):
 def spd_solve(mat, rhs):
     """Solve ``mat @ x = rhs`` for symmetric positive (semi-)definite ``mat``.
 
-    Cholesky-based, with the shared jitter ladder. ``rhs`` may be a vector
-    or a matrix of stacked right-hand sides.
+    One jittered Cholesky factorisation, then two triangular solves.
+    ``rhs`` may be a vector or a matrix of stacked right-hand sides.
     """
     L, _ = chol_with_jitter(mat)
     y = sla.solve_triangular(L, rhs, lower=True)

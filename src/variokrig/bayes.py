@@ -13,13 +13,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from ._linalg import chol_with_jitter
+from ._linalg import spd_solve
 from .empvario import SpatialDataset
 from .exceptions import DomainError, FormatError, NumericError
-from .krige import MIN_NEIGHBORS, TrendBasis, neighborhood
-from .models import CovarianceSpec, NestedMaternSpec, covariance_eval
+from .krige import MIN_NEIGHBORS, TrendBasis, _bayes_moments, neighborhood
+from .models import CovarianceSpec, NestedMaternSpec, covariance_matrix
 from .util import fmt_float, parallel_map
 
 QUANTILE_PS = {
@@ -156,23 +155,13 @@ class PredictiveDensity:
 
 
 def _conditional_moments(x0, subset: SpatialDataset, spec, mu: float, phi: float):
-    """Posterior mean / variance of the log-value under one parameter draw.
-
-    Builds the augmented covariance over [x0, neighbors] with the prior
-    variance added to every entry; the prediction variance is the Schur
-    complement of the leading entry and the mean is the constant-mean
-    Bayes predictor.
-    """
-    pts = np.vstack([np.asarray(x0, dtype=float).reshape(1, -1), subset.locations])
-    M = np.asarray(covariance_eval(spec, cdist(pts, pts)), dtype=float) + phi
-    L, _ = chol_with_jitter(M[1:, 1:])
-    rhs = np.column_stack([M[1:, 0], subset.values - mu])
-    sol = np.linalg.solve(L.T, np.linalg.solve(L, rhs))
-    s2 = M[0, 0] - M[0, 1:] @ sol[:, 0]
-    m = mu + M[0, 1:] @ sol[:, 1]
+    """Posterior mean / variance of the log-value under one parameter draw:
+    the constant-trend Bayes predictor with prior variance phi."""
+    m, s2, _ = _bayes_moments(x0, subset, spec, np.ones((len(subset), 1)),
+                              np.ones(1), np.array([mu]), np.array([[phi]]))
     if s2 <= 0.0 or not math.isfinite(s2) or not math.isfinite(m):
         raise NumericError("conditional variance is not positive")
-    return float(m), float(s2)
+    return m, s2
 
 
 def _summarize(grid: DensityGrid, density: np.ndarray):
@@ -322,10 +311,9 @@ def beta_posterior(
     F = basis.design(data.locations)
     if F.shape[1] != mu_vec.size or V.shape != (mu_vec.size, mu_vec.size):
         raise DomainError("prior dimensions do not match the trend basis")
-    K = np.asarray(covariance_eval(spec, cdist(data.locations, data.locations)), dtype=float)
-    LK, _ = chol_with_jitter(K)
-    KiF = np.linalg.solve(LK.T, np.linalg.solve(LK, F))
-    Kiz = np.linalg.solve(LK.T, np.linalg.solve(LK, data.values))
+    k = F.shape[1]
+    sol = spd_solve(covariance_matrix(spec, data.locations), np.column_stack([F, data.values]))
+    KiF, Kiz = sol[:, :k], sol[:, k]
     Vi = np.linalg.inv(V)
     W = np.linalg.inv(F.T @ KiF + Vi / sigma2)
     mean = W @ (F.T @ Kiz + Vi @ mu_vec / sigma2)

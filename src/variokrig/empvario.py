@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .exceptions import DomainError, NumericError
 from .util import fmt_float
@@ -154,11 +154,9 @@ def huber_correction(c: float) -> float:
     """Bias constant f(c) = E[min(U^2, c^2)] for standard normal U."""
     if c <= 0.0:
         raise DomainError("huber threshold c must be > 0")
-    return (
-        (2.0 * norm.cdf(c) - 1.0)
-        - 2.0 * c * norm.pdf(c)
-        + 2.0 * c**2 * (1.0 - norm.cdf(c))
-    )
+    cdf = ndtr(c)
+    pdf = math.exp(-(c**2) / 2.0) / math.sqrt(2.0 * math.pi)
+    return (2.0 * cdf - 1.0) - 2.0 * c * pdf + 2.0 * c**2 * (1.0 - cdf)
 
 
 def _matheron(hsd: np.ndarray) -> float:

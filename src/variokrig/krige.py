@@ -11,12 +11,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from ._linalg import chol_with_jitter, spd_solve
 from .empvario import SpatialDataset
 from .exceptions import DomainError, NumericError, SingularMatrixError
-from .models import covariance_eval
+from .models import covariance_matrix
 from .util import fmt_float, parallel_map
 
 MIN_NEIGHBORS = 4  # map points need strictly more than this many neighbors
@@ -131,7 +130,7 @@ def neighborhood(data: SpatialDataset, x0, radius: float) -> SpatialDataset | No
 
     Returns None for an empty neighborhood (SpatialDataset cannot be empty).
     """
-    if radius <= 0.0:
+    if not radius > 0.0:  # also rejects NaN
         raise DomainError("search radius must be > 0")
     x0 = np.asarray(x0, dtype=float).ravel()
     dist = np.sqrt(((data.locations - x0) ** 2).sum(axis=1))
@@ -158,12 +157,11 @@ def _dedupe(data: SpatialDataset) -> SpatialDataset:
 
 
 def _system(spec, data: SpatialDataset, x0):
-    """Gram matrix, cross-covariance vector and C(0) for one prediction."""
-    locs = data.locations
-    x0 = np.asarray(x0, dtype=float).reshape(1, -1)
-    K = covariance_eval(spec, cdist(locs, locs))
-    c0 = covariance_eval(spec, cdist(locs, x0).ravel())
-    return K, np.asarray(c0, dtype=float), spec.total_sill
+    """K, c0 and C(0) for one prediction, sliced from one covariance
+    evaluation over [x0; locations]."""
+    pts = np.vstack([np.asarray(x0, dtype=float).reshape(1, -1), data.locations])
+    M = covariance_matrix(spec, pts)
+    return M[1:, 1:], M[0, 1:], M[0, 0]
 
 
 def simple_weights(x0, data: SpatialDataset, spec) -> np.ndarray:
@@ -188,16 +186,15 @@ def simple_kriging(x0, data: SpatialDataset, spec, mean: float) -> KrigingResult
                          len(data), "simple")
 
 
-def ordinary_weights(x0, data: SpatialDataset, spec) -> tuple[np.ndarray, float]:
-    """Sum-to-one kriging weights and the Lagrange multiplier.
+def _ordinary(x0, data: SpatialDataset, spec):
+    """Deduplicated data, weights w, Lagrange multiplier nu, c0 and C(0).
 
-    Solved through the two positive-definite systems K a = c0 and K b = 1,
-    with nu = (1'a - 1)/(1'b) and w = a - nu b.
+    One stacked solve K [a, b] = [c0, 1]; nu = (1'a - 1)/(1'b), w = a - nu b.
     """
+    data = _dedupe(data)
     if len(data) < 2:
         raise DomainError("ordinary kriging needs at least 2 data points")
-    data = _dedupe(data)
-    K, c0, _ = _system(spec, data, x0)
+    K, c0, c00 = _system(spec, data, x0)
     one = np.ones(len(data))
     ab = spd_solve(K, np.column_stack([c0, one]))
     a, b = ab[:, 0], ab[:, 1]
@@ -205,7 +202,13 @@ def ordinary_weights(x0, data: SpatialDataset, spec) -> tuple[np.ndarray, float]
     if denom == 0.0 or not math.isfinite(denom):
         raise SingularMatrixError("ordinary kriging constraint system is singular")
     nu = (one @ a - 1.0) / denom
-    return a - nu * b, float(nu)
+    return data, a - nu * b, float(nu), c0, c00
+
+
+def ordinary_weights(x0, data: SpatialDataset, spec) -> tuple[np.ndarray, float]:
+    """Sum-to-one kriging weights and the Lagrange multiplier."""
+    _, w, nu, _, _ = _ordinary(x0, data, spec)
+    return w, nu
 
 
 def ordinary_kriging(x0, data: SpatialDataset, spec) -> KrigingResult:
@@ -213,25 +216,37 @@ def ordinary_kriging(x0, data: SpatialDataset, spec) -> KrigingResult:
 
     Error variance C(0) - c0'w - nu with nu the Lagrange multiplier.
     """
-    data = _dedupe(data)
-    w, nu = ordinary_weights(x0, data, spec)
-    _, c0, c00 = _system(spec, data, x0)
+    data, w, nu, c0, c00 = _ordinary(x0, data, spec)
     pred = w @ data.values
     var = c00 - c0 @ w - nu
     return KrigingResult(float(pred), _finish_sd(float(var), c00, "ordinary kriging"),
                          len(data), "ordinary")
 
 
-def gls_beta(data: SpatialDataset, spec, basis: TrendBasis) -> np.ndarray:
-    """Generalized least-squares trend estimate (F'K^-1 F)^-1 F'K^-1 z."""
+def _gls(data: SpatialDataset, spec, basis: TrendBasis, x0=None):
+    """(data, F, M, beta, cross) with M = F'K^-1 F and beta = M^-1 F'K^-1 z
+    from one factorisation of K; at x0, cross = (c0, C(0), K^-1 c0)."""
     data = _dedupe(data)
     F = basis.design(data.locations)
-    if len(data) < F.shape[1]:
+    k = F.shape[1]
+    if len(data) < k:
         raise DomainError("need at least as many points as basis functions")
-    K = covariance_eval(spec, cdist(data.locations, data.locations))
-    KiF = spd_solve(K, F)
-    Kiz = spd_solve(K, data.values)
-    return np.linalg.solve(F.T @ KiF, F.T @ Kiz)
+    if x0 is None:
+        K, rhs = covariance_matrix(spec, data.locations), F
+    else:
+        K, c0, c00 = _system(spec, data, x0)
+        rhs = np.column_stack([F, c0])
+    sol = spd_solve(K, rhs)
+    KiF = sol[:, :k]
+    M = F.T @ KiF
+    beta = np.linalg.solve(M, KiF.T @ data.values)
+    cross = None if x0 is None else (c0, c00, sol[:, k])
+    return data, F, M, beta, cross
+
+
+def gls_beta(data: SpatialDataset, spec, basis: TrendBasis) -> np.ndarray:
+    """Generalized least-squares trend estimate (F'K^-1 F)^-1 F'K^-1 z."""
+    return _gls(data, spec, basis)[3]
 
 
 def universal_kriging(x0, data: SpatialDataset, spec, basis: TrendBasis) -> KrigingResult:
@@ -240,21 +255,25 @@ def universal_kriging(x0, data: SpatialDataset, spec, basis: TrendBasis) -> Krig
     Prediction f0' beta_gls + c0' K^-1 (z - F beta_gls); the error variance
     is C(0) - c0' K^-1 c0 + g' (F'K^-1 F)^-1 g with g = f0 - F'K^-1 c0.
     """
-    data = _dedupe(data)
-    F = basis.design(data.locations)
-    if len(data) < F.shape[1]:
-        raise DomainError("need at least as many points as basis functions")
-    K, c0, c00 = _system(spec, data, x0)
+    data, F, M, beta, (c0, c00, Kic0) = _gls(data, spec, basis, x0)
     f0 = basis.at(x0)
-    KiF = spd_solve(K, F)
-    Kic0 = spd_solve(K, c0)
-    M = F.T @ KiF
-    beta = np.linalg.solve(M, KiF.T @ data.values)
     pred = f0 @ beta + Kic0 @ (data.values - F @ beta)
     g = f0 - F.T @ Kic0
     var = c00 - c0 @ Kic0 + g @ np.linalg.solve(M, g)
     return KrigingResult(float(pred), _finish_sd(float(var), c00, "universal kriging"),
                          len(data), "universal")
+
+
+def _bayes_moments(x0, data: SpatialDataset, spec, F, f0, mu, phi):
+    """Mean, Schur-complement variance and C(0) of the Bayes predictor at
+    x0, with weights lambda solving (K + F Phi F') lambda = c0 + F Phi f0."""
+    K, c0, c00 = _system(spec, data, x0)
+    Kb = K + F @ phi @ F.T
+    cb = c0 + F @ (phi @ f0)
+    lam = spd_solve(Kb, cb)
+    mean = f0 @ mu + lam @ (data.values - F @ mu)
+    var = c00 + f0 @ phi @ f0 - cb @ lam
+    return float(mean), float(var), c00
 
 
 def bayes_kriging(x0, data: SpatialDataset, spec, basis: TrendBasis,
@@ -271,14 +290,8 @@ def bayes_kriging(x0, data: SpatialDataset, spec, basis: TrendBasis,
     F = basis.design(data.locations)
     if prior.mu.size != F.shape[1]:
         raise DomainError("prior dimension does not match the trend basis")
-    K, c0, c00 = _system(spec, data, x0)
-    f0 = basis.at(x0)
-    Kb = K + F @ prior.phi @ F.T
-    cb = c0 + F @ (prior.phi @ f0)
-    sol = spd_solve(Kb, cb)
-    pred = f0 @ prior.mu + sol @ (data.values - F @ prior.mu)
-    var = c00 + f0 @ prior.phi @ f0 - cb @ sol
-    return KrigingResult(float(pred), _finish_sd(float(var), c00, "bayes kriging"),
+    pred, var, c00 = _bayes_moments(x0, data, spec, F, basis.at(x0), prior.mu, prior.phi)
+    return KrigingResult(pred, _finish_sd(var, c00, "bayes kriging"),
                          len(data), "bayes")
 
 

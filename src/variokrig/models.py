@@ -10,10 +10,11 @@ provided for flexible fitting.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
+from scipy.spatial.distance import cdist
 
 from .exceptions import DomainError, FormatError, NumericError
 from .specfun import log_bessel_k
@@ -254,6 +255,17 @@ def covariance_eval(spec, h):
     return out
 
 
+def covariance_matrix(spec, a, b=None):
+    """Covariance matrix C(|a_i - b_j|) between two point sets.
+
+    Without ``b`` this is the Gram matrix of ``a``. Every covariance system
+    in the package is built here.
+    """
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    b = a if b is None else np.atleast_2d(np.asarray(b, dtype=float))
+    return np.asarray(covariance_eval(spec, cdist(a, b)), dtype=float)
+
+
 def variogram_eval(spec, h):
     """gamma(h) = C(0) - C(h); exactly 0 at h = 0."""
     if isinstance(spec, NestedMaternSpec):
@@ -407,8 +419,3 @@ def spec_from_text(text: str):
         return CovarianceSpec(kind, nugget, sill, range_, shape)
     except DomainError as exc:
         raise FormatError(str(exc)) from None
-
-
-def with_nugget(spec, nugget: float):
-    """Copy of a spec with the nugget replaced (used by exactness checks)."""
-    return replace(spec, nugget=nugget)

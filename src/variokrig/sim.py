@@ -11,16 +11,12 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from ._linalg import chol_with_jitter
+from ._linalg import chol_with_jitter, spd_solve
 from .empvario import SpatialDataset, empirical_variogram
 from .exceptions import DomainError, FormatError, NumericError
-from .models import covariance_eval, validity_check
+from .models import covariance_matrix, validity_check
 from .util import fmt_float, parallel_map
-
-# re-exported here because the jitter policy is this module's contract
-cholesky_with_jitter = chol_with_jitter
 
 EIGEN_CLIP_REL = 1e-12
 
@@ -102,10 +98,6 @@ def _normal_draws(seed: int, index: int, n: int) -> np.ndarray:
     return np.random.Generator(bitgen).standard_normal(n)
 
 
-def _gram(spec, locations) -> np.ndarray:
-    return np.asarray(covariance_eval(spec, cdist(locations, locations)), dtype=float)
-
-
 def _check_dims(spec, locations):
     dim = locations.shape[1]
     if not validity_check(spec, dim):
@@ -118,7 +110,7 @@ def simulate_gaussian_field(locations, spec, mean: float, n_sims: int, seed: int
     """Cholesky-route simulation: each column is mean + L w."""
     locations = np.atleast_2d(np.asarray(locations, dtype=float))
     _check_dims(spec, locations)
-    L, _ = chol_with_jitter(_gram(spec, locations))
+    L, _ = chol_with_jitter(covariance_matrix(spec, locations))
     n = locations.shape[0]
 
     def column(j: int) -> np.ndarray:
@@ -132,7 +124,7 @@ def simulate_gaussian_field(locations, spec, mean: float, n_sims: int, seed: int
 def kl_eigensystem(spec, locations):
     """Eigenpairs of the Gram matrix with small/negative eigenvalues
     clamped to zero. Returns (eigenvalues desc, eigenvectors)."""
-    K = _gram(spec, np.atleast_2d(np.asarray(locations, dtype=float)))
+    K = covariance_matrix(spec, locations)
     try:
         lam, psi = np.linalg.eigh(K)
     except np.linalg.LinAlgError as exc:
@@ -219,11 +211,9 @@ def _bin_descriptors(locations, bin_edges):
 
 def _conditioning_weights(data: SpatialDataset, spec, targets):
     """Simple-kriging weight matrix from the data locations to each target."""
-    Kdd = _gram(spec, data.locations)
-    Cdt = np.asarray(covariance_eval(spec, cdist(data.locations, targets)), dtype=float)
-    L, _ = chol_with_jitter(Kdd)
-    y = np.linalg.solve(L, Cdt)
-    return np.linalg.solve(L.T, y)  # (n_data, n_targets)
+    Kdd = covariance_matrix(spec, data.locations)
+    Cdt = covariance_matrix(spec, data.locations, targets)
+    return spd_solve(Kdd, Cdt)  # (n_data, n_targets)
 
 
 def simulate_variograms(

@@ -263,6 +263,23 @@ def test_density_single_point_matches_closed_form(tmp_path):
     assert np.abs(rows[interior, 1] / expect[interior] - 1.0).max() < 1e-6
 
 
+@pytest.mark.parametrize("command", ["krige", "density"])
+def test_nan_radius_is_user_error(tmp_path, capsys, command):
+    data_path = make_synth(tmp_path, n=20)
+    capsys.readouterr()
+    if command == "krige":
+        extra = ["--model", SYNTH_NONUG, "--method", "ordinary"]
+    else:
+        draws_path = tmp_path / "draws.csv"
+        draws_path.write_text("nugget,sill,range,shape\n0.05,1.2,60.0,0.5\n")
+        extra = ["--log", "--draws", str(draws_path)]
+    code = run(command, "--input", str(data_path), *extra, "--at", "0,0",
+               "--radius", "nan", "--out", str(tmp_path / "o"))
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
 def test_density_too_few_neighbors_writes_empty(tmp_path, capsys):
     data_path = make_synth(tmp_path, n=20)
     draws_path = tmp_path / "draws.csv"
@@ -327,3 +344,18 @@ def test_completely_empty_file_rejected(tmp_path, capsys):
     src.write_text("")
     assert run("variogram", "--input", str(src), "--out", str(tmp_path / "o")) == 1
     assert "empty file" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    import subprocess
+    import sys
+
+    import variokrig
+
+    src = os.path.dirname(os.path.dirname(variokrig.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = "import sys, variokrig.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -61,6 +61,13 @@ def test_neighborhood_boundary_included():
     assert len(sub) == 2
 
 
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan])
+def test_neighborhood_rejects_nonpositive_or_nan_radius(radius):
+    data = SpatialDataset([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]], [1.0, 2.0, 3.0])
+    with pytest.raises(DomainError):
+        neighborhood(data, [0.0, 0.0], radius)
+
+
 def test_neighborhood_preserves_order():
     rng = np.random.default_rng(0)
     data, _ = random_instance(rng, 12)
@@ -387,3 +394,40 @@ def test_duplicate_locations_dropped_with_warning():
     with pytest.warns(UserWarning, match="duplicate"):
         res = ordinary_kriging([0.5, 0.5], data, expo(nugget=0.1))
     assert res.n_neighbors == 4
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count calls of module.name through every variokrig namespace bound to it."""
+    import sys
+
+    original = getattr(sys.modules[module], name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for modname, mod in list(sys.modules.items()):
+        if modname.startswith("variokrig") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("method", ["simple", "ordinary", "universal", "bayes", "gls"])
+def test_each_predictor_builds_and_factors_its_system_once(monkeypatch, method):
+    rng = np.random.default_rng(20)
+    data, spec = random_instance(rng, 12, nugget=0.1)
+    x0 = [5.0, 5.0]
+    basis = TrendBasis.linear(2)
+    prior = BayesPrior(np.zeros(3), np.eye(3))  # its PSD check factors phi
+    run = {
+        "simple": lambda: simple_kriging(x0, data, spec, 0.0),
+        "ordinary": lambda: ordinary_kriging(x0, data, spec),
+        "universal": lambda: universal_kriging(x0, data, spec, basis),
+        "bayes": lambda: bayes_kriging(x0, data, spec, basis, prior),
+        "gls": lambda: gls_beta(data, spec, basis),
+    }[method]
+    evals = _count_calls(monkeypatch, "variokrig.models", "covariance_eval")
+    factors = _count_calls(monkeypatch, "variokrig._linalg", "chol_with_jitter")
+    run()
+    assert (len(evals), len(factors)) == (1, 1)

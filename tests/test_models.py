@@ -21,7 +21,7 @@ from variokrig import (
     validity_check,
     variogram_eval,
 )
-from variokrig.sim import cholesky_with_jitter
+from variokrig._linalg import chol_with_jitter
 
 ALL_KINDS = [
     ("exponential", None),
@@ -202,7 +202,7 @@ def test_gram_matrices_factor_with_at_most_first_jitter():
             pts = rng.uniform(0.0, 10.0, size=(n, dim))
             D = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1))
             K = covariance_eval(spec, D)
-            _, delta = cholesky_with_jitter(K)
+            _, delta = chol_with_jitter(K)
             assert delta <= 1e-10 * np.trace(K) / n + 1e-30
 
 

@@ -6,7 +6,6 @@ from variokrig import (
     CovarianceSpec,
     DomainError,
     SpatialDataset,
-    cholesky_with_jitter,
     covariance_eval,
     kl_simulate,
     make_grid,
@@ -15,6 +14,7 @@ from variokrig import (
     simulate_variograms,
     variogram_eval,
 )
+from variokrig._linalg import chol_with_jitter
 from variokrig.sim import SimBatch, VariogramTable, kl_eigensystem
 
 
@@ -57,7 +57,7 @@ def test_make_grid_rejects_bad_spec():
 
 
 def test_cholesky_identity_no_jitter():
-    L, delta = cholesky_with_jitter(np.eye(6))
+    L, delta = chol_with_jitter(np.eye(6))
     assert delta == 0.0
     assert np.array_equal(L, np.eye(6))
 
@@ -65,7 +65,7 @@ def test_cholesky_identity_no_jitter():
 def test_cholesky_rank_one_jitter():
     n = 8
     K = np.ones((n, n))
-    L, delta = cholesky_with_jitter(K)
+    L, delta = chol_with_jitter(K)
     assert delta > 0.0
     recon = L @ L.T
     assert np.abs(recon - K).max() <= delta * n + 1e-12
@@ -76,7 +76,7 @@ def test_cholesky_gives_up_on_indefinite():
 
     M = np.diag([1.0, -5.0])
     with pytest.raises(SingularMatrixError):
-        cholesky_with_jitter(M)
+        chol_with_jitter(M)
 
 
 # -- field simulation ----------------------------------------------------------------
