@@ -102,6 +102,8 @@ def ingest_csv(path: str, log_transform: bool = False) -> empvario.SpatialDatase
             raise FormatError(
                 f"{path}: non-numeric {header[bad]} on row {i}: {cells[bad]!r}"
             ) from None
+        if not math.isfinite(rows[-1][2]):
+            raise FormatError(f"{path}: non-finite VALUE on row {i}: {cells[cols[2]]!r}")
     if not rows:
         raise FormatError(f"{path}: empty dataset (header only)")
     arr = np.array(rows, dtype=float)
@@ -236,7 +238,7 @@ def _cmd_krige(args, out: OutputDir):
     if args.at_data:
         grid = data.locations
     elif args.at is not None:
-        grid = np.array([[float(v) for v in args.at.split(",")]])
+        grid = np.array([args.at])
     else:
         if args.grid is None:
             raise UsageError("krige needs --grid, --at or --at-data")
@@ -329,9 +331,8 @@ def _cmd_density(args, out: OutputDir):
         draws = bayes.PosteriorDraws.from_csv(fh.read())
     grid_cfg = bayes.DensityGrid(args.grid_lo, args.grid_hi, args.grid_step, args.rule)
     if args.at is not None:
-        x0 = [float(v) for v in args.at.split(",")]
         pd = bayes.predictive_density_at(
-            x0, log_data, draws, args.prior_mean, args.prior_var, args.radius, grid_cfg
+            args.at, log_data, draws, args.prior_mean, args.prior_var, args.radius, grid_cfg
         )
         if pd is None:
             print("too few neighbors at the requested point", file=sys.stderr)
@@ -370,10 +371,43 @@ def _cmd_copula_fit(args, out: OutputDir):
 # -- argument plumbing ----------------------------------------------------------
 
 
+def _seed(text: str) -> int:
+    """--seed: an integer in [0, 2**64), the range of a Philox key word."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+    if not 0 <= seed < 2**64:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 2**64), got {seed}")
+    return seed
+
+
+def _count(text: str) -> int:
+    """A count flag such as --n-bins or --sims: an integer >= 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
+def _location(text: str) -> list[float]:
+    """--at: exactly two finite numbers X,Y."""
+    try:
+        xy = [float(v) for v in text.split(",")]
+    except ValueError:
+        xy = []
+    if len(xy) != 2 or not all(math.isfinite(v) for v in xy):
+        raise argparse.ArgumentTypeError(f"expected X,Y as two finite numbers, got {text!r}")
+    return xy
+
+
 def _add_common(p, seed_required=False):
     p.add_argument("--out", default=".", help="output directory")
     if seed_required:
-        p.add_argument("--seed", type=int, required=True, help="RNG seed (mandatory)")
+        p.add_argument("--seed", type=_seed, required=True, help="RNG seed (mandatory)")
 
 
 def _add_grid(p, required=False):
@@ -404,7 +438,7 @@ def build_parser() -> _Parser:
                    default="matheron")
     p.add_argument("--huber-c", type=float, default=2.0)
     p.add_argument("--max-dist", type=float, default=None)
-    p.add_argument("--n-bins", type=int, default=15)
+    p.add_argument("--n-bins", type=_count, default=15)
     p.add_argument("--direction", type=float, default=None, help="degrees from east")
     p.add_argument("--tolerance", type=float, default=22.5, help="degrees")
     p.add_argument("--cloud", action="store_true", help="emit the variogram cloud")
@@ -426,7 +460,7 @@ def build_parser() -> _Parser:
     p.add_argument("--method", choices=("simple", "ordinary", "universal", "bayes"),
                    default="ordinary")
     _add_grid(p)
-    p.add_argument("--at", default=None, help="single location X,Y")
+    p.add_argument("--at", type=_location, default=None, help="single location X,Y")
     p.add_argument("--at-data", action="store_true", help="predict at the data locations")
     p.add_argument("--radius", type=float, default=None)
     p.add_argument("--min-neighbors", type=int, default=krige.MIN_NEIGHBORS)
@@ -443,12 +477,12 @@ def build_parser() -> _Parser:
     p.add_argument("--input", default=None)
     p.add_argument("--log", action="store_true")
     _add_grid(p)
-    p.add_argument("--sims", type=int, default=100)
+    p.add_argument("--sims", type=_count, default=100)
     p.add_argument("--mean", type=float, default=0.0)
     p.add_argument("--route", choices=("cholesky", "kl"), default="cholesky")
     p.add_argument("--conditional", action="store_true")
     p.add_argument("--max-dist", type=float, default=None)
-    p.add_argument("--n-bins", type=int, default=15)
+    p.add_argument("--n-bins", type=_count, default=15)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("posterior", help="simulate + estimate + batch-fit draws")
@@ -456,12 +490,12 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True)
     p.add_argument("--log", action="store_true")
     p.add_argument("--model", required=True)
-    p.add_argument("--sims", type=int, default=100)
+    p.add_argument("--sims", type=_count, default=100)
     p.add_argument("--method", choices=fit.METHODS, default="ols")
     p.add_argument("--family", choices=("nested", "matern"), default="nested")
     p.add_argument("--conditional", action="store_true")
     p.add_argument("--max-dist", type=float, default=None)
-    p.add_argument("--n-bins", type=int, default=15)
+    p.add_argument("--n-bins", type=_count, default=15)
     p.set_defaults(func=_cmd_posterior)
 
     p = sub.add_parser("density", help="predictive density at a point or grid")
@@ -469,7 +503,7 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True)
     p.add_argument("--log", action="store_true")
     p.add_argument("--draws", required=True)
-    p.add_argument("--at", default=None, help="single location X,Y")
+    p.add_argument("--at", type=_location, default=None, help="single location X,Y")
     _add_grid(p)
     p.add_argument("--radius", type=float, default=40.0)
     p.add_argument("--prior-mean", type=float, default=0.0)

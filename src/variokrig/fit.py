@@ -7,8 +7,12 @@ Objectives (b = parameter vector over the non-empty bins i):
   GLS   r^T V^-1 r with diagonal V_ii = Var_i (numerically identical to WLS)
 
 The variance model is re-evaluated at the current parameters on every
-objective call. Minimization is bounded quasi-Newton (L-BFGS-B) with a
-relative objective tolerance of 1e-16 and at most 40000 evaluations.
+objective evaluation. Minimization is bounded quasi-Newton (L-BFGS-B) with
+a relative objective tolerance of 1e-16. Its gradient is the forward
+difference L-BFGS-B would take itself, computed from one batched
+evaluation of the point and its k forward-perturbed copies (k = number of
+parameters), so the search path is the same as with scipy's own
+difference. The budget is 40000 point evaluations, k + 1 per step.
 """
 
 import math
@@ -19,7 +23,14 @@ from scipy.optimize import minimize
 
 from .empvario import EmpiricalVariogram, VariogramBin
 from .exceptions import DomainError, FormatError, NumericError
-from .models import KINDS, CovarianceSpec, NestedMaternSpec, variogram_eval
+from .models import (
+    EXPONENT_KINDS,
+    KINDS,
+    CovarianceSpec,
+    NestedMaternSpec,
+    variogram_eval,
+    variogram_rows,
+)
 from .util import fmt_float, parallel_map
 
 METHODS = ("ols", "wls", "gls")
@@ -36,6 +47,11 @@ OBJ_RTOL = 1e-16
 
 _PENALTY = 1e100
 _N_RESTARTS = 5
+
+# Forward-difference steps of scipy's L-BFGS-B: the absolute step `eps`,
+# and the relative step it falls back to where x + eps == x.
+_FD_STEP = 1e-8
+_FD_REL_STEP = np.finfo(float).eps ** 0.5
 
 
 @dataclass(frozen=True)
@@ -141,26 +157,98 @@ def _emp_arrays(emp: EmpiricalVariogram):
     return h, g, n
 
 
+def _row_objectives(model, g, n, method) -> np.ndarray:
+    """Objective of every row of a (P, m) block of model values; _PENALTY
+    for a row with a non-finite value or a non-positive WLS variance."""
+    with np.errstate(all="ignore"):
+        ok = np.all(np.isfinite(model), axis=1)
+        resid = g - model
+        if method == "ols":
+            weighted = resid
+        else:  # wls and gls share the diagonal variance model
+            var = 2.0 * model**2 / n
+            ok &= ~np.any(var <= 0.0, axis=1)
+            weighted = resid / var
+        # one 1-D dot per row: the same reduction for a block and a point
+        val = np.array([r @ w for r, w in zip(resid, weighted)])
+    return np.where(ok & np.isfinite(val), val, _PENALTY)
+
+
 def _objective(family, h, g, n, method):
+    """Objective at one parameter vector, through the model spec."""
+
     def fun(params):
         try:
             spec = _make_spec(family, params)
             model = np.asarray(variogram_eval(spec, h), dtype=float)
         except (DomainError, NumericError):
             return _PENALTY
-        if not np.all(np.isfinite(model)):
-            return _PENALTY
-        resid = g - model
-        if method == "ols":
-            val = float(resid @ resid)
-        else:  # wls and gls share the diagonal variance model
-            var = 2.0 * model**2 / n
-            if np.any(var <= 0.0):
-                return _PENALTY
-            val = float(resid @ (resid / var))
-        return val if math.isfinite(val) else _PENALTY
+        return float(_row_objectives(model[None, :], g, n, method)[0])
 
     return fun
+
+
+def _objective_rows(family, h, g, n, method):
+    """Objective at every row of a (P, k) parameter block.
+
+    Row i equals `_objective(...)(X[i])` bit for bit. The rows that build a
+    valid spec are evaluated together by `variogram_rows`; the others get
+    _PENALTY. Families without a block evaluator, and blocks in which a row
+    raises NumericError, are evaluated row by row through `_objective`.
+    """
+    fun = _objective(family, h, g, n, method)
+
+    def rows(X):
+        if family not in EXPONENT_KINDS:
+            valid = np.array([_is_valid(family, x) for x in X])
+            out = np.full(len(X), _PENALTY)
+            try:
+                if valid.any():
+                    model = variogram_rows(family, X[valid], h)
+                    out[valid] = _row_objectives(model, g, n, method)
+                return out
+            except NumericError:  # row by row, so only the failing rows get _PENALTY
+                pass
+        return np.array([fun(x) for x in X])
+
+    return rows
+
+
+def _is_valid(family, params) -> bool:
+    try:
+        _make_spec(family, params)
+    except DomainError:
+        return False
+    return True
+
+
+def _forward_difference(rows, bounds: FitBounds):
+    """`x -> (f(x), g(x))` from one call of `rows` on [x; x + h_i e_i].
+
+    g is the 2-point forward difference scipy's L-BFGS-B computes when it
+    is given no gradient: absolute step 1e-8, or sqrt(machine eps) *
+    max(1, |x_i|) where x_i + 1e-8 == x_i; a step that leaves the box is
+    reversed when the reversed step fits, else replaced by the distance to
+    the farther bound; the denominator is (x_i + h_i) - x_i.
+    """
+    lower, upper = bounds.lower, bounds.upper
+
+    def fun_and_grad(x):
+        sign = (x >= 0.0).astype(float) * 2.0 - 1.0
+        h = np.where((x + _FD_STEP) - x == 0.0,
+                     _FD_REL_STEP * sign * np.maximum(1.0, np.abs(x)), _FD_STEP)
+        lower_dist, upper_dist = x - lower, upper - x
+        fits = np.abs(h) <= np.maximum(lower_dist, upper_dist)
+        leaves = ((x + h) < lower) | ((x + h) > upper)
+        h = np.where(leaves & fits, -h, h)
+        h = np.where(fits, h, np.where(upper_dist >= lower_dist, upper_dist, -lower_dist))
+        stepped = x + h
+        block = np.tile(x, (x.size + 1, 1))
+        block[1:][np.diag_indices(x.size)] = stepped
+        f = rows(block)
+        return float(f[0]), (f[1:] - f[0]) / (stepped - x)
+
+    return fun_and_grad
 
 
 def start_values_simple(emp: EmpiricalVariogram, family: str) -> np.ndarray:
@@ -245,12 +333,15 @@ def fit_variogram(
         start = bounds.clip(start)
     fun = _objective(family, h, g, n, method)
     f0 = fun(start)
+    rows_per_step = start.size + 1
     res = minimize(
-        fun,
+        _forward_difference(_objective_rows(family, h, g, n, method), bounds),
         start,
         method="L-BFGS-B",
+        jac=True,
         bounds=bounds.pairs(),
-        options={"maxfun": MAX_EVALS, "maxiter": MAX_EVALS, "ftol": OBJ_RTOL},
+        options={"maxfun": MAX_EVALS // rows_per_step, "maxiter": MAX_EVALS,
+                 "ftol": OBJ_RTOL},
     )
     params = bounds.clip(res.x)
     objective = fun(params)
@@ -261,7 +352,7 @@ def fit_variogram(
         params=params,
         objective=float(objective),
         converged=converged,
-        n_evals=int(res.nfev),
+        n_evals=int(res.nfev) * rows_per_step,
         method=method,
         family=family,
     )
@@ -301,8 +392,11 @@ def fit_family_batch(
     The table layout is (lag index, distance, n(h), then one column per
     simulation). Start values are recomputed per column; a failing fit is
     retried from 5 multiplicatively jittered starts (+-20%, stream keyed on
-    the column index) before it is reported with converged=False.
+    the column index) before it is reported with converged=False. `seed`
+    must be an integer in [0, 2**64) (DomainError otherwise).
     """
+    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+        raise DomainError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     mat = _table_matrix(table)
     dist, counts = mat[:, 1], mat[:, 2]
     n_sims = mat.shape[1] - 3

@@ -37,6 +37,12 @@ KINDS = (
 
 _SHAPE_KINDS = {"power", "stable", "cauchy", "matern"}
 
+# Families whose shape is an exponent. numpy takes fast paths for some
+# scalar exponents (u**2 squares, u**0.5 takes the square root) but not for
+# an array of exponents, so a column of shapes does not reproduce the
+# scalar evaluation bit for bit; variogram_rows does not take them.
+EXPONENT_KINDS = frozenset({"power", "stable", "cauchy"})
+
 # Maximum spatial dimension in which each family stays positive definite.
 # Families absent here are valid in every dimension; power is handled by
 # its shape constraint.
@@ -51,22 +57,27 @@ _DIM_LIMIT = {
 NU_FIT_MAX = 40.0
 
 
-def matern_correlation(u, nu: float):
+def matern_correlation(u, nu):
     """Unit-sill Matern correlation  u^nu K_nu(u) / (2^(nu-1) Gamma(nu)).
 
     Evaluated in log space so the 0 * inf products that plague the naive
-    formula for small u / large nu never appear. u <= 0 maps to 1.
+    formula for small u / large nu never appear. u <= 0 maps to 1. ``nu``
+    is a scalar or an array broadcasting against ``u`` (one smoothness per
+    row of a parameter block); every element goes through the same
+    operations either way, so a block row equals the scalar evaluation.
     """
     u = np.asarray(u, dtype=float)
     out = np.ones_like(u)
     pos = u > 0.0
     if np.any(pos):
         up = u[pos]
+        # a scalar nu stays a Python number: special.kve is slower on a 0-d array
+        nup = np.broadcast_to(nu, u.shape)[pos] if isinstance(nu, np.ndarray) else nu
         logrho = (
-            nu * np.log(up)
-            + log_bessel_k(nu, up)
-            - (nu - 1.0) * math.log(2.0)
-            - special.gammaln(nu)
+            nup * np.log(up)
+            + log_bessel_k(nup, up)
+            - (nup - 1.0) * math.log(2.0)
+            - special.gammaln(nup)
         )
         out[pos] = np.minimum(np.exp(logrho), 1.0)
     if not np.all(np.isfinite(out)):
@@ -75,7 +86,11 @@ def matern_correlation(u, nu: float):
 
 
 def _unit_correlation(kind: str, shape, u):
-    """Correlation rho(u) at the scaled lag u = h / range, unit sill."""
+    """Correlation rho(u) at the scaled lag u = h / range, unit sill.
+
+    ``shape`` may be a column broadcasting against ``u`` for every family
+    except those in EXPONENT_KINDS.
+    """
     u = np.asarray(u, dtype=float)
     if kind == "exponential":
         return np.exp(-u)
@@ -88,7 +103,7 @@ def _unit_correlation(kind: str, shape, u):
     if kind == "wave":
         return np.sinc(u / math.pi)  # sin(u)/u, equal to 1 at u = 0
     if kind == "matern":
-        return matern_correlation(2.0 * math.sqrt(shape) * u, shape)
+        return matern_correlation(2.0 * np.sqrt(shape) * u, shape)
     # compact-support families below vanish for u >= 1
     uc = np.minimum(u, 1.0)
     if kind == "triangle":
@@ -266,16 +281,39 @@ def covariance_matrix(spec, a, b=None):
     return np.asarray(covariance_eval(spec, cdist(a, b)), dtype=float)
 
 
+def _single_variogram(kind, nugget, sill, range_, shape, h):
+    rho = _unit_correlation(kind, shape, h / range_)
+    return np.where(h == 0.0, 0.0, nugget + sill * (1.0 - rho))
+
+
 def variogram_eval(spec, h):
     """gamma(h) = C(0) - C(h); exactly 0 at h = 0."""
     if isinstance(spec, NestedMaternSpec):
         return nested_matern_variogram(spec, h)
     h = _as_lags(h)
-    rho = _unit_correlation(spec.kind, spec.shape, h / spec.range_)
-    out = np.where(h == 0.0, 0.0, spec.nugget + spec.sill * (1.0 - rho))
+    out = _single_variogram(spec.kind, spec.nugget, spec.sill, spec.range_, spec.shape, h)
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def variogram_rows(family: str, params, h) -> np.ndarray:
+    """gamma(h) for every row of a (P, k) block of parameter vectors.
+
+    Rows are in fitting order: (nugget, sill, range[, shape]) or the seven
+    nested-Matern parameters. The parameters broadcast as (P, 1) columns
+    through the scalar code, so row i equals variogram_eval of the spec
+    built from params[i] bit for bit. Rows are not validated (build the
+    spec for that); NumericError is raised when any row would raise it.
+    """
+    if family in EXPONENT_KINDS:
+        raise DomainError(f"{family} has no block evaluator")
+    h = _as_lags(h)
+    cols = [c[:, None] for c in np.asarray(params, dtype=float).T]
+    if family == "nested_matern":
+        return _nested_variogram(cols, h)
+    nugget, sill, range_, *shape = cols
+    return _single_variogram(family, nugget, sill, range_, shape[0] if shape else None, h)
 
 
 def matern_eval(nugget: float, sill: float, range_: float, nu: float, h):
@@ -293,22 +331,50 @@ def matern_eval(nugget: float, sill: float, range_: float, nu: float, h):
 _NESTED_ORIGIN_EPS = 1e-12
 
 
-def _nested_correlation_parts(spec: NestedMaternSpec, h):
-    h = _as_lags(h)
-    u1 = h / (spec.range1 / (2.0 * math.sqrt(spec.nu1)))
-    u2 = h / (spec.range2 / (2.0 * math.sqrt(spec.nu2)))
+def _nested_params(spec: NestedMaternSpec):
+    return (spec.nugget, spec.sill1, spec.range1, spec.nu1,
+            spec.sill2, spec.range2, spec.nu2)
+
+
+def _matern_block(u, nu):
+    """matern_correlation at a scalar nu, or at a (P, 1) column of nu
+    against (P, m) scaled lags, where the rows repeating the first row's
+    arguments reuse its values. A finite-difference block moves one
+    parameter per row, so each nested component has three distinct rows."""
+    if not isinstance(nu, np.ndarray):
+        return matern_correlation(u, nu)
+    new = np.any(u != u[0], axis=1) | (nu[:, 0] != nu[0, 0])
+    new[0] = True
+    out = np.empty_like(u)
+    out[new] = matern_correlation(u[new], nu[new])
+    out[~new] = out[0]
+    return out
+
+
+def _nested_correlation_parts(p, h):
+    """(at_origin, sill1 rho1 + sill2 rho2) for the seven parameters `p`,
+    floats or (P, 1) columns, at validated lags `h`."""
+    _, sill1, range1, nu1, sill2, range2, nu2 = p
+    u1 = h / (range1 / (2.0 * np.sqrt(nu1)))
+    u2 = h / (range2 / (2.0 * np.sqrt(nu2)))
     at_origin = (h == 0.0) | ((u1 < _NESTED_ORIGIN_EPS) & (u2 < _NESTED_ORIGIN_EPS))
-    rho1 = matern_correlation(u1, spec.nu1)
-    rho2 = matern_correlation(u2, spec.nu2)
-    part = spec.sill1 * rho1 + spec.sill2 * rho2
+    rho1 = _matern_block(u1, nu1)
+    rho2 = _matern_block(u2, nu2)
+    part = sill1 * rho1 + sill2 * rho2
     if not np.all(np.isfinite(np.where(at_origin, 0.0, part))):
-        raise NumericError(f"nested Matern evaluation not finite for {spec}")
-    return h, at_origin, part
+        raise NumericError(f"nested Matern evaluation not finite for parameters {p}")
+    return at_origin, part
+
+
+def _nested_variogram(p, h):
+    at_origin, part = _nested_correlation_parts(p, h)
+    nugget, sill1, _, _, sill2, _, _ = p
+    return np.where(at_origin, 0.0, nugget + sill1 + sill2 - part)
 
 
 def nested_matern_covariance(spec: NestedMaternSpec, h):
     """C(h) of the two-component Matern; nugget + both sills at the origin."""
-    h, at_origin, part = _nested_correlation_parts(spec, h)
+    at_origin, part = _nested_correlation_parts(_nested_params(spec), _as_lags(h))
     out = np.where(at_origin, spec.total_sill, part)
     if out.ndim == 0:
         return float(out)
@@ -317,10 +383,7 @@ def nested_matern_covariance(spec: NestedMaternSpec, h):
 
 def nested_matern_variogram(spec: NestedMaternSpec, h):
     """gamma(h) of the two-component Matern; 0 at the origin."""
-    h, at_origin, part = _nested_correlation_parts(spec, h)
-    out = np.where(
-        at_origin, 0.0, spec.nugget + spec.sill1 + spec.sill2 - part
-    )
+    out = _nested_variogram(_nested_params(spec), _as_lags(h))
     if out.ndim == 0:
         return float(out)
     return out

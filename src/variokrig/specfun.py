@@ -72,26 +72,34 @@ def bessel_k_scaled(nu: float, x: float) -> float:
     return val
 
 
-def log_bessel_k(nu: float, x) -> np.ndarray:
+def log_bessel_k(nu, x) -> np.ndarray:
     """log K_nu(x), elementwise, stable for tiny x and large nu.
 
     Where the scaled Bessel itself overflows (x extremely small, nu large)
     the small-argument form K_nu(x) ~ Gamma(nu)/2 * (2/x)^nu takes over.
     Intended for internal use by the Matern evaluators; accepts arrays.
+    ``nu`` is a scalar or an array broadcasting against ``x``; every element
+    goes through the same operations either way.
     """
     x = np.asarray(x, dtype=float)
+    if isinstance(nu, np.ndarray):
+        nu, x = np.broadcast_arrays(nu.astype(float, copy=False), x)
     kve = special.kve(nu, x)
     safe = np.isfinite(kve) & (kve > 0.0)
-    out = np.empty_like(x)
+    out = np.empty(kve.shape)
     out[safe] = np.log(kve[safe]) - x[safe]
     if not np.all(safe):
-        if nu <= 0.0:
-            # K_0(x) ~ -log(x/2) - euler_gamma as x -> 0
-            out[~safe] = np.log(-np.log(x[~safe] / 2.0) - np.euler_gamma)
-        else:
-            out[~safe] = (
-                math.log(0.5)
-                + special.gammaln(nu)
-                + nu * (math.log(2.0) - np.log(x[~safe]))
-            )
+        xb = x[~safe]
+        nub = np.broadcast_to(nu[~safe] if isinstance(nu, np.ndarray) else nu, xb.shape)
+        k0 = nub <= 0.0
+        small = np.empty_like(xb)
+        # K_0(x) ~ -log(x/2) - euler_gamma as x -> 0
+        small[k0] = np.log(-np.log(xb[k0] / 2.0) - np.euler_gamma)
+        knu = ~k0
+        small[knu] = (
+            math.log(0.5)
+            + special.gammaln(nub[knu])
+            + nub[knu] * (math.log(2.0) - np.log(xb[knu]))
+        )
+        out[~safe] = small
     return out

@@ -359,3 +359,68 @@ def test_cli_import_leaves_out_scipy_stats():
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+# -- flag and cell validation ---------------------------------------------------------
+
+GRID = ["--grid", "3", "3", "0", "10", "0", "10"]
+
+
+@pytest.fixture
+def inputs(tmp_path, capsys):
+    data = make_synth(tmp_path, n=20)
+    draws = tmp_path / "draws.csv"
+    draws.write_text("nugget,sill,range,shape\n0.05,1.2,60.0,0.5\n")
+    capsys.readouterr()
+    return {"DATA": str(data), "DRAWS": str(draws)}
+
+
+def assert_user_error(code, capsys, out):
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert not out.exists() or not any(out.iterdir())
+    return lines[0]
+
+
+# the offending flag and its value come last
+@pytest.mark.parametrize("argv", [
+    ["synth", "--seed", "-1"],
+    ["synth", "--seed", str(2**64)],
+    ["synth", "--seed", "1.5"],
+    ["simulate", "--model", SYNTH_NONUG, *GRID, "--seed", "-1"],
+    ["posterior", "--input", "DATA", "--model", SYNTH_NONUG, "--seed", "-1"],
+    ["variogram", "--input", "DATA", "--n-bins", "-3"],
+    ["variogram", "--input", "DATA", "--n-bins", "0"],
+    ["simulate", "--seed", "1", "--model", SYNTH_NONUG, *GRID, "--n-bins", "0"],
+    ["posterior", "--seed", "1", "--input", "DATA", "--model", SYNTH_NONUG, "--n-bins", "-1"],
+    ["simulate", "--seed", "1", "--model", SYNTH_NONUG, *GRID, "--sims", "0"],
+    ["posterior", "--seed", "1", "--input", "DATA", "--model", SYNTH_NONUG, "--sims", "-1"],
+    ["krige", "--input", "DATA", "--model", SYNTH_NONUG, "--at", "1,2,3"],
+    ["krige", "--input", "DATA", "--model", SYNTH_NONUG, "--at", "1"],
+    ["krige", "--input", "DATA", "--model", SYNTH_NONUG, "--at", "nan,2"],
+    ["density", "--input", "DATA", "--draws", "DRAWS", "--at", "1,inf"],
+    ["density", "--input", "DATA", "--draws", "DRAWS", "--at", "a,b"],
+])
+def test_invalid_flag_is_one_line_user_error(tmp_path, capsys, inputs, argv):
+    out = tmp_path / "o"
+    argv = [inputs.get(a, a) for a in argv]
+    line = assert_user_error(run(*argv, "--out", str(out)), capsys, out)
+    assert argv[-2] in line
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["variogram", "krige"])
+def test_non_finite_value_cell_cites_row(tmp_path, capsys, value, command):
+    src = tmp_path / "bad.csv"
+    rows = ["EASTING,NORTHING,VALUE"]
+    rows += [f"{i}.0,{i % 3}.0,1.{i}" for i in range(1, 6)]
+    rows.insert(4, f"9.0,9.0,{value}")
+    src.write_text("\n".join(rows) + "\n")
+    extra = ["--model", SYNTH_NONUG, "--at", "0,0"] if command == "krige" else []
+    out = tmp_path / "o"
+    line = assert_user_error(run(command, "--input", str(src), *extra, "--out", str(out)),
+                             capsys, out)
+    assert "row 5" in line and "VALUE" in line

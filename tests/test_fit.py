@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize
+from scipy.optimize._numdiff import approx_derivative
 
+from variokrig import fit as fit_module
 from variokrig import (
     CovarianceSpec,
     DomainError,
@@ -14,7 +19,20 @@ from variokrig import (
     variogram_eval,
 )
 from variokrig.empvario import VariogramBin
-from variokrig.fit import default_bounds, fit_results_to_csv
+from variokrig.fit import (
+    MAX_EVALS,
+    OBJ_RTOL,
+    _emp_arrays,
+    _forward_difference,
+    _objective,
+    _objective_rows,
+    default_bounds,
+    fit_results_to_csv,
+    param_names,
+    start_values_nested_matern,
+    start_values_simple,
+)
+from variokrig.models import KINDS
 
 
 def emp_from_values(h, g, n=50):
@@ -220,3 +238,204 @@ def test_default_bounds_are_reference_vectors():
     b = default_bounds("nested_matern")
     assert np.allclose(b.lower, 0.001)
     assert np.allclose(b.upper, [10.0, 18.0, 400.0, 40.0, 18.0, 400.0, 40.0])
+
+
+def test_batch_rejects_seed_outside_philox_range():
+    # a converging column never reaches the restart stream; the seed is still checked
+    true = NestedMaternSpec(0.05, 1.5, 20.0, 0.5, 1.0, 200.0, 2.0)
+    h = np.linspace(5.0, 300.0, 12)
+    table = make_table(h, [nested_matern_variogram(true, h)])
+    for seed in (-1, 2**64, 1.5):
+        with pytest.raises(DomainError, match="seed"):
+            fit_nested_matern_batch(table, seed=seed)
+
+
+# -- batched objective and gradient ------------------------------------------------
+
+SHAPE_BOX = {"matern": (0.05, 40.0), "stable": (0.05, 2.0), "cauchy": (0.05, 20.0),
+             "power": (1.0, 10.0)}
+# exponents numpy evaluates by a fast path when they are scalars
+SPECIAL_SHAPES = (0.5, 1.0, 2.0)
+
+
+def random_params(family, rng):
+    if family == "nested_matern":
+        return np.array([rng.uniform(0.0, 0.5), rng.uniform(0.1, 3.0), rng.uniform(1.0, 300.0),
+                         np.exp(rng.uniform(np.log(0.05), np.log(40.0))),
+                         rng.uniform(0.1, 3.0), rng.uniform(1.0, 300.0),
+                         np.exp(rng.uniform(np.log(0.05), np.log(40.0)))])
+    x = [rng.uniform(0.0, 0.5), rng.uniform(0.1, 3.0), rng.uniform(1.0, 300.0)]
+    if family in SHAPE_BOX:
+        lo, hi = SHAPE_BOX[family]
+        shape = rng.choice(SPECIAL_SHAPES) if rng.random() < 0.3 else rng.uniform(lo, hi)
+        x.append(float(np.clip(shape, lo, hi)))
+    return np.array(x)
+
+
+def forward_block(x, rng):
+    """x and its k copies each moved in one coordinate, as a gradient step makes them."""
+    block = np.tile(x, (x.size + 1, 1))
+    steps = rng.choice([-1.0, 1.0], x.size) * 10.0 ** rng.uniform(-9.0, -1.0, x.size)
+    block[1:][np.diag_indices(x.size)] += steps
+    return block
+
+
+def invalid_rows(x):
+    """A row with a subnormal range (the Matern evaluations raise NumericError
+    on it), then rows every spec rejects (DomainError)."""
+    rows = []
+    for col, value in ((2, 1e-320), (0, -0.1), (1, np.nan), (2, 0.0), (2, np.inf)):
+        row = x.copy()
+        row[col] = value
+        rows.append(row)
+    if x.size > 3:  # a shape outside every family's box
+        row = x.copy()
+        row[3] = -1.0
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(
+    family=st.sampled_from(("nested_matern",) + KINDS),
+    method=st.sampled_from(("ols", "wls", "gls")),
+    seed=st.integers(0, 2**32 - 1),
+    n_lags=st.integers(4, 15),
+    with_invalid=st.booleans(),
+)
+def test_objective_rows_equal_scalar_objective_bitwise(family, method, seed, n_lags,
+                                                       with_invalid):
+    rng = np.random.default_rng(seed)
+    h = np.sort(rng.uniform(0.5, 250.0, n_lags))
+    if rng.random() < 0.3:
+        h[0] = 0.0
+    g = rng.uniform(0.05, 3.0, n_lags)
+    n = rng.integers(1, 200, n_lags).astype(float)
+    x = random_params(family, rng)
+    block = [forward_block(x, rng), random_params(family, rng)[None, :]]
+    if with_invalid:
+        bad = invalid_rows(x)
+        block.append(np.array(bad)[rng.permutation(len(bad))])
+    block = np.vstack(block)
+    batched = _objective_rows(family, h, g, n, method)(block)
+    fun = _objective(family, h, g, n, method)
+    scalar = np.array([fun(row) for row in block])
+    assert batched.dtype == scalar.dtype == np.float64
+    assert np.array_equal(batched.view(np.int64), scalar.view(np.int64))
+    if with_invalid:
+        assert np.sum(scalar == fit_module._PENALTY) >= len(invalid_rows(x)) - 1
+
+
+@pytest.mark.parametrize("where", ["interior", "lower", "upper", "narrow", "huge"])
+def test_forward_difference_matches_scipy_two_point_gradient(where):
+    rng = np.random.default_rng(3)
+    h = np.linspace(5.0, 250.0, 12)
+    g = rng.uniform(0.3, 2.5, 12)
+    n = np.full(12, 40.0)
+    lower = np.full(7, 0.001)
+    upper = np.array([10.0, 18.0, 400.0, 40.0, 18.0, 400.0, 40.0])
+    x = np.array([0.05, 1.2, 30.0, 0.7, 1.0, 150.0, 1.3])
+    if where == "lower":
+        x[[0, 3]] = lower[[0, 3]]
+    elif where == "upper":
+        x[[2, 6]] = upper[[2, 6]]
+    elif where == "narrow":  # a box narrower than the step: the step is shortened
+        lower[1], upper[1] = x[1] - 3e-9, x[1] + 2e-9
+    elif where == "huge":  # x + 1e-8 == x: the relative step takes over
+        upper[2] = 1e12
+        x[2] = 1e9
+    bounds = FitBounds(lower, upper)
+    f, grad = _forward_difference(_objective_rows("nested_matern", h, g, n, "ols"), bounds)(x)
+    fun = _objective("nested_matern", h, g, n, "ols")
+    expect = approx_derivative(fun, x, method="2-point", abs_step=1e-8, f0=fun(x),
+                               bounds=(lower, upper))
+    assert f == fun(x)
+    assert np.array_equal(grad, expect)
+
+
+def test_forward_difference_relative_step_keeps_the_sign_of_x():
+    w = np.array([1.0, -2.0, 3.0])
+
+    def fun(x):
+        return float(x @ w + 1e-9 * (x @ x))
+
+    x = np.array([-3e9, 2e9, 0.5])  # x + 1e-8 == x in the first two coordinates
+    lower, upper = np.full(3, -1e12), np.full(3, 1e12)
+    rows = lambda block: np.array([fun(row) for row in block])  # noqa: E731
+    f, grad = _forward_difference(rows, FitBounds(lower, upper))(x)
+    expect = approx_derivative(fun, x, method="2-point", abs_step=1e-8, f0=fun(x),
+                               bounds=(lower, upper))
+    assert f == fun(x)
+    assert np.array_equal(grad, expect)
+
+
+def oracle_fit(emp, family, method, bounds, max_evals=MAX_EVALS):
+    """fit_variogram with scipy's own forward-difference gradient."""
+    h, g, n = _emp_arrays(emp)
+    if family == "nested_matern":
+        start = start_values_nested_matern(emp)
+    else:
+        start = start_values_simple(emp, family)
+    start = bounds.clip(start)
+    fun = _objective(family, h, g, n, method)
+    f0 = fun(start)
+    res = minimize(fun, start, method="L-BFGS-B", bounds=bounds.pairs(),
+                   options={"maxfun": max_evals, "maxiter": MAX_EVALS, "ftol": OBJ_RTOL})
+    params = bounds.clip(res.x)
+    objective = fun(params)
+    if objective > f0:
+        params, objective = start, f0
+    return params, objective, res
+
+
+def noisy_emp(family, seed):
+    rng = np.random.default_rng(seed)
+    h = np.linspace(4.0, 240.0, 13)
+    if family == "nested_matern":
+        gamma = nested_matern_variogram(NestedMaternSpec(0.05, 1.2, 25.0, 0.6, 0.9, 160.0, 1.3), h)
+    else:
+        shape = {"matern": 0.8, "stable": 1.4}.get(family)
+        gamma = variogram_eval(CovarianceSpec(family, 0.1, 1.5, 90.0, shape), h)
+    return emp_from_values(h, gamma * rng.uniform(0.8, 1.2, h.size), n=40)
+
+
+@pytest.mark.parametrize("family,method", [
+    ("nested_matern", "ols"), ("nested_matern", "wls"), ("exponential", "ols"),
+    ("spherical", "wls"), ("matern", "gls"), ("stable", "ols"),
+])
+def test_fit_equals_scipy_finite_difference_oracle_bitwise(family, method):
+    emp = noisy_emp(family, seed=len(family))
+    bounds = default_bounds(family, emp)
+    params, objective, res = oracle_fit(emp, family, method, bounds)
+    got = fit_variogram(emp, family, method, bounds)
+    assert np.array_equal(got.params, params)
+    assert got.objective == objective
+    assert got.converged == bool(res.success)
+    assert got.n_evals == res.nfev
+
+
+def test_n_evals_counts_point_evaluations(monkeypatch):
+    emp = noisy_emp("nested_matern", seed=7)
+    rows_seen = []
+    make_rows = fit_module._objective_rows
+
+    def counting_rows(*args):
+        rows = make_rows(*args)
+        return lambda block: rows_seen.append(len(block)) or rows(block)
+
+    monkeypatch.setattr(fit_module, "_objective_rows", counting_rows)
+    res = fit_variogram(emp, "nested_matern", "ols")
+    assert res.n_evals == sum(rows_seen) > 0
+    assert set(rows_seen) == {len(param_names("nested_matern")) + 1}
+
+
+def test_evaluation_budget_stops_at_the_same_iteration(monkeypatch):
+    emp = noisy_emp("nested_matern", seed=8)
+    bounds = default_bounds("nested_matern")
+    params, objective, res = oracle_fit(emp, "nested_matern", "ols", bounds, max_evals=80)
+    monkeypatch.setattr(fit_module, "MAX_EVALS", 80)
+    got = fit_variogram(emp, "nested_matern", "ols", bounds)
+    assert not res.success and not got.converged
+    assert got.n_evals == res.nfev == 88  # 11 points of 8 evaluations: 88 > 80 stops it
+    assert np.array_equal(got.params, params) and got.objective == objective
