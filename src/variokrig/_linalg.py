@@ -3,13 +3,14 @@
 Every covariance system is factored here, so the degenerate-matrix policy
 lives in exactly one place: a symmetric matrix that fails Cholesky gets
 ``delta * I`` added, with delta starting at 1e-10 times the mean diagonal
-and doubling up to six times before the attempt is abandoned. ``spd_solve``
-is the only solve; callers stack several right-hand sides into one call.
-Only field simulation and the Bayes prior check use the factor directly.
+and doubling up to six times before the attempt is abandoned. A system is
+factored once by ``chol_with_jitter`` and solved with that factor by
+``chol_solve``, as often as its callers need; ``spd_solve`` does both for a
+one-off system.
 """
 
 import numpy as np
-from scipy import linalg as sla
+from scipy.linalg.lapack import dtrtrs
 
 from .exceptions import SingularMatrixError
 
@@ -25,13 +26,8 @@ def jitter_ladder(scale: float):
         yield base * 2.0**k
 
 
-def chol_with_jitter(mat):
-    """Lower Cholesky factor of ``mat + delta*I`` for the smallest workable delta.
-
-    Returns ``(L, delta)``. Raises SingularMatrixError when the ladder is
-    exhausted.
-    """
-    mat = np.asarray(mat, dtype=float)
+def _chol_one(mat):
+    """(L, delta) of one matrix: the jitter ladder of ``chol_with_jitter``."""
     n = mat.shape[0]
     scale = float(np.trace(mat)) / max(n, 1)
     for delta in jitter_ladder(scale):
@@ -47,12 +43,46 @@ def chol_with_jitter(mat):
     )
 
 
-def spd_solve(mat, rhs):
-    """Solve ``mat @ x = rhs`` for symmetric positive (semi-)definite ``mat``.
+def chol_with_jitter(mat):
+    """Lower Cholesky factor of ``mat + delta*I`` for the smallest workable delta.
 
-    One jittered Cholesky factorisation, then two triangular solves.
-    ``rhs`` may be a vector or a matrix of stacked right-hand sides.
+    ``mat`` is one (n, n) matrix or a (T, n, n) stack. Returns ``(L, delta)``;
+    a stack is factored in one call and, when any of its matrices needs
+    jitter, again matrix by matrix, each with its own delta (the largest is
+    returned). The factor of each matrix is the same either way. Raises
+    SingularMatrixError when the ladder is exhausted.
     """
-    L, _ = chol_with_jitter(mat)
-    y = sla.solve_triangular(L, rhs, lower=True)
-    return sla.solve_triangular(L.T, y, lower=False)
+    mat = np.asarray(mat, dtype=float)
+    if mat.ndim == 2:
+        return _chol_one(mat)
+    try:
+        L = np.linalg.cholesky(mat)
+        if np.all(np.isfinite(L)):
+            return L, 0.0
+    except np.linalg.LinAlgError:
+        pass
+    factors = [_chol_one(m) for m in mat]
+    return np.stack([L for L, _ in factors]), max(delta for _, delta in factors)
+
+
+def chol_solve(L, rhs):
+    """Solve ``L L' x = rhs`` with two triangular solves.
+
+    ``rhs`` may be a vector or a matrix of stacked right-hand sides. Both
+    solves run on the Fortran-ordered view L' of the C-ordered factor,
+    the LAPACK calls that ``scipy.linalg.solve_triangular`` makes for
+    ``L`` and then ``L.T``, without its per-call validation.
+    """
+    Lt = np.ascontiguousarray(L).T
+    y, info = dtrtrs(Lt, rhs, lower=0, trans=1)
+    if info == 0:
+        x, info = dtrtrs(Lt, y, lower=0, trans=0)
+    if info != 0:
+        raise SingularMatrixError(f"triangular solve failed (LAPACK info {info})")
+    return x
+
+
+def spd_solve(mat, rhs):
+    """Solve ``mat @ x = rhs`` for symmetric positive (semi-)definite ``mat``:
+    one jittered Cholesky factorisation, then ``chol_solve``."""
+    return chol_solve(chol_with_jitter(mat)[0], rhs)

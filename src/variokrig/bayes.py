@@ -11,14 +11,16 @@ is summarised by grid-exact quantiles.
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
-from ._linalg import spd_solve
+from ._linalg import chol_with_jitter, spd_solve
 from .empvario import SpatialDataset
 from .exceptions import DomainError, FormatError, NumericError
-from .krige import MIN_NEIGHBORS, TrendBasis, _bayes_moments, neighborhood
-from .models import CovarianceSpec, NestedMaternSpec, covariance_matrix
+from .krige import MIN_NEIGHBORS, TrendBasis, _bayes_at, _Trend, neighborhood
+from .models import CovarianceSpec, NestedMaternSpec, covariance_eval, covariance_matrix
 from .util import fmt_float, parallel_map
 
 QUANTILE_PS = {
@@ -32,6 +34,10 @@ QUANTILE_PS = {
 }
 
 IQR_TO_SD = 1.45  # interquartile range to standard deviation divisor
+
+# Map points whose lags share one covariance evaluation per draw; the
+# shared values take T x (distinct lags of the block) floats.
+DENSITY_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -154,14 +160,77 @@ class PredictiveDensity:
         return "\n".join(lines) + "\n"
 
 
-def _conditional_moments(x0, subset: SpatialDataset, spec, mu: float, phi: float):
+_F0 = np.ones(1)  # the constant trend at the target
+
+
+def _conditional_moments(L, c0, c00, trend):
     """Posterior mean / variance of the log-value under one parameter draw:
-    the constant-trend Bayes predictor with prior variance phi."""
-    m, s2, _ = _bayes_moments(x0, subset, spec, np.ones((len(subset), 1)),
-                              np.ones(1), np.array([mu]), np.array([[phi]]))
+    the constant-trend Bayes predictor, from the factor L of K + phi."""
+    m, s2 = _bayes_at(L, trend, _F0, c0, c00)
     if s2 <= 0.0 or not math.isfinite(s2) or not math.isfinite(m):
         raise NumericError("conditional variance is not positive")
     return m, s2
+
+
+class _SharedCovariances:
+    """Covariances of a block of target points under every draw.
+
+    One covariance evaluation per draw covers the distinct lags of the
+    whole block: the pair distances of each distinct neighbourhood and the
+    distances of each target to [x0; neighbours]. A draw whose evaluation
+    raises NumericError is evaluated point by point instead, so it fails
+    only the points whose own lags fail it. Read-only once built.
+    """
+
+    def __init__(self, points, log_data: SpatialDataset, specs, radius: float):
+        self.specs = specs
+        # per point: None (too few neighbours) or (subset, index of its pair
+        # lags in `pieces`, index of its cross lags)
+        self.targets = []
+        pair_pieces, pieces = {}, []
+        for x0 in points:
+            subset = neighborhood(log_data, x0, radius)
+            if subset is None or len(subset) <= MIN_NEIGHBORS:
+                self.targets.append(None)
+                continue
+            key = subset.locations.tobytes()
+            if key not in pair_pieces:
+                pair_pieces[key] = len(pieces)
+                pieces.append(cdist(subset.locations, subset.locations).ravel())
+            pieces.append(cdist(x0.reshape(1, -1), np.vstack([x0, subset.locations]))[0])
+            self.targets.append((subset, pair_pieces[key], len(pieces) - 1))
+        if not pieces:
+            return
+        self.lags, inverse = np.unique(np.concatenate(pieces), return_inverse=True)
+        self.positions = np.split(inverse, np.cumsum([p.size for p in pieces[:-1]]))
+        self.values = np.empty((len(specs), self.lags.size))
+        self.failed = []
+        for t, spec in enumerate(specs):
+            try:
+                self.values[t] = covariance_eval(spec, self.lags)
+            except NumericError:
+                self.values[t] = np.nan
+                self.failed.append(t)
+
+    def moments(self, i: int, prior_mean: float, prior_var: float):
+        """(mean, variance) under every draw at point i, or None when it has
+        too few neighbours. The T systems are factored in one call."""
+        target = self.targets[i]
+        if target is None:
+            return None
+        subset, pairs, cross = target
+        own = np.concatenate([self.positions[pairs], self.positions[cross]])
+        V = self.values[:, own]
+        for t in self.failed:
+            V[t] = covariance_eval(self.specs[t], self.lags[own])
+        n = len(subset)
+        K = V[:, :n * n].reshape(-1, n, n)
+        c00, c0 = V[:, n * n], V[:, n * n + 1:]
+        F = np.ones((n, 1))
+        mu, phi = np.array([prior_mean]), np.array([[prior_var]])
+        trend = _Trend(F, mu, phi, subset.values - F @ mu)
+        L, _ = chol_with_jitter(K + F @ phi @ F.T)
+        return [_conditional_moments(L[t], c0[t], c00[t], trend) for t in range(V.shape[0])]
 
 
 def _summarize(grid: DensityGrid, density: np.ndarray):
@@ -194,6 +263,19 @@ def _summarize(grid: DensityGrid, density: np.ndarray):
     return y, cdf, summary, tuple(clipped), total
 
 
+def _density(moments, grid: DensityGrid) -> PredictiveDensity:
+    """The predictive density averaging the lognormal of every draw."""
+    g = grid.log_grid
+    moments = sorted(moments)  # canonical accumulation order: bit-identical under row permutation
+    dens = np.zeros_like(g)
+    for m, s2 in moments:
+        dens += np.exp(-((g - m) ** 2) / (2.0 * s2)) / math.sqrt(2.0 * math.pi * s2)
+    dens /= len(moments)
+    dens = dens * np.exp(-g)  # Jacobian of the log transform
+    y, cdf, summary, clipped, _ = _summarize(grid, dens)
+    return PredictiveDensity(g, y, dens, cdf, summary, clipped)
+
+
 def predictive_density_at(
     x0,
     log_data: SpatialDataset,
@@ -211,22 +293,10 @@ def predictive_density_at(
     """
     if prior_var < 0.0:
         raise DomainError("prior variance must be >= 0")
-    subset = neighborhood(log_data, x0, radius)
-    if subset is None or len(subset) <= MIN_NEIGHBORS:
-        return None
-    g = grid.log_grid
-    moments = [
-        _conditional_moments(x0, subset, spec, prior_mean, prior_var)
-        for spec in draws.specs()
-    ]
-    moments.sort()  # canonical accumulation order: bit-identical under row permutation
-    dens = np.zeros_like(g)
-    for m, s2 in moments:
-        dens += np.exp(-((g - m) ** 2) / (2.0 * s2)) / math.sqrt(2.0 * math.pi * s2)
-    dens /= len(draws)
-    dens = dens * np.exp(-g)  # Jacobian of the log transform
-    y, cdf, summary, clipped, _ = _summarize(grid, dens)
-    return PredictiveDensity(g, y, dens, cdf, summary, clipped)
+    points = np.asarray(x0, dtype=float).reshape(1, -1)
+    moments = _SharedCovariances(points, log_data, draws.specs(), radius).moments(
+        0, prior_mean, prior_var)
+    return None if moments is None else _density(moments, grid)
 
 
 MAP_COLUMNS = (
@@ -257,23 +327,33 @@ def density_map(
     grid: DensityGrid = DensityGrid(),
 ) -> list[DensityMapRow]:
     """Predictive-density summaries over a grid; sparse neighborhoods give
-    missing rows rather than errors."""
+    missing rows rather than errors.
+
+    Each block of DENSITY_BLOCK points shares one covariance evaluation per
+    draw (see _SharedCovariances); a point then gathers its T systems and
+    factors them in one call.
+    """
+    if prior_var < 0.0:
+        raise DomainError("prior variance must be >= 0")
     pts = np.atleast_2d(np.asarray(grid_points, dtype=float))
+    specs = draws.specs()
+    rows = []
+    for start in range(0, pts.shape[0], DENSITY_BLOCK):
+        points = pts[start:start + DENSITY_BLOCK]
+        shared = _SharedCovariances(points, log_data, specs, radius)
+        rows += parallel_map(partial(_density_row, points, shared, prior_mean, prior_var, grid),
+                             range(points.shape[0]))
+    return rows
 
-    def one(i: int) -> DensityMapRow:
-        try:
-            pd = predictive_density_at(
-                pts[i], log_data, draws, prior_mean, prior_var, radius, grid
-            )
-        except NumericError:
-            return DensityMapRow(pts[i], None, "numeric_failure")
-        if pd is None:
-            return DensityMapRow(pts[i], None, "too_few_neighbors")
-        return DensityMapRow(pts[i], pd.summary, "ok")
 
-    if pts.shape[0] == 0:
-        return []
-    return parallel_map(one, range(pts.shape[0]))
+def _density_row(points, shared, prior_mean, prior_var, grid, i: int) -> DensityMapRow:
+    try:
+        moments = shared.moments(i, prior_mean, prior_var)
+    except NumericError:
+        return DensityMapRow(points[i], None, "numeric_failure")
+    if moments is None:
+        return DensityMapRow(points[i], None, "too_few_neighbors")
+    return DensityMapRow(points[i], _density(moments, grid).summary, "ok")
 
 
 def density_map_csv(rows) -> str:

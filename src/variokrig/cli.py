@@ -138,8 +138,7 @@ def _parse_model(text: str):
 
 
 def _grid_from_args(args) -> np.ndarray:
-    nx, ny = int(args.grid[0]), int(args.grid[1])
-    xmin, xmax, ymin, ymax = map(float, args.grid[2:])
+    nx, ny, xmin, xmax, ymin, ymax = args.grid
     return sim.make_grid(xmin, xmax, ymin, ymax, nx, ny)
 
 
@@ -261,8 +260,7 @@ def _cmd_krige(args, out: OutputDir):
     if args.pgm:
         if args.at is not None or args.at_data or args.grid is None:
             raise UsageError("--pgm needs a rectangular --grid")
-        nx, ny = int(args.grid[0]), int(args.grid[1])
-        out.write_text("krige.pgm", _pgm(rows, nx, ny))
+        out.write_text("krige.pgm", _pgm(rows, *args.grid[:2]))
 
 
 def _pgm(rows, nx: int, ny: int) -> str:
@@ -393,6 +391,36 @@ def _count(text: str) -> int:
     return n
 
 
+def _finite(text: str) -> float:
+    """A real-valued flag such as --mean: a finite number."""
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return x
+
+
+def _variance(text: str) -> float:
+    """--prior-var: a finite number >= 0."""
+    x = _finite(text)
+    if x < 0.0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return x
+
+
+class _GridAction(argparse.Action):
+    """--grid NX NY XMIN XMAX YMIN YMAX: two counts, then four finite bounds."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        try:
+            grid = [_count(v) for v in values[:2]] + [_finite(v) for v in values[2:]]
+        except argparse.ArgumentTypeError as exc:
+            raise argparse.ArgumentError(self, str(exc)) from None
+        setattr(namespace, self.dest, grid)
+
+
 def _location(text: str) -> list[float]:
     """--at: exactly two finite numbers X,Y."""
     try:
@@ -413,7 +441,7 @@ def _add_common(p, seed_required=False):
 def _add_grid(p, required=False):
     p.add_argument(
         "--grid", nargs=6, metavar=("NX", "NY", "XMIN", "XMAX", "YMIN", "YMAX"),
-        required=required, help="rectangular grid spec",
+        action=_GridAction, required=required, help="rectangular grid spec",
     )
 
 
@@ -425,7 +453,7 @@ def build_parser() -> _Parser:
     _add_common(p, seed_required=True)
     p.add_argument("--n", type=int, default=200)
     p.add_argument("--model", default=SYNTH_MODEL)
-    p.add_argument("--mean", type=float, default=SYNTH_MEAN, help="log-scale mean")
+    p.add_argument("--mean", type=_finite, default=SYNTH_MEAN, help="log-scale mean")
     p.add_argument("--region", nargs=4, type=float, default=list(SYNTH_REGION),
                    metavar=("XMIN", "XMAX", "YMIN", "YMAX"))
     p.set_defaults(func=_cmd_synth)
@@ -464,10 +492,10 @@ def build_parser() -> _Parser:
     p.add_argument("--at-data", action="store_true", help="predict at the data locations")
     p.add_argument("--radius", type=float, default=None)
     p.add_argument("--min-neighbors", type=int, default=krige.MIN_NEIGHBORS)
-    p.add_argument("--mean", type=float, default=0.0, help="known mean (simple)")
+    p.add_argument("--mean", type=_finite, default=0.0, help="known mean (simple)")
     p.add_argument("--basis", choices=("constant", "linear"), default="constant")
-    p.add_argument("--prior-mean", type=float, default=0.0)
-    p.add_argument("--prior-var", type=float, default=10000.0)
+    p.add_argument("--prior-mean", type=_finite, default=0.0)
+    p.add_argument("--prior-var", type=_variance, default=10000.0)
     p.add_argument("--pgm", action="store_true", help="grayscale heatmap")
     p.set_defaults(func=_cmd_krige)
 
@@ -478,7 +506,7 @@ def build_parser() -> _Parser:
     p.add_argument("--log", action="store_true")
     _add_grid(p)
     p.add_argument("--sims", type=_count, default=100)
-    p.add_argument("--mean", type=float, default=0.0)
+    p.add_argument("--mean", type=_finite, default=0.0)
     p.add_argument("--route", choices=("cholesky", "kl"), default="cholesky")
     p.add_argument("--conditional", action="store_true")
     p.add_argument("--max-dist", type=float, default=None)
@@ -506,11 +534,11 @@ def build_parser() -> _Parser:
     p.add_argument("--at", type=_location, default=None, help="single location X,Y")
     _add_grid(p)
     p.add_argument("--radius", type=float, default=40.0)
-    p.add_argument("--prior-mean", type=float, default=0.0)
-    p.add_argument("--prior-var", type=float, default=10000.0)
-    p.add_argument("--grid-lo", type=float, default=-5.0)
-    p.add_argument("--grid-hi", type=float, default=6.5)
-    p.add_argument("--grid-step", type=float, default=0.01)
+    p.add_argument("--prior-mean", type=_finite, default=0.0)
+    p.add_argument("--prior-var", type=_variance, default=10000.0)
+    p.add_argument("--grid-lo", type=_finite, default=-5.0)
+    p.add_argument("--grid-hi", type=_finite, default=6.5)
+    p.add_argument("--grid-step", type=_finite, default=0.01)
     p.add_argument("--rule", choices=("trapezoid", "forward"), default="trapezoid")
     p.set_defaults(func=_cmd_density)
 

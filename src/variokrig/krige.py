@@ -9,13 +9,16 @@ produced by floating cancellation (counted, warned, never silent).
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
-from ._linalg import chol_with_jitter, spd_solve
+from ._linalg import chol_solve, chol_with_jitter, spd_solve
 from .empvario import SpatialDataset
 from .exceptions import DomainError, NumericError, SingularMatrixError
-from .models import covariance_matrix
+from .models import covariance_eval, covariance_matrix
 from .util import fmt_float, parallel_map
 
 MIN_NEIGHBORS = 4  # map points need strictly more than this many neighbors
@@ -164,6 +167,131 @@ def _system(spec, data: SpatialDataset, x0):
     return M[1:, 1:], M[0, 1:], M[0, 0]
 
 
+# -- one neighbour set: checked, factored once, then solved per point ----------
+
+METHODS = ("simple", "ordinary", "universal", "bayes")
+
+
+def _checked(method, data: SpatialDataset, basis, prior):
+    """Deduplicated data and trend design of one neighbour set, after the
+    checks that need no covariance."""
+    if method not in METHODS:
+        raise DomainError(f"unknown kriging method {method!r}")
+    data = _dedupe(data)
+    if method == "ordinary" and len(data) < 2:
+        raise DomainError("ordinary kriging needs at least 2 data points")
+    if method not in ("universal", "bayes"):
+        return data, None
+    F = basis.design(data.locations)
+    if method == "universal" and len(data) < F.shape[1]:
+        raise DomainError("need at least as many points as basis functions")
+    if method == "bayes" and prior.mu.size != F.shape[1]:
+        raise DomainError("prior dimension does not match the trend basis")
+    return data, F
+
+
+class _Trend(NamedTuple):
+    """Bayes trend terms of one data set: design F, prior moments mu and
+    phi of the coefficients, and resid = z - F mu."""
+
+    F: np.ndarray
+    mu: np.ndarray
+    phi: np.ndarray
+    resid: np.ndarray
+
+
+@dataclass(frozen=True)
+class _Factored:
+    """The location-independent half of one predictor on one neighbour set.
+
+    L is the Cholesky factor of K (Bayes: K + F Phi F'). Universal kriging
+    adds M = F'K^-1 F, the GLS trend beta and resid = z - F beta; simple
+    kriging keeps resid = z - m.
+    """
+
+    method: str
+    data: SpatialDataset
+    L: np.ndarray
+    mean: float = 0.0
+    resid: np.ndarray | None = None
+    F: np.ndarray | None = None
+    M: np.ndarray | None = None
+    beta: np.ndarray | None = None
+    trend: _Trend | None = None
+
+
+def _factor(method, data: SpatialDataset, F, K, mean=0.0, prior=None) -> _Factored:
+    """Factor the system of checked data with covariance K, once."""
+    if method == "bayes":
+        L, _ = chol_with_jitter(K + F @ prior.phi @ F.T)
+        trend = _Trend(F, prior.mu, prior.phi, data.values - F @ prior.mu)
+        return _Factored(method, data, L, trend=trend)
+    L, _ = chol_with_jitter(K)
+    if method == "simple":
+        return _Factored(method, data, L, mean=mean, resid=data.values - mean)
+    if method == "universal":
+        KiF = chol_solve(L, F)
+        M = F.T @ KiF
+        beta = np.linalg.solve(M, KiF.T @ data.values)
+        return _Factored(method, data, L, resid=data.values - F @ beta, F=F, M=M, beta=beta)
+    return _Factored(method, data, L)
+
+
+def _ordinary_weights(L, c0):
+    """Weights w and Lagrange multiplier nu from the factor L of K.
+
+    One stacked solve K [a, b] = [c0, 1]; nu = (1'a - 1)/(1'b), w = a - nu b.
+    """
+    one = np.ones(c0.size)
+    ab = chol_solve(L, np.column_stack([c0, one]))
+    a, b = ab[:, 0], ab[:, 1]
+    denom = one @ b
+    if denom == 0.0 or not math.isfinite(denom):
+        raise SingularMatrixError("ordinary kriging constraint system is singular")
+    nu = (one @ a - 1.0) / denom
+    return a - nu * b, float(nu)
+
+
+def _bayes_at(L, trend: _Trend, f0, c0, c00):
+    """Mean and Schur-complement variance of the Bayes predictor at one
+    point, with weights lambda solving (K + F Phi F') lambda = c0 + F Phi f0
+    through the factor L of K + F Phi F'."""
+    F, mu, phi, resid = trend
+    cb = c0 + F @ (phi @ f0)
+    lam = chol_solve(L, cb)
+    return float(f0 @ mu + lam @ resid), float(c00 + f0 @ phi @ f0 - cb @ lam)
+
+
+def _at(fac: _Factored, x0, c0, c00, basis) -> KrigingResult:
+    """The per-point half of a predictor: its solves against the set's
+    factor and the dot products, given c0 and C(0) at x0."""
+    method = fac.method
+    if method == "simple":
+        lam = chol_solve(fac.L, c0)
+        pred, var = fac.mean + lam @ fac.resid, c00 - lam @ c0
+    elif method == "ordinary":
+        w, nu = _ordinary_weights(fac.L, c0)
+        pred, var = w @ fac.data.values, c00 - c0 @ w - nu
+    elif method == "universal":
+        Kic0 = chol_solve(fac.L, c0)
+        f0 = basis.at(x0)
+        pred = f0 @ fac.beta + Kic0 @ fac.resid
+        g = f0 - fac.F.T @ Kic0
+        var = c00 - c0 @ Kic0 + g @ np.linalg.solve(fac.M, g)
+    else:
+        pred, var = _bayes_at(fac.L, fac.trend, basis.at(x0), c0, c00)
+    return KrigingResult(float(pred), _finish_sd(float(var), c00, f"{method} kriging"),
+                         len(fac.data), method)
+
+
+def _predict(method, x0, subset, spec, mean, basis, prior) -> KrigingResult:
+    """One prediction: the set and point halves over one covariance
+    evaluation of [x0; locations]."""
+    data, F = _checked(method, subset, basis, prior)
+    K, c0, c00 = _system(spec, data, x0)
+    return _at(_factor(method, data, F, K, mean, prior), x0, c0, c00, basis)
+
+
 def simple_weights(x0, data: SpatialDataset, spec) -> np.ndarray:
     """Best-linear-prediction weights, the solution of K lambda = c0."""
     data = _dedupe(data)
@@ -177,38 +305,14 @@ def simple_kriging(x0, data: SpatialDataset, spec, mean: float) -> KrigingResult
     Weights solve K lambda = c0; prediction m + lambda'(z - m); error
     variance C(0) - lambda'c0.
     """
-    data = _dedupe(data)
-    K, c0, c00 = _system(spec, data, x0)
-    lam = spd_solve(K, c0)
-    pred = mean + lam @ (data.values - mean)
-    var = c00 - lam @ c0
-    return KrigingResult(float(pred), _finish_sd(float(var), c00, "simple kriging"),
-                         len(data), "simple")
-
-
-def _ordinary(x0, data: SpatialDataset, spec):
-    """Deduplicated data, weights w, Lagrange multiplier nu, c0 and C(0).
-
-    One stacked solve K [a, b] = [c0, 1]; nu = (1'a - 1)/(1'b), w = a - nu b.
-    """
-    data = _dedupe(data)
-    if len(data) < 2:
-        raise DomainError("ordinary kriging needs at least 2 data points")
-    K, c0, c00 = _system(spec, data, x0)
-    one = np.ones(len(data))
-    ab = spd_solve(K, np.column_stack([c0, one]))
-    a, b = ab[:, 0], ab[:, 1]
-    denom = one @ b
-    if denom == 0.0 or not math.isfinite(denom):
-        raise SingularMatrixError("ordinary kriging constraint system is singular")
-    nu = (one @ a - 1.0) / denom
-    return data, a - nu * b, float(nu), c0, c00
+    return _predict("simple", x0, data, spec, mean, None, None)
 
 
 def ordinary_weights(x0, data: SpatialDataset, spec) -> tuple[np.ndarray, float]:
     """Sum-to-one kriging weights and the Lagrange multiplier."""
-    _, w, nu, _, _ = _ordinary(x0, data, spec)
-    return w, nu
+    data, _ = _checked("ordinary", data, None, None)
+    K, c0, _ = _system(spec, data, x0)
+    return _ordinary_weights(chol_with_jitter(K)[0], c0)
 
 
 def ordinary_kriging(x0, data: SpatialDataset, spec) -> KrigingResult:
@@ -216,37 +320,13 @@ def ordinary_kriging(x0, data: SpatialDataset, spec) -> KrigingResult:
 
     Error variance C(0) - c0'w - nu with nu the Lagrange multiplier.
     """
-    data, w, nu, c0, c00 = _ordinary(x0, data, spec)
-    pred = w @ data.values
-    var = c00 - c0 @ w - nu
-    return KrigingResult(float(pred), _finish_sd(float(var), c00, "ordinary kriging"),
-                         len(data), "ordinary")
-
-
-def _gls(data: SpatialDataset, spec, basis: TrendBasis, x0=None):
-    """(data, F, M, beta, cross) with M = F'K^-1 F and beta = M^-1 F'K^-1 z
-    from one factorisation of K; at x0, cross = (c0, C(0), K^-1 c0)."""
-    data = _dedupe(data)
-    F = basis.design(data.locations)
-    k = F.shape[1]
-    if len(data) < k:
-        raise DomainError("need at least as many points as basis functions")
-    if x0 is None:
-        K, rhs = covariance_matrix(spec, data.locations), F
-    else:
-        K, c0, c00 = _system(spec, data, x0)
-        rhs = np.column_stack([F, c0])
-    sol = spd_solve(K, rhs)
-    KiF = sol[:, :k]
-    M = F.T @ KiF
-    beta = np.linalg.solve(M, KiF.T @ data.values)
-    cross = None if x0 is None else (c0, c00, sol[:, k])
-    return data, F, M, beta, cross
+    return _predict("ordinary", x0, data, spec, 0.0, None, None)
 
 
 def gls_beta(data: SpatialDataset, spec, basis: TrendBasis) -> np.ndarray:
     """Generalized least-squares trend estimate (F'K^-1 F)^-1 F'K^-1 z."""
-    return _gls(data, spec, basis)[3]
+    data, F = _checked("universal", data, basis, None)
+    return _factor("universal", data, F, covariance_matrix(spec, data.locations)).beta
 
 
 def universal_kriging(x0, data: SpatialDataset, spec, basis: TrendBasis) -> KrigingResult:
@@ -255,25 +335,7 @@ def universal_kriging(x0, data: SpatialDataset, spec, basis: TrendBasis) -> Krig
     Prediction f0' beta_gls + c0' K^-1 (z - F beta_gls); the error variance
     is C(0) - c0' K^-1 c0 + g' (F'K^-1 F)^-1 g with g = f0 - F'K^-1 c0.
     """
-    data, F, M, beta, (c0, c00, Kic0) = _gls(data, spec, basis, x0)
-    f0 = basis.at(x0)
-    pred = f0 @ beta + Kic0 @ (data.values - F @ beta)
-    g = f0 - F.T @ Kic0
-    var = c00 - c0 @ Kic0 + g @ np.linalg.solve(M, g)
-    return KrigingResult(float(pred), _finish_sd(float(var), c00, "universal kriging"),
-                         len(data), "universal")
-
-
-def _bayes_moments(x0, data: SpatialDataset, spec, F, f0, mu, phi):
-    """Mean, Schur-complement variance and C(0) of the Bayes predictor at
-    x0, with weights lambda solving (K + F Phi F') lambda = c0 + F Phi f0."""
-    K, c0, c00 = _system(spec, data, x0)
-    Kb = K + F @ phi @ F.T
-    cb = c0 + F @ (phi @ f0)
-    lam = spd_solve(Kb, cb)
-    mean = f0 @ mu + lam @ (data.values - F @ mu)
-    var = c00 + f0 @ phi @ f0 - cb @ lam
-    return float(mean), float(var), c00
+    return _predict("universal", x0, data, spec, 0.0, basis, None)
 
 
 def bayes_kriging(x0, data: SpatialDataset, spec, basis: TrendBasis,
@@ -286,13 +348,7 @@ def bayes_kriging(x0, data: SpatialDataset, spec, basis: TrendBasis,
     Phi = 0 reproduces simple kriging with mean f0'mu; an arbitrarily flat
     prior reproduces universal kriging.
     """
-    data = _dedupe(data)
-    F = basis.design(data.locations)
-    if prior.mu.size != F.shape[1]:
-        raise DomainError("prior dimension does not match the trend basis")
-    pred, var, c00 = _bayes_moments(x0, data, spec, F, basis.at(x0), prior.mu, prior.phi)
-    return KrigingResult(pred, _finish_sd(var, c00, "bayes kriging"),
-                         len(data), "bayes")
+    return _predict("bayes", x0, data, spec, 0.0, basis, prior)
 
 
 # -- gridded prediction maps ---------------------------------------------------
@@ -300,6 +356,11 @@ def bayes_kriging(x0, data: SpatialDataset, spec, basis: TrendBasis,
 STATUS_OK = "ok"
 STATUS_FEW = "too_few_neighbors"
 STATUS_NUMERIC = "numeric_failure"
+
+# Grid points searched and factored together. A map holds the factored sets
+# of one block and the previous one at a time; only a set that comes back
+# after a whole block without it is factored a second time.
+MAP_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -309,16 +370,55 @@ class MapRow:
     status: str
 
 
-def _predict(method, x0, subset, spec, mean, basis, prior):
-    if method == "simple":
-        return simple_kriging(x0, subset, spec, mean)
-    if method == "ordinary":
-        return ordinary_kriging(x0, subset, spec)
-    if method == "universal":
-        return universal_kriging(x0, subset, spec, basis)
-    if method == "bayes":
-        return bayes_kriging(x0, subset, spec, basis, prior)
-    raise DomainError(f"unknown kriging method {method!r}")
+def _factor_set(method, subset, spec, mean, basis, prior) -> _Factored | str:
+    """The factored system of one neighbour set, or STATUS_NUMERIC when
+    its checks or its factorisation fail."""
+    try:
+        data, F = _checked(method, subset, basis, prior)
+        return _factor(method, data, F, covariance_matrix(spec, data.locations), mean, prior)
+    except (NumericError, DomainError):
+        return STATUS_NUMERIC
+
+
+def _cross_lags(x0, fac: _Factored):
+    """Distances from x0 to [x0; locations]: row 0 of the point's lags."""
+    x0 = x0.reshape(1, -1)
+    return cdist(x0, np.vstack([x0, fac.data.locations]))[0]
+
+
+def _cross_rows(spec, points, systems):
+    """Row 0 of the covariance over [x0; locations], (C(0), c0), for every
+    point of a block with a factored set, from one covariance evaluation.
+    When that evaluation fails, every row is None and each point evaluates
+    its own row, failing alone if its own lags fail."""
+    lags = [_cross_lags(x0, fac) if isinstance(fac, _Factored) else None
+            for x0, fac in zip(points, systems)]
+    served = [lag for lag in lags if lag is not None]
+    if not served:
+        return lags
+    try:
+        values = covariance_eval(spec, np.concatenate(served))
+    except NumericError:
+        return [None] * len(lags)
+    rows = iter(np.split(values, np.cumsum([lag.size for lag in served[:-1]])))
+    return [None if lag is None else next(rows) for lag in lags]
+
+
+def _map_row(points, systems, crosses, spec, basis, i: int) -> MapRow:
+    x0, fac, row = points[i], systems[i], crosses[i]
+    if fac is None:
+        return MapRow(x0, None, STATUS_FEW)
+    if fac is STATUS_NUMERIC:
+        return MapRow(x0, None, STATUS_NUMERIC)
+    try:
+        if row is None:
+            row = covariance_eval(spec, _cross_lags(x0, fac))
+        res = _at(fac, x0, row[1:], row[0], basis)
+    except (NumericError, DomainError):
+        return MapRow(x0, None, STATUS_NUMERIC)
+    if not (math.isfinite(res.prediction) and math.isfinite(res.sd)):
+        return MapRow(x0, None, STATUS_NUMERIC)
+    return MapRow(x0, res, STATUS_OK)
 
 
 def krige_map(
@@ -337,29 +437,44 @@ def krige_map(
     Grid points whose neighborhood has min_neighbors points or fewer yield
     a missing row, never an error; per-point numeric failures are reported
     with their own status code.
+
+    Points with the same neighbour set share one factored system: each
+    block of MAP_BLOCK points is searched first, every set new to the block
+    is checked and factored once (a set of the previous block is reused),
+    the cross-covariances of the block take one evaluation, and each point
+    then costs only its solves against its set's factor.
+    A global radius gives one set, so the whole map factors one matrix.
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     if grid.shape[0] == 0:
         raise DomainError("grid must not be empty")
+    if method not in METHODS:
+        raise DomainError(f"unknown kriging method {method!r}")
     if method in ("universal", "bayes") and basis is None:
         raise DomainError(f"{method} kriging needs a trend basis")
     if method == "bayes" and prior is None:
         raise DomainError("bayes kriging needs a prior")
 
-    def one(i: int) -> MapRow:
-        x0 = grid[i]
-        subset = neighborhood(data, x0, radius)
-        if subset is None or len(subset) <= min_neighbors:
-            return MapRow(x0, None, STATUS_FEW)
-        try:
-            res = _predict(method, x0, subset, spec, mean, basis, prior)
-        except (NumericError, DomainError):
-            return MapRow(x0, None, STATUS_NUMERIC)
-        if not (math.isfinite(res.prediction) and math.isfinite(res.sd)):
-            return MapRow(x0, None, STATUS_NUMERIC)
-        return MapRow(x0, res, STATUS_OK)
-
-    return parallel_map(one, range(grid.shape[0]))
+    rows, previous = [], {}
+    for start in range(0, grid.shape[0], MAP_BLOCK):
+        points = grid[start:start + MAP_BLOCK]
+        factored, systems = {}, []
+        for x0 in points:
+            subset = neighborhood(data, x0, radius)
+            if subset is None or len(subset) <= min_neighbors:
+                systems.append(None)
+                continue
+            # equal locations and values give identical systems
+            key = subset.locations.tobytes() + subset.values.tobytes()
+            if key not in factored:
+                factored[key] = previous.get(key) or _factor_set(
+                    method, subset, spec, mean, basis, prior)
+            systems.append(factored[key])
+        previous = factored
+        crosses = _cross_rows(spec, points, systems)
+        rows += parallel_map(partial(_map_row, points, systems, crosses, spec, basis),
+                             range(points.shape[0]))
+    return rows
 
 
 def krige_map_csv(rows) -> str:

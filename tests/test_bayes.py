@@ -17,7 +17,9 @@ from variokrig import (
     gls_beta,
     predictive_density_at,
 )
-from variokrig.bayes import _conditional_moments, density_map_csv
+from variokrig.bayes import _SharedCovariances, density_map_csv
+from variokrig.exceptions import NumericError
+from variokrig.models import covariance_eval
 from variokrig.fit import FitResult
 
 
@@ -134,9 +136,10 @@ def test_conditional_moments_match_bayes_kriging_and_are_monotone_in_phi():
     data = log_dataset(rng)
     spec = one_draw().spec(0)
     x0 = [5.0, 5.0]
+    shared = _SharedCovariances(np.array([x0]), data, [spec], math.inf)
     prev = 0.0
     for phi in (0.0, 0.5, 2.0, 10.0, 100.0):
-        m, s2 = _conditional_moments(np.asarray(x0), data, spec, 0.4, phi)
+        [(m, s2)] = shared.moments(0, 0.4, phi)
         bk = bayes_kriging(x0, data, spec, TrendBasis.constant(), BayesPrior.scalar(0.4, phi))
         assert m == pytest.approx(bk.prediction, abs=1e-10)
         assert math.sqrt(s2) == pytest.approx(bk.sd, abs=1e-10)
@@ -245,3 +248,58 @@ def test_beta_posterior_conjugate_oracle():
 def test_zero_draws_precondition():
     with pytest.raises(DomainError):
         PosteriorDraws(np.empty((0, 7)))
+
+
+# -- maps share one covariance evaluation per draw --------------------------------
+
+
+def clustered_dataset(rng):
+    """Eight stations in a 5 x 5 square at the origin and six spread up to
+    24 apart around (100, 0)."""
+    near = rng.uniform(0.0, 5.0, size=(8, 2))
+    far = np.array([[100.0, 0.0], [88.0, 0.0], [112.0, 0.0], [100.0, 12.0],
+                    [100.0, -12.0], [95.0, 5.0]])
+    return SpatialDataset(np.vstack([near, far]), rng.normal(0.5, 0.8, size=14))
+
+
+# C(h) of this draw is not finite beyond h ~ 18: h / range overflows to inf
+FAILING_DRAW = [0.05, 1.0, 1e-307, 0.5]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_density_map_rows_equal_single_point_densities():
+    rng = np.random.default_rng(30)
+    data = clustered_dataset(rng)
+    draws = PosteriorDraws(np.vstack([several_draws(rng, 5).table, FAILING_DRAW]))
+    g = np.linspace(0.5, 4.5, 4)
+    grid = np.vstack([[(x, y) for x in g for y in g], [[100.0, 0.0], [300.0, 300.0]]])
+    rows = density_map(grid, data, draws, 0.2, 10.0, 15.0)
+    for row, x0 in zip(rows, grid):
+        try:
+            pd = predictive_density_at(x0, data, draws, 0.2, 10.0, 15.0)
+        except NumericError:
+            assert (row.status, row.summary) == ("numeric_failure", None)
+            continue
+        if pd is None:
+            assert (row.status, row.summary) == ("too_few_neighbors", None)
+        else:
+            assert (row.status, row.summary) == ("ok", pd.summary)
+    # the failing draw takes down only the point whose lags reach past 18
+    assert [r.status for r in rows] == ["ok"] * 16 + ["numeric_failure", "too_few_neighbors"]
+    # and the shared evaluation of the map is what it failed
+    with pytest.raises(NumericError):
+        covariance_eval(draws.spec(5), np.array([24.0]))
+
+
+def test_density_map_evaluates_each_draw_once(count_calls):
+    rng = np.random.default_rng(31)
+    data = log_dataset(rng, n=30)
+    draws = several_draws(rng, 6)
+    g = np.linspace(0.5, 9.5, 5)
+    grid = np.array([(x, y) for x in g for y in g])
+    evals = count_calls("variokrig.models", "covariance_eval")
+    factors = count_calls("variokrig._linalg", "chol_with_jitter")
+    rows = density_map(grid, data, draws, 0.0, 10.0, 4.0)
+    served = sum(r.status != "too_few_neighbors" for r in rows)
+    assert len(evals) == len(draws)
+    assert len(factors) == served > 1  # one stacked factorisation per point

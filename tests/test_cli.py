@@ -385,7 +385,7 @@ def assert_user_error(code, capsys, out):
     return lines[0]
 
 
-# the offending flag and its value come last
+# the offending flag comes last, its offending value last of all
 @pytest.mark.parametrize("argv", [
     ["synth", "--seed", "-1"],
     ["synth", "--seed", str(2**64)],
@@ -403,12 +403,32 @@ def assert_user_error(code, capsys, out):
     ["krige", "--input", "DATA", "--model", SYNTH_NONUG, "--at", "nan,2"],
     ["density", "--input", "DATA", "--draws", "DRAWS", "--at", "1,inf"],
     ["density", "--input", "DATA", "--draws", "DRAWS", "--at", "a,b"],
+    ["density", "--input", "DATA", "--draws", "DRAWS", *GRID, "--grid-lo", "nan"],
+    ["density", "--input", "DATA", "--draws", "DRAWS", *GRID, "--grid-hi", "inf"],
+    ["density", "--input", "DATA", "--draws", "DRAWS", *GRID, "--grid-step", "nan"],
+    ["density", "--input", "DATA", "--draws", "DRAWS", *GRID, "--prior-var", "nan"],
+    ["density", "--input", "DATA", "--draws", "DRAWS", *GRID, "--prior-var", "-1"],
+    ["density", "--input", "DATA", "--draws", "DRAWS", *GRID, "--prior-mean", "inf"],
+    ["density", "--input", "DATA", "--draws", "DRAWS", "--grid", "3", "3", "0", "10", "0", "inf"],
+    ["krige", "--input", "DATA", "--model", SYNTH_NONUG, "--grid", "3", "3", "-148", "149",
+     "-108", "nan"],
+    ["krige", "--input", "DATA", "--model", SYNTH_NONUG, *GRID, "--method", "simple",
+     "--mean", "nan"],
+    ["krige", "--input", "DATA", "--model", SYNTH_NONUG, *GRID, "--method", "bayes",
+     "--prior-var", "-1"],
+    ["krige", "--input", "DATA", "--model", SYNTH_NONUG, *GRID, "--method", "bayes",
+     "--prior-mean", "nan"],
+    ["simulate", "--seed", "1", "--model", SYNTH_NONUG, "--grid", "3", "3", "0", "10", "0",
+     "nan"],
+    ["simulate", "--seed", "1", "--model", SYNTH_NONUG, *GRID, "--mean", "inf"],
+    ["synth", "--seed", "1", "--mean", "nan"],
 ])
 def test_invalid_flag_is_one_line_user_error(tmp_path, capsys, inputs, argv):
     out = tmp_path / "o"
     argv = [inputs.get(a, a) for a in argv]
     line = assert_user_error(run(*argv, "--out", str(out)), capsys, out)
-    assert argv[-2] in line
+    flag = next(a for a in reversed(argv) if a.startswith("--"))
+    assert flag in line and argv[-1] in line
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -21,7 +21,8 @@ from variokrig import (
     simple_weights,
     universal_kriging,
 )
-from variokrig.krige import krige_map_csv
+from variokrig.exceptions import NumericError
+from variokrig.krige import _predict, krige_map_csv
 
 
 def expo(nugget=0.0, sill=2.0, range_=3.0):
@@ -396,25 +397,8 @@ def test_duplicate_locations_dropped_with_warning():
     assert res.n_neighbors == 4
 
 
-def _count_calls(monkeypatch, module, name):
-    """Count calls of module.name through every variokrig namespace bound to it."""
-    import sys
-
-    original = getattr(sys.modules[module], name)
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    for modname, mod in list(sys.modules.items()):
-        if modname.startswith("variokrig") and getattr(mod, name, None) is original:
-            monkeypatch.setattr(mod, name, counted)
-    return calls
-
-
 @pytest.mark.parametrize("method", ["simple", "ordinary", "universal", "bayes", "gls"])
-def test_each_predictor_builds_and_factors_its_system_once(monkeypatch, method):
+def test_each_predictor_builds_and_factors_its_system_once(count_calls, method):
     rng = np.random.default_rng(20)
     data, spec = random_instance(rng, 12, nugget=0.1)
     x0 = [5.0, 5.0]
@@ -427,7 +411,103 @@ def test_each_predictor_builds_and_factors_its_system_once(monkeypatch, method):
         "bayes": lambda: bayes_kriging(x0, data, spec, basis, prior),
         "gls": lambda: gls_beta(data, spec, basis),
     }[method]
-    evals = _count_calls(monkeypatch, "variokrig.models", "covariance_eval")
-    factors = _count_calls(monkeypatch, "variokrig._linalg", "chol_with_jitter")
+    evals = count_calls("variokrig.models", "covariance_eval")
+    factors = count_calls("variokrig._linalg", "chol_with_jitter")
     run()
     assert (len(evals), len(factors)) == (1, 1)
+
+
+# -- maps share their factorisations ------------------------------------------------
+
+METHODS = ("simple", "ordinary", "universal", "bayes")
+LINEAR = TrendBasis.linear(2)
+PRIOR = BayesPrior(np.zeros(3), np.eye(3))
+
+
+def map_instance(rng, spec):
+    """30 stations with a duplicated location and two 1e-9 apart, a 7x7
+    grid over them, two of the stations and a point far from all of them."""
+    locs = rng.uniform(0.0, 10.0, size=(30, 2))
+    locs[7] = locs[3]
+    locs[8] = locs[5] + [1e-9, 0.0]
+    data = SpatialDataset(locs, rng.normal(size=30))
+    g = np.linspace(0.5, 9.5, 7)
+    grid = np.vstack([np.array([(x, y) for x in g for y in g]), locs[[0, 3]], [[300.0, 300.0]]])
+    return data, spec, grid
+
+
+def point_rows(grid, method, data, spec, radius):
+    """krige_map's rows computed one point at a time."""
+    out = []
+    for x0 in grid:
+        subset = neighborhood(data, x0, radius)
+        if subset is None or len(subset) <= 4:
+            out.append(("too_few_neighbors", None))
+            continue
+        try:
+            res = _predict(method, x0, subset, spec, 0.3, LINEAR, PRIOR)
+        except (NumericError, DomainError):
+            out.append(("numeric_failure", None))
+            continue
+        out.append(("ok", res))
+    return out
+
+
+MAP_SPECS = {
+    "exponential": expo(nugget=0.1),
+    # without a nugget the gaussian model makes the two stations 1e-9 apart
+    # one station to the last bit, so their neighbour sets need jitter
+    "gaussian": CovarianceSpec("gaussian", 0.0, 2.0, 3.0),
+    # C(h) is not finite beyond h ~ 127 (h / range overflows), so the far
+    # point fails the block's shared cross-covariance evaluation
+    "overflowing": CovarianceSpec("matern", 0.05, 1.0, 1e-306, 0.5),
+}
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning", "ignore::RuntimeWarning")
+@pytest.mark.parametrize("radius", [math.inf, 3.0])
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("kind", list(MAP_SPECS))
+def test_map_rows_equal_single_point_predictions(method, radius, kind):
+    data, spec, grid = map_instance(np.random.default_rng(21), MAP_SPECS[kind])
+    if kind == "gaussian":
+        from variokrig._linalg import chol_with_jitter
+
+        assert chol_with_jitter(gram(spec, np.unique(data.locations, axis=0)))[1] > 0.0
+    if kind == "overflowing":
+        with pytest.raises(NumericError):
+            covariance_eval(spec, np.array([300.0]))
+    rows = krige_map(grid, method, data, spec, radius, mean=0.3, basis=LINEAR, prior=PRIOR)
+    expect = point_rows(grid, method, data, spec, radius)
+    assert [(r.status, r.result) for r in rows] == expect
+    assert sum(status == "ok" for status, _ in expect) > len(grid) // 2
+    far = "numeric_failure" if kind == "overflowing" else "ok"
+    assert expect[-1][0] == (far if radius == math.inf else "too_few_neighbors")
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_global_map_factors_one_matrix(count_calls, method):
+    from variokrig.krige import MAP_BLOCK
+
+    rng = np.random.default_rng(22)
+    data, spec, grid = map_instance(rng, expo(nugget=0.1))
+    grid = np.vstack([grid, rng.uniform(0.0, 10.0, size=(2 * MAP_BLOCK, 2))])  # three blocks
+    factors = count_calls("variokrig._linalg", "chol_with_jitter")
+    with pytest.warns(UserWarning, match="duplicate"):
+        rows = krige_map(grid, method, data, spec, math.inf, mean=0.3, basis=LINEAR,
+                         prior=PRIOR)
+    assert len(factors) == 1
+    assert sum(r.status == "ok" for r in rows) == len(grid)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_local_map_factors_each_distinct_neighbour_set_once(count_calls, method):
+    rng = np.random.default_rng(23)
+    data = SpatialDataset(rng.uniform(0.0, 10.0, size=(25, 2)), rng.normal(size=25))
+    g = np.linspace(0.25, 9.75, 10)
+    grid = np.array([(x, y) for x in g for y in g])
+    sets = [neighborhood(data, x0, 3.0) for x0 in grid]
+    served = [s.locations.tobytes() for s in sets if s is not None and len(s) > 4]
+    factors = count_calls("variokrig._linalg", "chol_with_jitter")
+    krige_map(grid, method, data, expo(nugget=0.1), 3.0, mean=0.3, basis=LINEAR, prior=PRIOR)
+    assert len(factors) == len(set(served)) < len(served)

@@ -79,6 +79,45 @@ def test_cholesky_gives_up_on_indefinite():
         chol_with_jitter(M)
 
 
+def spd_stack(rng, t=4, n=6):
+    A = rng.normal(size=(t, n, n))
+    return A @ A.transpose(0, 2, 1) + n * np.eye(n)
+
+
+@pytest.mark.parametrize("jittered", [False, True])
+def test_stacked_cholesky_equals_one_matrix_at_a_time(jittered):
+    stack = spd_stack(np.random.default_rng(40))
+    if jittered:
+        stack[2] = np.ones((6, 6))  # fails the stacked call: every matrix is redone
+    L, delta = chol_with_jitter(stack)
+    single = [chol_with_jitter(m) for m in stack]
+    assert all(np.array_equal(L[t], Lt) for t, (Lt, _) in enumerate(single))
+    assert delta == max(d for _, d in single)
+    assert (delta > 0.0) == jittered
+
+
+def test_stacked_cholesky_gives_up_when_one_matrix_is_indefinite():
+    from variokrig import SingularMatrixError
+
+    stack = spd_stack(np.random.default_rng(41), n=2)
+    stack[1] = np.diag([1.0, -5.0])
+    with pytest.raises(SingularMatrixError):
+        chol_with_jitter(stack)
+
+
+def test_chol_solve_matches_scipy_triangular_solves_bitwise():
+    from scipy.linalg import solve_triangular
+
+    from variokrig._linalg import chol_solve
+
+    rng = np.random.default_rng(42)
+    for L in list(chol_with_jitter(spd_stack(rng, n=9))[0]) + [np.array([[2.0]])]:
+        n = L.shape[0]
+        for rhs in (rng.normal(size=n), rng.normal(size=(n, 3))):
+            expect = solve_triangular(L.T, solve_triangular(L, rhs, lower=True), lower=False)
+            assert np.array_equal(chol_solve(L, rhs), expect)
+
+
 # -- field simulation ----------------------------------------------------------------
 
 
