@@ -14,13 +14,12 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from ._linalg import chol_with_jitter, spd_solve
 from .empvario import SpatialDataset
 from .exceptions import DomainError, FormatError, NumericError
-from .krige import MIN_NEIGHBORS, TrendBasis, _bayes_at, _Trend, neighborhood
-from .models import CovarianceSpec, NestedMaternSpec, covariance_eval, covariance_matrix
+from .krige import MIN_NEIGHBORS, TrendBasis, _bayes_at, _search, _Trend
+from .models import CovarianceSpec, NestedMaternSpec, covariance_eval, covariance_matrix, distances
 from .util import fmt_float, parallel_map
 
 QUANTILE_PS = {
@@ -184,21 +183,23 @@ class _SharedCovariances:
 
     def __init__(self, points, log_data: SpatialDataset, specs, radius: float):
         self.specs = specs
-        # per point: None (too few neighbours) or (subset, index of its pair
-        # lags in `pieces`, index of its cross lags)
+        # per point: None (too few neighbours) or (values of its neighbours,
+        # index of its pair lags in `pieces`, index of its cross lags)
         self.targets = []
         pair_pieces, pieces = {}, []
-        for x0 in points:
-            subset = neighborhood(log_data, x0, radius)
-            if subset is None or len(subset) <= MIN_NEIGHBORS:
+        dist, within = _search(points, log_data.locations, radius)
+        for row, keep in zip(dist, within):
+            idx = np.flatnonzero(keep)
+            if idx.size <= MIN_NEIGHBORS:
                 self.targets.append(None)
                 continue
-            key = subset.locations.tobytes()
+            key = idx.tobytes()
             if key not in pair_pieces:
                 pair_pieces[key] = len(pieces)
-                pieces.append(cdist(subset.locations, subset.locations).ravel())
-            pieces.append(cdist(x0.reshape(1, -1), np.vstack([x0, subset.locations]))[0])
-            self.targets.append((subset, pair_pieces[key], len(pieces) - 1))
+                locs = log_data.locations[idx]
+                pieces.append(distances(locs, locs).ravel())
+            pieces.append(np.concatenate(([0.0], row[idx])))
+            self.targets.append((log_data.values[idx], pair_pieces[key], len(pieces) - 1))
         if not pieces:
             return
         self.lags, inverse = np.unique(np.concatenate(pieces), return_inverse=True)
@@ -218,17 +219,17 @@ class _SharedCovariances:
         target = self.targets[i]
         if target is None:
             return None
-        subset, pairs, cross = target
+        values, pairs, cross = target
         own = np.concatenate([self.positions[pairs], self.positions[cross]])
         V = self.values[:, own]
         for t in self.failed:
             V[t] = covariance_eval(self.specs[t], self.lags[own])
-        n = len(subset)
+        n = values.size
         K = V[:, :n * n].reshape(-1, n, n)
         c00, c0 = V[:, n * n], V[:, n * n + 1:]
         F = np.ones((n, 1))
         mu, phi = np.array([prior_mean]), np.array([[prior_var]])
-        trend = _Trend(F, mu, phi, subset.values - F @ mu)
+        trend = _Trend(F, mu, phi, values - F @ mu)
         L, _ = chol_with_jitter(K + F @ phi @ F.T)
         return [_conditional_moments(L[t], c0[t], c00[t], trend) for t in range(V.shape[0])]
 

@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import minimize
 
 from .exceptions import DomainError, NumericError
 from .util import fmt_float, parallel_map
@@ -241,6 +239,8 @@ def marginal_cdf_from_draws(samples) -> MarginalEstimate:
     cdf = np.cumsum(pdf)
     cdf /= cdf[-1]
     pdf = pdf / np.trapezoid(pdf, grid)
+    from scipy.interpolate import PchipInterpolator  # here, so importing the package skips it
+
     cdf_ip = PchipInterpolator(grid, cdf)
     pdf_ip = PchipInterpolator(grid, pdf)
     return MarginalEstimate(x, grid, pdf, cdf, False, cdf_ip, pdf_ip)
@@ -305,6 +305,8 @@ def fit_copula_mle(draws, family: str = "frank", starts=DEFAULT_STARTS) -> Copul
             return 1e50
         # summing in sorted order keeps the fit exactly row-order invariant
         return -float(np.sort(logs[finite]).sum())
+
+    from scipy.optimize import minimize  # here, so importing the package skips it
 
     def run(lam0: float):
         res = minimize(

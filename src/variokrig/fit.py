@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .empvario import EmpiricalVariogram, VariogramBin
 from .exceptions import DomainError, FormatError, NumericError
@@ -331,6 +330,8 @@ def fit_variogram(
     start = np.asarray(start, dtype=float)
     if np.any(start < bounds.lower) or np.any(start > bounds.upper):
         start = bounds.clip(start)
+    from scipy.optimize import minimize  # here, so importing the package skips it
+
     fun = _objective(family, h, g, n, method)
     f0 = fun(start)
     rows_per_step = start.size + 1
@@ -380,6 +381,13 @@ def _column_emp(dist, counts, ghat) -> EmpiricalVariogram:
     )
 
 
+def _restart_rng(seed: int, column: int) -> np.random.Generator:
+    """The jittered-restart stream of one column: Philox keyed on the
+    integer seed + column. The key has 128 bits, so the sum never wraps;
+    below 2**64 it fills key word 0 alone."""
+    return np.random.Generator(np.random.Philox(key=int(seed) + column))
+
+
 def fit_family_batch(
     table,
     family: str,
@@ -415,7 +423,7 @@ def fit_family_batch(
         result = fit_variogram(emp, family, method, col_bounds, start)
         if result.converged:
             return result
-        rng = np.random.Generator(np.random.Philox(key=np.uint64(seed) + np.uint64(j)))
+        rng = _restart_rng(seed, j)
         best = result
         for _ in range(_N_RESTARTS):
             jittered = col_bounds.clip(start * rng.uniform(0.8, 1.2, size=start.size))

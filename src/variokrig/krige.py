@@ -13,12 +13,11 @@ from functools import partial
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from ._linalg import chol_solve, chol_with_jitter, spd_solve
 from .empvario import SpatialDataset
 from .exceptions import DomainError, NumericError, SingularMatrixError
-from .models import covariance_eval, covariance_matrix
+from .models import covariance_eval, covariance_matrix, distances
 from .util import fmt_float, parallel_map
 
 MIN_NEIGHBORS = 4  # map points need strictly more than this many neighbors
@@ -128,31 +127,43 @@ class BayesPrior:
         return cls(np.array([mean]), np.array([[variance]]))
 
 
+def _search(points, locations, radius: float):
+    """The neighbour search of the package: distances (p, n) from every
+    point to every location, and the mask of those within `radius`
+    (boundary included)."""
+    if not radius > 0.0:  # also rejects NaN
+        raise DomainError("search radius must be > 0")
+    dist = distances(points, locations)
+    return dist, dist <= radius
+
+
 def neighborhood(data: SpatialDataset, x0, radius: float) -> SpatialDataset | None:
     """Points within `radius` of x0 (boundary included), original order.
 
     Returns None for an empty neighborhood (SpatialDataset cannot be empty).
     """
-    if not radius > 0.0:  # also rejects NaN
-        raise DomainError("search radius must be > 0")
-    x0 = np.asarray(x0, dtype=float).ravel()
-    dist = np.sqrt(((data.locations - x0) ** 2).sum(axis=1))
-    keep = dist <= radius
+    x0 = np.asarray(x0, dtype=float).reshape(1, -1)
+    keep = _search(x0, data.locations, radius)[1][0]
     if not np.any(keep):
         return None
     return data.subset(keep)
 
 
+def _first_occurrences(locations) -> np.ndarray:
+    """Mask of the rows of `locations` that repeat no earlier row."""
+    _, first = np.unique(locations, axis=0, return_index=True)
+    keep = np.zeros(locations.shape[0], dtype=bool)
+    keep[first] = True
+    return keep
+
+
 def _dedupe(data: SpatialDataset) -> SpatialDataset:
     """Drop exact duplicate locations, keeping the first occurrence."""
-    locs = data.locations
-    _, first = np.unique(locs, axis=0, return_index=True)
-    if first.size == len(data):
+    keep = _first_occurrences(data.locations)
+    if np.all(keep):
         return data
-    keep = np.zeros(len(data), dtype=bool)
-    keep[first] = True
     warnings.warn(
-        f"dropped {len(data) - first.size} duplicate locations from the "
+        f"dropped {np.count_nonzero(~keep)} duplicate locations from the "
         "kriging neighborhood",
         stacklevel=3,
     )
@@ -173,21 +184,20 @@ METHODS = ("simple", "ordinary", "universal", "bayes")
 
 
 def _checked(method, data: SpatialDataset, basis, prior):
-    """Deduplicated data and trend design of one neighbour set, after the
-    checks that need no covariance."""
+    """Trend design of one neighbour set free of duplicate locations, after
+    the checks that need no covariance."""
     if method not in METHODS:
         raise DomainError(f"unknown kriging method {method!r}")
-    data = _dedupe(data)
     if method == "ordinary" and len(data) < 2:
         raise DomainError("ordinary kriging needs at least 2 data points")
     if method not in ("universal", "bayes"):
-        return data, None
+        return None
     F = basis.design(data.locations)
     if method == "universal" and len(data) < F.shape[1]:
         raise DomainError("need at least as many points as basis functions")
     if method == "bayes" and prior.mu.size != F.shape[1]:
         raise DomainError("prior dimension does not match the trend basis")
-    return data, F
+    return F
 
 
 class _Trend(NamedTuple):
@@ -287,7 +297,8 @@ def _at(fac: _Factored, x0, c0, c00, basis) -> KrigingResult:
 def _predict(method, x0, subset, spec, mean, basis, prior) -> KrigingResult:
     """One prediction: the set and point halves over one covariance
     evaluation of [x0; locations]."""
-    data, F = _checked(method, subset, basis, prior)
+    data = _dedupe(subset)
+    F = _checked(method, data, basis, prior)
     K, c0, c00 = _system(spec, data, x0)
     return _at(_factor(method, data, F, K, mean, prior), x0, c0, c00, basis)
 
@@ -310,7 +321,8 @@ def simple_kriging(x0, data: SpatialDataset, spec, mean: float) -> KrigingResult
 
 def ordinary_weights(x0, data: SpatialDataset, spec) -> tuple[np.ndarray, float]:
     """Sum-to-one kriging weights and the Lagrange multiplier."""
-    data, _ = _checked("ordinary", data, None, None)
+    data = _dedupe(data)
+    _checked("ordinary", data, None, None)
     K, c0, _ = _system(spec, data, x0)
     return _ordinary_weights(chol_with_jitter(K)[0], c0)
 
@@ -325,7 +337,8 @@ def ordinary_kriging(x0, data: SpatialDataset, spec) -> KrigingResult:
 
 def gls_beta(data: SpatialDataset, spec, basis: TrendBasis) -> np.ndarray:
     """Generalized least-squares trend estimate (F'K^-1 F)^-1 F'K^-1 z."""
-    data, F = _checked("universal", data, basis, None)
+    data = _dedupe(data)
+    F = _checked("universal", data, basis, None)
     return _factor("universal", data, F, covariance_matrix(spec, data.locations)).beta
 
 
@@ -357,9 +370,10 @@ STATUS_OK = "ok"
 STATUS_FEW = "too_few_neighbors"
 STATUS_NUMERIC = "numeric_failure"
 
-# Grid points searched and factored together. A map holds the factored sets
-# of one block and the previous one at a time; only a set that comes back
-# after a whole block without it is factored a second time.
+# Grid points searched and factored together. A block's search holds
+# MAP_BLOCK x n distances. A map holds the factored sets of one block and the
+# previous one at a time; only a set that comes back after a whole block
+# without it is factored a second time.
 MAP_BLOCK = 128
 
 
@@ -370,29 +384,40 @@ class MapRow:
     status: str
 
 
-def _factor_set(method, subset, spec, mean, basis, prior) -> _Factored | str:
-    """The factored system of one neighbour set, or STATUS_NUMERIC when
-    its checks or its factorisation fail."""
+def _factor_sets(method, data: SpatialDataset, sets, spec, mean, basis, prior):
+    """The factored system of each index set of `data`, or STATUS_NUMERIC
+    when its checks or its factorisation fail.
+
+    The Gram matrices are sliced from one covariance evaluation over the
+    union of the sets. When that evaluation fails, each set evaluates its
+    own and fails alone if its own lags fail.
+    """
+    union = np.unique(np.concatenate(sets))
     try:
-        data, F = _checked(method, subset, basis, prior)
-        return _factor(method, data, F, covariance_matrix(spec, data.locations), mean, prior)
+        gram = covariance_matrix(spec, data.locations[union])
     except (NumericError, DomainError):
-        return STATUS_NUMERIC
+        gram = None
+    systems = []
+    for idx in sets:
+        subset = data.subset(idx)
+        try:
+            F = _checked(method, subset, basis, prior)
+            if gram is None:
+                K = covariance_matrix(spec, subset.locations)
+            else:
+                pos = np.searchsorted(union, idx)
+                K = gram[pos[:, None], pos]
+            systems.append(_factor(method, subset, F, K, mean, prior))
+        except (NumericError, DomainError):
+            systems.append(STATUS_NUMERIC)
+    return systems
 
 
-def _cross_lags(x0, fac: _Factored):
-    """Distances from x0 to [x0; locations]: row 0 of the point's lags."""
-    x0 = x0.reshape(1, -1)
-    return cdist(x0, np.vstack([x0, fac.data.locations]))[0]
-
-
-def _cross_rows(spec, points, systems):
+def _cross_rows(spec, lags):
     """Row 0 of the covariance over [x0; locations], (C(0), c0), for every
-    point of a block with a factored set, from one covariance evaluation.
-    When that evaluation fails, every row is None and each point evaluates
-    its own row, failing alone if its own lags fail."""
-    lags = [_cross_lags(x0, fac) if isinstance(fac, _Factored) else None
-            for x0, fac in zip(points, systems)]
+    point with lags, from one covariance evaluation. When that evaluation
+    fails, every row is None and each point evaluates its own row, failing
+    alone if its own lags fail."""
     served = [lag for lag in lags if lag is not None]
     if not served:
         return lags
@@ -404,7 +429,7 @@ def _cross_rows(spec, points, systems):
     return [None if lag is None else next(rows) for lag in lags]
 
 
-def _map_row(points, systems, crosses, spec, basis, i: int) -> MapRow:
+def _map_row(points, systems, lags, crosses, spec, basis, i: int) -> MapRow:
     x0, fac, row = points[i], systems[i], crosses[i]
     if fac is None:
         return MapRow(x0, None, STATUS_FEW)
@@ -412,7 +437,7 @@ def _map_row(points, systems, crosses, spec, basis, i: int) -> MapRow:
         return MapRow(x0, None, STATUS_NUMERIC)
     try:
         if row is None:
-            row = covariance_eval(spec, _cross_lags(x0, fac))
+            row = covariance_eval(spec, lags[i])
         res = _at(fac, x0, row[1:], row[0], basis)
     except (NumericError, DomainError):
         return MapRow(x0, None, STATUS_NUMERIC)
@@ -438,10 +463,15 @@ def krige_map(
     a missing row, never an error; per-point numeric failures are reported
     with their own status code.
 
-    Points with the same neighbour set share one factored system: each
-    block of MAP_BLOCK points is searched first, every set new to the block
-    is checked and factored once (a set of the previous block is reused),
-    the cross-covariances of the block take one evaluation, and each point
+    The map works block by block. One distance matrix from the MAP_BLOCK
+    points of a block to all data gives every neighbour set of the block
+    and every point's cross lags. Duplicate locations are dropped once per
+    map (they lie at the same distance, so they enter and leave a set
+    together), with one warning. Points with the same neighbour set share
+    one factored system: the sets new to a block (a set of the previous
+    block is reused) take their Gram matrices from one covariance
+    evaluation over their union and are checked and factored once, the
+    cross-covariances of the block take one more evaluation, and each point
     then costs only its solves against its set's factor.
     A global radius gives one set, so the whole map factors one matrix.
     """
@@ -455,25 +485,34 @@ def krige_map(
     if method == "bayes" and prior is None:
         raise DomainError("bayes kriging needs a prior")
 
+    first = _first_occurrences(data.locations)
+    dropped = np.zeros(len(data), dtype=bool)
     rows, previous = [], {}
     for start in range(0, grid.shape[0], MAP_BLOCK):
         points = grid[start:start + MAP_BLOCK]
-        factored, systems = {}, []
-        for x0 in points:
-            subset = neighborhood(data, x0, radius)
-            if subset is None or len(subset) <= min_neighbors:
-                systems.append(None)
-                continue
-            # equal locations and values give identical systems
-            key = subset.locations.tobytes() + subset.values.tobytes()
-            if key not in factored:
-                factored[key] = previous.get(key) or _factor_set(
-                    method, subset, spec, mean, basis, prior)
-            systems.append(factored[key])
+        dist, within = _search(points, data.locations, radius)
+        served = np.count_nonzero(within, axis=1) > min_neighbors
+        dropped |= np.any(within[served] & ~first, axis=0)
+        sets = [np.flatnonzero(row) if ok else None for row, ok in zip(within & first, served)]
+        keys = [None if idx is None else idx.tobytes() for idx in sets]
+        factored = {key: previous[key] for key in keys if key in previous}
+        new = {key: idx for key, idx in zip(keys, sets) if key is not None and key not in factored}
+        if new:
+            factored.update(zip(new, _factor_sets(method, data, list(new.values()), spec,
+                                                  mean, basis, prior)))
         previous = factored
-        crosses = _cross_rows(spec, points, systems)
-        rows += parallel_map(partial(_map_row, points, systems, crosses, spec, basis),
+        systems = [None if key is None else factored[key] for key in keys]
+        lags = [np.concatenate(([0.0], dist[i, idx])) if isinstance(fac, _Factored) else None
+                for i, (idx, fac) in enumerate(zip(sets, systems))]
+        crosses = _cross_rows(spec, lags)
+        rows += parallel_map(partial(_map_row, points, systems, lags, crosses, spec, basis),
                              range(points.shape[0]))
+    if np.any(dropped):
+        warnings.warn(
+            f"dropped {np.count_nonzero(dropped)} duplicate locations from the "
+            "kriging neighborhoods of the map",
+            stacklevel=2,
+        )
     return rows
 
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
-from scipy.spatial.distance import cdist
 
 from .exceptions import DomainError, FormatError, NumericError
 from .specfun import log_bessel_k
@@ -270,6 +269,23 @@ def covariance_eval(spec, h):
     return out
 
 
+def distances(a, b) -> np.ndarray:
+    """Euclidean distances |a_i - b_j| between the rows of two coordinate
+    arrays, (n, d) and (m, d).
+
+    The squared differences are summed coordinate by coordinate in order,
+    the sum scipy's ``cdist`` forms, so the two agree bit for bit in one to
+    three dimensions; only (n, m) arrays are allocated.
+    """
+    if a.shape[1] != b.shape[1]:
+        raise DomainError(f"points of dimension {a.shape[1]} and {b.shape[1]} have no distance")
+    sq = np.zeros((a.shape[0], b.shape[0]))
+    for k in range(a.shape[1]):
+        diff = a[:, k, None] - b[None, :, k]
+        sq += diff * diff
+    return np.sqrt(sq, out=sq)
+
+
 def covariance_matrix(spec, a, b=None):
     """Covariance matrix C(|a_i - b_j|) between two point sets.
 
@@ -278,7 +294,7 @@ def covariance_matrix(spec, a, b=None):
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = a if b is None else np.atleast_2d(np.asarray(b, dtype=float))
-    return np.asarray(covariance_eval(spec, cdist(a, b)), dtype=float)
+    return np.asarray(covariance_eval(spec, distances(a, b)), dtype=float)
 
 
 def _single_variogram(kind, nugget, sill, range_, shape, h):

@@ -347,6 +347,8 @@ def test_completely_empty_file_rejected(tmp_path, capsys):
 
 
 def test_cli_import_leaves_out_scipy_stats():
+    # nor the optimizer, the interpolators or the KD-tree: only fits and
+    # copula margins import those, when they run
     import subprocess
     import sys
 
@@ -355,10 +357,12 @@ def test_cli_import_leaves_out_scipy_stats():
     src = os.path.dirname(os.path.dirname(variokrig.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    probe = "import sys, variokrig.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    heavy = ("scipy.stats", "scipy.optimize", "scipy.interpolate", "scipy.spatial")
+    for module in ("variokrig", "variokrig.cli"):
+        probe = f"import sys, {module}; print([m for m in {heavy!r} if m in sys.modules])"
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]", module
 
 
 # -- flag and cell validation ---------------------------------------------------------

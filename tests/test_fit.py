@@ -26,6 +26,7 @@ from variokrig.fit import (
     _forward_difference,
     _objective,
     _objective_rows,
+    _restart_rng,
     default_bounds,
     fit_results_to_csv,
     param_names,
@@ -248,6 +249,21 @@ def test_batch_rejects_seed_outside_philox_range():
     for seed in (-1, 2**64, 1.5):
         with pytest.raises(DomainError, match="seed"):
             fit_nested_matern_batch(table, seed=seed)
+
+
+@pytest.mark.parametrize("seed, column", [(0, 0), (11, 3), (2**63 + 5, 9), (2**64 - 2, 1)])
+def test_restart_stream_below_2_64_is_the_uint64_keyed_stream(seed, column):
+    uint64_keyed = np.random.Generator(np.random.Philox(key=np.uint64(seed + column)))
+    assert np.array_equal(_restart_rng(np.uint64(seed), column).uniform(size=8),
+                          uint64_keyed.uniform(size=8))
+
+
+def test_restart_stream_does_not_wrap_past_2_64():
+    # with a 64-bit sum, seed 2**64 - 1 column 1 wrapped to seed 0 column 0
+    wrapped = _restart_rng(2**64 - 1, 1).uniform(size=8)
+    assert not np.array_equal(wrapped, _restart_rng(0, 0).uniform(size=8))
+    assert not np.array_equal(_restart_rng(np.uint64(2**64 - 1), 1).uniform(size=8),
+                              _restart_rng(0, 0).uniform(size=8))
 
 
 # -- batched objective and gradient ------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -511,3 +512,56 @@ def test_local_map_factors_each_distinct_neighbour_set_once(count_calls, method)
     factors = count_calls("variokrig._linalg", "chol_with_jitter")
     krige_map(grid, method, data, expo(nugget=0.1), 3.0, mean=0.3, basis=LINEAR, prior=PRIOR)
     assert len(factors) == len(set(served)) < len(served)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_local_map_evaluates_covariances_at_most_twice_per_block(count_calls, method):
+    from variokrig.krige import MAP_BLOCK
+
+    rng = np.random.default_rng(24)
+    data = SpatialDataset(rng.uniform(0.0, 10.0, size=(40, 2)), rng.normal(size=40))
+    grid = rng.uniform(0.0, 10.0, size=(3 * MAP_BLOCK + 5, 2))  # four blocks
+    evals = count_calls("variokrig.models", "covariance_eval")
+    searches = count_calls("variokrig.krige", "neighborhood")
+    rows = krige_map(grid, method, data, expo(nugget=0.1), 2.5, mean=0.3, basis=LINEAR,
+                     prior=PRIOR)
+    statuses = [r.status for r in rows]
+    assert "numeric_failure" not in statuses
+    assert statuses.count("ok") > len(grid) // 2
+    assert len(evals) <= 2 * 4  # one Gram over the block's new sets, one cross row
+    assert searches == []  # one block search, no per-point neighborhood
+
+
+def test_map_warns_once_about_duplicates():
+    data, spec, grid = map_instance(np.random.default_rng(21), expo(nugget=0.1))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        krige_map(grid, "ordinary", data, spec, 3.0)
+    duplicates = [str(w.message) for w in caught if "duplicate" in str(w.message)]
+    assert duplicates == ["dropped 1 duplicate locations from the kriging neighborhoods of the map"]
+    # each set holding the duplicate warned before; the single-point predictor still does
+    with pytest.warns(UserWarning, match="duplicate"):
+        ordinary_kriging(data.locations[3], data, spec)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning", "ignore::RuntimeWarning")
+@pytest.mark.parametrize("method", METHODS)
+def test_map_set_whose_gram_fails_fails_alone(count_calls, method):
+    # two tight clusters 200 apart and a set spanning 140: C(h) of this spec
+    # is not finite beyond h ~ 127, so the block's union Gram fails and the
+    # sets are evaluated one by one
+    spec = MAP_SPECS["overflowing"]
+    rng = np.random.default_rng(25)
+    cluster = rng.uniform(0.0, 2.0, size=(6, 2))
+    locs = np.vstack([cluster, cluster + [200.0, 0.0], cluster[:3] + [400.0, 0.0],
+                      cluster[3:] + [400.0, 140.0]])
+    data = SpatialDataset(locs, rng.normal(size=18))
+    grid = np.array([[1.0, 1.0], [201.0, 1.0], [401.0, 71.0], [0.5, 1.5]])
+    with pytest.raises(NumericError):
+        covariance_eval(spec, np.array([138.0]))
+    evals = count_calls("variokrig.models", "covariance_eval")
+    rows = krige_map(grid, method, data, spec, 71.0, mean=0.3, basis=LINEAR, prior=PRIOR)
+    assert len(evals) == 1 + 3 + 1  # the failed union, each of the 3 sets, the cross rows
+    expect = point_rows(grid, method, data, spec, 71.0)
+    assert [(r.status, r.result) for r in rows] == expect
+    assert [status for status, _ in expect] == ["ok", "ok", "numeric_failure", "ok"]

@@ -22,6 +22,7 @@ from variokrig import (
     variogram_eval,
 )
 from variokrig._linalg import chol_with_jitter
+from variokrig.models import distances
 
 ALL_KINDS = [
     ("exponential", None),
@@ -257,3 +258,17 @@ def test_serialization_errors():
         spec_from_text("nugget=0.0 sill=1.0 range=1.0")
     with pytest.raises(FormatError):
         spec_from_text("kind=exponential nugget=0.0 sill=1.0 range=1.0 whatever=1.0")
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_distances_equal_cdist_bitwise(dim):
+    from scipy.spatial.distance import cdist
+
+    rng = np.random.default_rng(dim)
+    for scale in (1e-3, 1.0, 150.0, 1e5):
+        a = rng.uniform(-1.0, 1.0, size=(40, dim)) * scale
+        b = np.vstack([rng.uniform(-1.0, 1.0, size=(25, dim)) * scale, a[:3]])
+        assert np.array_equal(distances(a, b), cdist(a, b))
+        assert np.array_equal(distances(a, a), cdist(a, a))
+    with pytest.raises(DomainError, match="dimension"):
+        distances(a, np.ones((2, dim + 1)))
