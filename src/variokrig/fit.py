@@ -13,8 +13,20 @@ difference L-BFGS-B would take itself, computed from one batched
 evaluation of the point and its k forward-perturbed copies (k = number of
 parameters), so the search path is the same as with scipy's own
 difference. The budget is 40000 point evaluations, k + 1 per step.
+
+All fits of a call run in lockstep, in one thread. Each keeps its own
+L-BFGS-B state, scipy's `setulb` routine driven through its
+reverse-communication loop exactly as `scipy.optimize.minimize` drives it
+(the evaluation at the start, the cache of the last point, the evaluation
+count and the stopping tests), so every fit equals its own `minimize` run
+bit for bit. Each round evaluates the points and difference rows of every
+fit that asked for a value in one `variogram_rows` call. A single fit is a
+batch of one. `setulb` is private scipy API: where it is not the
+17-argument routine the loop was written for, each fit runs through
+`minimize` instead, with the same results.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,6 +39,7 @@ from .models import (
     KINDS,
     CovarianceSpec,
     NestedMaternSpec,
+    valid_rows,
     variogram_eval,
     variogram_rows,
 )
@@ -51,6 +64,21 @@ _N_RESTARTS = 5
 # and the relative step it falls back to where x + eps == x.
 _FD_STEP = 1e-8
 _FD_REL_STEP = np.finfo(float).eps ** 0.5
+
+# The signature of the C `setulb` the lockstep loop drives (scipy 1.17);
+# scipy's older Fortran routine takes other arguments.
+_SETULB_SIGNATURE = (
+    "setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,lsave,isave,dsave,maxls,ln_task)"
+)
+# The settings `minimize` passes to setulb besides ftol, maxfun and maxiter:
+# its defaults maxcor, gtol and maxls.
+_LBFGSB_M = 10
+_LBFGSB_FACTR = OBJ_RTOL / np.finfo(float).eps
+_LBFGSB_PGTOL = 1e-5
+_LBFGSB_MAXLS = 20
+# setulb task codes: evaluate f and g at x; a new iterate; converged; stop.
+_TASK_FG, _TASK_NEW_X, _TASK_CONVERGENCE, _TASK_STOP = 3, 1, 4, 5
+_STOP_MAXFUN, _STOP_MAXITER = 502, 504
 
 
 @dataclass(frozen=True)
@@ -168,8 +196,10 @@ def _row_objectives(model, g, n, method) -> np.ndarray:
             var = 2.0 * model**2 / n
             ok &= ~np.any(var <= 0.0, axis=1)
             weighted = resid / var
-        # one 1-D dot per row: the same reduction for a block and a point
-        val = np.array([r @ w for r, w in zip(resid, weighted)])
+        # one 1-D dot per row, the same reduction for a block and a point:
+        # a stack of (1, m) @ (m, 1) products runs numpy's dot of `r @ w`
+        # once per row
+        val = np.matmul(resid[:, None, :], weighted[:, :, None])[:, 0, 0]
     return np.where(ok & np.isfinite(val), val, _PENALTY)
 
 
@@ -187,6 +217,22 @@ def _objective(family, h, g, n, method):
     return fun
 
 
+def _stacked_objectives(family, X, block, h, g, n, method) -> np.ndarray:
+    """Objective at every row of X, a stack of parameter blocks: row i
+    belongs to block[i] (non-decreasing), whose data are g[block[i]] and
+    n[block[i]] at the lags h. Rows that build no valid spec get _PENALTY;
+    the others are evaluated by one `variogram_rows` call, in which a row
+    shares Matern values with the first valid row of its block. Raises
+    NumericError when any row would raise it."""
+    valid = valid_rows(family, X)
+    out = np.full(len(X), _PENALTY)
+    if valid.any():
+        ids = block[valid]
+        model = variogram_rows(family, X[valid], h, np.searchsorted(ids, ids))
+        out[valid] = _row_objectives(model, g[ids], n[ids], method)
+    return out
+
+
 def _objective_rows(family, h, g, n, method):
     """Objective at every row of a (P, k) parameter block.
 
@@ -199,13 +245,9 @@ def _objective_rows(family, h, g, n, method):
 
     def rows(X):
         if family not in EXPONENT_KINDS:
-            valid = np.array([_is_valid(family, x) for x in X])
-            out = np.full(len(X), _PENALTY)
             try:
-                if valid.any():
-                    model = variogram_rows(family, X[valid], h)
-                    out[valid] = _row_objectives(model, g, n, method)
-                return out
+                return _stacked_objectives(family, X, np.zeros(len(X), dtype=np.intp),
+                                           h, g[None, :], n[None, :], method)
             except NumericError:  # row by row, so only the failing rows get _PENALTY
                 pass
         return np.array([fun(x) for x in X])
@@ -213,39 +255,44 @@ def _objective_rows(family, h, g, n, method):
     return rows
 
 
-def _is_valid(family, params) -> bool:
-    try:
-        _make_spec(family, params)
-    except DomainError:
-        return False
-    return True
+def _difference_blocks(X, lower, upper):
+    """The blocks [x; x + h_1 e_1; ...; x + h_k e_k] of the points X (C, k)
+    within their boxes, (C, k + 1, k), and the stepped coordinates x + h.
+
+    h is the 2-point forward difference step scipy's L-BFGS-B takes when it
+    is given no gradient: absolute step 1e-8, or sqrt(machine eps) *
+    max(1, |x_i|) where x_i + 1e-8 == x_i; a step that leaves the box is
+    reversed when the reversed step fits, else replaced by the distance to
+    the farther bound. Every operation is elementwise, so a point's steps
+    do not depend on the other points.
+    """
+    sign = (X >= 0.0).astype(float) * 2.0 - 1.0
+    h = np.where((X + _FD_STEP) - X == 0.0,
+                 _FD_REL_STEP * sign * np.maximum(1.0, np.abs(X)), _FD_STEP)
+    lower_dist, upper_dist = X - lower, upper - X
+    fits = np.abs(h) <= np.maximum(lower_dist, upper_dist)
+    leaves = ((X + h) < lower) | ((X + h) > upper)
+    h = np.where(leaves & fits, -h, h)
+    h = np.where(fits, h, np.where(upper_dist >= lower_dist, upper_dist, -lower_dist))
+    stepped = X + h
+    k = X.shape[1]
+    blocks = np.repeat(X[:, None, :], k + 1, axis=1)
+    blocks[:, 1 + np.arange(k), np.arange(k)] = stepped
+    return blocks, stepped
 
 
 def _forward_difference(rows, bounds: FitBounds):
     """`x -> (f(x), g(x))` from one call of `rows` on [x; x + h_i e_i].
 
     g is the 2-point forward difference scipy's L-BFGS-B computes when it
-    is given no gradient: absolute step 1e-8, or sqrt(machine eps) *
-    max(1, |x_i|) where x_i + 1e-8 == x_i; a step that leaves the box is
-    reversed when the reversed step fits, else replaced by the distance to
-    the farther bound; the denominator is (x_i + h_i) - x_i.
+    is given no gradient (steps as in `_difference_blocks`); the
+    denominator is (x_i + h_i) - x_i.
     """
-    lower, upper = bounds.lower, bounds.upper
 
     def fun_and_grad(x):
-        sign = (x >= 0.0).astype(float) * 2.0 - 1.0
-        h = np.where((x + _FD_STEP) - x == 0.0,
-                     _FD_REL_STEP * sign * np.maximum(1.0, np.abs(x)), _FD_STEP)
-        lower_dist, upper_dist = x - lower, upper - x
-        fits = np.abs(h) <= np.maximum(lower_dist, upper_dist)
-        leaves = ((x + h) < lower) | ((x + h) > upper)
-        h = np.where(leaves & fits, -h, h)
-        h = np.where(fits, h, np.where(upper_dist >= lower_dist, upper_dist, -lower_dist))
-        stepped = x + h
-        block = np.tile(x, (x.size + 1, 1))
-        block[1:][np.diag_indices(x.size)] = stepped
-        f = rows(block)
-        return float(f[0]), (f[1:] - f[0]) / (stepped - x)
+        blocks, stepped = _difference_blocks(x[None, :], bounds.lower, bounds.upper)
+        f = rows(blocks[0])
+        return float(f[0]), (f[1:] - f[0]) / (stepped[0] - x)
 
     return fun_and_grad
 
@@ -298,6 +345,205 @@ def start_values_nested_matern(emp: EmpiricalVariogram) -> np.ndarray:
     )
 
 
+class _Problem:
+    """One least-squares fit: the binned data, the box, and the evaluators
+    of its objective."""
+
+    def __init__(self, emp: EmpiricalVariogram, family: str, method: str,
+                 bounds: FitBounds | None):
+        if method not in METHODS:
+            raise DomainError(f"method must be one of {METHODS}, got {method!r}")
+        names = param_names(family)
+        h, g, n = _emp_arrays(emp)
+        if h.size < len(names):
+            raise DomainError(
+                f"{family} has {len(names)} parameters but only {h.size} non-empty bins"
+            )
+        if bounds is None:
+            bounds = default_bounds(family, emp)
+        if len(bounds.lower) != len(names):
+            raise DomainError("bounds length does not match the family parameter count")
+        self.family, self.method = family, method
+        self.h, self.g, self.n = h, g, n
+        self.bounds = bounds
+        self.rows = _objective_rows(family, h, g, n, method)
+
+    def start_in_box(self, start) -> np.ndarray:
+        start = np.asarray(start, dtype=float)
+        if np.any(start < self.bounds.lower) or np.any(start > self.bounds.upper):
+            start = self.bounds.clip(start)
+        return start
+
+    def finish(self, start, run) -> FitResult:
+        """The fit from an L-BFGS-B outcome (x, success, nfev): its point
+        clipped to the box, or the start where that is worse."""
+        fun = _objective(self.family, self.h, self.g, self.n, self.method)
+        params = self.bounds.clip(run.x)
+        objective = fun(params)
+        f0 = fun(start)
+        if objective > f0:  # quasi-Newton slipped; keep the better point
+            params, objective = start, f0
+        converged = bool(run.success) and math.isfinite(objective) and objective < _PENALTY
+        return FitResult(
+            params=params,
+            objective=float(objective),
+            converged=converged,
+            n_evals=int(run.nfev) * (start.size + 1),
+            method=self.method,
+            family=self.family,
+        )
+
+
+@functools.cache
+def _setulb():
+    """scipy's L-BFGS-B routine when it is the one the lockstep loop
+    drives, else None. Imported here, so importing the package skips
+    scipy.optimize."""
+    try:
+        from scipy.optimize import _lbfgsb
+    except ImportError:
+        return None
+    setulb = getattr(_lbfgsb, "setulb", None)
+    doc = getattr(setulb, "__doc__", None) or ""
+    return setulb if doc.split("\n", 1)[0] == _SETULB_SIGNATURE else None
+
+
+class _LbfgsbRun:
+    """One L-BFGS-B minimisation through setulb's reverse communication.
+
+    The loop of `scipy.optimize.minimize(method="L-BFGS-B", jac=True)` with
+    ftol OBJ_RTOL, maxfun MAX_EVALS // (k + 1) and maxiter MAX_EVALS,
+    turned inside out: `advance` runs setulb until it asks for
+    f and g at a point not evaluated yet, `record` answers it. Like
+    minimize, the run evaluates its start first, answers a request for the
+    last point evaluated from a cache, and tests the budgets at each new
+    iterate.
+    """
+
+    def __init__(self, setulb, x0, bounds: FitBounds):
+        n = x0.size
+        m = _LBFGSB_M
+        self._setulb = setulb
+        self.x = np.clip(x0, bounds.lower, bounds.upper)
+        finite_lo, finite_hi = np.isfinite(bounds.lower), np.isfinite(bounds.upper)
+        self._lower = np.where(finite_lo, bounds.lower, 0.0)
+        self._upper = np.where(finite_hi, bounds.upper, 0.0)
+        self._nbd = np.where(finite_lo, np.where(finite_hi, 2, 1),
+                             np.where(finite_hi, 3, 0)).astype(np.int32)
+        self._f = np.array(0.0)
+        self._g = np.zeros(n)
+        self._wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+        self._iwa = np.zeros(3 * n, dtype=np.int32)
+        self._task = np.zeros(2, dtype=np.int32)
+        self._ln_task = np.zeros(2, dtype=np.int32)
+        self._lsave = np.zeros(4, dtype=np.int32)
+        self._isave = np.zeros(44, dtype=np.int32)
+        self._dsave = np.zeros(29)
+        self._maxfun = MAX_EVALS // (n + 1)  # k + 1 points per evaluation
+        self._maxiter = MAX_EVALS
+        self._iterations = 0
+        self._cache = None  # (x, f, g) of the last evaluation
+        self.nfev = 0
+
+    @property
+    def success(self) -> bool:
+        return self._task[0] == _TASK_CONVERGENCE
+
+    def record(self, f: float, g: np.ndarray):
+        """f and g at the current x."""
+        self._cache = (self.x.copy(), f, g)
+        self.nfev += 1
+
+    def advance(self) -> bool:
+        """Run until setulb asks for an unevaluated point (True) or stops."""
+        task = self._task
+        while True:
+            if task[0] == _TASK_FG:  # the request just answered or cached
+                _, self._f, self._g = self._cache
+            self._g = self._g.astype(np.float64)
+            self._setulb(_LBFGSB_M, self.x, self._lower, self._upper, self._nbd, self._f,
+                         self._g, _LBFGSB_FACTR, _LBFGSB_PGTOL, self._wa,
+                         self._iwa, task, self._lsave, self._isave, self._dsave,
+                         _LBFGSB_MAXLS, self._ln_task)
+            if task[0] == _TASK_FG:
+                if not (self.x == self._cache[0]).all():  # minimize's np.array_equal
+                    return True
+            elif task[0] == _TASK_NEW_X:
+                self._iterations += 1
+                if self._iterations >= self._maxiter:
+                    task[:] = _TASK_STOP, _STOP_MAXITER
+                elif self.nfev > self._maxfun:
+                    task[:] = _TASK_STOP, _STOP_MAXFUN
+            else:
+                return False
+
+
+def _block_objectives(problems, blocks) -> np.ndarray:
+    """Objective at every row of the (C, P, k) blocks, block c of problem c.
+
+    The blocks of problems on the same lags are evaluated together; when
+    that raises NumericError, each block is evaluated alone, which confines
+    _PENALTY to the failing rows.
+    """
+    C, P, k = blocks.shape
+    family, method = problems[0].family, problems[0].method
+    groups = {}
+    for c, p in enumerate(problems):
+        groups.setdefault(c if family in EXPONENT_KINDS else p.h.tobytes(), []).append(c)
+    out = np.empty((C, P))
+    for cols in groups.values():
+        if len(cols) > 1:
+            try:
+                out[cols] = _stacked_objectives(
+                    family, blocks[cols].reshape(-1, k), np.repeat(np.arange(len(cols)), P),
+                    problems[cols[0]].h, np.array([problems[c].g for c in cols]),
+                    np.array([problems[c].n for c in cols]), method,
+                ).reshape(len(cols), P)
+                continue
+            except NumericError:
+                pass
+        for c in cols:
+            out[c] = problems[c].rows(blocks[c])
+    return out
+
+
+def _lockstep(setulb, problems, starts) -> list[_LbfgsbRun]:
+    """Run L-BFGS-B on every problem from its start, all in lockstep: each
+    round evaluates f and the forward-difference gradient of every run
+    waiting for them, in one `_block_objectives` call."""
+    runs = [_LbfgsbRun(setulb, x0, p.bounds) for p, x0 in zip(problems, starts)]
+    waiting = list(range(len(runs)))
+    while waiting:
+        live = [problems[i] for i in waiting]
+        X = np.array([runs[i].x for i in waiting])
+        blocks, stepped = _difference_blocks(
+            X, np.array([p.bounds.lower for p in live]), np.array([p.bounds.upper for p in live]))
+        F = _block_objectives(live, blocks)
+        grads = (F[:, 1:] - F[:, :1]) / (stepped - X)
+        for i, f, g in zip(waiting, F[:, 0], grads):
+            runs[i].record(float(f), g)
+        waiting = [i for i in waiting if runs[i].advance()]
+    return runs
+
+
+def _minimize(problems, starts):
+    """L-BFGS-B outcomes (x, success, nfev) of the problems from their
+    starts: in lockstep, or one `minimize` call each where setulb is not
+    the routine `_LbfgsbRun` drives."""
+    setulb = _setulb()
+    if setulb is not None:
+        return _lockstep(setulb, problems, starts)
+    from scipy.optimize import minimize  # here, so importing the package skips it
+
+    return [
+        minimize(_forward_difference(p.rows, p.bounds), x0, method="L-BFGS-B", jac=True,
+                 bounds=p.bounds.pairs(),
+                 options={"maxfun": MAX_EVALS // (x0.size + 1), "maxiter": MAX_EVALS,
+                          "ftol": OBJ_RTOL})
+        for p, x0 in zip(problems, starts)
+    ]
+
+
 def fit_variogram(
     emp: EmpiricalVariogram,
     family: str,
@@ -310,53 +556,14 @@ def fit_variogram(
     Non-convergence is reported through converged=False with the best
     parameters seen, never by raising.
     """
-    if method not in METHODS:
-        raise DomainError(f"method must be one of {METHODS}, got {method!r}")
-    names = param_names(family)
-    h, g, n = _emp_arrays(emp)
-    if h.size < len(names):
-        raise DomainError(
-            f"{family} has {len(names)} parameters but only {h.size} non-empty bins"
-        )
-    if bounds is None:
-        bounds = default_bounds(family, emp)
-    if len(bounds.lower) != len(names):
-        raise DomainError("bounds length does not match the family parameter count")
+    problem = _Problem(emp, family, method, bounds)
     if start is None:
         if family == "nested_matern":
             start = start_values_nested_matern(emp)
         else:
             start = start_values_simple(emp, family)
-    start = np.asarray(start, dtype=float)
-    if np.any(start < bounds.lower) or np.any(start > bounds.upper):
-        start = bounds.clip(start)
-    from scipy.optimize import minimize  # here, so importing the package skips it
-
-    fun = _objective(family, h, g, n, method)
-    f0 = fun(start)
-    rows_per_step = start.size + 1
-    res = minimize(
-        _forward_difference(_objective_rows(family, h, g, n, method), bounds),
-        start,
-        method="L-BFGS-B",
-        jac=True,
-        bounds=bounds.pairs(),
-        options={"maxfun": MAX_EVALS // rows_per_step, "maxiter": MAX_EVALS,
-                 "ftol": OBJ_RTOL},
-    )
-    params = bounds.clip(res.x)
-    objective = fun(params)
-    if objective > f0:  # quasi-Newton slipped; keep the better point
-        params, objective = start, f0
-    converged = bool(res.success) and math.isfinite(objective) and objective < _PENALTY
-    return FitResult(
-        params=params,
-        objective=float(objective),
-        converged=converged,
-        n_evals=int(res.nfev) * rows_per_step,
-        method=method,
-        family=family,
-    )
+    start = problem.start_in_box(start)
+    return problem.finish(start, _minimize([problem], [start])[0])
 
 
 def _table_matrix(table) -> np.ndarray:
@@ -402,6 +609,9 @@ def fit_family_batch(
     retried from 5 multiplicatively jittered starts (+-20%, stream keyed on
     the column index) before it is reported with converged=False. `seed`
     must be an integer in [0, 2**64) (DomainError otherwise).
+
+    The columns are fitted in lockstep, and the retries of the columns
+    still unconverged in waves, each wave in lockstep.
     """
     if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
         raise DomainError(f"seed must be an integer in [0, 2**64), got {seed!r}")
@@ -410,31 +620,42 @@ def fit_family_batch(
     n_sims = mat.shape[1] - 3
     n_par = len(param_names(family))
 
-    def fit_column(j: int) -> FitResult:
+    problems, base, starts = {}, {}, {}
+    for j in range(n_sims):
         emp = _column_emp(dist, counts, mat[:, 3 + j])
         col_bounds = bounds if bounds is not None else default_bounds(family, emp)
         try:
             if family == "nested_matern":
-                start = start_values_nested_matern(emp)
+                base[j] = start_values_nested_matern(emp)
             else:
-                start = start_values_simple(emp, family)
+                base[j] = start_values_simple(emp, family)
         except DomainError:
-            return FitResult(np.zeros(n_par), math.inf, False, 0, method, family)
-        result = fit_variogram(emp, family, method, col_bounds, start)
-        if result.converged:
-            return result
-        rng = _restart_rng(seed, j)
-        best = result
-        for _ in range(_N_RESTARTS):
-            jittered = col_bounds.clip(start * rng.uniform(0.8, 1.2, size=start.size))
-            retry = fit_variogram(emp, family, method, col_bounds, jittered)
-            if retry.objective < best.objective or (retry.converged and not best.converged):
-                best = retry
-            if best.converged:
-                break
-        return best
+            continue
+        problems[j] = _Problem(emp, family, method, col_bounds)
+        starts[j] = problems[j].start_in_box(base[j])
 
-    return parallel_map(fit_column, range(n_sims))
+    wave = list(problems)
+    runs = dict(zip(wave, _minimize([problems[j] for j in wave], [starts[j] for j in wave])))
+
+    def finish(j: int) -> FitResult:
+        if j not in problems:
+            return FitResult(np.zeros(n_par), math.inf, False, 0, method, family)
+        return problems[j].finish(starts[j], runs[j])
+
+    results = parallel_map(finish, range(n_sims))
+    rngs = {j: _restart_rng(seed, j) for j in wave}
+    for _ in range(_N_RESTARTS):
+        wave = [j for j in wave if not results[j].converged]
+        if not wave:
+            break
+        jittered = [problems[j].bounds.clip(base[j] * rngs[j].uniform(0.8, 1.2, size=n_par))
+                    for j in wave]
+        retries = _minimize([problems[j] for j in wave], jittered)
+        for j, start, run in zip(wave, jittered, retries):
+            retry, best = problems[j].finish(start, run), results[j]
+            if retry.objective < best.objective or (retry.converged and not best.converged):
+                results[j] = retry
+    return results
 
 
 def fit_nested_matern_batch(

@@ -53,6 +53,15 @@ class KrigingResult:
     method: str
 
 
+def _rank(F) -> int:
+    """np.linalg.matrix_rank of a design, without its SVD for one column:
+    a finite column has rank 1 when it has a nonzero entry, and a column
+    with a non-finite entry counts as rank 0."""
+    if F.shape[1] == 1:
+        return int(bool(np.any(F != 0.0)) and bool(np.all(np.isfinite(F))))
+    return int(np.linalg.matrix_rank(F))
+
+
 class TrendBasis:
     """Finite set of trend basis functions f_1..f_k over locations.
 
@@ -90,13 +99,14 @@ class TrendBasis:
     def design(self, locations) -> np.ndarray:
         locs = np.atleast_2d(np.asarray(locations, dtype=float))
         F = np.column_stack([np.asarray(f(locs), dtype=float) for f in self.functions])
-        # incremental rank check pins down the first dependent column
-        for k in range(1, F.shape[1] + 1):
-            if np.linalg.matrix_rank(F[:, :k]) < k:
-                raise DomainError(
-                    f"trend basis {self.names[k-1]!r} is linearly dependent "
-                    f"on the preceding basis functions over this dataset"
-                )
+        if _rank(F) < F.shape[1]:
+            # every prefix of a full-rank design passes matrix_rank's
+            # tolerance, so the first prefix that loses rank names the column
+            k = next(k for k in range(1, F.shape[1] + 1) if _rank(F[:, :k]) < k)
+            raise DomainError(
+                f"trend basis {self.names[k-1]!r} is linearly dependent "
+                f"on the preceding basis functions over this dataset"
+            )
         return F
 
     def at(self, x0) -> np.ndarray:
@@ -183,17 +193,17 @@ def _system(spec, data: SpatialDataset, x0):
 METHODS = ("simple", "ordinary", "universal", "bayes")
 
 
-def _checked(method, data: SpatialDataset, basis, prior):
-    """Trend design of one neighbour set free of duplicate locations, after
-    the checks that need no covariance."""
+def _checked(method, locations, basis, prior):
+    """Trend design of the locations of one neighbour set free of duplicate
+    locations, after the checks that need no covariance."""
     if method not in METHODS:
         raise DomainError(f"unknown kriging method {method!r}")
-    if method == "ordinary" and len(data) < 2:
+    if method == "ordinary" and len(locations) < 2:
         raise DomainError("ordinary kriging needs at least 2 data points")
     if method not in ("universal", "bayes"):
         return None
-    F = basis.design(data.locations)
-    if method == "universal" and len(data) < F.shape[1]:
+    F = basis.design(locations)
+    if method == "universal" and len(locations) < F.shape[1]:
         raise DomainError("need at least as many points as basis functions")
     if method == "bayes" and prior.mu.size != F.shape[1]:
         raise DomainError("prior dimension does not match the trend basis")
@@ -220,7 +230,7 @@ class _Factored:
     """
 
     method: str
-    data: SpatialDataset
+    values: np.ndarray
     L: np.ndarray
     mean: float = 0.0
     resid: np.ndarray | None = None
@@ -230,21 +240,21 @@ class _Factored:
     trend: _Trend | None = None
 
 
-def _factor(method, data: SpatialDataset, F, K, mean=0.0, prior=None) -> _Factored:
-    """Factor the system of checked data with covariance K, once."""
+def _factor(method, values, F, K, mean=0.0, prior=None) -> _Factored:
+    """Factor the system of the checked data values with covariance K, once."""
     if method == "bayes":
         L, _ = chol_with_jitter(K + F @ prior.phi @ F.T)
-        trend = _Trend(F, prior.mu, prior.phi, data.values - F @ prior.mu)
-        return _Factored(method, data, L, trend=trend)
+        trend = _Trend(F, prior.mu, prior.phi, values - F @ prior.mu)
+        return _Factored(method, values, L, trend=trend)
     L, _ = chol_with_jitter(K)
     if method == "simple":
-        return _Factored(method, data, L, mean=mean, resid=data.values - mean)
+        return _Factored(method, values, L, mean=mean, resid=values - mean)
     if method == "universal":
         KiF = chol_solve(L, F)
         M = F.T @ KiF
-        beta = np.linalg.solve(M, KiF.T @ data.values)
-        return _Factored(method, data, L, resid=data.values - F @ beta, F=F, M=M, beta=beta)
-    return _Factored(method, data, L)
+        beta = np.linalg.solve(M, KiF.T @ values)
+        return _Factored(method, values, L, resid=values - F @ beta, F=F, M=M, beta=beta)
+    return _Factored(method, values, L)
 
 
 def _ordinary_weights(L, c0):
@@ -281,7 +291,7 @@ def _at(fac: _Factored, x0, c0, c00, basis) -> KrigingResult:
         pred, var = fac.mean + lam @ fac.resid, c00 - lam @ c0
     elif method == "ordinary":
         w, nu = _ordinary_weights(fac.L, c0)
-        pred, var = w @ fac.data.values, c00 - c0 @ w - nu
+        pred, var = w @ fac.values, c00 - c0 @ w - nu
     elif method == "universal":
         Kic0 = chol_solve(fac.L, c0)
         f0 = basis.at(x0)
@@ -291,16 +301,16 @@ def _at(fac: _Factored, x0, c0, c00, basis) -> KrigingResult:
     else:
         pred, var = _bayes_at(fac.L, fac.trend, basis.at(x0), c0, c00)
     return KrigingResult(float(pred), _finish_sd(float(var), c00, f"{method} kriging"),
-                         len(fac.data), method)
+                         len(fac.values), method)
 
 
 def _predict(method, x0, subset, spec, mean, basis, prior) -> KrigingResult:
     """One prediction: the set and point halves over one covariance
     evaluation of [x0; locations]."""
     data = _dedupe(subset)
-    F = _checked(method, data, basis, prior)
+    F = _checked(method, data.locations, basis, prior)
     K, c0, c00 = _system(spec, data, x0)
-    return _at(_factor(method, data, F, K, mean, prior), x0, c0, c00, basis)
+    return _at(_factor(method, data.values, F, K, mean, prior), x0, c0, c00, basis)
 
 
 def simple_weights(x0, data: SpatialDataset, spec) -> np.ndarray:
@@ -322,7 +332,7 @@ def simple_kriging(x0, data: SpatialDataset, spec, mean: float) -> KrigingResult
 def ordinary_weights(x0, data: SpatialDataset, spec) -> tuple[np.ndarray, float]:
     """Sum-to-one kriging weights and the Lagrange multiplier."""
     data = _dedupe(data)
-    _checked("ordinary", data, None, None)
+    _checked("ordinary", data.locations, None, None)
     K, c0, _ = _system(spec, data, x0)
     return _ordinary_weights(chol_with_jitter(K)[0], c0)
 
@@ -338,8 +348,8 @@ def ordinary_kriging(x0, data: SpatialDataset, spec) -> KrigingResult:
 def gls_beta(data: SpatialDataset, spec, basis: TrendBasis) -> np.ndarray:
     """Generalized least-squares trend estimate (F'K^-1 F)^-1 F'K^-1 z."""
     data = _dedupe(data)
-    F = _checked("universal", data, basis, None)
-    return _factor("universal", data, F, covariance_matrix(spec, data.locations)).beta
+    F = _checked("universal", data.locations, basis, None)
+    return _factor("universal", data.values, F, covariance_matrix(spec, data.locations)).beta
 
 
 def universal_kriging(x0, data: SpatialDataset, spec, basis: TrendBasis) -> KrigingResult:
@@ -399,15 +409,15 @@ def _factor_sets(method, data: SpatialDataset, sets, spec, mean, basis, prior):
         gram = None
     systems = []
     for idx in sets:
-        subset = data.subset(idx)
+        locations = data.locations[idx]
         try:
-            F = _checked(method, subset, basis, prior)
+            F = _checked(method, locations, basis, prior)
             if gram is None:
-                K = covariance_matrix(spec, subset.locations)
+                K = covariance_matrix(spec, locations)
             else:
                 pos = np.searchsorted(union, idx)
                 K = gram[pos[:, None], pos]
-            systems.append(_factor(method, subset, F, K, mean, prior))
+            systems.append(_factor(method, data.values[idx], F, K, mean, prior))
         except (NumericError, DomainError):
             systems.append(STATUS_NUMERIC)
     return systems

@@ -313,23 +313,57 @@ def variogram_eval(spec, h):
     return out
 
 
-def variogram_rows(family: str, params, h) -> np.ndarray:
+def variogram_rows(family: str, params, h, first=None) -> np.ndarray:
     """gamma(h) for every row of a (P, k) block of parameter vectors.
 
     Rows are in fitting order: (nugget, sill, range[, shape]) or the seven
     nested-Matern parameters. The parameters broadcast as (P, 1) columns
     through the scalar code, so row i equals variogram_eval of the spec
-    built from params[i] bit for bit. Rows are not validated (build the
-    spec for that); NumericError is raised when any row would raise it.
+    built from params[i] bit for bit. Rows are not validated (see
+    `valid_rows`); NumericError is raised when any row would raise it.
+
+    A block may stack several finite-difference blocks. ``first[i]`` is the
+    index of the first row of row i's block (default: every row belongs to
+    one block starting at row 0); a nested-Matern component whose arguments
+    in row i equal those of that row reuses its values.
     """
     if family in EXPONENT_KINDS:
         raise DomainError(f"{family} has no block evaluator")
     h = _as_lags(h)
-    cols = [c[:, None] for c in np.asarray(params, dtype=float).T]
+    params = np.asarray(params, dtype=float)
+    cols = [c[:, None] for c in params.T]
     if family == "nested_matern":
-        return _nested_variogram(cols, h)
+        if first is None:
+            first = np.zeros(len(params), dtype=np.intp)
+        return _nested_variogram(cols, h, first)
     nugget, sill, range_, *shape = cols
     return _single_variogram(family, nugget, sill, range_, shape[0] if shape else None, h)
+
+
+def valid_rows(family: str, params) -> np.ndarray:
+    """Which rows of a (P, k) block of parameter vectors, in fitting order,
+    build a spec of the family: the tests of the CovarianceSpec and
+    NestedMaternSpec constructors (the DomainErrors they raise) as array
+    predicates, row for row."""
+    params = np.asarray(params, dtype=float)
+    finite = np.all(np.isfinite(params), axis=1)
+    if family == "nested_matern":
+        nugget, sill1, range1, nu1, sill2, range2, nu2 = params.T
+        return (finite & (nugget >= 0.0) & (sill1 >= 0.0) & (sill2 >= 0.0)
+                & (range1 > 0.0) & (nu1 > 0.0) & (range2 > 0.0) & (nu2 > 0.0))
+    if family not in KINDS:
+        return np.zeros(len(params), dtype=bool)
+    ok = finite & (params[:, 0] >= 0.0) & (params[:, 1] >= 0.0) & (params[:, 2] > 0.0)
+    if family not in _SHAPE_KINDS:
+        return ok
+    shape = params[:, 3]
+    if family == "matern":
+        return ok & (shape > 0.0) & (shape <= NU_FIT_MAX)
+    if family == "stable":
+        return ok & (shape > 0.0) & (shape <= 2.0)
+    if family == "cauchy":
+        return ok & (shape > 0.0)
+    return ok & (shape >= 1.0)  # power
 
 
 def matern_eval(nugget: float, sill: float, range_: float, nu: float, h):
@@ -352,38 +386,40 @@ def _nested_params(spec: NestedMaternSpec):
             spec.sill2, spec.range2, spec.nu2)
 
 
-def _matern_block(u, nu):
+def _matern_block(u, nu, first):
     """matern_correlation at a scalar nu, or at a (P, 1) column of nu
-    against (P, m) scaled lags, where the rows repeating the first row's
-    arguments reuse its values. A finite-difference block moves one
-    parameter per row, so each nested component has three distinct rows."""
+    against (P, m) scaled lags, where a row repeating the arguments of row
+    first[i] of its block reuses that row's values. A finite-difference
+    block moves one parameter per row, so each nested component has three
+    distinct rows per block."""
     if not isinstance(nu, np.ndarray):
         return matern_correlation(u, nu)
-    new = np.any(u != u[0], axis=1) | (nu[:, 0] != nu[0, 0])
-    new[0] = True
+    new = np.any(u != u[first], axis=1) | (nu[:, 0] != nu[first, 0])
+    new[first] = True
     out = np.empty_like(u)
     out[new] = matern_correlation(u[new], nu[new])
-    out[~new] = out[0]
+    out[~new] = out[first[~new]]
     return out
 
 
-def _nested_correlation_parts(p, h):
+def _nested_correlation_parts(p, h, first=None):
     """(at_origin, sill1 rho1 + sill2 rho2) for the seven parameters `p`,
-    floats or (P, 1) columns, at validated lags `h`."""
+    floats or (P, 1) columns with the block starts `first`, at validated
+    lags `h`."""
     _, sill1, range1, nu1, sill2, range2, nu2 = p
     u1 = h / (range1 / (2.0 * np.sqrt(nu1)))
     u2 = h / (range2 / (2.0 * np.sqrt(nu2)))
     at_origin = (h == 0.0) | ((u1 < _NESTED_ORIGIN_EPS) & (u2 < _NESTED_ORIGIN_EPS))
-    rho1 = _matern_block(u1, nu1)
-    rho2 = _matern_block(u2, nu2)
+    rho1 = _matern_block(u1, nu1, first)
+    rho2 = _matern_block(u2, nu2, first)
     part = sill1 * rho1 + sill2 * rho2
     if not np.all(np.isfinite(np.where(at_origin, 0.0, part))):
         raise NumericError(f"nested Matern evaluation not finite for parameters {p}")
     return at_origin, part
 
 
-def _nested_variogram(p, h):
-    at_origin, part = _nested_correlation_parts(p, h)
+def _nested_variogram(p, h, first=None):
+    at_origin, part = _nested_correlation_parts(p, h, first)
     nugget, sill1, _, _, sill2, _, _ = p
     return np.where(at_origin, 0.0, nugget + sill1 + sill2 - part)
 

@@ -12,6 +12,7 @@ from variokrig import (
     EmpiricalVariogram,
     FitBounds,
     NestedMaternSpec,
+    fit_family_batch,
     fit_nested_matern_batch,
     fit_variogram,
     nested_matern_variogram,
@@ -25,15 +26,19 @@ from variokrig.fit import (
     _emp_arrays,
     _forward_difference,
     _objective,
+    _column_emp,
+    _make_spec,
     _objective_rows,
     _restart_rng,
+    _stacked_objectives,
     default_bounds,
     fit_results_to_csv,
     param_names,
     start_values_nested_matern,
     start_values_simple,
 )
-from variokrig.models import KINDS
+from variokrig.models import KINDS, valid_rows
+from variokrig.sim import make_grid
 
 
 def emp_from_values(h, g, n=50):
@@ -386,12 +391,12 @@ def test_forward_difference_relative_step_keeps_the_sign_of_x():
     assert np.array_equal(grad, expect)
 
 
-def oracle_fit(emp, family, method, bounds, max_evals=MAX_EVALS):
+def oracle_fit(emp, family, method, bounds, max_evals=MAX_EVALS, start=None):
     """fit_variogram with scipy's own forward-difference gradient."""
     h, g, n = _emp_arrays(emp)
-    if family == "nested_matern":
+    if start is None and family == "nested_matern":
         start = start_values_nested_matern(emp)
-    else:
+    elif start is None:
         start = start_values_simple(emp, family)
     start = bounds.clip(start)
     fun = _objective(family, h, g, n, method)
@@ -455,3 +460,175 @@ def test_evaluation_budget_stops_at_the_same_iteration(monkeypatch):
     assert not res.success and not got.converged
     assert got.n_evals == res.nfev == 88  # 11 points of 8 evaluations: 88 > 80 stops it
     assert np.array_equal(got.params, params) and got.objective == objective
+
+
+# -- lockstep batch fits -------------------------------------------------------------
+
+
+def builds_spec(family, x):
+    try:
+        _make_spec(family, x)
+    except DomainError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("family", ("nested_matern",) + KINDS)
+def test_valid_rows_equal_spec_construction(family):
+    rng = np.random.default_rng(len(family))
+    rows = []
+    for _ in range(40):
+        x = random_params(family, rng)
+        rows += [x] + invalid_rows(x)
+        edge = x.copy()  # the closed ends of every box, and a signed zero
+        edge[0] = -0.0
+        rows.append(edge)
+        for value in (0.0, 1.0, 2.0, 40.0, 40.00000000000001, -1e-300):
+            edge = x.copy()
+            edge[rng.integers(x.size)] = value
+            rows.append(edge)
+    X = np.array(rows)
+    assert np.array_equal(valid_rows(family, X), [builds_spec(family, x) for x in X])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("family", ("nested_matern", "matern", "spherical"))
+def test_stacked_blocks_equal_each_block_alone_bitwise(family):
+    # several columns' difference blocks in one evaluation, one of them
+    # starting with a row that builds no spec
+    rng = np.random.default_rng(5)
+    h = np.sort(rng.uniform(0.5, 250.0, 12))
+    gs, ns, blocks = [], [], []
+    for c in range(4):
+        gs.append(rng.uniform(0.05, 3.0, h.size))
+        ns.append(rng.integers(1, 200, h.size).astype(float))
+        block = forward_block(random_params(family, rng), rng)
+        if c == 2:
+            block[0, 0] = -1.0
+        blocks.append(block)
+    X = np.vstack(blocks)
+    ids = np.repeat(np.arange(4), len(blocks[0]))
+    for method in ("ols", "wls"):
+        stacked = _stacked_objectives(family, X, ids, h, np.array(gs), np.array(ns), method)
+        alone = np.concatenate([_objective_rows(family, h, g, n, method)(block)
+                                for g, n, block in zip(gs, ns, blocks)])
+        assert np.array_equal(stacked.view(np.int64), alone.view(np.int64))
+
+
+def seed_905_table(n_sims):
+    """Criterion 05's simulated-variogram table (its first n_sims columns)."""
+    from variokrig import simulate_variograms
+
+    spec = CovarianceSpec("matern", 0.0661, 2.4523, 122.79, 0.5)
+    grid = make_grid(0.0, 300.0, 0.0, 220.0, 10, 10)
+    table = simulate_variograms(grid, spec, np.linspace(0.0, 200.0, 13), n_sims, seed=905)
+    return table.as_matrix()
+
+
+def assert_same_fits(got, expect):
+    assert len(got) == len(expect)
+    for a, b in zip(got, expect):
+        assert np.array_equal(a.params, b.params)
+        assert a.objective == b.objective
+        assert a.converged == b.converged and a.n_evals == b.n_evals
+
+
+def oracle_column(table, j, seed):
+    """Column j of a nested-Matern batch through `oracle_fit`, with the
+    batch's restarts: (params, objective, converged, n_evals, restarts)."""
+    emp = _column_emp(table[:, 1], table[:, 2], table[:, 3 + j])
+    bounds = default_bounds("nested_matern")
+    start = start_values_nested_matern(emp)
+    rng = _restart_rng(seed, j)
+    best, restarts = None, 0
+    while best is None or (not best[2] and restarts < fit_module._N_RESTARTS):
+        if best is None:
+            x0 = start
+        else:
+            x0 = bounds.clip(start * rng.uniform(0.8, 1.2, size=start.size))
+            restarts += 1
+        params, objective, res = oracle_fit(emp, "nested_matern", "ols", bounds, start=x0)
+        fit = (params, objective, bool(res.success) and objective < fit_module._PENALTY, res.nfev)
+        if best is None or fit[1] < best[1] or (fit[2] and not best[2]):
+            best = fit
+    return best + (restarts,)
+
+
+def test_lockstep_batch_equals_per_column_minimize_oracle():
+    # columns 0-24 of criterion 05's table; column 20 converges only after a restart
+    table = seed_905_table(25)
+    results = fit_nested_matern_batch(table, method="ols", seed=905)
+    restarts = []
+    for j, got in enumerate(results):
+        params, objective, converged, n_evals, n_restarts = oracle_column(table, j, 905)
+        assert np.array_equal(got.params, params), j
+        assert got.objective == objective and got.converged == converged, j
+        assert got.n_evals == n_evals, j
+        restarts.append(n_restarts)
+    assert restarts[20] > 0
+
+
+def test_batch_column_permutation_permutes_fits_bitwise(monkeypatch):
+    # no restarts: their streams are keyed on the column index, not on its data
+    monkeypatch.setattr(fit_module, "_N_RESTARTS", 0)
+    table = seed_905_table(12)
+    perm = np.random.default_rng(1).permutation(12)
+    permuted = np.column_stack([table[:, :3], table[:, 3:][:, perm]])
+    results = fit_nested_matern_batch(table, method="ols")
+    assert_same_fits(fit_nested_matern_batch(permuted, method="ols"), [results[j] for j in perm])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_numeric_error_in_merged_block_stays_in_its_column(count_calls):
+    # a subnormal range: the Matern evaluation of the last column raises
+    # NumericError from its start on, so every merged block does
+    table = seed_905_table(5)
+    bounds = default_bounds("nested_matern")
+    emps = [_column_emp(table[:, 1], table[:, 2], table[:, 3 + j]) for j in range(5)]
+    lower = bounds.lower.copy()
+    lower[2] = 1e-320
+    boxes = [bounds] * 4 + [FitBounds(lower, bounds.upper)]
+    starts = [start_values_nested_matern(emp) for emp in emps[:4]]
+    starts.append(np.array([0.05, 1.0, 1e-320, 0.5, 1.0, 100.0, 0.5]))
+    problems = [fit_module._Problem(emp, "nested_matern", "ols", box)
+                for emp, box in zip(emps, boxes)]
+    scalar_evals = count_calls("variokrig.models", "variogram_eval")
+    runs = fit_module._minimize(problems, starts)
+    assert scalar_evals  # the failing column fell back to its rows
+    together = [p.finish(x0, run) for p, x0, run in zip(problems, starts, runs)]
+    alone = [fit_variogram(emp, "nested_matern", "ols", box, x0)
+             for emp, box, x0 in zip(emps, boxes, starts)]
+    assert_same_fits(together, alone)
+
+
+def test_fallback_to_minimize_gives_the_same_fits(monkeypatch, count_calls):
+    # criterion 05's column 20 as column 2: seed 905 + 18 keeps its restart stream
+    table = seed_905_table(21)[:, [0, 1, 2, 3, 4, 3 + 20]]
+    waves = count_calls("variokrig.fit", "_minimize")
+    lockstep = fit_nested_matern_batch(table, method="ols", seed=905 + 18)
+    assert len(waves) > 1 and all(r.converged for r in lockstep)
+    monkeypatch.setattr(fit_module, "_setulb", lambda: None)
+    assert_same_fits(fit_nested_matern_batch(table, method="ols", seed=905 + 18), lockstep)
+
+
+def test_lockstep_runs_where_setulb_is_the_c_routine():
+    import scipy
+    from scipy.optimize import _lbfgsb
+
+    version = tuple(int(v) for v in scipy.__version__.split(".")[:2])
+    if version >= (1, 17):
+        assert fit_module._setulb() is _lbfgsb.setulb
+    if version < (1, 15):  # the Fortran routine, with other arguments
+        assert fit_module._setulb() is None
+
+
+def test_single_family_batch_equals_solo_fits(monkeypatch):
+    monkeypatch.setattr(fit_module, "_N_RESTARTS", 0)  # a solo fit does not restart
+    rng = np.random.default_rng(4)
+    h = np.linspace(4.0, 240.0, 13)
+    gamma = variogram_eval(CovarianceSpec("matern", 0.1, 1.5, 90.0, 0.8), h)
+    table = make_table(h, [gamma * rng.uniform(0.8, 1.2, h.size) for _ in range(4)], n=40.0)
+    results = fit_family_batch(table, "matern", "wls")
+    alone = [fit_variogram(_column_emp(table[:, 1], table[:, 2], table[:, 3 + j]), "matern", "wls")
+             for j in range(4)]
+    assert_same_fits(results, alone)

@@ -245,6 +245,37 @@ def test_rank_deficient_basis_rejected():
         universal_kriging([0.5, 0.0], data, expo(nugget=0.1), dup)
 
 
+def incremental_rank_check(basis, locs):
+    """The name of the first basis function whose design prefix loses rank
+    under np.linalg.matrix_rank, or None."""
+    F = np.column_stack([np.asarray(f(locs), dtype=float) for f in basis.functions])
+    for k in range(1, F.shape[1] + 1):
+        if np.linalg.matrix_rank(F[:, :k]) < k:
+            return basis.names[k - 1]
+    return None
+
+
+@pytest.mark.parametrize("functions, names", [
+    ([lambda l: np.ones(len(l))], ["1"]),
+    ([lambda l: np.zeros(len(l))], ["zero"]),
+    ([lambda l: np.zeros(len(l)), lambda l: l[:, 0]], ["zero", "x"]),
+    ([lambda l: np.ones(len(l)), lambda l: l[:, 0], lambda l: 2.0 * l[:, 0] - 1.0],
+     ["1", "x", "line"]),
+    ([lambda l: np.ones(len(l)), lambda l: 0.0 * l[:, 0], lambda l: l[:, 1]], ["1", "none", "y"]),
+    ([lambda l: np.ones(len(l)), lambda l: l[:, 0], lambda l: l[:, 1]], ["1", "x", "y"]),
+    ([lambda l: np.ones(len(l)), lambda l: l[:, 0], lambda l: l[:, 0] ** 2], ["1", "x", "x2"]),
+])
+def test_design_rank_check_names_the_first_dependent_function(functions, names):
+    locs = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+    basis = TrendBasis(functions, names=names)
+    expected = incremental_rank_check(basis, locs)
+    if expected is None:
+        assert basis.design(locs).shape == (4, len(names))
+    else:
+        with pytest.raises(DomainError, match=f"trend basis '{expected}' is linearly dependent"):
+            basis.design(locs)
+
+
 # -- gls trend estimation -----------------------------------------------------------
 
 

@@ -22,7 +22,8 @@ from variokrig import (
     variogram_eval,
 )
 from variokrig._linalg import chol_with_jitter
-from variokrig.models import distances
+from variokrig import models
+from variokrig.models import distances, variogram_rows
 
 ALL_KINDS = [
     ("exponential", None),
@@ -272,3 +273,27 @@ def test_distances_equal_cdist_bitwise(dim):
         assert np.array_equal(distances(a, a), cdist(a, a))
     with pytest.raises(DomainError, match="dimension"):
         distances(a, np.ones((2, dim + 1)))
+
+
+def test_stacked_difference_blocks_evaluate_three_matern_rows_per_block(monkeypatch):
+    # a difference block moves one parameter per row; per nested component
+    # only the point, its range row and its smoothness row differ
+    rng = np.random.default_rng(12)
+    h = np.linspace(5.0, 200.0, 11)
+    blocks = []
+    for _ in range(5):
+        x = np.array([0.05, 1.2, rng.uniform(10.0, 60.0), rng.uniform(0.3, 2.0),
+                      0.9, rng.uniform(80.0, 300.0), rng.uniform(0.3, 2.0)])
+        block = np.tile(x, (8, 1))
+        block[1:][np.diag_indices(7)] += 1e-8
+        blocks.append(block)
+    X = np.vstack(blocks)
+    first = np.repeat(np.arange(0, 40, 8), 8)
+    sizes = []
+    log_bessel_k = models.log_bessel_k
+    monkeypatch.setattr(models, "log_bessel_k",
+                        lambda nu, u: sizes.append(u.size) or log_bessel_k(nu, u))
+    got = variogram_rows("nested_matern", X, h, first)
+    assert sizes == [5 * 3 * h.size] * 2
+    expect = np.array([variogram_eval(NestedMaternSpec(*row), h) for row in X])
+    assert np.array_equal(got.view(np.int64), expect.view(np.int64))
