@@ -142,14 +142,15 @@ def _grid_from_args(args) -> np.ndarray:
     return sim.make_grid(xmin, xmax, ymin, ymax, nx, ny)
 
 
-def _bin_edges(args, data: empvario.SpatialDataset) -> np.ndarray:
-    if args.max_dist is not None:
-        maxd = float(args.max_dist)
-    else:
-        span = data.locations.max(axis=0) - data.locations.min(axis=0)
+def _bin_edges(args, locations: np.ndarray) -> np.ndarray:
+    """--n-bins equal bins from 0 to --max-dist, which defaults to half the
+    diagonal of the locations' bounding box."""
+    maxd = args.max_dist
+    if maxd is None:
+        span = locations.max(axis=0) - locations.min(axis=0)
         maxd = 0.5 * float(np.hypot(*span))
-    if maxd <= 0.0:
-        raise UsageError("--max-dist must be positive")
+        if maxd == 0.0:
+            raise UsageError("all locations coincide: give a positive --max-dist")
     return np.linspace(0.0, maxd, int(args.n_bins) + 1)
 
 
@@ -199,7 +200,7 @@ def _cmd_synth(args, out: OutputDir):
 
 def _cmd_variogram(args, out: OutputDir):
     data = ingest_csv(args.input, args.log)
-    edges = _bin_edges(args, data)
+    edges = _bin_edges(args, data.locations)
     direction = None
     if args.direction is not None:
         direction = empvario.Direction(
@@ -291,29 +292,27 @@ def _cmd_simulate(args, out: OutputDir):
         data = ingest_csv(args.input, args.log)
         locs = data.locations if args.grid is None else _grid_from_args(args)
     elif args.input:
-        data = ingest_csv(args.input, args.log)
-        locs = data.locations
+        locs = ingest_csv(args.input, args.log).locations
     else:
         if args.grid is None:
             raise UsageError("simulate needs --grid or --input")
         locs = _grid_from_args(args)
-    span = locs.max(axis=0) - locs.min(axis=0)
-    maxd = args.max_dist if args.max_dist is not None else 0.5 * float(np.hypot(*span))
-    edges = np.linspace(0.0, maxd, int(args.n_bins) + 1)
+    edges = _bin_edges(args, locs)
     route = sim.kl_simulate if args.route == "kl" else sim.simulate_gaussian_field
     batch = route(locs, spec, args.mean, args.sims, args.seed)
     out.write_bytes("simbatch.bin", batch.to_binary())
-    table = sim.simulate_variograms(
-        locs, spec, edges, args.sims, args.seed,
-        conditional=args.conditional, data=data, mean=args.mean,
-    )
+    if args.conditional:  # the table of the conditioned fields
+        table = sim.simulate_variograms(locs, spec, edges, args.sims, args.seed,
+                                        conditional=True, data=data, mean=args.mean)
+    else:  # the table of the fields just written
+        table = sim.VariogramTable.of_fields(locs, batch.realizations, edges)
     out.write_text("variograms.csv", table.to_csv())
 
 
 def _cmd_posterior(args, out: OutputDir):
     data = ingest_csv(args.input, args.log)
     spec = _parse_model(args.model)
-    edges = _bin_edges(args, data)
+    edges = _bin_edges(args, data.locations)
     table = sim.simulate_variograms(
         data.locations, spec, edges, args.sims, args.seed,
         conditional=args.conditional, data=data if args.conditional else None,
@@ -380,15 +379,24 @@ def _seed(text: str) -> int:
     return seed
 
 
-def _count(text: str) -> int:
-    """A count flag such as --n-bins or --sims: an integer >= 1."""
+def _integer(text: str, least: int) -> int:
     try:
         n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    if n < least:
+        raise argparse.ArgumentTypeError(f"must be >= {least}, got {n}")
     return n
+
+
+def _count(text: str) -> int:
+    """A count flag such as --n, --n-bins or --sims: an integer >= 1."""
+    return _integer(text, 1)
+
+
+def _min_neighbors(text: str) -> int:
+    """--min-neighbors: an integer >= 0."""
+    return _integer(text, 0)
 
 
 def _finite(text: str) -> float:
@@ -402,11 +410,19 @@ def _finite(text: str) -> float:
     return x
 
 
-def _variance(text: str) -> float:
-    """--prior-var: a finite number >= 0."""
+def _nonnegative(text: str) -> float:
+    """A flag such as --prior-var or --tolerance: a finite number >= 0."""
     x = _finite(text)
     if x < 0.0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return x
+
+
+def _positive(text: str) -> float:
+    """A flag such as --max-dist or --huber-c: a finite number > 0."""
+    x = _finite(text)
+    if x <= 0.0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
     return x
 
 
@@ -419,6 +435,21 @@ class _GridAction(argparse.Action):
         except argparse.ArgumentTypeError as exc:
             raise argparse.ArgumentError(self, str(exc)) from None
         setattr(namespace, self.dest, grid)
+
+
+class _RegionAction(argparse.Action):
+    """--region XMIN XMAX YMIN YMAX: four finite numbers, min < max on each axis."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        try:
+            region = [_finite(v) for v in values]
+        except argparse.ArgumentTypeError:
+            region = None
+        if region is None or not (region[0] < region[1] and region[2] < region[3]):
+            raise argparse.ArgumentError(
+                self, "expected four finite numbers with XMIN < XMAX and YMIN < YMAX, "
+                f"got {' '.join(values)}")
+        setattr(namespace, self.dest, region)
 
 
 def _location(text: str) -> list[float]:
@@ -451,10 +482,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="synthetic lognormal dataset")
     _add_common(p, seed_required=True)
-    p.add_argument("--n", type=int, default=200)
+    p.add_argument("--n", type=_count, default=200)
     p.add_argument("--model", default=SYNTH_MODEL)
     p.add_argument("--mean", type=_finite, default=SYNTH_MEAN, help="log-scale mean")
-    p.add_argument("--region", nargs=4, type=float, default=list(SYNTH_REGION),
+    p.add_argument("--region", nargs=4, action=_RegionAction, default=list(SYNTH_REGION),
                    metavar=("XMIN", "XMAX", "YMIN", "YMAX"))
     p.set_defaults(func=_cmd_synth)
 
@@ -462,13 +493,12 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.add_argument("--input", required=True)
     p.add_argument("--log", action="store_true")
-    p.add_argument("--estimator", choices=("matheron", "cressie_hawkins", "huber"),
-                   default="matheron")
-    p.add_argument("--huber-c", type=float, default=2.0)
-    p.add_argument("--max-dist", type=float, default=None)
+    p.add_argument("--estimator", choices=empvario.ESTIMATORS, default="matheron")
+    p.add_argument("--huber-c", type=_positive, default=2.0)
+    p.add_argument("--max-dist", type=_positive, default=None)
     p.add_argument("--n-bins", type=_count, default=15)
-    p.add_argument("--direction", type=float, default=None, help="degrees from east")
-    p.add_argument("--tolerance", type=float, default=22.5, help="degrees")
+    p.add_argument("--direction", type=_finite, default=None, help="degrees from east")
+    p.add_argument("--tolerance", type=_nonnegative, default=22.5, help="degrees")
     p.add_argument("--cloud", action="store_true", help="emit the variogram cloud")
     p.set_defaults(func=_cmd_variogram)
 
@@ -491,11 +521,11 @@ def build_parser() -> _Parser:
     p.add_argument("--at", type=_location, default=None, help="single location X,Y")
     p.add_argument("--at-data", action="store_true", help="predict at the data locations")
     p.add_argument("--radius", type=float, default=None)
-    p.add_argument("--min-neighbors", type=int, default=krige.MIN_NEIGHBORS)
+    p.add_argument("--min-neighbors", type=_min_neighbors, default=krige.MIN_NEIGHBORS)
     p.add_argument("--mean", type=_finite, default=0.0, help="known mean (simple)")
     p.add_argument("--basis", choices=("constant", "linear"), default="constant")
     p.add_argument("--prior-mean", type=_finite, default=0.0)
-    p.add_argument("--prior-var", type=_variance, default=10000.0)
+    p.add_argument("--prior-var", type=_nonnegative, default=10000.0)
     p.add_argument("--pgm", action="store_true", help="grayscale heatmap")
     p.set_defaults(func=_cmd_krige)
 
@@ -509,7 +539,7 @@ def build_parser() -> _Parser:
     p.add_argument("--mean", type=_finite, default=0.0)
     p.add_argument("--route", choices=("cholesky", "kl"), default="cholesky")
     p.add_argument("--conditional", action="store_true")
-    p.add_argument("--max-dist", type=float, default=None)
+    p.add_argument("--max-dist", type=_positive, default=None)
     p.add_argument("--n-bins", type=_count, default=15)
     p.set_defaults(func=_cmd_simulate)
 
@@ -522,7 +552,7 @@ def build_parser() -> _Parser:
     p.add_argument("--method", choices=fit.METHODS, default="ols")
     p.add_argument("--family", choices=("nested", "matern"), default="nested")
     p.add_argument("--conditional", action="store_true")
-    p.add_argument("--max-dist", type=float, default=None)
+    p.add_argument("--max-dist", type=_positive, default=None)
     p.add_argument("--n-bins", type=_count, default=15)
     p.set_defaults(func=_cmd_posterior)
 
@@ -535,7 +565,7 @@ def build_parser() -> _Parser:
     _add_grid(p)
     p.add_argument("--radius", type=float, default=40.0)
     p.add_argument("--prior-mean", type=_finite, default=0.0)
-    p.add_argument("--prior-var", type=_variance, default=10000.0)
+    p.add_argument("--prior-var", type=_nonnegative, default=10000.0)
     p.add_argument("--grid-lo", type=_finite, default=-5.0)
     p.add_argument("--grid-hi", type=_finite, default=6.5)
     p.add_argument("--grid-step", type=_finite, default=0.01)

@@ -4,19 +4,23 @@ Provides the variogram cloud, the classical (Matheron) and robust
 (Cressie-Hawkins) binned estimators with optional direction filtering, and
 the Huber-type fixed-point estimator with its bias-correction constant.
 
-Pairs are unordered and each contributes once. All per-bin accumulations
-run over sorted summands, so the estimates are bit-identical under any
-permutation of the input rows.
+Every estimate bins one pair geometry (`_pairs`, distances from
+`models.distances`); `matheron_columns` bins many fields with one. Each
+unordered pair contributes once. All per-bin accumulations run over
+summands sorted by (distance, value), so the estimates are bit-identical
+under any permutation of the input rows.
 """
 
 import io
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ndtr
 
 from .exceptions import DomainError, NumericError
+from .models import distances
 from .util import fmt_float
 
 ESTIMATORS = ("matheron", "cressie_hawkins", "huber")
@@ -98,40 +102,60 @@ class EmpiricalVariogram:
         return out.getvalue()
 
 
-def _pair_table(data: SpatialDataset, max_dist: float, direction: Direction | None):
-    """Distances and half squared differences of qualifying unordered pairs.
+class _Pairs(NamedTuple):
+    """The qualifying unordered pairs (i < j) of a location set, sorted by
+    distance; the positions of the pairs that share their distance with a
+    neighbour; and the number of pairs at zero distance."""
 
-    Returns (dist, half_sq_diff, n_zero) with arrays sorted by
-    (distance, half_sq_diff) for order-independent accumulation. Pairs at
-    exactly zero distance are excluded and counted separately.
-    """
-    locs, vals = data.locations, data.values
-    n = len(data)
-    iu, ju = np.triu_indices(n, k=1)
-    diff = locs[iu] - locs[ju]
-    dist = np.sqrt((diff**2).sum(axis=1))
-    keep = dist <= max_dist
+    i: np.ndarray
+    j: np.ndarray
+    dist: np.ndarray
+    ties: np.ndarray
+    n_zero: int
+
+
+def _pairs(locations: np.ndarray, max_dist: float, direction: Direction | None) -> _Pairs:
+    """The pairs with 0 < distance <= max_dist (and an angle within the
+    direction's tolerance), stably sorted by distance, so each bin is a
+    contiguous slice."""
+    i, j = np.triu_indices(locations.shape[0], k=1)
+    dist = distances(locations, locations)[i, j]
     n_zero = int(np.count_nonzero(dist == 0.0))
-    keep &= dist > 0.0
+    keep = (dist > 0.0) & (dist <= max_dist)
     if direction is not None:
-        if data.dim != 2:
+        if locations.shape[1] != 2:
             raise DomainError("directional variograms require 2-d coordinates")
-        ang = np.arctan2(diff[:, 1], diff[:, 0])
+        ang = np.arctan2(locations[i, 1] - locations[j, 1], locations[i, 0] - locations[j, 0])
         delta = np.mod(ang - direction.angle, math.pi)
         delta = np.minimum(delta, math.pi - delta)
         keep &= delta <= direction.tolerance
-    dist = dist[keep]
-    hsd = 0.5 * (vals[iu[keep]] - vals[ju[keep]]) ** 2
-    order = np.lexsort((hsd, dist))
-    return dist[order], hsd[order], n_zero
+    order = np.flatnonzero(keep)[np.argsort(dist[keep], kind="stable")]
+    dist = dist[order]
+    tied = np.flatnonzero(dist[1:] == dist[:-1])
+    return _Pairs(i[order], j[order], dist, np.union1d(tied, tied + 1), n_zero)
+
+
+def _half_sq_diffs(pairs: _Pairs, values: np.ndarray) -> np.ndarray:
+    """Half squared differences of `values` over the pairs, ordered by
+    (distance, value); only runs of equal distance need sorting."""
+    hsd = 0.5 * (values[pairs.i] - values[pairs.j]) ** 2
+    t = pairs.ties
+    hsd[t] = hsd[t][np.lexsort((hsd[t], pairs.dist[t]))]
+    return hsd
+
+
+def _bin_slices(pairs: _Pairs, edges: np.ndarray) -> list[slice]:
+    """The pairs of each half-open bin [edge_k, edge_{k+1})."""
+    bounds = np.searchsorted(pairs.dist, edges)
+    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def variogram_cloud(data: SpatialDataset, max_dist: float):
     """All pairs with distance <= max_dist as (distance, half_sq_diff) rows."""
-    if max_dist <= 0.0:
+    if not max_dist > 0.0:  # also rejects NaN
         raise DomainError("max_dist must be > 0")
-    dist, hsd, _ = _pair_table(data, max_dist, None)
-    return np.column_stack([dist, hsd])
+    pairs = _pairs(data.locations, max_dist, None)
+    return np.column_stack([pairs.dist, _half_sq_diffs(pairs, data.values)])
 
 
 def _check_edges(bin_edges) -> np.ndarray:
@@ -143,16 +167,9 @@ def _check_edges(bin_edges) -> np.ndarray:
     return edges
 
 
-def _bin_pairs(dist, edges):
-    """Index of the half-open bin [edge_k, edge_{k+1}) per pair, -1 outside."""
-    idx = np.searchsorted(edges, dist, side="right") - 1
-    idx[(dist < edges[0]) | (dist >= edges[-1])] = -1
-    return idx
-
-
 def huber_correction(c: float) -> float:
     """Bias constant f(c) = E[min(U^2, c^2)] for standard normal U."""
-    if c <= 0.0:
+    if not c > 0.0:  # also rejects NaN
         raise DomainError("huber threshold c must be > 0")
     cdf = ndtr(c)
     pdf = math.exp(-(c**2) / 2.0) / math.sqrt(2.0 * math.pi)
@@ -173,8 +190,7 @@ _HUBER_MAX_ITER = 1000
 _HUBER_RTOL = 1e-10
 
 
-def _huber(hsd: np.ndarray, c: float) -> float:
-    fc = huber_correction(c)
+def _huber(hsd: np.ndarray, c: float, fc: float) -> float:
     gamma = _matheron(hsd)
     if gamma == 0.0:
         return 0.0
@@ -188,28 +204,26 @@ def _huber(hsd: np.ndarray, c: float) -> float:
 
 def _binned(data, bin_edges, direction, estimate, estimator_name, extra=None):
     edges = _check_edges(bin_edges)
-    dist, hsd, n_zero = _pair_table(data, float(edges[-1]), direction)
-    idx = _bin_pairs(dist, edges)
+    pairs = _pairs(data.locations, float(edges[-1]), direction)
+    hsd = _half_sq_diffs(pairs, data.values)
     bins = []
-    for k in range(edges.size - 1):
+    for k, sel in enumerate(_bin_slices(pairs, edges)):
         center = 0.5 * (edges[k] + edges[k + 1])
-        sel = idx == k
-        n_pairs = int(np.count_nonzero(sel))
+        n_pairs = sel.stop - sel.start
         if n_pairs == 0:
             bins.append(VariogramBin(center, None, None, 0))
             continue
+        mean_dist = float(pairs.dist[sel].mean())
         try:
-            gh = estimate(hsd[sel])
+            bins.append(VariogramBin(center, mean_dist, estimate(hsd[sel]), int(n_pairs)))
         except NumericError:
-            bins.append(VariogramBin(center, float(dist[sel].mean()), None, 0))
-            continue
-        bins.append(VariogramBin(center, float(dist[sel].mean()), gh, n_pairs))
+            bins.append(VariogramBin(center, mean_dist, None, 0))
     return EmpiricalVariogram(
         bins=tuple(bins),
         estimator=estimator_name,
         max_dist=float(edges[-1]),
         direction=direction,
-        n_zero_distance=n_zero,
+        n_zero_distance=pairs.n_zero,
         extra=extra or {},
     )
 
@@ -220,23 +234,39 @@ def empirical_variogram(data, bin_edges, estimator="matheron", direction=None):
     estimator: "matheron" (classical) or "cressie_hawkins" (robust).
     direction: optional Direction filter (2-d data only).
     """
-    if estimator == "matheron":
-        est = _matheron
-    elif estimator == "cressie_hawkins":
-        est = _cressie_hawkins
-    else:
-        raise DomainError(
-            f"estimator must be 'matheron' or 'cressie_hawkins', got {estimator!r}"
-        )
+    est = {"matheron": _matheron, "cressie_hawkins": _cressie_hawkins}.get(estimator)
+    if est is None:
+        raise DomainError(f"estimator must be 'matheron' or 'cressie_hawkins', got {estimator!r}")
     return _binned(data, bin_edges, direction, est, estimator)
 
 
 def huber_robust_variogram(data, bin_edges, c: float = 2.0, direction=None):
     """Huber-type robust estimate: per bin, the fixed point of
     mean(min(half_sq_diff, c^2 * g)) = f(c) * g, seeded at the Matheron value."""
-    if c <= 0.0:
-        raise DomainError("huber threshold c must be > 0")
+    fc = huber_correction(c)
     return _binned(
-        data, bin_edges, direction, lambda hsd: _huber(hsd, c), "huber",
+        data, bin_edges, direction, lambda hsd: _huber(hsd, c, fc), "huber",
         extra={"c": float(c)},
     )
+
+
+def matheron_columns(locations, fields, bin_edges):
+    """Each bin's mean pair distance (its centre when empty), its pair count
+    and the (bins, S) Matheron estimates of the columns of `fields`, (n, S)
+    values at the locations, NaN in an empty bin. Column j equals
+    `empirical_variogram` of fields[:, j] bit for bit; no pairs x S array
+    is held."""
+    edges = _check_edges(bin_edges)
+    pairs = _pairs(np.atleast_2d(np.asarray(locations, dtype=float)), float(edges[-1]), None)
+    slices = _bin_slices(pairs, edges)
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    counts = np.array([sel.stop - sel.start for sel in slices], dtype=float)
+    dist = np.array([pairs.dist[sel].mean() if n else c
+                     for sel, n, c in zip(slices, counts, centers)])
+    gammas = np.full((len(slices), fields.shape[1]), np.nan)
+    for j in range(fields.shape[1]):
+        hsd = _half_sq_diffs(pairs, fields[:, j])
+        for k, sel in enumerate(slices):
+            if counts[k]:
+                gammas[k, j] = hsd[sel].mean()
+    return dist, counts, gammas

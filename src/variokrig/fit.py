@@ -35,7 +35,6 @@ import numpy as np
 from .empvario import EmpiricalVariogram, VariogramBin
 from .exceptions import DomainError, FormatError, NumericError
 from .models import (
-    EXPONENT_KINDS,
     KINDS,
     CovarianceSpec,
     NestedMaternSpec,
@@ -238,19 +237,17 @@ def _objective_rows(family, h, g, n, method):
 
     Row i equals `_objective(...)(X[i])` bit for bit. The rows that build a
     valid spec are evaluated together by `variogram_rows`; the others get
-    _PENALTY. Families without a block evaluator, and blocks in which a row
-    raises NumericError, are evaluated row by row through `_objective`.
+    _PENALTY. A block in which a row raises NumericError is evaluated row by
+    row through `_objective`.
     """
     fun = _objective(family, h, g, n, method)
 
     def rows(X):
-        if family not in EXPONENT_KINDS:
-            try:
-                return _stacked_objectives(family, X, np.zeros(len(X), dtype=np.intp),
-                                           h, g[None, :], n[None, :], method)
-            except NumericError:  # row by row, so only the failing rows get _PENALTY
-                pass
-        return np.array([fun(x) for x in X])
+        try:
+            return _stacked_objectives(family, X, np.zeros(len(X), dtype=np.intp),
+                                       h, g[None, :], n[None, :], method)
+        except NumericError:  # row by row, so only the failing rows get _PENALTY
+            return np.array([fun(x) for x in X])
 
     return rows
 
@@ -489,7 +486,7 @@ def _block_objectives(problems, blocks) -> np.ndarray:
     family, method = problems[0].family, problems[0].method
     groups = {}
     for c, p in enumerate(problems):
-        groups.setdefault(c if family in EXPONENT_KINDS else p.h.tobytes(), []).append(c)
+        groups.setdefault(p.h.tobytes(), []).append(c)
     out = np.empty((C, P))
     for cols in groups.values():
         if len(cols) > 1:

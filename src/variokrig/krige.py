@@ -494,6 +494,8 @@ def krige_map(
         raise DomainError(f"{method} kriging needs a trend basis")
     if method == "bayes" and prior is None:
         raise DomainError("bayes kriging needs a prior")
+    if not min_neighbors >= 0:
+        raise DomainError(f"min_neighbors must be >= 0, got {min_neighbors}")
 
     first = _first_occurrences(data.locations)
     dropped = np.zeros(len(data), dtype=bool)

@@ -39,7 +39,7 @@ _SHAPE_KINDS = {"power", "stable", "cauchy", "matern"}
 # Families whose shape is an exponent. numpy takes fast paths for some
 # scalar exponents (u**2 squares, u**0.5 takes the square root) but not for
 # an array of exponents, so a column of shapes does not reproduce the
-# scalar evaluation bit for bit; variogram_rows does not take them.
+# scalar evaluation bit for bit; variogram_rows evaluates them row by row.
 EXPONENT_KINDS = frozenset({"power", "stable", "cauchy"})
 
 # Maximum spatial dimension in which each family stays positive definite.
@@ -327,10 +327,11 @@ def variogram_rows(family: str, params, h, first=None) -> np.ndarray:
     one block starting at row 0); a nested-Matern component whose arguments
     in row i equal those of that row reuses its values.
     """
-    if family in EXPONENT_KINDS:
-        raise DomainError(f"{family} has no block evaluator")
     h = _as_lags(h)
     params = np.asarray(params, dtype=float)
+    if family in EXPONENT_KINDS:  # Python-float parameters, as a spec holds them
+        rows = [_single_variogram(family, *row, h) for row in params.tolist()]
+        return np.array(rows, dtype=float).reshape(len(params), h.size)
     cols = [c[:, None] for c in params.T]
     if family == "nested_matern":
         if first is None:

@@ -4,7 +4,8 @@ Fields are drawn either through the Cholesky factor of the Gram matrix
 (z = m + L w) or through its eigendecomposition (Karhunen-Loeve route,
 z = m + Psi sqrt(Lambda) w). Normal draws come from counter-based streams
 keyed on (seed, simulation index), so results are bit-identical for a
-given seed no matter how the work is scheduled.
+given seed no matter how the work is scheduled. A simulated-variogram
+table bins all its fields through one pair geometry.
 """
 
 import struct
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import chol_with_jitter, spd_solve
-from .empvario import SpatialDataset, empirical_variogram
+from .empvario import SpatialDataset, matheron_columns
 from .exceptions import DomainError, FormatError, NumericError
 from .models import covariance_matrix, validity_check
 from .util import fmt_float, parallel_map
@@ -101,9 +102,15 @@ def _normal_draws(seed: int, index: int, n: int) -> np.ndarray:
 def _check_dims(spec, locations):
     dim = locations.shape[1]
     if not validity_check(spec, dim):
-        raise DomainError(
-            f"model is not positive definite in dimension {dim}"
-        )
+        raise DomainError(f"model is not positive definite in dimension {dim}")
+
+
+def _draw_columns(A, mean: float, n_sims: int, seed: int) -> np.ndarray:
+    """The (n, n_sims) fields mean + A w_j, w_j the normal draws of the
+    stream (seed, j), one matrix-vector product per column."""
+    n = A.shape[0]
+    cols = parallel_map(lambda j: mean + A @ _normal_draws(seed, j, n), range(n_sims))
+    return np.column_stack(cols) if cols else np.empty((n, 0))
 
 
 def simulate_gaussian_field(locations, spec, mean: float, n_sims: int, seed: int) -> SimBatch:
@@ -111,14 +118,7 @@ def simulate_gaussian_field(locations, spec, mean: float, n_sims: int, seed: int
     locations = np.atleast_2d(np.asarray(locations, dtype=float))
     _check_dims(spec, locations)
     L, _ = chol_with_jitter(covariance_matrix(spec, locations))
-    n = locations.shape[0]
-
-    def column(j: int) -> np.ndarray:
-        return mean + L @ _normal_draws(seed, j, n)
-
-    cols = parallel_map(column, range(n_sims))
-    real = np.column_stack(cols) if cols else np.empty((n, 0))
-    return SimBatch(locations, real, seed, spec)
+    return SimBatch(locations, _draw_columns(L, mean, n_sims, seed), seed, spec)
 
 
 def kl_eigensystem(spec, locations):
@@ -142,15 +142,7 @@ def kl_simulate(locations, spec, mean: float, n_sims: int, seed: int) -> SimBatc
     locations = np.atleast_2d(np.asarray(locations, dtype=float))
     _check_dims(spec, locations)
     lam, psi = kl_eigensystem(spec, locations)
-    A = psi * np.sqrt(lam)
-    n = locations.shape[0]
-
-    def column(j: int) -> np.ndarray:
-        return mean + A @ _normal_draws(seed, j, n)
-
-    cols = parallel_map(column, range(n_sims))
-    real = np.column_stack(cols) if cols else np.empty((n, 0))
-    return SimBatch(locations, real, seed, spec)
+    return SimBatch(locations, _draw_columns(psi * np.sqrt(lam), mean, n_sims, seed), seed, spec)
 
 
 @dataclass(frozen=True)
@@ -183,6 +175,13 @@ class VariogramTable:
         return "\n".join(lines) + "\n"
 
     @classmethod
+    def of_fields(cls, locations, fields, bin_edges) -> "VariogramTable":
+        """Matheron table of every column of `fields`, (n, S) values at the
+        given locations."""
+        dist, counts, gammas = matheron_columns(locations, fields, bin_edges)
+        return cls(np.arange(1, dist.size + 1, dtype=float), dist, counts, gammas)
+
+    @classmethod
     def from_csv(cls, text: str) -> "VariogramTable":
         lines = [ln for ln in text.strip().splitlines() if ln]
         if not lines or not lines[0].startswith("lag,dist,n"):
@@ -195,18 +194,6 @@ class VariogramTable:
                 raise FormatError(f"bad variogram table row: {ln!r}") from None
         mat = np.array(rows, dtype=float)
         return cls(mat[:, 0], mat[:, 1], mat[:, 2], mat[:, 3:])
-
-
-def _bin_descriptors(locations, bin_edges):
-    """Per-bin mean pair distance and count from the pair geometry alone."""
-    probe = SpatialDataset(locations, np.zeros(locations.shape[0]))
-    emp = empirical_variogram(probe, bin_edges, estimator="matheron")
-    dist = np.array(
-        [b.lag_center if b.mean_pair_distance is None else b.mean_pair_distance
-         for b in emp.bins]
-    )
-    counts = np.array([b.n_pairs for b in emp.bins], dtype=float)
-    return dist, counts
 
 
 def _conditioning_weights(data: SpatialDataset, spec, targets):
@@ -235,46 +222,24 @@ def simulate_variograms(
     values exactly when the nugget vanishes.
     """
     locations = np.atleast_2d(np.asarray(locations, dtype=float))
-    edges = np.asarray(bin_edges, dtype=float)
-    dist, counts = _bin_descriptors(locations, edges)
-    lags = np.arange(1, dist.size + 1, dtype=float)
-    if conditional:
-        if data is None:
-            raise DomainError("conditional simulation requires observed data")
-        # simulate jointly over data locations plus the new target points
-        seen = {loc.tobytes(): i for i, loc in enumerate(data.locations)}
-        extra, target_idx = [], []
-        for loc in locations:
-            key = loc.tobytes()
-            if key in seen:
-                target_idx.append(seen[key])
-            else:
-                seen[key] = len(data) + len(extra)
-                target_idx.append(seen[key])
-                extra.append(loc)
-        joint = np.vstack([data.locations] + extra) if extra else data.locations.copy()
-        batch = simulate_gaussian_field(joint, spec, mean, n_sims, seed)
-        W = _conditioning_weights(data, spec, locations)
-        target_idx = np.array(target_idx)
-
-        def column(j: int) -> np.ndarray:
-            z = batch.realizations[:, j]
-            resid = data.values - z[: len(data)]
-            return z[target_idx] + W.T @ resid
-
-    else:
-        batch = simulate_gaussian_field(locations, spec, mean, n_sims, seed)
-
-        def column(j: int) -> np.ndarray:
-            return batch.realizations[:, j]
-
-    def gamma_column(j: int) -> np.ndarray:
-        ds = SpatialDataset(locations, column(j))
-        emp = empirical_variogram(ds, edges, estimator="matheron")
-        return np.array(
-            [np.nan if b.gamma_hat is None else b.gamma_hat for b in emp.bins]
-        )
-
-    cols = parallel_map(gamma_column, range(n_sims))
-    gammas = np.column_stack(cols) if cols else np.empty((dist.size, 0))
-    return VariogramTable(lags, dist, counts, gammas)
+    if not conditional:
+        fields = simulate_gaussian_field(locations, spec, mean, n_sims, seed).realizations
+        return VariogramTable.of_fields(locations, fields, bin_edges)
+    if data is None:
+        raise DomainError("conditional simulation requires observed data")
+    # simulate jointly over data locations plus the new target points
+    seen = {loc.tobytes(): i for i, loc in enumerate(data.locations)}
+    extra, target_idx = [], []
+    for loc in locations:
+        key = loc.tobytes()
+        if key not in seen:
+            seen[key] = len(data) + len(extra)
+            extra.append(loc)
+        target_idx.append(seen[key])
+    joint = np.vstack([data.locations] + extra) if extra else data.locations.copy()
+    batch = simulate_gaussian_field(joint, spec, mean, n_sims, seed)
+    W = _conditioning_weights(data, spec, locations)
+    fields = np.empty((locations.shape[0], n_sims))
+    for j, z in enumerate(batch.realizations.T):
+        fields[:, j] = z[target_idx] + W.T @ (data.values - z[: len(data)])
+    return VariogramTable.of_fields(locations, fields, bin_edges)

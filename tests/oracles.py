@@ -10,6 +10,7 @@ import math
 import mpmath as mp
 import numpy as np
 from scipy.optimize import minimize
+from scipy.special import ndtr
 
 
 def frank_cdf_mp(theta, u):
@@ -87,3 +88,51 @@ def penalty_ordinary_weights(K, c0, n_stage1=1e7, n_stage2=1e9):
     second = minimize(lambda w: obj(w, n_stage2), first.x, method="BFGS",
                       options={"gtol": 1e-14, "maxiter": 5000})
     return second.x
+
+
+def pairwise_variogram(locations, values, edges, estimator="matheron", direction=None, c=2.0):
+    """Binned semivariogram by the textbook route: every unordered pair's
+    coordinate difference, its length as the root of the summed squares, one
+    boolean mask per bin, and the summands of each bin sorted by (distance,
+    half squared difference). Returns ([(center, mean distance, gamma,
+    n_pairs)], n_zero) with None for an empty bin's distance and estimate."""
+    iu, ju = np.triu_indices(len(values), k=1)
+    diff = locations[iu] - locations[ju]
+    dist = np.sqrt((diff**2).sum(axis=1))
+    n_zero = int(np.count_nonzero(dist == 0.0))
+    keep = (dist > 0.0) & (dist <= edges[-1])
+    if direction is not None:
+        delta = np.mod(np.arctan2(diff[:, 1], diff[:, 0]) - direction.angle, math.pi)
+        keep &= np.minimum(delta, math.pi - delta) <= direction.tolerance
+    dist = dist[keep]
+    hsd = 0.5 * (values[iu[keep]] - values[ju[keep]]) ** 2
+    order = np.lexsort((hsd, dist))
+    dist, hsd = dist[order], hsd[order]
+    bins = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        sel = (dist >= lo) & (dist < hi)
+        n = int(np.count_nonzero(sel))
+        if n == 0:
+            bins.append((0.5 * (lo + hi), None, None, 0))
+            continue
+        bins.append((0.5 * (lo + hi), float(dist[sel].mean()),
+                     _pairwise_estimate(hsd[sel], estimator, c), n))
+    return bins, n_zero
+
+
+def _pairwise_estimate(hsd, estimator, c):
+    if estimator == "matheron":
+        return float(hsd.mean())
+    if estimator == "cressie_hawkins":
+        return float(((2.0 * hsd) ** 0.25).mean() ** 4 / (2.0 * (0.457 + 0.494 / hsd.size)))
+    # Huber fixed point from the Matheron value, with f(c) = E[min(U^2, c^2)]
+    cdf = ndtr(c)
+    fc = (2.0 * cdf - 1.0) - 2.0 * c * (math.exp(-(c**2) / 2.0) / math.sqrt(2.0 * math.pi)) \
+        + 2.0 * c**2 * (1.0 - cdf)
+    gamma = float(hsd.mean())
+    while gamma != 0.0:
+        new = float(np.minimum(hsd, c**2 * gamma).mean() / fc)
+        if abs(new - gamma) <= 1e-10 * abs(gamma):
+            return new
+        gamma = new
+    return 0.0

@@ -329,6 +329,25 @@ def test_simulate_kl_route(tmp_path):
     assert (sdir / "simbatch.bin").exists()
 
 
+@pytest.mark.parametrize("route", ["cholesky", "kl"])
+def test_simulate_table_is_the_table_of_the_written_fields(tmp_path, route):
+    from variokrig import SpatialDataset, empirical_variogram, make_grid
+    from variokrig.sim import SimBatch
+
+    sdir = tmp_path / route
+    assert run(
+        "simulate", "--seed", "4", "--model", "kind=exponential nugget=0.0 sill=1.0 range=3.0",
+        "--grid", "5", "5", "0", "9", "0", "9", "--sims", "4", "--route", route,
+        "--max-dist", "8", "--n-bins", "3", "--out", str(sdir),
+    ) == 0
+    fields = SimBatch.read_binary((sdir / "simbatch.bin").read_bytes())
+    grid = make_grid(0.0, 9.0, 0.0, 9.0, 5, 5)
+    rows = read(sdir / "variograms.csv").splitlines()[1:]
+    for j, field in enumerate(fields.T):
+        emp = empirical_variogram(SpatialDataset(grid, field), np.linspace(0.0, 8.0, 4))
+        assert [float(row.split(",")[3 + j]) for row in rows] == [b.gamma_hat for b in emp.bins]
+
+
 def test_duplicate_locations_warned_on_ingest(tmp_path, capsys):
     src = tmp_path / "dup.csv"
     rows = ["EASTING,NORTHING,VALUE", "1.0,1.0,2.0", "1.0,1.0,3.0"]
@@ -426,6 +445,18 @@ def assert_user_error(code, capsys, out):
      "nan"],
     ["simulate", "--seed", "1", "--model", SYNTH_NONUG, *GRID, "--mean", "inf"],
     ["synth", "--seed", "1", "--mean", "nan"],
+    ["synth", "--seed", "1", "--n", "-5"],
+    ["synth", "--seed", "1", "--region", "nan", "1", "0", "1"],
+    ["synth", "--seed", "1", "--region", "5", "1", "0", "1"],
+    ["synth", "--seed", "1", "--region", "0", "1", "0", "inf"],
+    ["variogram", "--input", "DATA", "--estimator", "huber", "--huber-c", "nan"],
+    ["variogram", "--input", "DATA", "--direction", "nan"],
+    ["variogram", "--input", "DATA", "--direction", "30", "--tolerance", "-5"],
+    ["variogram", "--input", "DATA", "--max-dist", "inf"],
+    ["simulate", "--seed", "1", "--model", SYNTH_NONUG, *GRID, "--max-dist", "nan"],
+    ["posterior", "--seed", "1", "--input", "DATA", "--model", SYNTH_NONUG, "--max-dist", "inf"],
+    ["krige", "--input", "DATA", "--model", SYNTH_NONUG, *GRID, "--radius", "1",
+     "--min-neighbors", "-1"],
 ])
 def test_invalid_flag_is_one_line_user_error(tmp_path, capsys, inputs, argv):
     out = tmp_path / "o"

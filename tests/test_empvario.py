@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import oracles
 import pytest
 from scipy.stats import norm
 
@@ -13,6 +14,8 @@ from variokrig import (
     huber_robust_variogram,
     variogram_cloud,
 )
+from variokrig.empvario import matheron_columns
+from variokrig.sim import make_grid
 
 
 def simple_pair():
@@ -46,6 +49,12 @@ def test_cloud_pair_count():
 def test_cloud_empty_when_nothing_qualifies():
     cloud = variogram_cloud(simple_pair(), 0.5)
     assert cloud.shape[0] == 0
+
+
+@pytest.mark.parametrize("max_dist", [0.0, -1.0, math.nan])
+def test_cloud_rejects_a_bad_max_dist(max_dist):
+    with pytest.raises(DomainError):
+        variogram_cloud(simple_pair(), max_dist)
 
 
 def test_matheron_single_pair():
@@ -197,3 +206,77 @@ def test_csv_output():
     assert lines[0] == "lag_center,mean_pair_distance,gamma_hat,n_pairs"
     assert lines[1].endswith(",0")  # empty bin
     assert lines[2].split(",")[3] == "1"
+
+
+def test_huber_threshold_must_be_a_positive_number():
+    for c in (0.0, -1.0, math.nan):
+        with pytest.raises(DomainError):
+            huber_correction(c)
+        with pytest.raises(DomainError):
+            huber_robust_variogram(simple_pair(), [0.0, 2.0], c=c)
+
+
+# -- the shared pair geometry -------------------------------------------------------
+
+
+def layouts():
+    """Random stations, a grid (many pairs at equal distances) and stations
+    with a repeated location, each with values."""
+    rng = np.random.default_rng(11)
+    random = rng.uniform(0.0, 10.0, size=(45, 2))
+    grid = make_grid(0.0, 10.0, 0.0, 8.0, 7, 6)
+    repeated = np.vstack([random[:20], random[3:6]])
+    return {name: SpatialDataset(locs, rng.normal(size=len(locs)))
+            for name, locs in (("random", random), ("grid", grid), ("repeated", repeated))}
+
+
+def bins_of(emp):
+    return [(b.lag_center, b.mean_pair_distance, b.gamma_hat, b.n_pairs) for b in emp.bins]
+
+
+@pytest.mark.parametrize("layout", ["random", "grid", "repeated"])
+@pytest.mark.parametrize("direction", [None, Direction(0.5, 0.3), Direction(math.pi / 2.0)])
+@pytest.mark.parametrize("estimator", ["matheron", "cressie_hawkins", "huber"])
+def test_estimates_equal_the_pairwise_oracle_bitwise(layout, direction, estimator):
+    data = layouts()[layout]
+    edges = np.array([0.5, 1.0, 1.5, 2.0, 3.0, 4.5, 6.0, 8.0])
+    if estimator == "huber":
+        emp = huber_robust_variogram(data, edges, c=1.5, direction=direction)
+    else:
+        emp = empirical_variogram(data, edges, estimator, direction)
+    bins, n_zero = oracles.pairwise_variogram(data.locations, data.values, edges,
+                                              estimator, direction, c=1.5)
+    assert bins_of(emp) == bins  # float == float: bit for bit, NaN aside
+    assert emp.n_zero_distance == n_zero
+    assert sum(b[3] for b in bins) > 0
+
+
+@pytest.mark.parametrize("layout", ["random", "grid", "repeated"])
+def test_cloud_equals_the_pairwise_oracle_bitwise(layout):
+    data = layouts()[layout]
+    cloud = variogram_cloud(data, 5.0)
+    iu, ju = np.triu_indices(len(data), k=1)
+    dist = np.sqrt(((data.locations[iu] - data.locations[ju]) ** 2).sum(axis=1))
+    hsd = 0.5 * (data.values[iu] - data.values[ju]) ** 2
+    keep = (dist > 0.0) & (dist <= 5.0)
+    order = np.lexsort((hsd[keep], dist[keep]))
+    expect = np.column_stack([dist[keep][order], hsd[keep][order]])
+    assert np.array_equal(cloud.view(np.int64), expect.view(np.int64))
+
+
+@pytest.mark.parametrize("layout", ["random", "grid", "repeated"])
+@pytest.mark.parametrize("n_fields", [0, 1, 6])
+def test_matheron_columns_equal_one_estimate_per_column_bitwise(layout, n_fields):
+    data = layouts()[layout]
+    fields = np.random.default_rng(12).normal(size=(len(data), n_fields))
+    edges = np.linspace(0.0, 9.0, 10)
+    dist, counts, gammas = matheron_columns(data.locations, fields, edges)
+    assert gammas.shape == (9, n_fields)
+    probe = empirical_variogram(data, edges)
+    assert counts.tolist() == [b.n_pairs for b in probe.bins]
+    assert dist.tolist() == [b.lag_center if b.n_pairs == 0 else b.mean_pair_distance
+                             for b in probe.bins]
+    for j in range(n_fields):
+        emp = empirical_variogram(SpatialDataset(data.locations, fields[:, j]), edges)
+        expect = np.array([np.nan if b.gamma_hat is None else b.gamma_hat for b in emp.bins])
+        assert np.array_equal(gammas[:, j].view(np.int64), expect.view(np.int64))

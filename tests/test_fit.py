@@ -492,7 +492,7 @@ def test_valid_rows_equal_spec_construction(family):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("family", ("nested_matern", "matern", "spherical"))
+@pytest.mark.parametrize("family", ("nested_matern", "matern", "spherical", "stable"))
 def test_stacked_blocks_equal_each_block_alone_bitwise(family):
     # several columns' difference blocks in one evaluation, one of them
     # starting with a row that builds no spec

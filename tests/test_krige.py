@@ -398,6 +398,12 @@ def test_map_min_neighbors_rule():
     assert rows[0].status == "ok"
 
 
+def test_map_rejects_a_negative_neighbour_minimum():
+    data = SpatialDataset([[0.0, 0.0], [1.0, 0.0]], [1.0, 2.0])
+    with pytest.raises(DomainError):
+        krige_map([[5.0, 5.0]], "ordinary", data, expo(), radius=1.0, min_neighbors=-1)
+
+
 def test_map_locality_under_radius_change():
     rng = np.random.default_rng(18)
     data, spec = random_instance(rng, 20, nugget=0.1)

@@ -227,6 +227,60 @@ def test_variogram_table_no_sims():
     assert np.all(table.counts >= 0)
 
 
+def expected_table(locations, fields, edges):
+    """The table column by column, one empirical_variogram per field."""
+    from variokrig import empirical_variogram
+
+    ests = [empirical_variogram(SpatialDataset(locations, f), edges) for f in fields.T]
+    probe = empirical_variogram(SpatialDataset(locations, np.zeros(len(locations))), edges)
+    dist = [b.lag_center if b.n_pairs == 0 else b.mean_pair_distance for b in probe.bins]
+    gammas = [[np.nan if b.gamma_hat is None else b.gamma_hat for b in e.bins] for e in ests]
+    return VariogramTable(np.arange(1.0, len(dist) + 1.0), np.array(dist),
+                          np.array([b.n_pairs for b in probe.bins], dtype=float),
+                          np.array(gammas).T.reshape(len(dist), len(ests)))
+
+
+def conditioned_fields(locations, data, spec, n_sims, seed):
+    """z[target] + W'(z_data - z[data]) for each joint simulation z over the
+    data locations followed by the targets that are not data locations."""
+    from variokrig.sim import _conditioning_weights
+
+    index = {loc.tobytes(): i for i, loc in enumerate(data.locations)}
+    for loc in locations:
+        index.setdefault(loc.tobytes(), len(index))
+    joint = np.array([np.frombuffer(k) for k in index])
+    target = [index[loc.tobytes()] for loc in locations]
+    Z = simulate_gaussian_field(joint, spec, 0.0, n_sims, seed).realizations
+    W = _conditioning_weights(data, spec, locations)
+    return np.column_stack([z[target] + W.T @ (data.values - z[: len(data)]) for z in Z.T]
+                           ) if n_sims else np.empty((len(locations), 0))
+
+
+@pytest.mark.parametrize("layout", ["random", "grid"])
+@pytest.mark.parametrize("conditional", [False, True])
+@pytest.mark.parametrize("n_sims", [0, 5])
+def test_variogram_table_equals_one_estimate_per_simulated_field_bitwise(layout, conditional,
+                                                                         n_sims):
+    rng = np.random.default_rng(8)
+    if layout == "grid":  # many pairs at equal distances
+        locs = make_grid(0.0, 10.0, 0.0, 10.0, 6, 5)
+    else:
+        locs = rng.uniform(0.0, 10.0, size=(30, 2))
+    spec = expo(sill=1.5, range_=4.0, nugget=0.1)
+    edges = np.linspace(0.0, 9.0, 7)
+    data = SpatialDataset(np.vstack([locs[::4], rng.uniform(0.0, 10.0, size=(3, 2))]),
+                          rng.normal(size=len(locs[::4]) + 3))
+    if conditional:
+        fields = conditioned_fields(locs, data, spec, n_sims, seed=19)
+    else:
+        fields = simulate_gaussian_field(locs, spec, 0.0, n_sims, seed=19).realizations
+    table = simulate_variograms(locs, spec, edges, n_sims, seed=19, conditional=conditional,
+                                data=data)
+    expect = expected_table(locs, fields, edges).as_matrix()
+    assert table.as_matrix().shape == expect.shape == (6, 3 + n_sims)
+    assert np.array_equal(table.as_matrix().view(np.int64), expect.view(np.int64))
+
+
 def test_unconditional_column_means_track_model():
     locs = make_grid(0.0, 10.0, 0.0, 10.0, 5, 5)
     spec = expo(sill=1.0, range_=4.0)
