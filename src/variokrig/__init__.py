@@ -1,5 +1,19 @@
 """variokrig: covariance models, variograms, kriging, Gaussian random-field
-simulation, Bayesian predictive densities and parameter copulas."""
+simulation, Bayesian predictive densities and parameter copulas.
+
+Importing the package before numpy sets OPENBLAS_NUM_THREADS=1 unless one of
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS is set: the bytes
+of a result depend on the BLAS thread count, so they are pinned to one
+thread unless the user chooses otherwise.
+"""
+
+import os as _os
+import sys as _sys
+
+if "numpy" not in _sys.modules and not any(
+    f"{lib}_NUM_THREADS" in _os.environ for lib in ("OPENBLAS", "OMP", "MKL")
+):
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .bayes import (
     DensityGrid,
@@ -76,6 +90,7 @@ from .sim import (
     kl_simulate,
     make_grid,
     make_grid_inclusive,
+    simulate_fields,
     simulate_gaussian_field,
     simulate_variograms,
 )

@@ -44,7 +44,10 @@ class OutputDir:
     def __init__(self, path: str):
         self.path = path
         self.created: list[str] = []
-        os.makedirs(path, exist_ok=True)
+        try:
+            os.makedirs(path, exist_ok=True)
+        except OSError as exc:
+            raise UsageError(f"cannot create output directory {path!r}: {exc}") from None
 
     def write_text(self, name: str, text: str) -> str:
         return self._write(name, text.encode("utf-8"))
@@ -69,18 +72,23 @@ class OutputDir:
                 pass
 
 
+def _read_lines(path: str, flag: str) -> list[str]:
+    """The stripped, non-blank lines of the UTF-8 text file given by `flag`.
+    Every input file is read here, so an unreadable path is one user error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return [ln.strip() for ln in fh if ln.strip()]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"argument {flag}: cannot read {path}: {exc}") from None
+
+
 def ingest_csv(path: str, log_transform: bool = False) -> empvario.SpatialDataset:
     """Read an EASTING,NORTHING,VALUE table (case-insensitive header).
 
     Row order is preserved; duplicate locations are kept with a warning
     count on stderr. --log takes natural logs and requires positive values.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh]
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from None
-    lines = [ln for ln in lines if ln]
+    lines = _read_lines(path, "--input")
     if not lines:
         raise FormatError(f"{path}: empty file")
     header = [c.strip().upper() for c in lines[0].split(",")]
@@ -155,30 +163,37 @@ def _bin_edges(args, locations: np.ndarray) -> np.ndarray:
 
 
 def _parse_emp_csv(path: str) -> empvario.EmpiricalVariogram:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from None
+    """Read the `variogram` command's table. A bin with no pairs or an empty
+    distance or estimate cell is an empty bin; every other cell must be a
+    finite number, and the pair count an integer >= 0."""
+    lines = _read_lines(path, "--input")
     if not lines or lines[0] != "lag_center,mean_pair_distance,gamma_hat,n_pairs":
         raise FormatError(f"{path}: expected an empirical-variogram CSV header")
     bins = []
-    for ln in lines[1:]:
+    for i, ln in enumerate(lines[1:], start=2):
         cells = ln.split(",")
-        if len(cells) != 4:
-            raise FormatError(f"{path}: bad variogram row {ln!r}")
-        center = float(cells[0])
-        n_pairs = int(cells[3])
-        if n_pairs == 0 or cells[1] == "" or cells[2] == "":
+        try:
+            if len(cells) != 4:
+                raise ValueError
+            center, n_pairs = float(cells[0]), int(cells[3])
+            empty = n_pairs == 0 or cells[1] == "" or cells[2] == ""
+            dist, gamma = (0.0, 0.0) if empty else (float(cells[1]), float(cells[2]))
+            if n_pairs < 0 or not all(map(math.isfinite, (center, dist, gamma))):
+                raise ValueError
+        except ValueError:
+            raise FormatError(f"{path}: bad variogram row {i}: {ln!r}") from None
+        if empty:
             bins.append(empvario.VariogramBin(center, None, None, 0))
         else:
-            bins.append(
-                empvario.VariogramBin(center, float(cells[1]), float(cells[2]), n_pairs)
-            )
+            bins.append(empvario.VariogramBin(center, dist, gamma, n_pairs))
     if not bins:
         raise FormatError(f"{path}: no bins found")
     maxd = max(b.lag_center for b in bins)
     return empvario.EmpiricalVariogram(tuple(bins), "matheron", maxd)
+
+
+def _read_draws(path: str) -> bayes.PosteriorDraws:
+    return bayes.PosteriorDraws.from_csv("\n".join(_read_lines(path, "--draws")))
 
 
 # -- subcommand implementations ------------------------------------------------
@@ -221,14 +236,7 @@ def _cmd_variogram(args, out: OutputDir):
 
 def _cmd_fit(args, out: OutputDir):
     emp = _parse_emp_csv(args.input)
-    bounds = None
-    if args.bounds:
-        lo_txt, _, hi_txt = args.bounds.partition(":")
-        bounds = fit.FitBounds(
-            np.array([float(v) for v in lo_txt.split(",")]),
-            np.array([float(v) for v in hi_txt.split(",")]),
-        )
-    result = fit.fit_variogram(emp, args.family, args.method, bounds)
+    result = fit.fit_variogram(emp, args.family, args.method, args.bounds)
     out.write_text("fit.csv", fit.fit_results_to_csv([result], args.family))
 
 
@@ -299,13 +307,9 @@ def _cmd_simulate(args, out: OutputDir):
         locs = _grid_from_args(args)
     edges = _bin_edges(args, locs)
     route = sim.kl_simulate if args.route == "kl" else sim.simulate_gaussian_field
-    batch = route(locs, spec, args.mean, args.sims, args.seed)
+    batch = sim.simulate_fields(locs, spec, args.mean, args.sims, args.seed, data, route)
     out.write_bytes("simbatch.bin", batch.to_binary())
-    if args.conditional:  # the table of the conditioned fields
-        table = sim.simulate_variograms(locs, spec, edges, args.sims, args.seed,
-                                        conditional=True, data=data, mean=args.mean)
-    else:  # the table of the fields just written
-        table = sim.VariogramTable.of_fields(locs, batch.realizations, edges)
+    table = sim.VariogramTable.of_fields(locs, batch.realizations, edges)
     out.write_text("variograms.csv", table.to_csv())
 
 
@@ -313,10 +317,8 @@ def _cmd_posterior(args, out: OutputDir):
     data = ingest_csv(args.input, args.log)
     spec = _parse_model(args.model)
     edges = _bin_edges(args, data.locations)
-    table = sim.simulate_variograms(
-        data.locations, spec, edges, args.sims, args.seed,
-        conditional=args.conditional, data=data if args.conditional else None,
-    )
+    table = sim.simulate_variograms(data.locations, spec, edges, args.sims, args.seed,
+                                    data if args.conditional else None)
     family = "nested_matern" if args.family == "nested" else "matern"
     results = fit.fit_family_batch(table, family, method=args.method, seed=args.seed)
     out.write_text("draws.csv", fit.fit_results_to_csv(results, family))
@@ -324,8 +326,7 @@ def _cmd_posterior(args, out: OutputDir):
 
 def _cmd_density(args, out: OutputDir):
     log_data = ingest_csv(args.input, args.log)
-    with open(args.draws, "r", encoding="utf-8") as fh:
-        draws = bayes.PosteriorDraws.from_csv(fh.read())
+    draws = _read_draws(args.draws)
     grid_cfg = bayes.DensityGrid(args.grid_lo, args.grid_hi, args.grid_step, args.rule)
     if args.at is not None:
         pd = bayes.predictive_density_at(
@@ -349,8 +350,7 @@ def _cmd_density(args, out: OutputDir):
 
 
 def _cmd_copula_fit(args, out: OutputDir):
-    with open(args.draws, "r", encoding="utf-8") as fh:
-        draws = bayes.PosteriorDraws.from_csv(fh.read())
+    draws = _read_draws(args.draws)
     result = copula.fit_copula_mle(draws)
     lines = [
         f"family={result.family}",
@@ -452,6 +452,17 @@ class _RegionAction(argparse.Action):
         setattr(namespace, self.dest, region)
 
 
+def _bounds(text: str) -> fit.FitBounds:
+    """--bounds LO1,LO2,...:HI1,HI2,...: equal-length lists, each LO < HI."""
+    lo_txt, _, hi_txt = text.partition(":")
+    try:
+        lo, hi = ([float(v) for v in part.split(",")] for part in (lo_txt, hi_txt))
+        return fit.FitBounds(np.array(lo), np.array(hi))
+    except (ValueError, DomainError):
+        raise argparse.ArgumentTypeError(
+            f"expected LO1,LO2,...:HI1,HI2,... with each LO < HI, got {text!r}") from None
+
+
 def _location(text: str) -> list[float]:
     """--at: exactly two finite numbers X,Y."""
     try:
@@ -507,7 +518,7 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True, help="empirical-variogram CSV")
     p.add_argument("--family", default="nested_matern")
     p.add_argument("--method", choices=fit.METHODS, default="wls")
-    p.add_argument("--bounds", default=None, help="lo1,lo2,...:hi1,hi2,...")
+    p.add_argument("--bounds", type=_bounds, default=None, help="lo1,lo2,...:hi1,hi2,...")
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("krige", help="kriging prediction map")
@@ -588,7 +599,7 @@ def main(argv=None) -> int:
         out = OutputDir(args.out)
         args.func(args, out)
         return 0
-    except (UsageError, FormatError, DomainError, FileNotFoundError) as exc:
+    except (UsageError, FormatError, DomainError) as exc:
         if out is not None:
             out.cleanup()
         print(f"error: {exc}", file=sys.stderr)

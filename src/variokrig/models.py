@@ -188,12 +188,6 @@ class CovarianceSpec:
             return math.floor(2.0 * float(self.shape) - 1.0)
         return _DIM_LIMIT.get(self.kind, math.inf)
 
-    def covariance(self, h):
-        return covariance_eval(self, h)
-
-    def variogram(self, h):
-        return variogram_eval(self, h)
-
     @property
     def total_sill(self) -> float:
         """C(0) = nugget + sill."""
@@ -227,13 +221,6 @@ class NestedMaternSpec:
         if min(self.range1, self.nu1, self.range2, self.nu2) <= 0.0:
             raise DomainError("ranges and smoothness must be > 0")
 
-    @classmethod
-    def from_vector(cls, vec) -> "NestedMaternSpec":
-        vec = [float(v) for v in vec]
-        if len(vec) != 7:
-            raise DomainError(f"nested Matern expects 7 parameters, got {len(vec)}")
-        return cls(*vec)
-
     def as_vector(self) -> np.ndarray:
         return np.array([self.nugget, self.sill1, self.range1, self.nu1,
                          self.sill2, self.range2, self.nu2])
@@ -242,12 +229,6 @@ class NestedMaternSpec:
     def total_sill(self) -> float:
         """C(0) = nugget + sill1 + sill2."""
         return float(self.nugget + self.sill1 + self.sill2)
-
-    def covariance(self, h):
-        return nested_matern_covariance(self, h)
-
-    def variogram(self, h):
-        return nested_matern_variogram(self, h)
 
 
 def _as_lags(h):

@@ -4,8 +4,9 @@ Fields are drawn either through the Cholesky factor of the Gram matrix
 (z = m + L w) or through its eigendecomposition (Karhunen-Loeve route,
 z = m + Psi sqrt(Lambda) w). Normal draws come from counter-based streams
 keyed on (seed, simulation index), so results are bit-identical for a
-given seed no matter how the work is scheduled. A simulated-variogram
-table bins all its fields through one pair geometry.
+given seed no matter how the work is scheduled. `simulate_fields` is the
+one path to the fields a command writes and bins, conditioned on observed
+data when given; a variogram table bins them through one pair geometry.
 """
 
 import struct
@@ -59,8 +60,6 @@ class SimBatch:
 
     locations: np.ndarray
     realizations: np.ndarray
-    seed: int
-    spec: object
 
     @property
     def n_points(self) -> int:
@@ -118,7 +117,7 @@ def simulate_gaussian_field(locations, spec, mean: float, n_sims: int, seed: int
     locations = np.atleast_2d(np.asarray(locations, dtype=float))
     _check_dims(spec, locations)
     L, _ = chol_with_jitter(covariance_matrix(spec, locations))
-    return SimBatch(locations, _draw_columns(L, mean, n_sims, seed), seed, spec)
+    return SimBatch(locations, _draw_columns(L, mean, n_sims, seed))
 
 
 def kl_eigensystem(spec, locations):
@@ -142,7 +141,7 @@ def kl_simulate(locations, spec, mean: float, n_sims: int, seed: int) -> SimBatc
     locations = np.atleast_2d(np.asarray(locations, dtype=float))
     _check_dims(spec, locations)
     lam, psi = kl_eigensystem(spec, locations)
-    return SimBatch(locations, _draw_columns(psi * np.sqrt(lam), mean, n_sims, seed), seed, spec)
+    return SimBatch(locations, _draw_columns(psi * np.sqrt(lam), mean, n_sims, seed))
 
 
 @dataclass(frozen=True)
@@ -203,31 +202,21 @@ def _conditioning_weights(data: SpatialDataset, spec, targets):
     return spd_solve(Kdd, Cdt)  # (n_data, n_targets)
 
 
-def simulate_variograms(
-    locations,
-    spec,
-    bin_edges,
-    n_sims: int,
-    seed: int,
-    conditional: bool = False,
-    data: SpatialDataset | None = None,
-    mean: float = 0.0,
-) -> VariogramTable:
-    """Empirical variograms of simulated fields at the given locations.
+def simulate_fields(locations, spec, mean: float, n_sims: int, seed: int,
+                    data: SpatialDataset | None = None, route=None) -> SimBatch:
+    """The fields at `locations` drawn by `route`, `simulate_gaussian_field`
+    (the default) or `kl_simulate`.
 
-    Unconditional mode estimates straight from each realization.
-    Conditional mode applies residual conditioning before estimating:
-    z_c = z_sim + W'(z_data - z_sim[data locations]), with W the
-    simple-kriging weights under the same model, which honors the observed
-    values exactly when the nugget vanishes.
+    With data, the route runs on the joint set (the data locations, then the
+    targets that are not data locations) and each joint field z is
+    residual-conditioned: z_c = z[targets] + W'(z_data - z[data locations]),
+    W the simple-kriging weights under the same model, which honors the
+    observed values exactly when the nugget vanishes.
     """
     locations = np.atleast_2d(np.asarray(locations, dtype=float))
-    if not conditional:
-        fields = simulate_gaussian_field(locations, spec, mean, n_sims, seed).realizations
-        return VariogramTable.of_fields(locations, fields, bin_edges)
+    route = route or simulate_gaussian_field  # looked up per call, not bound at definition
     if data is None:
-        raise DomainError("conditional simulation requires observed data")
-    # simulate jointly over data locations plus the new target points
+        return route(locations, spec, mean, n_sims, seed)
     seen = {loc.tobytes(): i for i, loc in enumerate(data.locations)}
     extra, target_idx = [], []
     for loc in locations:
@@ -236,10 +225,18 @@ def simulate_variograms(
             seen[key] = len(data) + len(extra)
             extra.append(loc)
         target_idx.append(seen[key])
-    joint = np.vstack([data.locations] + extra) if extra else data.locations.copy()
-    batch = simulate_gaussian_field(joint, spec, mean, n_sims, seed)
+    joint = np.vstack([data.locations] + extra)
+    Z = route(joint, spec, mean, n_sims, seed).realizations
     W = _conditioning_weights(data, spec, locations)
     fields = np.empty((locations.shape[0], n_sims))
-    for j, z in enumerate(batch.realizations.T):
+    for j, z in enumerate(Z.T):  # one W' r per field: a single product would change the bits
         fields[:, j] = z[target_idx] + W.T @ (data.values - z[: len(data)])
-    return VariogramTable.of_fields(locations, fields, bin_edges)
+    return SimBatch(locations, fields)
+
+
+def simulate_variograms(locations, spec, bin_edges, n_sims: int, seed: int,
+                        data: SpatialDataset | None = None, mean: float = 0.0) -> VariogramTable:
+    """The Matheron table of the Cholesky-route fields of `simulate_fields`,
+    conditioned on `data` when it is given."""
+    batch = simulate_fields(locations, spec, mean, n_sims, seed, data)
+    return VariogramTable.of_fields(batch.locations, batch.realizations, bin_edges)

@@ -329,23 +329,68 @@ def test_simulate_kl_route(tmp_path):
     assert (sdir / "simbatch.bin").exists()
 
 
-@pytest.mark.parametrize("route", ["cholesky", "kl"])
-def test_simulate_table_is_the_table_of_the_written_fields(tmp_path, route):
+@pytest.mark.parametrize("route,conditional", [
+    ("cholesky", False), ("kl", False), ("cholesky", True), ("kl", True),
+], ids=["cholesky", "kl", "cholesky-conditional", "kl-conditional"])
+def test_simulate_table_is_the_table_of_the_written_fields(tmp_path, count_calls, route,
+                                                           conditional):
+    # one route call per command, and the table bins exactly the written
+    # fields, conditioned or not
     from variokrig import SpatialDataset, empirical_variogram, make_grid
     from variokrig.sim import SimBatch
 
+    extra = []
+    if conditional:
+        extra = ["--conditional", "--input", str(make_synth(tmp_path, seed=8, n=12)), "--log"]
+    calls = {name: count_calls("variokrig.sim", name)
+             for name in ("simulate_gaussian_field", "kl_simulate")}
     sdir = tmp_path / route
     assert run(
         "simulate", "--seed", "4", "--model", "kind=exponential nugget=0.0 sill=1.0 range=3.0",
         "--grid", "5", "5", "0", "9", "0", "9", "--sims", "4", "--route", route,
-        "--max-dist", "8", "--n-bins", "3", "--out", str(sdir),
+        "--max-dist", "8", "--n-bins", "3", *extra, "--out", str(sdir),
     ) == 0
+    route_fn = "kl_simulate" if route == "kl" else "simulate_gaussian_field"
+    assert {name: len(c) for name, c in calls.items()} == {
+        name: int(name == route_fn) for name in calls}
     fields = SimBatch.read_binary((sdir / "simbatch.bin").read_bytes())
     grid = make_grid(0.0, 9.0, 0.0, 9.0, 5, 5)
+    assert fields.shape == (25, 4)
     rows = read(sdir / "variograms.csv").splitlines()[1:]
     for j, field in enumerate(fields.T):
         emp = empirical_variogram(SpatialDataset(grid, field), np.linspace(0.0, 8.0, 4))
         assert [float(row.split(",")[3 + j]) for row in rows] == [b.gamma_hat for b in emp.bins]
+
+
+@pytest.mark.parametrize("route", ["cholesky", "kl"])
+def test_conditional_simulate_writes_fields_that_honor_the_data(tmp_path, route):
+    # no nugget and every simulated location a data location: each written
+    # field is the (log) data itself
+    from variokrig.cli import ingest_csv
+    from variokrig.sim import SimBatch
+
+    data = make_synth(tmp_path, seed=6, n=30)
+    sdir = tmp_path / "s"
+    assert run("simulate", "--seed", "2", "--model", SYNTH_NONUG, "--input", str(data), "--log",
+               "--conditional", "--sims", "3", "--route", route, "--out", str(sdir)) == 0
+    fields = SimBatch.read_binary((sdir / "simbatch.bin").read_bytes())
+    values = ingest_csv(str(data), log_transform=True).values
+    assert fields.shape == (30, 3)
+    assert np.abs(fields - values[:, None]).max() < 1e-8
+
+
+def test_posterior_conditional_smoke(tmp_path):
+    data = make_synth(tmp_path, "c5", seed=10, n=30)
+    pdir = tmp_path / "pc"
+    assert run(
+        "posterior", "--input", str(data), "--log", "--conditional",
+        "--model", "kind=matern nugget=0.0661 sill=2.4523 range=122.79 nu=0.5",
+        "--family", "matern", "--sims", "4", "--seed", "3",
+        "--max-dist", "220", "--n-bins", "8", "--out", str(pdir),
+    ) == 0
+    lines = read(pdir / "draws.csv").splitlines()
+    assert lines[0] == "nugget,sill,range,shape,objective,converged"
+    assert len(lines) == 5
 
 
 def test_duplicate_locations_warned_on_ingest(tmp_path, capsys):
@@ -384,9 +429,40 @@ def test_cli_import_leaves_out_scipy_stats():
         assert out.stdout.strip() == "[]", module
 
 
+def test_krige_map_with_blas_threads_unset_equals_one_thread(tmp_path):
+    # the bytes of a map depend on the BLAS thread count, so the program runs
+    # BLAS on one thread unless a thread variable says otherwise
+    import subprocess
+    import sys
+
+    import variokrig
+
+    src = os.path.dirname(os.path.dirname(variokrig.__file__))
+    unset = {k: v for k, v in os.environ.items()
+             if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    unset["PYTHONPATH"] = os.pathsep.join(filter(None, [src, unset.get("PYTHONPATH")]))
+    one = dict(unset, OPENBLAS_NUM_THREADS="1")
+
+    def cli(env, *argv):
+        subprocess.run([sys.executable, "-m", "variokrig", *argv], env=env,
+                       capture_output=True, check=True)
+
+    cli(one, "synth", "--seed", "421", "--n", "200", "--out", str(tmp_path / "in"))
+    maps = []
+    for tag, env in (("unset", unset), ("one", one)):
+        cli(env, "krige", "--input", str(tmp_path / "in" / "synth.csv"), "--log",
+            "--model", "kind=matern nugget=0.0661 sill=2.4523 range=122.79 nu=0.5",
+            "--grid", "20", "15", "-148", "149", "-108", "109", "--out", str(tmp_path / tag))
+        maps.append((tmp_path / tag / "krige.csv").read_bytes())
+    assert maps[0] == maps[1]
+
+
 # -- flag and cell validation ---------------------------------------------------------
 
 GRID = ["--grid", "3", "3", "0", "10", "0", "10"]
+EMP_CSV = ("lag_center,mean_pair_distance,gamma_hat,n_pairs\n"
+           "5,4.5,0.4,12\n15,14.8,0.9,30\n25,,,0\n35,34.1,1.3,41\n45,44.9,1.5,38\n"
+           "55,55.2,1.6,35\n")
 
 
 @pytest.fixture
@@ -394,8 +470,11 @@ def inputs(tmp_path, capsys):
     data = make_synth(tmp_path, n=20)
     draws = tmp_path / "draws.csv"
     draws.write_text("nugget,sill,range,shape\n0.05,1.2,60.0,0.5\n")
+    emp = tmp_path / "variogram.csv"
+    emp.write_text(EMP_CSV)
     capsys.readouterr()
-    return {"DATA": str(data), "DRAWS": str(draws)}
+    return {"DATA": str(data), "DRAWS": str(draws), "EMP": str(emp), "DIR": str(tmp_path),
+            "MISSING": str(tmp_path / "missing.csv")}
 
 
 def assert_user_error(code, capsys, out):
@@ -457,6 +536,17 @@ def assert_user_error(code, capsys, out):
     ["posterior", "--seed", "1", "--input", "DATA", "--model", SYNTH_NONUG, "--max-dist", "inf"],
     ["krige", "--input", "DATA", "--model", SYNTH_NONUG, *GRID, "--radius", "1",
      "--min-neighbors", "-1"],
+    ["fit", "--input", "EMP", "--family", "matern", "--bounds", "1,2:x"],
+    ["fit", "--input", "EMP", "--family", "matern", "--bounds", "0,0,0"],
+    ["fit", "--input", "EMP", "--family", "matern", "--bounds", "0,0:1"],
+    ["fit", "--input", "EMP", "--family", "matern", "--bounds", "0,0,0,0:1,1,nan,1"],
+    ["fit", "--input", "EMP", "--family", "matern", "--bounds", "0,0,5,0:1,1,1,1"],
+    ["density", "--input", "DATA", "--at", "0,0", "--draws", "DIR"],
+    ["copula-fit", "--draws", "DIR"],
+    ["copula-fit", "--draws", "MISSING"],
+    ["fit", "--input", "DIR"],
+    ["variogram", "--input", "DIR"],
+    ["krige", "--model", SYNTH_NONUG, "--at", "0,0", "--input", "MISSING"],
 ])
 def test_invalid_flag_is_one_line_user_error(tmp_path, capsys, inputs, argv):
     out = tmp_path / "o"
@@ -479,3 +569,43 @@ def test_non_finite_value_cell_cites_row(tmp_path, capsys, value, command):
     line = assert_user_error(run(command, "--input", str(src), *extra, "--out", str(out)),
                              capsys, out)
     assert "row 5" in line and "VALUE" in line
+
+
+@pytest.mark.parametrize("row", [
+    "15,14.8,oops,30", "15,x,0.9,30", "y,14.8,0.9,30", "15,14.8,0.9,3.5", "15,14.8,0.9,-2",
+    "15,14.8,nan,30", "15,inf,0.9,30", "nan,,,0", "15,14.8,0.9", "15,14.8,0.9,30,1",
+])
+def test_bad_variogram_cell_cites_row(tmp_path, capsys, row):
+    src = tmp_path / "emp.csv"
+    lines = EMP_CSV.splitlines()
+    lines[2] = row
+    src.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "o"
+    line = assert_user_error(run("fit", "--input", str(src), "--family", "matern",
+                                 "--out", str(out)), capsys, out)
+    assert "row 3" in line and row in line
+
+
+def test_fit_reads_bounds_and_empty_bins(tmp_path, inputs):
+    from variokrig import FitBounds, fit_variogram
+    from variokrig.cli import _parse_emp_csv
+    from variokrig.fit import fit_results_to_csv
+
+    emp = _parse_emp_csv(inputs["EMP"])
+    assert [b.n_pairs for b in emp.bins] == [12, 30, 0, 41, 38, 35]
+    assert emp.bins[2].gamma_hat is None and emp.bins[2].mean_pair_distance is None
+    out = tmp_path / "f"
+    assert run("fit", "--input", inputs["EMP"], "--family", "matern", "--method", "ols",
+               "--bounds", "0,0.1,1,0.2:1,5,100,2", "--out", str(out)) == 0
+    bounds = FitBounds(np.array([0.0, 0.1, 1.0, 0.2]), np.array([1.0, 5.0, 100.0, 2.0]))
+    expect = fit_variogram(emp, "matern", "ols", bounds)
+    assert read(out / "fit.csv") == fit_results_to_csv([expect], "matern")
+
+
+@pytest.mark.parametrize("out", ["", "FILE", "FILE/sub"])
+def test_uncreatable_out_dir_is_one_line_user_error(tmp_path, capsys, out):
+    (tmp_path / "FILE").write_text("")
+    out = str(tmp_path / out) if out else out
+    assert run("synth", "--seed", "1", "--n", "5", "--out", out) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot create output directory")

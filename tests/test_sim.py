@@ -10,6 +10,7 @@ from variokrig import (
     kl_simulate,
     make_grid,
     make_grid_inclusive,
+    simulate_fields,
     simulate_gaussian_field,
     simulate_variograms,
     variogram_eval,
@@ -240,7 +241,7 @@ def expected_table(locations, fields, edges):
                           np.array(gammas).T.reshape(len(dist), len(ests)))
 
 
-def conditioned_fields(locations, data, spec, n_sims, seed):
+def conditioned_fields(locations, data, spec, n_sims, seed, route=simulate_gaussian_field):
     """z[target] + W'(z_data - z[data]) for each joint simulation z over the
     data locations followed by the targets that are not data locations."""
     from variokrig.sim import _conditioning_weights
@@ -250,7 +251,7 @@ def conditioned_fields(locations, data, spec, n_sims, seed):
         index.setdefault(loc.tobytes(), len(index))
     joint = np.array([np.frombuffer(k) for k in index])
     target = [index[loc.tobytes()] for loc in locations]
-    Z = simulate_gaussian_field(joint, spec, 0.0, n_sims, seed).realizations
+    Z = route(joint, spec, 0.0, n_sims, seed).realizations
     W = _conditioning_weights(data, spec, locations)
     return np.column_stack([z[target] + W.T @ (data.values - z[: len(data)]) for z in Z.T]
                            ) if n_sims else np.empty((len(locations), 0))
@@ -274,11 +275,28 @@ def test_variogram_table_equals_one_estimate_per_simulated_field_bitwise(layout,
         fields = conditioned_fields(locs, data, spec, n_sims, seed=19)
     else:
         fields = simulate_gaussian_field(locs, spec, 0.0, n_sims, seed=19).realizations
-    table = simulate_variograms(locs, spec, edges, n_sims, seed=19, conditional=conditional,
-                                data=data)
+    table = simulate_variograms(locs, spec, edges, n_sims, seed=19,
+                                data=data if conditional else None)
     expect = expected_table(locs, fields, edges).as_matrix()
     assert table.as_matrix().shape == expect.shape == (6, 3 + n_sims)
     assert np.array_equal(table.as_matrix().view(np.int64), expect.view(np.int64))
+
+
+@pytest.mark.parametrize("route", [simulate_gaussian_field, kl_simulate])
+@pytest.mark.parametrize("conditional", [False, True])
+def test_simulate_fields_are_the_route_fields_conditioned_bitwise(route, conditional):
+    rng = np.random.default_rng(12)
+    locs = np.vstack([make_grid(0.0, 10.0, 0.0, 10.0, 4, 4), rng.uniform(0.0, 10.0, (5, 2))])
+    spec = expo(sill=1.5, range_=4.0, nugget=0.1)
+    data = SpatialDataset(np.vstack([locs[::3], rng.uniform(0.0, 10.0, size=(2, 2))]),
+                          rng.normal(size=len(locs[::3]) + 2))
+    batch = simulate_fields(locs, spec, 0.0, 6, 23, data if conditional else None, route)
+    if conditional:
+        expect = conditioned_fields(locs, data, spec, 6, 23, route)
+    else:
+        expect = route(locs, spec, 0.0, 6, 23).realizations
+    assert np.array_equal(batch.locations, locs)
+    assert np.array_equal(batch.realizations.view(np.int64), expect.view(np.int64))
 
 
 def test_unconditional_column_means_track_model():
@@ -302,7 +320,7 @@ def test_conditional_honors_data_when_nugget_zero():
     data = SpatialDataset(grid, rng.normal(size=grid.shape[0]))
     spec = expo(sill=1.5, range_=6.0)
     edges = np.linspace(0.0, 9.0, 5)
-    table = simulate_variograms(grid, spec, edges, 3, seed=17, conditional=True, data=data)
+    table = simulate_variograms(grid, spec, edges, 3, seed=17, data=data)
     expect = np.array([
         b.gamma_hat for b in empirical_variogram(data, edges).bins if b.gamma_hat is not None
     ])
@@ -321,12 +339,6 @@ def test_conditional_kriging_weights_pick_out_data_points():
     W = _conditioning_weights(data, expo(sill=1.5, range_=6.0), grid)
     col = W[:, ::3]  # weights targeted at the data locations themselves
     assert np.abs(col - np.eye(data_locs.shape[0])).max() < 1e-8
-
-
-def test_conditional_requires_data():
-    locs = make_grid(0.0, 5.0, 0.0, 5.0, 3, 3)
-    with pytest.raises(DomainError):
-        simulate_variograms(locs, expo(), [0.0, 2.0], 2, seed=1, conditional=True)
 
 
 def test_variogram_table_csv_round_trip():
