@@ -6,11 +6,11 @@ lives in exactly one place: a symmetric matrix that fails Cholesky gets
 and doubling up to six times before the attempt is abandoned. A system is
 factored once by ``chol_with_jitter`` and solved with that factor by
 ``chol_solve``, as often as its callers need; ``spd_solve`` does both for a
-one-off system.
+one-off system. The module is the package's only route to scipy.linalg,
+which it imports on the first triangular solve.
 """
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
 
 from .exceptions import SingularMatrixError
 
@@ -65,6 +65,15 @@ def chol_with_jitter(mat):
     return np.stack([L for L, _ in factors]), max(delta for _, delta in factors)
 
 
+def _dtrtrs(*args, **kwargs):
+    """LAPACK's dtrtrs. The first call imports it from scipy.linalg and
+    binds it in place of this function, so later solves call it directly."""
+    global _dtrtrs
+    from scipy.linalg.lapack import dtrtrs as _dtrtrs
+
+    return _dtrtrs(*args, **kwargs)
+
+
 def chol_solve(L, rhs):
     """Solve ``L L' x = rhs`` with two triangular solves.
 
@@ -74,9 +83,9 @@ def chol_solve(L, rhs):
     ``L`` and then ``L.T``, without its per-call validation.
     """
     Lt = np.ascontiguousarray(L).T
-    y, info = dtrtrs(Lt, rhs, lower=0, trans=1)
+    y, info = _dtrtrs(Lt, rhs, lower=0, trans=1)
     if info == 0:
-        x, info = dtrtrs(Lt, y, lower=0, trans=0)
+        x, info = _dtrtrs(Lt, y, lower=0, trans=0)
     if info != 0:
         raise SingularMatrixError(f"triangular solve failed (LAPACK info {info})")
     return x

@@ -12,6 +12,7 @@ is summarised by grid-exact quantiles.
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from typing import ClassVar
 
 import numpy as np
 
@@ -123,7 +124,9 @@ class DensityGrid:
     The defaults reproduce the reference constants (they encode the
     original data's scale and are configurable for that reason). The
     integration rule is trapezoidal by default; "forward" switches to the
-    reference code's forward differences of exp(grid).
+    reference code's forward differences of exp(grid). A grid may hold at
+    most MAX_POINTS points (the default holds 1151), so a too-fine step is
+    rejected before anything is allocated.
     """
 
     lo: float = -5.0
@@ -131,11 +134,19 @@ class DensityGrid:
     step: float = 0.01
     rule: str = "trapezoid"
 
+    # a few arrays of this length per density: tens of MB at the cap
+    MAX_POINTS: ClassVar[int] = 1_000_000
+
     def __post_init__(self):
         if self.hi <= self.lo or self.step <= 0.0:
             raise DomainError("need hi > lo and step > 0")
         if self.rule not in ("trapezoid", "forward"):
             raise DomainError("rule must be 'trapezoid' or 'forward'")
+        intervals = (self.hi - self.lo) / self.step
+        points = round(intervals) + 1 if math.isfinite(intervals) else math.inf
+        if points > self.MAX_POINTS:
+            raise DomainError(f"density grid of {points} points exceeds the cap of "
+                              f"{self.MAX_POINTS} (use a coarser step)")
 
     @property
     def log_grid(self) -> np.ndarray:

@@ -609,6 +609,11 @@ def main(argv=None) -> int:
             out.cleanup()
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        if out is not None:
+            out.cleanup()
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtr
 
 from .exceptions import DomainError, NumericError
 from .models import distances
+from .specfun import normal_cdf
 from .util import fmt_float
 
 ESTIMATORS = ("matheron", "cressie_hawkins", "huber")
@@ -171,7 +171,7 @@ def huber_correction(c: float) -> float:
     """Bias constant f(c) = E[min(U^2, c^2)] for standard normal U."""
     if not c > 0.0:  # also rejects NaN
         raise DomainError("huber threshold c must be > 0")
-    cdf = ndtr(c)
+    cdf = normal_cdf(c)
     pdf = math.exp(-(c**2) / 2.0) / math.sqrt(2.0 * math.pi)
     return (2.0 * cdf - 1.0) - 2.0 * c * pdf + 2.0 * c**2 * (1.0 - cdf)
 

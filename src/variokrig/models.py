@@ -13,10 +13,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .exceptions import DomainError, FormatError, NumericError
-from .specfun import log_bessel_k
+from .specfun import log_bessel_k, log_gamma
 from .util import fmt_float_point
 
 KINDS = (
@@ -70,13 +69,13 @@ def matern_correlation(u, nu):
     pos = u > 0.0
     if np.any(pos):
         up = u[pos]
-        # a scalar nu stays a Python number: special.kve is slower on a 0-d array
+        # a scalar nu stays a Python number: scipy's kve is slower on a 0-d array
         nup = np.broadcast_to(nu, u.shape)[pos] if isinstance(nu, np.ndarray) else nu
         logrho = (
             nup * np.log(up)
             + log_bessel_k(nup, up)
             - (nup - 1.0) * math.log(2.0)
-            - special.gammaln(nup)
+            - log_gamma(nup)
         )
         out[pos] = np.minimum(np.exp(logrho), 1.0)
     if not np.all(np.isfinite(out)):

@@ -1,19 +1,40 @@
-"""Special functions backing the Matern covariance: the gamma function and
-the modified Bessel function of the second kind.
+"""Special functions backing the Matern covariance and the Huber bias: the
+gamma function, the modified Bessel function of the second kind and the
+standard normal cdf.
 
 Everything here is pure and reentrant. The heavy numerics are delegated to
 scipy.special; this module owns the domain contracts (strict argument
 checking, explicit overflow signalling, the exponentially scaled variant).
+It is the package's only route to scipy.special, which it imports on the
+first call that needs it, so importing the package loads numpy only.
 """
 
+import functools
 import math
 
 import numpy as np
-from scipy import special
 
 from .exceptions import DomainError, NumericError
 
 NU_MAX = 50.0
+
+
+@functools.cache
+def _special():
+    """scipy.special, imported on first use."""
+    from scipy import special
+
+    return special
+
+
+def log_gamma(x):
+    """log Gamma(x), elementwise: scipy.special.gammaln."""
+    return _special().gammaln(x)
+
+
+def normal_cdf(x):
+    """The standard normal cdf, elementwise: scipy.special.ndtr."""
+    return _special().ndtr(x)
 
 
 def gamma_fn(x: float) -> float:
@@ -25,7 +46,7 @@ def gamma_fn(x: float) -> float:
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"gamma_fn requires finite x > 0, got {x}")
-    val = float(special.gamma(x))
+    val = float(_special().gamma(x))
     if not math.isfinite(val):
         raise NumericError(f"gamma_fn({x}) overflows the floating range")
     return val
@@ -49,7 +70,7 @@ def bessel_k(nu: float, x: float) -> float:
     returning inf.
     """
     nu, x = _check_bessel_args(nu, x)
-    val = float(special.kv(nu, x))
+    val = float(_special().kv(nu, x))
     if not math.isfinite(val):
         raise NumericError(
             f"bessel_k(nu={nu}, x={x}) exceeds the floating range"
@@ -64,7 +85,7 @@ def bessel_k_scaled(nu: float, x: float) -> float:
     checks as bessel_k.
     """
     nu, x = _check_bessel_args(nu, x)
-    val = float(special.kve(nu, x))
+    val = float(_special().kve(nu, x))
     if not math.isfinite(val):
         raise NumericError(
             f"bessel_k_scaled(nu={nu}, x={x}) exceeds the floating range"
@@ -84,7 +105,7 @@ def log_bessel_k(nu, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if isinstance(nu, np.ndarray):
         nu, x = np.broadcast_arrays(nu.astype(float, copy=False), x)
-    kve = special.kve(nu, x)
+    kve = _special().kve(nu, x)
     safe = np.isfinite(kve) & (kve > 0.0)
     out = np.empty(kve.shape)
     out[safe] = np.log(kve[safe]) - x[safe]
@@ -98,7 +119,7 @@ def log_bessel_k(nu, x) -> np.ndarray:
         knu = ~k0
         small[knu] = (
             math.log(0.5)
-            + special.gammaln(nub[knu])
+            + log_gamma(nub[knu])
             + nub[knu] * (math.log(2.0) - np.log(xb[knu]))
         )
         out[~safe] = small

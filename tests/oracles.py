@@ -13,6 +13,18 @@ from scipy.optimize import minimize
 from scipy.special import ndtr
 
 
+def matern_correlation_mp(u, nu, dps=50):
+    """Unit-sill Matern correlation u^nu K_nu(u) / (2^(nu-1) Gamma(nu)) in
+    `dps`-digit arithmetic, rounded to a float; 1 at u <= 0. mpmath's
+    exponent range is unbounded, so the huge K_nu and the tiny u^nu of a
+    small lag at large nu are formed as they are."""
+    if u <= 0.0:
+        return 1.0
+    with mp.workdps(dps):
+        u, nu = mp.mpf(u), mp.mpf(nu)
+        return float(u**nu * mp.besselk(nu, u) / (2 ** (nu - 1) * mp.gamma(nu)))
+
+
 def frank_cdf_mp(theta, u):
     """Standard n-dimensional Frank copula in 60-digit arithmetic."""
     theta = mp.mpf(theta)

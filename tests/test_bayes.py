@@ -163,6 +163,19 @@ def test_forward_rule_reproduces_reference_weighting():
     assert total_fwd / total_trap == pytest.approx((math.exp(0.01) - 1.0) / 0.01, abs=2e-4)
 
 
+def test_density_grid_point_cap():
+    cap = DensityGrid.MAX_POINTS
+    assert DensityGrid(0.0, cap - 1.0, 1.0).log_grid.size == cap
+    with pytest.raises(DomainError, match=f"{cap + 1} points"):
+        DensityGrid(0.0, float(cap), 1.0)
+    # rejected by the count alone: the grid would need 85.7 GiB
+    with pytest.raises(DomainError, match="11500000001 points"):
+        DensityGrid(step=1e-9)
+    for hi, step in ((math.inf, 0.01), (math.nan, 0.01), (6.5, 5e-324)):
+        with pytest.raises(DomainError):
+            DensityGrid(hi=hi, step=step)
+
+
 def test_density_concentrates_on_constant_cluster():
     z_star = 1.2
     locs = [[0.0, 0.0], [0.4, 0.0], [0.0, 0.4], [0.4, 0.4], [0.2, 0.6], [0.6, 0.2]]

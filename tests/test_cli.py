@@ -410,7 +410,21 @@ def test_completely_empty_file_rejected(tmp_path, capsys):
     assert "empty file" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_out_scipy_stats():
+# Run by a fresh interpreter: the exit status of `variokrig ARGV`, whether
+# the lockstep fits have their L-BFGS-B routine, and the scipy modules loaded.
+SCIPY_PROBE = """
+import sys
+from variokrig import cli, fit
+try:
+    status = cli.main({argv!r}) if {argv!r} else 0
+except SystemExit as exc:  # --help
+    status = exc.code
+loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+print(status, fit._setulb() is not None, *loaded)
+"""
+
+
+def test_cli_import_leaves_out_scipy_stats(tmp_path):
     # nor the optimizer, the interpolators or the KD-tree: only fits and
     # copula margins import those, when they run
     import subprocess
@@ -427,6 +441,30 @@ def test_cli_import_leaves_out_scipy_stats():
         out = subprocess.run([sys.executable, "-c", probe], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]", module
+
+    def probe(*argv):
+        out = subprocess.run([sys.executable, "-c", SCIPY_PROBE.format(argv=list(argv))],
+                             env=env, capture_output=True, text=True, check=True)
+        status, has_setulb, *loaded = out.stdout.splitlines()[-1].split()
+        assert status == "0", out.stderr
+        return has_setulb == "True", loaded
+
+    # scipy loads where it is used: the import, the help and a Matheron
+    # variogram need numpy only
+    data = str(make_synth(tmp_path))
+    for argv in ((), ("--help",),
+                 ("variogram", "--input", data, "--log", "--out", str(tmp_path / "v"))):
+        assert probe(*argv)[1] == [], argv
+    # the fits of a posterior need scipy.special and the L-BFGS-B routine,
+    # not the scipy.optimize package nor scipy.linalg
+    has_setulb, loaded = probe(
+        "posterior", "--input", data, "--log", "--model", SYNTH_NONUG, "--sims", "4",
+        "--seed", "1", "--out", str(tmp_path / "p"))
+    assert "scipy.special" in loaded
+    if has_setulb:
+        assert not [m for m in loaded if m.startswith(("scipy.linalg", "scipy.optimize."))
+                    and m != "scipy.optimize._lbfgsb"], loaded
+        assert "scipy.optimize" not in loaded
 
 
 def test_krige_map_with_blas_threads_unset_equals_one_thread(tmp_path):
@@ -554,6 +592,30 @@ def test_invalid_flag_is_one_line_user_error(tmp_path, capsys, inputs, argv):
     line = assert_user_error(run(*argv, "--out", str(out)), capsys, out)
     flag = next(a for a in reversed(argv) if a.startswith("--"))
     assert flag in line and argv[-1] in line
+
+
+def test_too_fine_density_grid_is_one_line_user_error(tmp_path, capsys, inputs):
+    # 11.5e9 grid points: refused by their count, before anything is allocated
+    from variokrig.bayes import DensityGrid
+
+    out = tmp_path / "o"
+    code = run("density", "--input", inputs["DATA"], "--draws", inputs["DRAWS"],
+               "--at", "0,0", "--grid-step", "1e-9", "--out", str(out))
+    line = assert_user_error(code, capsys, out)
+    assert "11500000001 points" in line and str(DensityGrid.MAX_POINTS) in line
+
+
+def test_memory_error_is_one_line_user_error(tmp_path, capsys, monkeypatch):
+    from variokrig import cli
+
+    def exhausted(args, out):
+        out.write_text("synth.csv", "partial\n")
+        raise MemoryError("Unable to allocate 85.7 GiB")
+
+    monkeypatch.setattr(cli, "_cmd_synth", exhausted)
+    out = tmp_path / "o"
+    line = assert_user_error(run("synth", "--seed", "1", "--out", str(out)), capsys, out)
+    assert "out of memory" in line and "85.7 GiB" in line
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from variokrig import (
@@ -15,7 +17,7 @@ from variokrig import (
     variogram_cloud,
 )
 from variokrig.empvario import matheron_columns
-from variokrig.sim import make_grid
+from variokrig.sim import VariogramTable, make_grid
 
 
 def simple_pair():
@@ -280,3 +282,30 @@ def test_matheron_columns_equal_one_estimate_per_column_bitwise(layout, n_fields
         emp = empirical_variogram(SpatialDataset(data.locations, fields[:, j]), edges)
         expect = np.array([np.nan if b.gamma_hat is None else b.gamma_hat for b in emp.bins])
         assert np.array_equal(gammas[:, j].view(np.int64), expect.view(np.int64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_row_permutation_leaves_estimates_bit_identical(data):
+    # ties everywhere: grid distances, a repeated location, and values drawn
+    # from a few levels so that equal distances meet equal differences
+    base = layouts()[data.draw(st.sampled_from(["random", "grid", "repeated"]), label="layout")]
+    n = len(base)
+    levels = st.sampled_from([-1.5, 0.0, 0.25, 2.0])
+    values = np.array(data.draw(
+        st.lists(levels | st.floats(-10.0, 10.0), min_size=n, max_size=n), label="values"))
+    perm = np.array(data.draw(st.permutations(range(n)), label="perm"))
+    direction = data.draw(st.sampled_from([None, Direction(0.5, 0.3)]), label="direction")
+    before = SpatialDataset(base.locations, values)
+    after = SpatialDataset(base.locations[perm], values[perm])
+    edges = np.array([0.5, 1.0, 1.5, 2.0, 3.0, 4.5, 6.0, 8.0])
+    for estimate in (lambda d: empirical_variogram(d, edges, "matheron", direction),
+                     lambda d: empirical_variogram(d, edges, "cressie_hawkins", direction),
+                     lambda d: huber_robust_variogram(d, edges, 1.5, direction)):
+        a, b = estimate(before), estimate(after)
+        assert bins_of(a) == bins_of(b)  # float == float: bit for bit
+        assert a.n_zero_distance == b.n_zero_distance
+    fields = np.column_stack([values, values[::-1], np.round(values)])
+    a = VariogramTable.of_fields(base.locations, fields, edges).as_matrix()
+    b = VariogramTable.of_fields(base.locations[perm], fields[perm], edges).as_matrix()
+    assert np.array_equal(a.view(np.int64), b.view(np.int64))

@@ -622,6 +622,67 @@ def test_lockstep_runs_where_setulb_is_the_c_routine():
         assert fit_module._setulb() is None
 
 
+SETULB_PROBE = """
+import sys
+import numpy as np
+from variokrig import fit
+setulb = fit._setulb()
+assert "scipy.optimize" not in sys.modules
+from scipy.optimize import _lbfgsb, minimize
+from scipy.optimize import _lbfgsb_py
+assert _lbfgsb is sys.modules["scipy.optimize._lbfgsb"] is _lbfgsb_py._lbfgsb
+assert setulb is None or setulb is _lbfgsb.setulb
+run = minimize(lambda x: ((x - 1.0) ** 2).sum(), np.zeros(3), method="L-BFGS-B",
+               bounds=[(-2.0, 2.0)] * 3)
+assert run.success and np.allclose(run.x, 1.0)
+print(setulb is not None)
+"""
+
+
+def test_scipy_optimize_reuses_the_directly_loaded_routine():
+    # a fresh interpreter: this one imported scipy.optimize long ago
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.dirname(os.path.dirname(fit_module.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", SETULB_PROBE], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() in ("True", "False")
+
+
+@pytest.fixture
+def fresh_setulb():
+    fit_module._setulb.cache_clear()
+    yield
+    fit_module._setulb.cache_clear()
+
+
+def test_setulb_is_none_without_the_compiled_module(monkeypatch, fresh_setulb):
+    import importlib.machinery
+    import sys
+
+    monkeypatch.delitem(sys.modules, "scipy.optimize._lbfgsb")
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                        classmethod(lambda cls, name, path=None, target=None: None))
+    assert fit_module._setulb() is None
+
+
+def test_setulb_is_none_for_another_signature(monkeypatch, fresh_setulb):
+    import sys
+    import types
+
+    def setulb():
+        """setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,iprint,csave,lsave,isave,dsave)"""
+
+    monkeypatch.setitem(sys.modules, "scipy.optimize._lbfgsb",
+                        types.SimpleNamespace(setulb=setulb))
+    assert fit_module._setulb() is None
+
+
 def test_single_family_batch_equals_solo_fits(monkeypatch):
     monkeypatch.setattr(fit_module, "_N_RESTARTS", 0)  # a solo fit does not restart
     rng = np.random.default_rng(4)

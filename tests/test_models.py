@@ -1,10 +1,12 @@
 import math
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import kve
 
 from variokrig import (
     CovarianceSpec,
@@ -297,3 +299,32 @@ def test_stacked_difference_blocks_evaluate_three_matern_rows_per_block(monkeypa
     assert sizes == [5 * 3 * h.size] * 2
     expect = np.array([variogram_eval(NestedMaternSpec(*row), h) for row in X])
     assert np.array_equal(got.view(np.int64), expect.view(np.int64))
+
+
+# Relative error of matern_correlation against the 50-digit oracle, measured
+# over 3000 log-spaced arguments from 1e-12 to 1e3 for each nu below
+# (numpy 2.4, scipy 1.17): at most 1.6e-13 where scipy's kve is finite, and
+# 4.6e-12 where the small-argument form of specfun.log_bessel_k takes over
+# (nu = 50 just below u = 3e-5; the dropped term u^2 / (4 (nu - 1)) is that
+# size there). The tolerances keep about a factor 2.5 over those maxima.
+MATERN_RTOL = 4e-13
+MATERN_RTOL_SMALL_ARGUMENT = 1e-11
+
+
+@pytest.mark.parametrize("nu", [0.5, 2.5, 10.0, 40.0, 50.0])
+def test_matern_correlation_matches_the_mpmath_oracle(nu):
+    # from a tiny lag to past the lag where the correlation underflows to 0,
+    # densely where nu >= 40 switches to the small-argument form
+    u = np.sort(np.concatenate([np.geomspace(1e-12, 1e3, 160), np.geomspace(1e-6, 1e-4, 40)]))
+    got = models.matern_correlation(u, nu)
+    want = np.array([oracles.matern_correlation_mp(x, nu) for x in u])
+    assert want[-1] == 0.0
+    small = ~(np.isfinite(kve(nu, u)) & (kve(nu, u) > 0.0))
+    assert small.any() == (nu >= 40.0)
+    tiny = np.finfo(float).tiny
+    normal = want >= tiny
+    err = np.abs(got - want)
+    rtol = np.where(small, MATERN_RTOL_SMALL_ARGUMENT, MATERN_RTOL)
+    assert np.all(err[normal] <= rtol[normal] * want[normal])
+    # below the normal range the float grid is absolute: compare absolutely
+    assert np.all(err[~normal] <= MATERN_RTOL * tiny)
