@@ -6,13 +6,17 @@ lives in exactly one place: a symmetric matrix that fails Cholesky gets
 and doubling up to six times before the attempt is abandoned. A system is
 factored once by ``chol_with_jitter`` and solved with that factor by
 ``chol_solve``, as often as its callers need; ``spd_solve`` does both for a
-one-off system. The module is the package's only route to scipy.linalg,
-which it imports on the first triangular solve.
+one-off system. The module is the package's only route to scipy's LAPACK.
+The first triangular solve loads LAPACK's ``dtrtrs`` from the compiled
+module `scipy.linalg._flapack` alone, without the `scipy.linalg` package;
+where that module is missing, it imports `scipy.linalg.lapack`, whose
+``dtrtrs`` is the same routine.
 """
 
 import numpy as np
 
 from .exceptions import SingularMatrixError
+from .util import scipy_extension
 
 JITTER_REL = 1e-10
 JITTER_DOUBLINGS = 6
@@ -65,12 +69,21 @@ def chol_with_jitter(mat):
     return np.stack([L for L, _ in factors]), max(delta for _, delta in factors)
 
 
-def _dtrtrs(*args, **kwargs):
-    """LAPACK's dtrtrs. The first call imports it from scipy.linalg and
-    binds it in place of this function, so later solves call it directly."""
-    global _dtrtrs
-    from scipy.linalg.lapack import dtrtrs as _dtrtrs
+def _load_dtrtrs():
+    """LAPACK's dtrtrs: from `scipy.linalg._flapack` alone, else from
+    `scipy.linalg.lapack`."""
+    flapack = scipy_extension("linalg", "_flapack", ("dtrtrs",))
+    if flapack is None:
+        from scipy.linalg import lapack as flapack
 
+    return flapack.dtrtrs
+
+
+def _dtrtrs(*args, **kwargs):
+    """LAPACK's dtrtrs. The first call loads it and binds it in place of
+    this function, so later solves call it directly."""
+    global _dtrtrs
+    _dtrtrs = _load_dtrtrs()
     return _dtrtrs(*args, **kwargs)
 
 

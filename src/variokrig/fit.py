@@ -22,19 +22,15 @@ count and the stopping tests), so every fit equals its own `minimize` run
 bit for bit. Each round evaluates the points and difference rows of every
 fit that asked for a value in one `variogram_rows` call. A single fit is a
 batch of one. `setulb` is private scipy API. It is loaded from scipy's
-compiled L-BFGS-B module alone, so a fit does not import `scipy.optimize`.
-Where that module is missing, or its `setulb` is not the 17-argument
-routine the loop was written for, each fit runs through `minimize`
-instead, with the same results; only that fallback imports
-`scipy.optimize`.
+compiled L-BFGS-B module, `scipy.optimize._lbfgsb`, alone, so a fit does
+not import `scipy.optimize`. Where that module is missing, or its `setulb`
+is not the 17-argument routine the loop was written for, each fit runs
+through `minimize` instead, with the same results; only that fallback
+imports `scipy.optimize`.
 """
 
 import functools
-import importlib.machinery
-import importlib.util
 import math
-import os
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +45,7 @@ from .models import (
     variogram_eval,
     variogram_rows,
 )
-from .util import fmt_float, parallel_map
+from .util import fmt_float, parallel_map, scipy_extension
 
 METHODS = ("ols", "wls", "gls")
 
@@ -71,10 +67,9 @@ _N_RESTARTS = 5
 _FD_STEP = 1e-8
 _FD_REL_STEP = np.finfo(float).eps ** 0.5
 
-# scipy's compiled L-BFGS-B module, and the signature of the C `setulb` in
-# it that the lockstep loop drives (scipy 1.17); scipy's older Fortran
-# routine takes other arguments.
-_LBFGSB_MODULE = "scipy.optimize._lbfgsb"
+# The signature of the C `setulb` in scipy's compiled L-BFGS-B module that
+# the lockstep loop drives (scipy 1.17); scipy's older Fortran routine takes
+# other arguments.
 _SETULB_SIGNATURE = (
     "setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,lsave,isave,dsave,maxls,ln_task)"
 )
@@ -405,31 +400,17 @@ def _setulb():
     """scipy's L-BFGS-B routine when it is the one the lockstep loop
     drives, else None.
 
-    The compiled extension `scipy.optimize._lbfgsb` is loaded by itself,
-    without running the `scipy.optimize` package, which the loop does not
-    use. It is registered in sys.modules under its own name, so a later
-    `import scipy.optimize` reuses this module object; one already loaded
-    is reused here. A missing file, or one that fails to load, gives None.
+    The compiled extension `scipy.optimize._lbfgsb` is loaded by itself
+    (`util.scipy_extension`), without running the `scipy.optimize` package,
+    which the loop does not use; a later `import scipy.optimize` reuses it.
+    A missing file, one that fails to load or one without `setulb` gives
+    None.
     """
-    module = sys.modules.get(_LBFGSB_MODULE)
+    module = scipy_extension("optimize", "_lbfgsb", ("setulb",))
     if module is None:
-        scipy_spec = importlib.util.find_spec("scipy")
-        if scipy_spec is None:
-            return None
-        spec = importlib.machinery.PathFinder.find_spec(
-            _LBFGSB_MODULE,
-            [os.path.join(d, "optimize") for d in scipy_spec.submodule_search_locations])
-        if spec is None:
-            return None
-        try:
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-        except ImportError:
-            return None
-        sys.modules[_LBFGSB_MODULE] = module
-    setulb = getattr(module, "setulb", None)
-    doc = getattr(setulb, "__doc__", None) or ""
-    return setulb if doc.split("\n", 1)[0] == _SETULB_SIGNATURE else None
+        return None
+    doc = module.setulb.__doc__ or ""
+    return module.setulb if doc.split("\n", 1)[0] == _SETULB_SIGNATURE else None
 
 
 class _LbfgsbRun:

@@ -3,10 +3,14 @@ gamma function, the modified Bessel function of the second kind and the
 standard normal cdf.
 
 Everything here is pure and reentrant. The heavy numerics are delegated to
-scipy.special; this module owns the domain contracts (strict argument
-checking, explicit overflow signalling, the exponentially scaled variant).
-It is the package's only route to scipy.special, which it imports on the
-first call that needs it, so importing the package loads numpy only.
+scipy.special's ufuncs; this module owns the domain contracts (strict
+argument checking, explicit overflow signalling, the exponentially scaled
+variant). It is the package's only route to them. The first call that needs
+one loads the compiled module that holds them, `scipy.special._special_ufuncs`,
+by itself, without the `scipy.special` package; where that module is missing
+or lacks one of the five ufuncs (older scipy), it imports `scipy.special`.
+Either way the same ufunc objects run. Importing the package loads numpy
+only.
 """
 
 import functools
@@ -15,16 +19,23 @@ import math
 import numpy as np
 
 from .exceptions import DomainError, NumericError
+from .util import scipy_extension
 
 NU_MAX = 50.0
+
+_UFUNCS = ("kve", "kv", "gammaln", "gamma", "ndtr")
 
 
 @functools.cache
 def _special():
-    """scipy.special, imported on first use."""
-    from scipy import special
+    """The module holding scipy.special's kve, kv, gammaln, gamma and ndtr,
+    loaded on first use: `scipy.special._special_ufuncs` alone, else
+    `scipy.special`."""
+    ufuncs = scipy_extension("special", "_special_ufuncs", _UFUNCS)
+    if ufuncs is None:
+        from scipy import special as ufuncs
 
-    return special
+    return ufuncs
 
 
 def log_gamma(x):

@@ -411,16 +411,19 @@ def test_completely_empty_file_rejected(tmp_path, capsys):
 
 
 # Run by a fresh interpreter: the exit status of `variokrig ARGV`, whether
-# the lockstep fits have their L-BFGS-B routine, and the scipy modules loaded.
+# scipy's compiled modules load alone here (the lockstep fits' L-BFGS-B
+# routine and the special-function ufuncs), and the scipy modules loaded.
 SCIPY_PROBE = """
 import sys
-from variokrig import cli, fit
+from variokrig import cli, fit, specfun
 try:
     status = cli.main({argv!r}) if {argv!r} else 0
 except SystemExit as exc:  # --help
     status = exc.code
 loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
-print(status, fit._setulb() is not None, *loaded)
+direct = (fit._setulb() is not None
+          and specfun._special().__name__ == "scipy.special._special_ufuncs")
+print(status, direct, *loaded)
 """
 
 
@@ -445,9 +448,9 @@ def test_cli_import_leaves_out_scipy_stats(tmp_path):
     def probe(*argv):
         out = subprocess.run([sys.executable, "-c", SCIPY_PROBE.format(argv=list(argv))],
                              env=env, capture_output=True, text=True, check=True)
-        status, has_setulb, *loaded = out.stdout.splitlines()[-1].split()
+        status, direct, *loaded = out.stdout.splitlines()[-1].split()
         assert status == "0", out.stderr
-        return has_setulb == "True", loaded
+        return direct == "True", loaded
 
     # scipy loads where it is used: the import, the help and a Matheron
     # variogram need numpy only
@@ -455,16 +458,27 @@ def test_cli_import_leaves_out_scipy_stats(tmp_path):
     for argv in ((), ("--help",),
                  ("variogram", "--input", data, "--log", "--out", str(tmp_path / "v"))):
         assert probe(*argv)[1] == [], argv
-    # the fits of a posterior need scipy.special and the L-BFGS-B routine,
-    # not the scipy.optimize package nor scipy.linalg
-    has_setulb, loaded = probe(
+    # the fits of a posterior need scipy's special-function ufuncs and its
+    # L-BFGS-B routine, not the scipy.special, scipy.optimize or scipy.linalg
+    # packages; a map needs the ufuncs and LAPACK's dtrtrs
+    direct, loaded = probe(
         "posterior", "--input", data, "--log", "--model", SYNTH_NONUG, "--sims", "4",
         "--seed", "1", "--out", str(tmp_path / "p"))
-    assert "scipy.special" in loaded
-    if has_setulb:
-        assert not [m for m in loaded if m.startswith(("scipy.linalg", "scipy.optimize."))
-                    and m != "scipy.optimize._lbfgsb"], loaded
-        assert "scipy.optimize" not in loaded
+    import scipy
+
+    assert direct or tuple(int(v) for v in scipy.__version__.split(".")[:2]) < (1, 17)
+    if direct:
+        assert "scipy.special._special_ufuncs" in loaded
+        assert set(loaded) <= {"scipy.special._special_ufuncs", "scipy.optimize._lbfgsb"}, loaded
+    maps = (("krige", "--input", data, "--log", "--model", SYNTH_NONUG, "--method", "ordinary",
+             "--grid", "4", "3", "0", "100", "0", "80", "--out", str(tmp_path / "k")),
+            ("density", "--input", data, "--log", "--draws", str(tmp_path / "p" / "draws.csv"),
+             "--grid", "3", "3", "0", "100", "0", "80", "--radius", "200",
+             "--out", str(tmp_path / "d")))
+    for argv in maps:
+        direct, loaded = probe(*argv)
+        if direct:
+            assert loaded == ["scipy.linalg._flapack", "scipy.special._special_ufuncs"], argv
 
 
 def test_krige_map_with_blas_threads_unset_equals_one_thread(tmp_path):
