@@ -394,7 +394,8 @@ def beta_posterior(
     With prior beta ~ N(mu, sigma2 V):
     covariance W = (F'K^-1 F + V^-1/sigma2)^-1 and
     mean W (F'K^-1 z + V^-1 mu / sigma2).
-    Returns (mean, W).
+    Both inverses are jittered Cholesky solves, so a positive semi-definite
+    V of deficient rank still gives a finite posterior. Returns (mean, W).
     """
     if sigma2 <= 0.0:
         raise DomainError("prior variance scale sigma2 must be > 0")
@@ -406,7 +407,8 @@ def beta_posterior(
     k = F.shape[1]
     sol = spd_solve(covariance_matrix(spec, data.locations), np.column_stack([F, data.values]))
     KiF, Kiz = sol[:, :k], sol[:, k]
-    Vi = np.linalg.inv(V)
-    W = np.linalg.inv(F.T @ KiF + Vi / sigma2)
+    eye = np.eye(k)
+    Vi = spd_solve(V, eye)
+    W = spd_solve(F.T @ KiF + Vi / sigma2, eye)
     mean = W @ (F.T @ Kiz + Vi @ mu_vec / sigma2)
     return mean, W

@@ -141,10 +141,6 @@ def _dataset_csv(data: empvario.SpatialDataset) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_model(text: str):
-    return models.spec_from_text(text)
-
-
 def _grid_from_args(args) -> np.ndarray:
     nx, ny, xmin, xmax, ymin, ymax = args.grid
     return sim.make_grid(xmin, xmax, ymin, ymax, nx, ny)
@@ -200,7 +196,7 @@ def _read_draws(path: str) -> bayes.PosteriorDraws:
 
 
 def _cmd_synth(args, out: OutputDir):
-    spec = _parse_model(args.model)
+    spec = models.spec_from_text(args.model)
     rng = np.random.Generator(
         np.random.Philox(key=[np.uint64(args.seed), _LOCATION_STREAM])
     )
@@ -242,7 +238,7 @@ def _cmd_fit(args, out: OutputDir):
 
 def _cmd_krige(args, out: OutputDir):
     data = ingest_csv(args.input, args.log)
-    spec = _parse_model(args.model)
+    spec = models.spec_from_text(args.model)
     if args.at_data:
         grid = data.locations
     elif args.at is not None:
@@ -292,7 +288,7 @@ def _pgm(rows, nx: int, ny: int) -> str:
 
 
 def _cmd_simulate(args, out: OutputDir):
-    spec = _parse_model(args.model)
+    spec = models.spec_from_text(args.model)
     data = None
     if args.conditional:
         if not args.input:
@@ -315,7 +311,7 @@ def _cmd_simulate(args, out: OutputDir):
 
 def _cmd_posterior(args, out: OutputDir):
     data = ingest_csv(args.input, args.log)
-    spec = _parse_model(args.model)
+    spec = models.spec_from_text(args.model)
     edges = _bin_edges(args, data.locations)
     table = sim.simulate_variograms(data.locations, spec, edges, args.sims, args.seed,
                                     data if args.conditional else None)

@@ -269,16 +269,14 @@ def _uniform_scores(table: np.ndarray, margins) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def fit_copula_mle(draws, family: str = "frank", starts=DEFAULT_STARTS) -> CopulaFit:
-    """Maximum-likelihood dependence parameter over the draw margins.
+def fit_copula_mle(draws) -> CopulaFit:
+    """Maximum-likelihood Frank dependence parameter over the draw margins.
 
     Margins are estimated per column, the draws mapped through them, and
-    the log-likelihood sum_t log c(F_1(v_1t), ..., F_d(v_dt)) maximized
-    over log(theta_code) from every start; the best start is then refined.
-    Non-finite log terms are dropped and counted.
+    the Frank log-likelihood sum_t log c(F_1(v_1t), ..., F_d(v_dt))
+    maximized over log(theta_code) from each of the DEFAULT_STARTS; the best
+    start is then refined. Non-finite log terms are dropped and counted.
     """
-    if family != "frank":
-        raise DomainError("maximum-likelihood fitting is implemented for frank")
     table = np.atleast_2d(np.asarray(getattr(draws, "table", draws), dtype=float))
     if table.shape[1] < 2:
         raise DomainError("need at least 2 margins")
@@ -317,8 +315,8 @@ def fit_copula_mle(draws, family: str = "frank", starts=DEFAULT_STARTS) -> Copul
         )
         return float(res.x[0]), float(res.fun), bool(res.success)
 
-    stage = parallel_map(lambda th0: run(math.log(th0)), starts)
-    order = sorted(range(len(stage)), key=lambda i: (stage[i][1], math.log(starts[i])))
+    stage = parallel_map(lambda th0: run(math.log(th0)), DEFAULT_STARTS)
+    order = sorted(range(len(stage)), key=lambda i: (stage[i][1], math.log(DEFAULT_STARTS[i])))
     best = stage[order[0]]
     lam_hat, fval, success = run(best[0])
     if fval > best[1]:
@@ -327,7 +325,7 @@ def fit_copula_mle(draws, family: str = "frank", starts=DEFAULT_STARTS) -> Copul
     dropped = state["dropped"]
     converged = bool(success) and fval < 1e50
     return CopulaFit(
-        family=family,
+        family="frank",
         theta=-lam_hat,
         theta_code=math.exp(lam_hat),
         loglik=-fval,

@@ -13,7 +13,7 @@ under any permutation of the input rows.
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -37,7 +37,6 @@ class SpatialDataset:
 
     locations: np.ndarray
     values: np.ndarray
-    label: str | None = None
 
     def __post_init__(self):
         locs = np.atleast_2d(np.asarray(self.locations, dtype=float))
@@ -61,7 +60,7 @@ class SpatialDataset:
         return self.locations.shape[1]
 
     def subset(self, index) -> "SpatialDataset":
-        return SpatialDataset(self.locations[index], self.values[index], self.label)
+        return SpatialDataset(self.locations[index], self.values[index])
 
 
 @dataclass(frozen=True)
@@ -87,7 +86,6 @@ class EmpiricalVariogram:
     max_dist: float
     direction: Direction | None = None
     n_zero_distance: int = 0
-    extra: dict = field(default_factory=dict, compare=False)
 
     def nonempty(self) -> list[VariogramBin]:
         return [b for b in self.bins if b.n_pairs > 0 and b.gamma_hat is not None]
@@ -202,7 +200,7 @@ def _huber(hsd: np.ndarray, c: float, fc: float) -> float:
     raise NumericError(f"Huber fixed point did not converge in {_HUBER_MAX_ITER} iterations")
 
 
-def _binned(data, bin_edges, direction, estimate, estimator_name, extra=None):
+def _binned(data, bin_edges, direction, estimate, estimator_name):
     edges = _check_edges(bin_edges)
     pairs = _pairs(data.locations, float(edges[-1]), direction)
     hsd = _half_sq_diffs(pairs, data.values)
@@ -224,7 +222,6 @@ def _binned(data, bin_edges, direction, estimate, estimator_name, extra=None):
         max_dist=float(edges[-1]),
         direction=direction,
         n_zero_distance=pairs.n_zero,
-        extra=extra or {},
     )
 
 
@@ -244,10 +241,7 @@ def huber_robust_variogram(data, bin_edges, c: float = 2.0, direction=None):
     """Huber-type robust estimate: per bin, the fixed point of
     mean(min(half_sq_diff, c^2 * g)) = f(c) * g, seeded at the Matheron value."""
     fc = huber_correction(c)
-    return _binned(
-        data, bin_edges, direction, lambda hsd: _huber(hsd, c, fc), "huber",
-        extra={"c": float(c)},
-    )
+    return _binned(data, bin_edges, direction, lambda hsd: _huber(hsd, c, fc), "huber")
 
 
 def matheron_columns(locations, fields, bin_edges):

@@ -235,8 +235,8 @@ def simulate_fields(locations, spec, mean: float, n_sims: int, seed: int,
 
 
 def simulate_variograms(locations, spec, bin_edges, n_sims: int, seed: int,
-                        data: SpatialDataset | None = None, mean: float = 0.0) -> VariogramTable:
-    """The Matheron table of the Cholesky-route fields of `simulate_fields`,
-    conditioned on `data` when it is given."""
-    batch = simulate_fields(locations, spec, mean, n_sims, seed, data)
+                        data: SpatialDataset | None = None) -> VariogramTable:
+    """The Matheron table of the zero-mean Cholesky-route fields of
+    `simulate_fields`, conditioned on `data` when it is given."""
+    batch = simulate_fields(locations, spec, 0.0, n_sims, seed, data)
     return VariogramTable.of_fields(batch.locations, batch.realizations, bin_edges)

@@ -1,43 +1,24 @@
-"""Small shared helpers: thread pool sizing, deterministic parallel map,
-float formatting for text output, and the loader of scipy's compiled
-modules."""
+"""Small shared helpers: an in-order map on the calling thread, float
+formatting for text output, and the loader of scipy's compiled modules."""
 
 import importlib.machinery
 import importlib.util
 import os
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
-
-THREADS_ENV = "VARIOKRIG_THREADS"
-
-
-def thread_count() -> int:
-    """Worker count taken from the VARIOKRIG_THREADS environment variable.
-
-    Defaults to 1; values below 1 are treated as 1.
-    """
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
 
 
 def parallel_map(fn, items, n_threads=None):
-    """Map ``fn`` over ``items`` preserving order.
+    """``[fn(it) for it in items]``, computed on the calling thread.
 
-    Every item is computed independently and the results are assembled by
-    index, so the output is identical for any worker count.
+    The callers map per-item work through here, and the benchmark's tracer
+    (``perfbench/tracing.py``) finds it as ``util.parallel_map``, rebinds it
+    in each calling module to time every item, and passes ``n_threads``
+    positionally. So the name and the signature stay, and ``n_threads`` is
+    ignored. The run-scoped diagnostics collector of ROADMAP item 3 retires
+    this hook.
     """
-    items = list(items)
-    if n_threads is None:
-        n_threads = thread_count()
-    if n_threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        return list(pool.map(fn, items))
+    return [fn(it) for it in items]
 
 
 def fmt_float(x) -> str:

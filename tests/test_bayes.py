@@ -316,3 +316,17 @@ def test_density_map_evaluates_each_draw_once(count_calls):
     served = sum(r.status != "too_few_neighbors" for r in rows)
     assert len(evals) == len(draws)
     assert len(factors) == served > 1  # one stacked factorisation per point
+
+
+def test_beta_posterior_rank_deficient_prior():
+    # V = 1 1' is positive semi-definite of rank 1: the jitter ladder makes
+    # V^-1 workable, and the posterior keeps the prior's constraint that
+    # the three coefficients are equal
+    rng = np.random.default_rng(11)
+    data = log_dataset(rng)
+    spec = CovarianceSpec("exponential", 0.1, 1.0, 4.0)
+    mean, W = beta_posterior(data, spec, TrendBasis.linear(2), np.zeros(3), 1.0, np.ones((3, 3)))
+    assert np.all(np.isfinite(mean)) and np.all(np.isfinite(W))
+    assert np.ptp(mean) < 1e-6 * np.abs(mean).max()
+    assert np.abs(W - W[0, 0]).max() < 1e-6 * W[0, 0]
+    assert W[0, 0] > 0.0

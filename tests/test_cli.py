@@ -429,7 +429,8 @@ print(status, direct, *loaded)
 
 def test_cli_import_leaves_out_scipy_stats(tmp_path):
     # nor the optimizer, the interpolators or the KD-tree: only fits and
-    # copula margins import those, when they run
+    # copula margins import those, when they run; and no worker pool or
+    # logging, since everything runs on the calling thread
     import subprocess
     import sys
 
@@ -438,7 +439,8 @@ def test_cli_import_leaves_out_scipy_stats(tmp_path):
     src = os.path.dirname(os.path.dirname(variokrig.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    heavy = ("scipy.stats", "scipy.optimize", "scipy.interpolate", "scipy.spatial")
+    heavy = ("scipy.stats", "scipy.optimize", "scipy.interpolate", "scipy.spatial",
+             "concurrent.futures", "logging")
     for module in ("variokrig", "variokrig.cli"):
         probe = f"import sys, {module}; print([m for m in {heavy!r} if m in sys.modules])"
         out = subprocess.run([sys.executable, "-c", probe], env=env,
