@@ -1,5 +1,5 @@
 """Small shared helpers: an in-order map on the calling thread, float
-formatting for text output, and the loader of scipy's compiled modules."""
+formatting for text output, and the loader of single scipy modules."""
 
 import importlib.machinery
 import importlib.util
@@ -66,10 +66,12 @@ class _AttachToPackage:
 
 
 def scipy_extension(subpackage: str, name: str, needs):
-    """The compiled module ``scipy.<subpackage>.<name>``, loaded by itself.
+    """The module ``scipy.<subpackage>.<name>``, loaded by itself.
 
-    The extension file is found in scipy's ``subpackage`` directory and
-    executed alone, without the scipy packages above it, and registered in
+    The module's file, a compiled extension or Python source, is found in
+    scipy's ``subpackage`` directory and executed alone, without the scipy
+    packages above it (the scipy modules a Python module imports must be
+    loaded this way first), and registered in
     sys.modules: a later import of the subpackage reuses this module and its
     objects, and has it as its attribute. A module already loaded is
     reused. Returns None when scipy or the file is missing, the file fails

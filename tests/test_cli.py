@@ -415,22 +415,24 @@ def test_completely_empty_file_rejected(tmp_path, capsys):
 # routine and the special-function ufuncs), and the scipy modules loaded.
 SCIPY_PROBE = """
 import sys
-from variokrig import cli, fit, specfun
+from variokrig import cli, copula, fit, specfun
 try:
     status = cli.main({argv!r}) if {argv!r} else 0
 except SystemExit as exc:  # --help
     status = exc.code
 loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
 direct = (fit._setulb() is not None
-          and specfun._special().__name__ == "scipy.special._special_ufuncs")
+          and specfun._special().__name__ == "scipy.special._special_ufuncs"
+          and copula._line_searches() is not None)
 print(status, direct, *loaded)
 """
 
 
 def test_cli_import_leaves_out_scipy_stats(tmp_path):
-    # nor the optimizer, the interpolators or the KD-tree: only fits and
-    # copula margins import those, when they run; and no worker pool or
-    # logging, since everything runs on the calling thread
+    # nor the optimizer, the interpolators or the KD-tree: no command imports
+    # those packages, only the modules of them it runs, each loaded alone
+    # (the packages load only on the fallbacks for older scipy); and no
+    # worker pool or logging, since everything runs on the calling thread
     import subprocess
     import sys
 
@@ -481,6 +483,45 @@ def test_cli_import_leaves_out_scipy_stats(tmp_path):
         direct, loaded = probe(*argv)
         if direct:
             assert loaded == ["scipy.linalg._flapack", "scipy.special._special_ufuncs"], argv
+    # the copula fit computes its PCHIP margins in numpy and runs BFGS over
+    # scipy's Wolfe line searches, two pure-Python modules
+    draws = tmp_path / "draws.csv"
+    rows = 1.0 + 0.1 * np.random.default_rng(2).normal(size=(30, 4))
+    draws.write_text("nugget,sill,range,nue\n"
+                     + "".join(",".join(map(repr, map(float, r))) + "\n" for r in rows))
+    direct, loaded = probe("copula-fit", "--draws", str(draws), "--out", str(tmp_path / "c"))
+    if direct:
+        assert loaded == ["scipy.optimize._dcsrch", "scipy.optimize._linesearch"], loaded
+
+
+@pytest.mark.parametrize("center, spread, message", [
+    (1e-200, 1e-201, "numeric failure: margin bandwidth 0.0 is not finite and positive"),
+    (1e200, 1e199, "numeric failure: Frank density evaluation produced non-finite values"),
+    (1e10, 1e-5, "numeric failure: margin grid is not finite and strictly increasing"),
+])
+def test_copula_fit_on_extreme_scales_fails_in_one_line(tmp_path, center, spread, message):
+    # at 1e-200 the spread of a column underflows to a zero bandwidth; at
+    # 1e200 it overflows on the way, and the margin's interpolant overflows;
+    # at 1e10 +- 1e-5 the margin's grid is finer than the floats there
+    import subprocess
+    import sys
+
+    import variokrig
+
+    noise = np.random.default_rng(3).normal(size=(40, 4))
+    rows = 1.0 + 0.1 * noise
+    rows[:, 0] = center + spread * noise[:, 0]
+    draws = tmp_path / "draws.csv"
+    draws.write_text("nugget,sill,range,nue\n"
+                     + "".join(",".join(map(repr, map(float, r))) + "\n" for r in rows))
+    src = os.path.dirname(os.path.dirname(variokrig.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-m", "variokrig", "copula-fit", "--draws", str(draws),
+                          "--out", str(tmp_path / "c")], env=env, capture_output=True, text=True)
+    assert out.returncode == 2
+    assert out.stderr.splitlines() == [message]
+    assert not (tmp_path / "c" / "copula.txt").exists()
 
 
 def test_krige_map_with_blas_threads_unset_equals_one_thread(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +20,9 @@ from variokrig import (
     joint_density,
     marginal_cdf_from_draws,
 )
+from variokrig import copula as copula_module
 from variokrig.copula import (
+    DEFAULT_STARTS,
     CopulaFit,
     joint_density_csv,
     theta_code_from_standard,
@@ -311,7 +314,149 @@ def test_mle_optimum_dominates_every_grid_start():
             logs = np.log(frank_density(th_code, scores))
         return float(np.sort(logs[np.isfinite(logs)]).sum())
 
-    from variokrig.copula import DEFAULT_STARTS
-
     for start in DEFAULT_STARTS:
         assert fit.loglik >= loglik(start) - 1e-9
+
+
+# -- scipy oracles: PCHIP margins and the BFGS loop ----------------------------------------
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).tobytes()
+
+
+def _scipy_margin_at(ip, grid, v, kind):
+    """cdf_at / pdf_at as computed through scipy's PchipInterpolator."""
+    inside = ip(np.clip(v, grid[0], grid[-1]))
+    if kind == "cdf":
+        out = np.where(v < grid[0], 0.0, np.clip(inside, 0.0, 1.0))
+        return np.where(v > grid[-1], 1.0, out)
+    return np.where((v < grid[0]) | (v > grid[-1]), 0.0, np.maximum(inside, 0.0))
+
+
+def test_pchip_coefficients_equal_scipy_in_every_branch():
+    from scipy.interpolate import PchipInterpolator
+
+    x = np.array([0.0, 0.5, 1.7, 2.0, 3.1, 4.0, 4.2, 6.0])
+    cases = [
+        [0.0, 0.1, 1.5, 1.6, 1.6, 1.6, 2.0, 2.5],         # both end slopes zeroed; a flat run
+        [0.0, 1.0, -30.0, -30.0, 3.0, 2.0, 12.0, -40.0],  # both ends clamped to 3 m0
+        [0.0, 1.0, 1.5, 1.7, 1.8, 1.85, 1.86, 1.865],     # left end kept, right end zeroed
+        [5.0, 5.0, 5.0, 1.0, 1.0, 0.0, 0.0, 0.0],         # zero secants at both ends
+        [2.1, 0.5, 0.1, -0.0, -0.5, -1.2, -1.4, -1.2],    # at x[3] every term is -0.0:
+    ]                                                     # PPoly's sum starts from +0.0
+    v = np.r_[x, (x[1:] + x[:-1]) / 2, 2.0 + 1e-12, 6.0 - 1e-12]
+    for y in map(np.array, cases):
+        ip = PchipInterpolator(x, y)
+        c = copula_module._pchip_coefficients(x, y)
+        assert _bits(c) == _bits(ip.c), y
+        assert _bits(copula_module._pchip_eval(x, c, v)) == _bits(ip(v)), y
+
+
+def test_pchip_margins_equal_scipy_bit_for_bit():
+    from scipy.interpolate import PchipInterpolator
+
+    rng = np.random.default_rng(21)
+    # a few draws 1e4 sd from the rest: the bandwidth follows the bulk's
+    # spread, so the kernel sum underflows to 0 in the gap, and both the pdf
+    # and the cdf have zero-slope stretches
+    table = np.column_stack([
+        np.r_[rng.normal(size=76), 1e4 + rng.normal(size=4)],
+        rng.gamma(2.0, size=80),
+        rng.uniform(size=80),
+    ])
+    for k in range(table.shape[1]):
+        m = marginal_cdf_from_draws(table[:, k])
+        g = m.grid
+        v = np.r_[g, (g[1:] + g[:-1]) / 2, m.sample, g[0] - 1.0, g[0] - 1e-9, g[-1] + 1e-9,
+                  g[-1] + 1.0]
+        for kind, tab, c, at in (("cdf", m.cdf, m._cdf_c, m.cdf_at),
+                                 ("pdf", m.pdf, m._pdf_c, m.pdf_at)):
+            ip = PchipInterpolator(g, tab)
+            assert _bits(c) == _bits(ip.c), (k, kind)
+            assert _bits(at(v)) == _bits(_scipy_margin_at(ip, g, v, kind)), (k, kind)
+            assert at(float(v[600])) == float(_scipy_margin_at(ip, g, v[600], kind))
+    flat = np.diff(marginal_cdf_from_draws(table[:, 0]).cdf) == 0.0
+    assert flat.any() and not flat.all()
+
+
+def test_forward_difference_equals_scipy_approx_derivative():
+    # beyond |x| = 2**27 the absolute step sqrt(eps) no longer moves x
+    from scipy.optimize._numdiff import approx_derivative
+
+    def fn(lam):
+        return math.sin(lam) + 1e-3 * lam * lam
+
+    for x in (0.3, -2.0, 0.0, 3e8, -3e8):
+        got = copula_module._ForwardDifference(fn).grad(np.array([x]))
+        want = approx_derivative(lambda v: fn(v[0]), np.array([x]), method="2-point",
+                                 abs_step=math.sqrt(np.finfo(float).eps), f0=fn(x))
+        assert _bits(got) == _bits(want), x
+
+
+def _posterior_draws_table():
+    from variokrig import CovarianceSpec, PosteriorDraws, fit_family_batch
+    from variokrig.fit import fit_results_to_csv
+    from variokrig.sim import simulate_variograms
+
+    rng = np.random.default_rng(31)
+    locs = rng.uniform(0.0, 200.0, size=(40, 2))
+    spec = CovarianceSpec("matern", 0.0661, 2.4523, 122.79, 0.5)
+    table = simulate_variograms(locs, spec, np.linspace(0.0, 150.0, 11), 16, seed=31)
+    results = fit_family_batch(table, "nested_matern", seed=31)
+    return PosteriorDraws.from_csv(fit_results_to_csv(results)).table
+
+
+def _strongly_dependent_table():
+    rng = np.random.default_rng(32)
+    z = rng.normal(size=(300, 1))
+    return z + 0.01 * rng.normal(size=(300, 4))
+
+
+@pytest.mark.parametrize("make_table", [_posterior_draws_table, _strongly_dependent_table])
+def test_bfgs_loop_equals_minimize_for_every_start(monkeypatch, make_table):
+    from scipy.optimize import minimize
+
+    table = make_table()
+    runs = []
+    loop = copula_module._bfgs
+
+    def recorded(fn, lam0, searches):
+        calls = []
+        out = loop(lambda lam: calls.append(1) or fn(lam), lam0, searches)
+        runs.append((fn, lam0, out, len(calls)))
+        return out
+
+    monkeypatch.setattr(copula_module, "_bfgs", recorded)
+    fit_copula_mle(table)
+    assert [lam0 for _, lam0, _, _ in runs[:-1]] == [math.log(s) for s in DEFAULT_STARTS]
+    for fn, lam0, out, n_evals in runs:  # the starts and the refinement
+        res = minimize(lambda v: fn(v[0]), np.array([lam0]), method="BFGS",
+                       options={"maxiter": 200000})
+        assert repr(out) == repr((float(res.x[0]), float(res.fun), bool(res.success))), lam0
+        assert n_evals == res.nfev, lam0
+
+
+def test_fit_takes_minimize_where_the_line_searches_do_not_load(monkeypatch):
+    import scipy.optimize
+
+    rng = np.random.default_rng(33)
+    sample = frank_sample_conditional_inversion(3.0, 400, rng)
+    direct = fit_copula_mle(sample)
+
+    load = copula_module.scipy_extension
+    monkeypatch.setattr(copula_module, "scipy_extension",
+                        lambda sub, name, needs: None if name == "_linesearch"
+                        else load(sub, name, needs))
+    assert copula_module._line_searches() is None
+    minimize_calls, loop_calls = [], []
+    minimize = scipy.optimize.minimize
+    monkeypatch.setattr(scipy.optimize, "minimize",
+                        lambda *a, **kw: minimize_calls.append(1) or minimize(*a, **kw))
+    monkeypatch.setattr(copula_module, "_bfgs", lambda *a: loop_calls.append(1))
+    fallback = fit_copula_mle(sample)
+
+    assert len(minimize_calls) == len(DEFAULT_STARTS) + 1 and not loop_calls
+    assert dataclasses.replace(fallback, margins=()) == dataclasses.replace(direct, margins=())
+    for a, b in zip(fallback.margins, direct.margins):
+        assert _bits(a._cdf_c) == _bits(b._cdf_c) and _bits(a._pdf_c) == _bits(b._pdf_c)

@@ -1,4 +1,4 @@
-"""scipy's compiled modules loaded alone (`util.scipy_extension`): they are
+"""scipy's modules loaded alone (`util.scipy_extension`): they are
 the objects scipy's packages hold, and where they cannot be loaded the
 callers import the packages instead, with the same results."""
 
@@ -25,10 +25,11 @@ FLAPACK = "scipy.linalg._flapack"
 LOADER_PROBE = """
 import sys
 import numpy as np
-from variokrig import _linalg, fit, specfun
+from variokrig import _linalg, copula, fit, specfun
 specfun.log_bessel_k(1.5, np.array([0.5, 2.0]))
 _linalg.chol_solve(np.linalg.cholesky(np.array([[2.0, 1.0], [1.0, 2.0]])), np.ones(2))
 setulb = fit._setulb()
+searches = copula._line_searches()
 ufuncs = specfun._special()
 direct = ufuncs.__name__ == "scipy.special._special_ufuncs"
 if direct:
@@ -39,6 +40,9 @@ for name in ("kve", "gammaln", "ndtr", "gamma", "kv"):
 assert scipy.linalg.lapack.dtrtrs is _linalg._dtrtrs
 assert scipy.linalg._flapack.dtrtrs is _linalg._dtrtrs
 assert setulb is None or scipy.optimize._lbfgsb.setulb is setulb
+assert searches is None or (scipy.optimize._optimize.line_search_wolfe1,
+                            scipy.optimize._optimize.line_search_wolfe2,
+                            scipy.optimize._linesearch.LineSearchWarning) == searches
 if direct:
     from scipy.special import _special_ufuncs
     assert scipy.special._special_ufuncs is _special_ufuncs is ufuncs
