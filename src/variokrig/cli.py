@@ -8,6 +8,8 @@ outputs of the failing command are removed and the exit status is 1 for
 user errors, 2 for numeric failures.
 """
 
+from __future__ import annotations
+
 import argparse
 import math
 import os
@@ -17,7 +19,7 @@ import numpy as np
 
 from . import bayes, copula, empvario, fit, krige, models, sim
 from .exceptions import DomainError, FormatError, NumericError, VariokrigError
-from .util import fmt_float
+from .util import FIT_METHODS, KRIGE_METHODS, MIN_NEIGHBORS, fmt_float
 
 # Matern parameters of the synthetic generator standing in for the
 # original (non-distributable) survey data; log-scale mean to match its
@@ -25,6 +27,8 @@ from .util import fmt_float
 SYNTH_MODEL = "kind=matern nugget=0.0661 sill=2.4523 range=122.79 nu=0.5"
 SYNTH_MEAN = 0.66
 SYNTH_REGION = (-148.0, 149.0, -108.0, 109.0)
+
+ESTIMATORS = ("matheron", "cressie_hawkins", "huber")
 
 _LOCATION_STREAM = np.uint64(2**63)
 
@@ -116,9 +120,12 @@ def ingest_csv(path: str, log_transform: bool = False) -> empvario.SpatialDatase
         raise FormatError(f"{path}: empty dataset (header only)")
     arr = np.array(rows, dtype=float)
     locs, vals = arr[:, :2], arr[:, 2]
-    uniq = np.unique(locs, axis=0).shape[0]
-    if uniq < locs.shape[0]:
-        print(f"warning: {locs.shape[0] - uniq} duplicate locations kept", file=sys.stderr)
+    # rows equal to their successor in sorted order: the count of
+    # np.unique(locs, axis=0), whose first call would import numpy.ma
+    ordered = locs[np.lexsort(locs.T[::-1])]
+    duplicates = int(np.count_nonzero(np.all(ordered[1:] == ordered[:-1], axis=1)))
+    if duplicates:
+        print(f"warning: {duplicates} duplicate locations kept", file=sys.stderr)
     if log_transform:
         if np.any(vals <= 0.0):
             raise DomainError("log transform requires strictly positive values")
@@ -188,8 +195,8 @@ def _parse_emp_csv(path: str) -> empvario.EmpiricalVariogram:
     return empvario.EmpiricalVariogram(tuple(bins), "matheron", maxd)
 
 
-def _read_draws(path: str) -> bayes.PosteriorDraws:
-    return bayes.PosteriorDraws.from_csv("\n".join(_read_lines(path, "--draws")))
+def _read_draws(path: str) -> models.PosteriorDraws:
+    return models.PosteriorDraws.from_csv("\n".join(_read_lines(path, "--draws")))
 
 
 # -- subcommand implementations ------------------------------------------------
@@ -500,7 +507,7 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.add_argument("--input", required=True)
     p.add_argument("--log", action="store_true")
-    p.add_argument("--estimator", choices=empvario.ESTIMATORS, default="matheron")
+    p.add_argument("--estimator", choices=ESTIMATORS, default="matheron")
     p.add_argument("--huber-c", type=_positive, default=2.0)
     p.add_argument("--max-dist", type=_positive, default=None)
     p.add_argument("--n-bins", type=_count, default=15)
@@ -513,7 +520,7 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.add_argument("--input", required=True, help="empirical-variogram CSV")
     p.add_argument("--family", default="nested_matern")
-    p.add_argument("--method", choices=fit.METHODS, default="wls")
+    p.add_argument("--method", choices=FIT_METHODS, default="wls")
     p.add_argument("--bounds", type=_bounds, default=None, help="lo1,lo2,...:hi1,hi2,...")
     p.set_defaults(func=_cmd_fit)
 
@@ -522,13 +529,12 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True)
     p.add_argument("--log", action="store_true")
     p.add_argument("--model", required=True)
-    p.add_argument("--method", choices=("simple", "ordinary", "universal", "bayes"),
-                   default="ordinary")
+    p.add_argument("--method", choices=KRIGE_METHODS, default="ordinary")
     _add_grid(p)
     p.add_argument("--at", type=_location, default=None, help="single location X,Y")
     p.add_argument("--at-data", action="store_true", help="predict at the data locations")
     p.add_argument("--radius", type=float, default=None)
-    p.add_argument("--min-neighbors", type=_min_neighbors, default=krige.MIN_NEIGHBORS)
+    p.add_argument("--min-neighbors", type=_min_neighbors, default=MIN_NEIGHBORS)
     p.add_argument("--mean", type=_finite, default=0.0, help="known mean (simple)")
     p.add_argument("--basis", choices=("constant", "linear"), default="constant")
     p.add_argument("--prior-mean", type=_finite, default=0.0)
@@ -556,7 +562,7 @@ def build_parser() -> _Parser:
     p.add_argument("--log", action="store_true")
     p.add_argument("--model", required=True)
     p.add_argument("--sims", type=_count, default=100)
-    p.add_argument("--method", choices=fit.METHODS, default="ols")
+    p.add_argument("--method", choices=FIT_METHODS, default="ols")
     p.add_argument("--family", choices=("nested", "matern"), default="nested")
     p.add_argument("--conditional", action="store_true")
     p.add_argument("--max-dist", type=_positive, default=None)

@@ -170,19 +170,22 @@ def frank_density(theta_code: float, u):
     s = th - 1.0
     l = math.log(th)
     ratio = l / s
-    # q = prod_k (th^{u_k} - 1) / s^(d-1), assembled factor by factor so no
-    # large powers of small numbers ever appear
-    factors = np.expm1(u * l)
-    q = factors[:, 0].copy()
-    for k in range(1, d):
-        q *= factors[:, k] / s
-    hprod2 = 1.0 + q
     coefs = _frank_coefficients(d)
-    acc = np.zeros(u.shape[0])
-    for m in range(d, 0, -1):
-        acc = acc / hprod2 * q + coefs[m - 1]
-    acc /= hprod2  # sum_m coef_m q^(m-1) / hprod2^m
-    dens = ratio ** (d - 1) * th ** u.sum(axis=1) * acc
+    # a theta where 1 + q vanishes or overflows gives non-finite values,
+    # reported below as one error rather than as numpy warnings
+    with np.errstate(all="ignore"):
+        # q = prod_k (th^{u_k} - 1) / s^(d-1), assembled factor by factor so
+        # no large powers of small numbers ever appear
+        factors = np.expm1(u * l)
+        q = factors[:, 0].copy()
+        for k in range(1, d):
+            q *= factors[:, k] / s
+        hprod2 = 1.0 + q
+        acc = np.zeros(u.shape[0])
+        for m in range(d, 0, -1):
+            acc = acc / hprod2 * q + coefs[m - 1]
+        acc /= hprod2  # sum_m coef_m q^(m-1) / hprod2^m
+        dens = ratio ** (d - 1) * th ** u.sum(axis=1) * acc
     if not np.all(np.isfinite(dens)):
         raise NumericError("Frank density evaluation produced non-finite values")
     if single:
@@ -343,7 +346,13 @@ DEFAULT_STARTS = tuple(_CODE_STARTS) + tuple(1.0 / _CODE_STARTS)
 
 
 def _uniform_scores(table: np.ndarray, margins) -> np.ndarray:
+    """Each column through its margin's cdf. A cdf interpolant that is not
+    finite there (its power form overflows on a column of extreme spread)
+    raises NumericError naming the margin, by 1-based column."""
     cols = [m.cdf_at(table[:, k]) for k, m in enumerate(margins)]
+    for k, col in enumerate(cols):
+        if not np.all(np.isfinite(col)):
+            raise NumericError(f"margin {k + 1}: cdf interpolant is not finite")
     return np.column_stack(cols)
 
 

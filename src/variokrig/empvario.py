@@ -23,8 +23,6 @@ from .models import distances
 from .specfun import normal_cdf
 from .util import fmt_float
 
-ESTIMATORS = ("matheron", "cressie_hawkins", "huber")
-
 DEFAULT_DIRECTION_TOL = math.radians(22.5)
 
 
@@ -130,7 +128,9 @@ def _pairs(locations: np.ndarray, max_dist: float, direction: Direction | None) 
     order = np.flatnonzero(keep)[np.argsort(dist[keep], kind="stable")]
     dist = dist[order]
     tied = np.flatnonzero(dist[1:] == dist[:-1])
-    return _Pairs(i[order], j[order], dist, np.union1d(tied, tied + 1), n_zero)
+    ties = np.zeros(dist.size, dtype=bool)  # np.union1d would import numpy.ma
+    ties[tied] = ties[tied + 1] = True
+    return _Pairs(i[order], j[order], dist, np.flatnonzero(ties), n_zero)
 
 
 def _half_sq_diffs(pairs: _Pairs, values: np.ndarray) -> np.ndarray:

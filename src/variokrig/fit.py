@@ -45,9 +45,7 @@ from .models import (
     variogram_eval,
     variogram_rows,
 )
-from .util import fmt_float, parallel_map, scipy_extension
-
-METHODS = ("ols", "wls", "gls")
+from .util import FIT_METHODS, fmt_float, parallel_map, scipy_extension
 
 NESTED_PARAM_NAMES = ("nugget", "sill1", "range1", "nu1", "sill2", "range2", "nu2")
 
@@ -352,8 +350,8 @@ class _Problem:
 
     def __init__(self, emp: EmpiricalVariogram, family: str, method: str,
                  bounds: FitBounds | None):
-        if method not in METHODS:
-            raise DomainError(f"method must be one of {METHODS}, got {method!r}")
+        if method not in FIT_METHODS:
+            raise DomainError(f"method must be one of {FIT_METHODS}, got {method!r}")
         names = param_names(family)
         h, g, n = _emp_arrays(emp)
         if h.size < len(names):
@@ -593,7 +591,7 @@ def _column_emp(dist, counts, ghat) -> EmpiricalVariogram:
     )
 
 
-def _restart_rng(seed: int, column: int) -> np.random.Generator:
+def _restart_rng(seed: int, column: int) -> "np.random.Generator":
     """The jittered-restart stream of one column: Philox keyed on the
     integer seed + column. The key has 128 bits, so the sum never wraps;
     below 2**64 it fills key word 0 alone."""

@@ -18,9 +18,7 @@ from ._linalg import chol_solve, chol_with_jitter, spd_solve
 from .empvario import SpatialDataset
 from .exceptions import DomainError, NumericError, SingularMatrixError
 from .models import covariance_eval, covariance_matrix, distances
-from .util import fmt_float, parallel_map
-
-MIN_NEIGHBORS = 4  # map points need strictly more than this many neighbors
+from .util import KRIGE_METHODS, MIN_NEIGHBORS, fmt_float, parallel_map
 
 _diagnostics = {"clamped_variances": 0}
 
@@ -190,13 +188,11 @@ def _system(spec, data: SpatialDataset, x0):
 
 # -- one neighbour set: checked, factored once, then solved per point ----------
 
-METHODS = ("simple", "ordinary", "universal", "bayes")
-
 
 def _checked(method, locations, basis, prior):
     """Trend design of the locations of one neighbour set free of duplicate
     locations, after the checks that need no covariance."""
-    if method not in METHODS:
+    if method not in KRIGE_METHODS:
         raise DomainError(f"unknown kriging method {method!r}")
     if method == "ordinary" and len(locations) < 2:
         raise DomainError("ordinary kriging needs at least 2 data points")
@@ -402,7 +398,9 @@ def _factor_sets(method, data: SpatialDataset, sets, spec, mean, basis, prior):
     union of the sets. When that evaluation fails, each set evaluates its
     own and fails alone if its own lags fail.
     """
-    union = np.unique(np.concatenate(sets))
+    member = np.zeros(len(data.values), dtype=bool)  # np.unique would import numpy.ma
+    member[np.concatenate(sets)] = True
+    union = np.flatnonzero(member)
     try:
         gram = covariance_matrix(spec, data.locations[union])
     except (NumericError, DomainError):
@@ -488,7 +486,7 @@ def krige_map(
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     if grid.shape[0] == 0:
         raise DomainError("grid must not be empty")
-    if method not in METHODS:
+    if method not in KRIGE_METHODS:
         raise DomainError(f"unknown kriging method {method!r}")
     if method in ("universal", "bayes") and basis is None:
         raise DomainError(f"{method} kriging needs a trend basis")

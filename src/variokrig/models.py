@@ -230,6 +230,83 @@ class NestedMaternSpec:
         return float(self.nugget + self.sill1 + self.sill2)
 
 
+@dataclass(frozen=True)
+class PosteriorDraws:
+    """Fitted covariance-parameter vectors, one row per converged fit.
+
+    Seven columns hold the nested-Matern family
+    (nugget, sill1, range1, nu1, sill2, range2, nu2); four columns hold the
+    single Matern (nugget, sill, range, nu).
+    """
+
+    table: np.ndarray
+
+    def __post_init__(self):
+        tab = np.atleast_2d(np.asarray(self.table, dtype=float))
+        if tab.shape[1] not in (4, 7):
+            raise DomainError(
+                f"draws must have 4 or 7 columns, got {tab.shape[1]}"
+            )
+        if tab.shape[0] < 1:
+            raise DomainError("need at least one posterior draw")
+        if not np.all(np.isfinite(tab)):
+            raise DomainError("draws must be finite")
+        if np.any(tab[:, 0] < 0.0) or np.any(tab[:, 1:] <= 0.0):
+            raise DomainError("draws must be positive (nugget may be zero)")
+        object.__setattr__(self, "table", tab)
+        for row in tab:  # reject rows outside the model domain right away
+            self._row_spec(row)
+
+    @staticmethod
+    def _row_spec(row):
+        if row.size == 7:
+            return NestedMaternSpec(*row)
+        return CovarianceSpec("matern", row[0], row[1], row[2], row[3])
+
+    def __len__(self) -> int:
+        return self.table.shape[0]
+
+    def spec(self, t: int):
+        return self._row_spec(self.table[t])
+
+    def specs(self):
+        return [self._row_spec(row) for row in self.table]
+
+    @classmethod
+    def from_fit_results(cls, results) -> "PosteriorDraws":
+        rows = [r.params for r in results if r.converged]
+        if not rows:
+            raise DomainError("no converged fits to build posterior draws from")
+        return cls(np.array(rows))
+
+    @classmethod
+    def from_csv(cls, text: str) -> "PosteriorDraws":
+        lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
+        if not lines:
+            raise FormatError("empty draws file")
+        header = [c.strip().lower() for c in lines[0].split(",")]
+        has_meta = header[-1] == "converged"
+        n_par = len(header) - (2 if has_meta else 0)
+        if n_par not in (4, 7):
+            raise FormatError(
+                f"draws file must carry 4 or 7 parameter columns, found {n_par}"
+            )
+        rows = []
+        for ln in lines[1:]:
+            cells = ln.split(",")
+            if len(cells) != len(header):
+                raise FormatError(f"bad draws row: {ln!r}")
+            if has_meta and cells[-1].strip().lower() != "true":
+                continue
+            try:
+                rows.append([float(c) for c in cells[:n_par]])
+            except ValueError:
+                raise FormatError(f"non-numeric draws row: {ln!r}") from None
+        if not rows:
+            raise FormatError("draws file contains no converged rows")
+        return cls(np.array(rows))
+
+
 def _as_lags(h):
     h = np.asarray(h, dtype=float)
     if np.any(h < 0.0) or not np.all(np.isfinite(h)):

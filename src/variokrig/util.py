@@ -1,11 +1,17 @@
 """Small shared helpers: an in-order map on the calling thread, float
-formatting for text output, and the loader of single scipy modules."""
+formatting for text output, the loader of single scipy modules, and the
+option choices the CLI parser shares with the modules that check them."""
 
 import importlib.machinery
 import importlib.util
 import os
 import sys
 import threading
+
+# Defined here, so the parser reads them without loading the modules they name.
+FIT_METHODS = ("ols", "wls", "gls")
+KRIGE_METHODS = ("simple", "ordinary", "universal", "bayes")
+MIN_NEIGHBORS = 4  # map points need strictly more than this many neighbors
 
 
 def parallel_map(fn, items, n_threads=None):

@@ -403,6 +403,24 @@ def test_duplicate_locations_warned_on_ingest(tmp_path, capsys):
     assert "duplicate" in capsys.readouterr().err
 
 
+def test_duplicate_location_count_is_numpy_unique_count(tmp_path, capsys):
+    # 0.0 and -0.0 are one location, as np.unique counts them
+    from variokrig.cli import ingest_csv
+
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        locs = rng.integers(-2, 3, size=(int(rng.integers(1, 30)), 2)).astype(float)
+        zero = locs == 0.0
+        locs[zero] *= rng.choice([1.0, -1.0], size=int(zero.sum()))
+        src = tmp_path / "locs.csv"
+        src.write_text("EASTING,NORTHING,VALUE\n"
+                       + "".join(f"{x!r},{y!r},1.0\n" for x, y in locs.tolist()))
+        ingest_csv(str(src))
+        expected = len(locs) - np.unique(locs, axis=0).shape[0]
+        assert capsys.readouterr().err == (
+            f"warning: {expected} duplicate locations kept\n" if expected else "")
+
+
 def test_completely_empty_file_rejected(tmp_path, capsys):
     src = tmp_path / "none.csv"
     src.write_text("")
@@ -494,9 +512,92 @@ def test_cli_import_leaves_out_scipy_stats(tmp_path):
         assert loaded == ["scipy.optimize._dcsrch", "scipy.optimize._linesearch"], loaded
 
 
+# The variokrig modules a command ran: the package registers the numerical
+# modules unexecuted (`importlib.util.LazyLoader`), and a module counts as
+# run once its class is a plain module again. Then whether numpy.random loaded.
+MODULE_PROBE = """
+import sys, types
+from variokrig import cli
+try:
+    status = cli.main({argv!r})
+except SystemExit as exc:  # --help
+    status = exc.code
+ran = sorted(n.partition(".")[2] for n, m in sys.modules.items()
+             if n.startswith("variokrig.") and type(m) is types.ModuleType)
+print(status, "numpy.random" in sys.modules, *ran)
+"""
+
+
+def test_each_command_runs_only_its_modules(tmp_path):
+    import subprocess
+    import sys
+
+    import variokrig
+
+    src = os.path.dirname(os.path.dirname(variokrig.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def probe(*argv):
+        out = subprocess.run([sys.executable, "-c", MODULE_PROBE.format(argv=list(argv))],
+                             env=env, capture_output=True, text=True, check=True)
+        status, rng, *ran = out.stdout.splitlines()[-1].split()
+        assert status == "0", out.stderr
+        return rng == "True", set(ran)
+
+    every = {"cli", "exceptions", "util"}
+    numeric = every | {"models", "specfun"}
+    data = str(make_synth(tmp_path))
+    out = str(tmp_path / "o")
+    grid = ("--grid", "3", "3", "0", "100", "0", "80")
+    steps = [
+        (("--help",), False, every),
+        (("variogram", "--input", data, "--log", "--out", out),
+         False, numeric | {"empvario"}),
+        (("fit", "--input", str(tmp_path / "o" / "variogram.csv"), "--out", out),
+         False, numeric | {"empvario", "fit"}),
+        (("posterior", "--input", data, "--log", "--model", SYNTH_NONUG, "--sims", "12",
+          "--seed", "1", "--out", out),  # copula-fit needs at least 10 draws
+         True, numeric | {"_linalg", "empvario", "fit", "sim"}),
+        (("copula-fit", "--draws", str(tmp_path / "o" / "draws.csv"), "--out", out),
+         False, numeric | {"copula"}),
+        (("krige", "--input", data, "--log", "--model", SYNTH_NONUG, *grid, "--out", out),
+         False, numeric | {"_linalg", "empvario", "krige", "sim"}),
+        (("density", "--input", data, "--log", "--draws", str(tmp_path / "o" / "draws.csv"),
+          *grid, "--radius", "200", "--out", out),
+         False, numeric | {"_linalg", "bayes", "empvario", "krige", "sim"}),
+    ]
+    for argv, rng, ran in steps:
+        assert probe(*argv) == (rng, ran), argv[0]
+
+
+def test_copula_fit_on_a_strongly_dependent_table_prints_no_warning(tmp_path):
+    # the fit probes thetas where the Frank density is not finite; each such
+    # probe is a rejected step, not a numpy warning on stderr
+    import subprocess
+    import sys
+
+    import variokrig
+
+    rng = np.random.default_rng(32)
+    z = rng.normal(size=(300, 1))
+    rows = 5.0 + z + 0.01 * rng.normal(size=(300, 4))
+    draws = tmp_path / "draws.csv"
+    draws.write_text("nugget,sill,range,nue\n"
+                     + "".join(",".join(map(repr, map(float, r))) + "\n" for r in rows))
+    src = os.path.dirname(os.path.dirname(variokrig.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-m", "variokrig", "copula-fit", "--draws", str(draws),
+                          "--out", str(tmp_path / "c")], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert "RuntimeWarning" not in out.stderr
+    assert (tmp_path / "c" / "copula.txt").exists()
+
+
 @pytest.mark.parametrize("center, spread, message", [
     (1e-200, 1e-201, "numeric failure: margin bandwidth 0.0 is not finite and positive"),
-    (1e200, 1e199, "numeric failure: Frank density evaluation produced non-finite values"),
+    (1e200, 1e199, "numeric failure: margin 1: cdf interpolant is not finite"),
     (1e10, 1e-5, "numeric failure: margin grid is not finite and strictly increasing"),
 ])
 def test_copula_fit_on_extreme_scales_fails_in_one_line(tmp_path, center, spread, message):
