@@ -50,11 +50,15 @@ def _chol_one(mat):
 def chol_with_jitter(mat):
     """Lower Cholesky factor of ``mat + delta*I`` for the smallest workable delta.
 
-    ``mat`` is one (n, n) matrix or a (T, n, n) stack. Returns ``(L, delta)``;
-    a stack is factored in one call and, when any of its matrices needs
-    jitter, again matrix by matrix, each with its own delta (the largest is
-    returned). The factor of each matrix is the same either way. Raises
-    SingularMatrixError when the ladder is exhausted.
+    ``mat`` is one (n, n) matrix or a (T, n, n) stack: the T draws of one
+    density point, or a group of same-size neighbour sets of a kriging map.
+    Returns ``(L, delta)``; a stack is factored in one call and, when any of
+    its matrices needs jitter, again matrix by matrix, each with its own
+    delta (the largest is returned). The factor of each matrix is the same
+    either way, and the same as a call on that matrix alone. Raises
+    SingularMatrixError when the ladder is exhausted for any matrix of the
+    stack; a caller that must fail that matrix alone factors the stack's
+    matrices one by one again.
     """
     mat = np.asarray(mat, dtype=float)
     if mat.ndim == 2:

@@ -19,7 +19,7 @@ import numpy as np
 from ._linalg import chol_with_jitter, spd_solve
 from .empvario import SpatialDataset
 from .exceptions import DomainError, NumericError
-from .krige import TrendBasis, _bayes_at, _search, _Trend
+from .krige import TrendBasis, _bayes_solve, _bayes_terms, _search, _Trend
 from .models import PosteriorDraws, covariance_eval, covariance_matrix, distances
 from .util import MIN_NEIGHBORS, fmt_float, parallel_map
 
@@ -96,10 +96,11 @@ class PredictiveDensity:
 _F0 = np.ones(1)  # the constant trend at the target
 
 
-def _conditional_moments(L, c0, c00, trend):
+def _conditional_moments(L, cb, resid, mean0, var0):
     """Posterior mean / variance of the log-value under one parameter draw:
-    the constant-trend Bayes predictor, from the factor L of K + phi."""
-    m, s2 = _bayes_at(L, trend, _F0, c0, c00)
+    the constant-trend Bayes predictor's solve through the factor L of
+    K + phi, given the terms of `_bayes_solve`."""
+    m, s2 = _bayes_solve(L, cb, resid, mean0, var0)
     if s2 <= 0.0 or not math.isfinite(s2) or not math.isfinite(m):
         raise NumericError("conditional variance is not positive")
     return m, s2
@@ -165,7 +166,14 @@ class _SharedCovariances:
         mu, phi = np.array([prior_mean]), np.array([[prior_var]])
         trend = _Trend(F, mu, phi, values - F @ mu)
         L, _ = chol_with_jitter(K + F @ phi @ F.T)
-        return [_conditional_moments(L[t], c0[t], c00[t], trend) for t in range(V.shape[0])]
+        # the draws share the trend terms; V is Fortran-ordered, and cb is
+        # made C-ordered so that each draw's cb @ lam keeps the bits of a
+        # one-point solve
+        Fpf0, mean0, quad = _bayes_terms(trend, _F0)
+        cb = np.ascontiguousarray(c0 + Fpf0)
+        var0 = c00 + quad
+        return [_conditional_moments(L[t], cb[t], trend.resid, mean0, var0[t])
+                for t in range(V.shape[0])]
 
 
 def _summarize(grid: DensityGrid, density: np.ndarray):
@@ -201,10 +209,19 @@ def _summarize(grid: DensityGrid, density: np.ndarray):
 def _density(moments, grid: DensityGrid) -> PredictiveDensity:
     """The predictive density averaging the lognormal of every draw."""
     g = grid.log_grid
-    moments = sorted(moments)  # canonical accumulation order: bit-identical under row permutation
+    # canonical accumulation order: bit-identical under row permutation
+    m, s2 = np.array(sorted(moments)).T[:, :, None]
+    # the T x grid lognormal terms exp(-(g - m)^2 / (2 s2)) / sqrt(2 pi s2),
+    # built in place: fresh temporaries of this size cost more than the arithmetic
+    terms = g - m
+    np.square(terms, out=terms)
+    np.negative(terms, out=terms)
+    np.divide(terms, 2.0 * s2, out=terms)
+    np.exp(terms, out=terms)
+    np.divide(terms, np.sqrt(2.0 * math.pi * s2), out=terms)
     dens = np.zeros_like(g)
-    for m, s2 in moments:
-        dens += np.exp(-((g - m) ** 2) / (2.0 * s2)) / math.sqrt(2.0 * math.pi * s2)
+    for term in terms:
+        dens += term
     dens /= len(moments)
     dens = dens * np.exp(-g)  # Jacobian of the log transform
     y, cdf, summary, clipped, _ = _summarize(grid, dens)

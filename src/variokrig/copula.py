@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .exceptions import DomainError, NumericError
-from .util import fmt_float, parallel_map, scipy_extension
+from .util import fmt_float, parallel_map, percentiles, scipy_extension
 
 FAMILIES = ("clayton", "frank", "gumbel", "joe")
 
@@ -300,7 +300,7 @@ def marginal_cdf_from_draws(samples) -> MarginalEstimate:
     x = np.sort(np.asarray(samples, dtype=float).ravel())
     if x.size < 1 or not np.all(np.isfinite(x)):
         raise DomainError("need finite samples")
-    if x.min() == np.median(x) == x.max():
+    if x.min() == x.max():
         ones = np.ones(_KDE_GRID)
         grid = np.linspace(x.min() - 1.0, x.max() + 1.0, _KDE_GRID)
         return MarginalEstimate(x, grid, ones, ones, True)
@@ -308,7 +308,7 @@ def marginal_cdf_from_draws(samples) -> MarginalEstimate:
         raise DomainError("need >= 10 samples for a non-degenerate margin")
     with np.errstate(all="ignore"):
         sd = float(np.std(x, ddof=1))
-        iqr = float(np.subtract(*np.percentile(x, [75, 25])))
+        iqr = float(np.subtract(*percentiles(x, [75, 25])))
         spread = min(sd, iqr / 1.34) if iqr > 0.0 else sd
         bw = 0.9 * spread * x.size ** (-0.2)
         if not (math.isfinite(bw) and bw > 0.0):

@@ -45,7 +45,7 @@ from .models import (
     variogram_eval,
     variogram_rows,
 )
-from .util import FIT_METHODS, fmt_float, parallel_map, scipy_extension
+from .util import FIT_METHODS, fmt_float, parallel_map, percentiles, scipy_extension
 
 NESTED_PARAM_NAMES = ("nugget", "sill1", "range1", "nu1", "sill2", "range2", "nu2")
 
@@ -327,13 +327,13 @@ def start_values_nested_matern(emp: EmpiricalVariogram) -> np.ndarray:
     hmax = float(h.max())
     if np.all(g == g[0]):
         # degenerate: flat empirical variogram
-        sill2 = float(np.percentile(g, 75))
+        sill2 = float(percentiles(g, [75])[0])
         return np.array([0.01, float(np.var(g, ddof=1)), hmax, 0.5, sill2, hmax, 0.5])
     nugget = g[0] - (g[0] - g[1]) / (h[0] - h[1]) * h[0]
     if nugget < 0.0:
         nugget = 0.01
     sill1 = float(np.var(g, ddof=1))
-    sill2 = float(np.percentile(g, 75))
+    sill2 = float(percentiles(g, [75])[0])
 
     def range_below(threshold):
         below = h[g < threshold]

@@ -51,13 +51,17 @@ class KrigingResult:
     method: str
 
 
-def _rank(F) -> int:
-    """np.linalg.matrix_rank of a design, without its SVD for one column:
-    a finite column has rank 1 when it has a nonzero entry, and a column
-    with a non-finite entry counts as rank 0."""
-    if F.shape[1] == 1:
-        return int(bool(np.any(F != 0.0)) and bool(np.all(np.isfinite(F))))
-    return int(np.linalg.matrix_rank(F))
+def _ranks(F) -> np.ndarray:
+    """np.linalg.matrix_rank of each design of a (G, n, k) stack, without
+    its SVD for one column: a column has rank 1 when it has a nonzero entry.
+    A design with a non-finite entry counts as rank 0."""
+    finite = np.all(np.isfinite(F), axis=(1, 2))
+    if F.shape[2] == 1:
+        return (np.any(F != 0.0, axis=(1, 2)) & finite).astype(int)
+    ranks = np.zeros(F.shape[0], dtype=int)
+    if np.any(finite):
+        ranks[finite] = np.linalg.matrix_rank(F[finite])
+    return ranks
 
 
 class TrendBasis:
@@ -94,13 +98,17 @@ class TrendBasis:
             names.append("xyz"[axis] if axis < 3 else f"x{axis}")
         return cls(funcs, names=names)
 
-    def design(self, locations) -> np.ndarray:
+    def evaluate(self, locations) -> np.ndarray:
+        """The (n, k) values of the basis functions at n locations, unchecked."""
         locs = np.atleast_2d(np.asarray(locations, dtype=float))
-        F = np.column_stack([np.asarray(f(locs), dtype=float) for f in self.functions])
-        if _rank(F) < F.shape[1]:
+        return np.column_stack([np.asarray(f(locs), dtype=float) for f in self.functions])
+
+    def design(self, locations) -> np.ndarray:
+        F = self.evaluate(locations)
+        if _ranks(F[None])[0] < F.shape[1]:
             # every prefix of a full-rank design passes matrix_rank's
             # tolerance, so the first prefix that loses rank names the column
-            k = next(k for k in range(1, F.shape[1] + 1) if _rank(F[:, :k]) < k)
+            k = next(k for k in range(1, F.shape[1] + 1) if _ranks(F[None, :, :k])[0] < k)
             raise DomainError(
                 f"trend basis {self.names[k-1]!r} is linearly dependent "
                 f"on the preceding basis functions over this dataset"
@@ -108,8 +116,7 @@ class TrendBasis:
         return F
 
     def at(self, x0) -> np.ndarray:
-        x0 = np.atleast_2d(np.asarray(x0, dtype=float))
-        return np.concatenate([np.asarray(f(x0), dtype=float) for f in self.functions])
+        return self.evaluate(x0)[0]
 
 
 @dataclass(frozen=True)
@@ -186,7 +193,7 @@ def _system(spec, data: SpatialDataset, x0):
     return M[1:, 1:], M[0, 1:], M[0, 0]
 
 
-# -- one neighbour set: checked, factored once, then solved per point ----------
+# -- neighbour sets: checked, factored once, then solved per point -------------
 
 
 def _checked(method, locations, basis, prior):
@@ -236,13 +243,11 @@ class _Factored:
     trend: _Trend | None = None
 
 
-def _factor(method, values, F, K, mean=0.0, prior=None) -> _Factored:
-    """Factor the system of the checked data values with covariance K, once."""
+def _factored(method, values, F, L, mean, prior) -> _Factored:
+    """One set's factored system from the factor L of its matrix."""
     if method == "bayes":
-        L, _ = chol_with_jitter(K + F @ prior.phi @ F.T)
-        trend = _Trend(F, prior.mu, prior.phi, values - F @ prior.mu)
-        return _Factored(method, values, L, trend=trend)
-    L, _ = chol_with_jitter(K)
+        return _Factored(method, values, L, trend=_Trend(F, prior.mu, prior.phi,
+                                                         values - F @ prior.mu))
     if method == "simple":
         return _Factored(method, values, L, mean=mean, resid=values - mean)
     if method == "universal":
@@ -251,6 +256,19 @@ def _factor(method, values, F, K, mean=0.0, prior=None) -> _Factored:
         beta = np.linalg.solve(M, KiF.T @ values)
         return _Factored(method, values, L, resid=values - F @ beta, F=F, M=M, beta=beta)
     return _Factored(method, values, L)
+
+
+def _factor(method, values, F, K, mean=0.0, prior=None) -> list[_Factored]:
+    """Factor the systems of G checked sets of one size at once: their data
+    values (G, n), trend designs F (G, n, k) (universal and Bayes kriging,
+    else None) and covariances K (G, n, n). The G matrices, K or Bayes'
+    K + F Phi F', take one `chol_with_jitter` call; NumericError when any
+    of them fails."""
+    if method == "bayes":
+        K = K + F @ prior.phi @ F.transpose(0, 2, 1)
+    L, _ = chol_with_jitter(K)
+    return [_factored(method, values[g], None if F is None else F[g], L[g], mean, prior)
+            for g in range(len(L))]
 
 
 def _ordinary_weights(L, c0):
@@ -268,19 +286,32 @@ def _ordinary_weights(L, c0):
     return a - nu * b, float(nu)
 
 
-def _bayes_at(L, trend: _Trend, f0, c0, c00):
-    """Mean and Schur-complement variance of the Bayes predictor at one
-    point, with weights lambda solving (K + F Phi F') lambda = c0 + F Phi f0
-    through the factor L of K + F Phi F'."""
-    F, mu, phi, resid = trend
-    cb = c0 + F @ (phi @ f0)
+def _bayes_terms(trend: _Trend, f0):
+    """The terms of the Bayes predictor at a point with trend row f0 that
+    need no covariance: F Phi f0, f0'mu and f0' Phi f0."""
+    F, mu, phi, _ = trend
+    return F @ (phi @ f0), f0 @ mu, f0 @ phi @ f0
+
+
+def _bayes_solve(L, cb, resid, mean0, var0):
+    """Mean f0'mu + lambda'resid and Schur-complement variance
+    C(0) + f0'Phi f0 - cb'lambda of the Bayes predictor, with weights lambda
+    solving (K + F Phi F') lambda = cb = c0 + F Phi f0 through the factor L
+    of K + F Phi F'; mean0 = f0'mu and var0 = C(0) + f0'Phi f0."""
     lam = chol_solve(L, cb)
-    return float(f0 @ mu + lam @ resid), float(c00 + f0 @ phi @ f0 - cb @ lam)
+    return float(mean0 + lam @ resid), float(var0 - cb @ lam)
 
 
-def _at(fac: _Factored, x0, c0, c00, basis) -> KrigingResult:
+def _bayes_at(L, trend: _Trend, f0, c0, c00):
+    """Mean and variance of the Bayes predictor at one point."""
+    Fpf0, mean0, quad = _bayes_terms(trend, f0)
+    return _bayes_solve(L, c0 + Fpf0, trend.resid, mean0, c00 + quad)
+
+
+def _at(fac: _Factored, f0, c0, c00) -> KrigingResult:
     """The per-point half of a predictor: its solves against the set's
-    factor and the dot products, given c0 and C(0) at x0."""
+    factor and the dot products, given the trend row f0 (universal and
+    Bayes kriging), c0 and C(0) at the point."""
     method = fac.method
     if method == "simple":
         lam = chol_solve(fac.L, c0)
@@ -290,12 +321,11 @@ def _at(fac: _Factored, x0, c0, c00, basis) -> KrigingResult:
         pred, var = w @ fac.values, c00 - c0 @ w - nu
     elif method == "universal":
         Kic0 = chol_solve(fac.L, c0)
-        f0 = basis.at(x0)
         pred = f0 @ fac.beta + Kic0 @ fac.resid
         g = f0 - fac.F.T @ Kic0
         var = c00 - c0 @ Kic0 + g @ np.linalg.solve(fac.M, g)
     else:
-        pred, var = _bayes_at(fac.L, fac.trend, basis.at(x0), c0, c00)
+        pred, var = _bayes_at(fac.L, fac.trend, f0, c0, c00)
     return KrigingResult(float(pred), _finish_sd(float(var), c00, f"{method} kriging"),
                          len(fac.values), method)
 
@@ -306,7 +336,9 @@ def _predict(method, x0, subset, spec, mean, basis, prior) -> KrigingResult:
     data = _dedupe(subset)
     F = _checked(method, data.locations, basis, prior)
     K, c0, c00 = _system(spec, data, x0)
-    return _at(_factor(method, data.values, F, K, mean, prior), x0, c0, c00, basis)
+    [fac] = _factor(method, data.values[None], None if F is None else F[None], K[None],
+                    mean, prior)
+    return _at(fac, None if F is None else basis.at(x0), c0, c00)
 
 
 def simple_weights(x0, data: SpatialDataset, spec) -> np.ndarray:
@@ -345,7 +377,8 @@ def gls_beta(data: SpatialDataset, spec, basis: TrendBasis) -> np.ndarray:
     """Generalized least-squares trend estimate (F'K^-1 F)^-1 F'K^-1 z."""
     data = _dedupe(data)
     F = _checked("universal", data.locations, basis, None)
-    return _factor("universal", data.values, F, covariance_matrix(spec, data.locations)).beta
+    K = covariance_matrix(spec, data.locations)
+    return _factor("universal", data.values[None], F[None], K[None])[0].beta
 
 
 def universal_kriging(x0, data: SpatialDataset, spec, basis: TrendBasis) -> KrigingResult:
@@ -390,13 +423,39 @@ class MapRow:
     status: str
 
 
+def _passing(method, n, F, prior):
+    """Whether the sets of n locations with trend designs F (G, n, k), or
+    None, pass the checks of `_checked`: one bool for all of them, or the
+    mask of the rank checks."""
+    if method == "ordinary":
+        return n >= 2
+    if F is None:
+        return True
+    k = F.shape[2]
+    if (method == "universal" and n < k) or (method == "bayes" and prior.mu.size != k):
+        return False
+    return _ranks(F) == k
+
+
+def _factor_alone(method, values, F, K, mean, prior):
+    """The factored system of one set of `_factor`'s arguments, or STATUS_NUMERIC."""
+    try:
+        return _factor(method, values, F, K, mean, prior)[0]
+    except NumericError:
+        return STATUS_NUMERIC
+
+
 def _factor_sets(method, data: SpatialDataset, sets, spec, mean, basis, prior):
     """The factored system of each index set of `data`, or STATUS_NUMERIC
     when its checks or its factorisation fail.
 
-    The Gram matrices are sliced from one covariance evaluation over the
-    union of the sets. When that evaluation fails, each set evaluates its
-    own and fails alone if its own lags fail.
+    Sets of one size form a group. The trend designs of a group are rows of
+    one basis evaluation over the union of the sets, checked at once; its
+    Gram matrices are gathered with one index from one covariance
+    evaluation over that union, and the group is factored in one call. When
+    that call fails, each set of the group is factored alone and fails
+    alone. When the union's evaluation fails, each set evaluates its own
+    and fails alone if its own lags fail.
     """
     member = np.zeros(len(data.values), dtype=bool)  # np.unique would import numpy.ma
     member[np.concatenate(sets)] = True
@@ -405,39 +464,59 @@ def _factor_sets(method, data: SpatialDataset, sets, spec, mean, basis, prior):
         gram = covariance_matrix(spec, data.locations[union])
     except (NumericError, DomainError):
         gram = None
-    systems = []
-    for idx in sets:
-        locations = data.locations[idx]
+    design = basis.evaluate(data.locations[union]) if method in ("universal", "bayes") else None
+    groups = {}
+    for j, idx in enumerate(sets):
+        groups.setdefault(idx.size, []).append(j)
+    systems = [STATUS_NUMERIC] * len(sets)
+    for n, members in groups.items():
+        idx = np.stack([sets[j] for j in members])
+        pos = np.searchsorted(union, idx)
+        F = None if design is None else design[pos]
+        ok = np.full(len(members), True) & _passing(method, n, F, prior)
+        if gram is None:
+            K = np.empty((len(members), n, n))
+            for g in np.flatnonzero(ok):
+                try:
+                    K[g] = covariance_matrix(spec, data.locations[idx[g]])
+                except (NumericError, DomainError):
+                    ok[g] = False
+        else:
+            K = gram[pos[:, :, None], pos[:, None, :]]
+        keep = np.flatnonzero(ok)
+        if keep.size == 0:
+            continue
+        values, F, K = data.values[idx[keep]], None if F is None else F[keep], K[keep]
         try:
-            F = _checked(method, locations, basis, prior)
-            if gram is None:
-                K = covariance_matrix(spec, locations)
-            else:
-                pos = np.searchsorted(union, idx)
-                K = gram[pos[:, None], pos]
-            systems.append(_factor(method, data.values[idx], F, K, mean, prior))
-        except (NumericError, DomainError):
-            systems.append(STATUS_NUMERIC)
+            factored = _factor(method, values, F, K, mean, prior)
+        except NumericError:
+            factored = [_factor_alone(method, values[g:g + 1], None if F is None else F[g:g + 1],
+                                      K[g:g + 1], mean, prior) for g in range(keep.size)]
+        for g, fac in zip(keep, factored):
+            systems[members[g]] = fac
     return systems
 
 
-def _cross_rows(spec, lags):
-    """Row 0 of the covariance over [x0; locations], (C(0), c0), for every
-    point with lags, from one covariance evaluation. When that evaluation
-    fails, every row is None and each point evaluates its own row, failing
-    alone if its own lags fail."""
-    served = [lag for lag in lags if lag is not None]
-    if not served:
-        return lags
+def _bounds(mask):
+    """Per row of a boolean matrix, the bounds (start, end) of its True
+    entries among all of them in row-major order."""
+    ends = np.cumsum(np.count_nonzero(mask, axis=1)).tolist()
+    return zip([0] + ends[:-1], ends)
+
+
+def _cross_rows(spec, lags, bounds):
+    """Row 0 of the covariance over [x0; locations], (C(0), c0), of every
+    point with bounds into `lags`, from one covariance evaluation. When that
+    evaluation fails, every row is None and each point evaluates its own
+    row, failing alone if its own lags fail."""
     try:
-        values = covariance_eval(spec, np.concatenate(served))
+        values = covariance_eval(spec, lags) if lags.size else lags
     except NumericError:
-        return [None] * len(lags)
-    rows = iter(np.split(values, np.cumsum([lag.size for lag in served[:-1]])))
-    return [None if lag is None else next(rows) for lag in lags]
+        return [None] * len(bounds)
+    return [None if ab is None else values[ab[0]:ab[1]] for ab in bounds]
 
 
-def _map_row(points, systems, lags, crosses, spec, basis, i: int) -> MapRow:
+def _map_row(points, f0s, systems, lags, crosses, spec, i: int) -> MapRow:
     x0, fac, row = points[i], systems[i], crosses[i]
     if fac is None:
         return MapRow(x0, None, STATUS_FEW)
@@ -446,7 +525,7 @@ def _map_row(points, systems, lags, crosses, spec, basis, i: int) -> MapRow:
     try:
         if row is None:
             row = covariance_eval(spec, lags[i])
-        res = _at(fac, x0, row[1:], row[0], basis)
+        res = _at(fac, None if f0s is None else f0s[i], row[1:], row[0])
     except (NumericError, DomainError):
         return MapRow(x0, None, STATUS_NUMERIC)
     if not (math.isfinite(res.prediction) and math.isfinite(res.sd)):
@@ -476,11 +555,14 @@ def krige_map(
     and every point's cross lags. Duplicate locations are dropped once per
     map (they lie at the same distance, so they enter and leave a set
     together), with one warning. Points with the same neighbour set share
-    one factored system: the sets new to a block (a set of the previous
-    block is reused) take their Gram matrices from one covariance
-    evaluation over their union and are checked and factored once, the
-    cross-covariances of the block take one more evaluation, and each point
-    then costs only its solves against its set's factor.
+    one factored system. The sets new to a block (a set of the previous
+    block is reused) are grouped by size: a group's designs and Gram
+    matrices are sliced from one basis and one covariance evaluation over
+    the union of the new sets, checked as one stack and factored in one
+    `chol_with_jitter` call, and a group whose call fails is factored set
+    by set, so a failing set fails alone. The cross-covariances of the
+    block take one more evaluation and its trend rows one basis evaluation,
+    and each point then costs only its solves against its set's factor.
     A global radius gives one set, so the whole map factors one matrix.
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
@@ -503,7 +585,9 @@ def krige_map(
         dist, within = _search(points, data.locations, radius)
         served = np.count_nonzero(within, axis=1) > min_neighbors
         dropped |= np.any(within[served] & ~first, axis=0)
-        sets = [np.flatnonzero(row) if ok else None for row, ok in zip(within & first, served)]
+        member = within & first & served[:, None]
+        cols = np.nonzero(member)[1]
+        sets = [cols[a:b] if ok else None for (a, b), ok in zip(_bounds(member), served)]
         keys = [None if idx is None else idx.tobytes() for idx in sets]
         factored = {key: previous[key] for key in keys if key in previous}
         new = {key: idx for key, idx in zip(keys, sets) if key is not None and key not in factored}
@@ -512,10 +596,16 @@ def krige_map(
                                                   mean, basis, prior)))
         previous = factored
         systems = [None if key is None else factored[key] for key in keys]
-        lags = [np.concatenate(([0.0], dist[i, idx])) if isinstance(fac, _Factored) else None
-                for i, (idx, fac) in enumerate(zip(sets, systems))]
-        crosses = _cross_rows(spec, lags)
-        rows += parallel_map(partial(_map_row, points, systems, lags, crosses, spec, basis),
+        # the lags of each point with a factored set, [0, its distances],
+        # one point after another
+        solved = np.array([isinstance(fac, _Factored) for fac in systems])[:, None]
+        at_x0 = np.hstack([solved, member & solved])
+        flat = np.hstack([np.zeros((len(points), 1)), dist])[at_x0]
+        bounds = [ab if ok else None for ab, ok in zip(_bounds(at_x0), solved[:, 0])]
+        lags = [None if ab is None else flat[ab[0]:ab[1]] for ab in bounds]
+        crosses = _cross_rows(spec, flat, bounds)
+        f0s = basis.evaluate(points) if method in ("universal", "bayes") else None
+        rows += parallel_map(partial(_map_row, points, f0s, systems, lags, crosses, spec),
                              range(points.shape[0]))
     if np.any(dropped):
         warnings.warn(

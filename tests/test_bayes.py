@@ -147,6 +147,40 @@ def test_conditional_moments_match_bayes_kriging_and_are_monotone_in_phi():
         prev = s2
 
 
+def test_shared_moments_equal_bayes_kriging_on_each_draws_own_system():
+    # bit for bit: the shared lags, the stacked factorisation and the terms
+    # computed once per point must not move the last bit of any moment
+    from variokrig._linalg import chol_with_jitter
+    from variokrig.krige import _bayes_at, _Trend
+    from variokrig.models import covariance_matrix
+
+    rng = np.random.default_rng(33)
+    data = log_dataset(rng, n=40)
+    draws = PosteriorDraws(np.vstack([several_draws(rng, 6).table,
+                                      [[0.1, 0.9, 4.0, 1.7], [0.0, 1.1, 5.0, 2.5]]]))
+    points = rng.uniform(0.0, 10.0, size=(12, 2))
+    shared = _SharedCovariances(points, data, draws.specs(), 4.0)
+    served = 0
+    for i, x0 in enumerate(points):
+        got = shared.moments(i, 0.3, 7.0)
+        idx = np.flatnonzero(np.hypot(*(data.locations - x0).T) <= 4.0)
+        if got is None:
+            assert idx.size <= 4
+            continue
+        served += 1
+        F = np.ones((idx.size, 1))
+        mu, phi = np.array([0.3]), np.array([[7.0]])
+        trend = _Trend(F, mu, phi, data.values[idx] - F @ mu)
+        expect = []
+        for spec in draws.specs():
+            M = covariance_matrix(spec, np.vstack([x0, data.locations[idx]]))
+            K = np.ascontiguousarray(M[1:, 1:])
+            L, _ = chol_with_jitter(K + F @ phi @ F.T)
+            expect.append(_bayes_at(L, trend, np.ones(1), M[0, 1:].copy(), M[0, 0]))
+        assert got == expect
+    assert served > 6
+
+
 def test_forward_rule_reproduces_reference_weighting():
     rng = np.random.default_rng(6)
     data = log_dataset(rng)

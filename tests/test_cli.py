@@ -514,7 +514,8 @@ def test_cli_import_leaves_out_scipy_stats(tmp_path):
 
 # The variokrig modules a command ran: the package registers the numerical
 # modules unexecuted (`importlib.util.LazyLoader`), and a module counts as
-# run once its class is a plain module again. Then whether numpy.random loaded.
+# run once its class is a plain module again. Then whether numpy.random and
+# numpy.ma loaded.
 MODULE_PROBE = """
 import sys, types
 from variokrig import cli
@@ -524,7 +525,7 @@ except SystemExit as exc:  # --help
     status = exc.code
 ran = sorted(n.partition(".")[2] for n, m in sys.modules.items()
              if n.startswith("variokrig.") and type(m) is types.ModuleType)
-print(status, "numpy.random" in sys.modules, *ran)
+print(status, "numpy.random" in sys.modules, "numpy.ma" in sys.modules, *ran)
 """
 
 
@@ -541,9 +542,9 @@ def test_each_command_runs_only_its_modules(tmp_path):
     def probe(*argv):
         out = subprocess.run([sys.executable, "-c", MODULE_PROBE.format(argv=list(argv))],
                              env=env, capture_output=True, text=True, check=True)
-        status, rng, *ran = out.stdout.splitlines()[-1].split()
+        status, rng, ma, *ran = out.stdout.splitlines()[-1].split()
         assert status == "0", out.stderr
-        return rng == "True", set(ran)
+        return rng == "True", ma == "True", set(ran)
 
     every = {"cli", "exceptions", "util"}
     numeric = every | {"models", "specfun"}
@@ -567,8 +568,12 @@ def test_each_command_runs_only_its_modules(tmp_path):
           *grid, "--radius", "200", "--out", out),
          False, numeric | {"_linalg", "bayes", "empvario", "krige", "sim"}),
     ]
+    # np.percentile and np.median load numpy.ma; posterior and copula-fit need neither
+    no_ma = ("--help", "posterior", "copula-fit")
     for argv, rng, ran in steps:
-        assert probe(*argv) == (rng, ran), argv[0]
+        got_rng, got_ma, got_ran = probe(*argv)
+        assert (got_rng, got_ran) == (rng, ran), argv[0]
+        assert not (argv[0] in no_ma and got_ma), argv[0]
 
 
 def test_copula_fit_on_a_strongly_dependent_table_prints_no_warning(tmp_path):

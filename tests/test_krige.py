@@ -544,11 +544,14 @@ def test_local_map_factors_each_distinct_neighbour_set_once(count_calls, method)
     data = SpatialDataset(rng.uniform(0.0, 10.0, size=(25, 2)), rng.normal(size=25))
     g = np.linspace(0.25, 9.75, 10)
     grid = np.array([(x, y) for x in g for y in g])
-    sets = [neighborhood(data, x0, 3.0) for x0 in grid]
+    sets = [neighborhood(data, x0, 3.0) for x0 in grid]  # one block of the map
     served = [s.locations.tobytes() for s in sets if s is not None and len(s) > 4]
+    sizes = {len(s) for s in sets if s is not None and len(s) > 4}
     factors = count_calls("variokrig._linalg", "chol_with_jitter")
     krige_map(grid, method, data, expo(nugget=0.1), 3.0, mean=0.3, basis=LINEAR, prior=PRIOR)
-    assert len(factors) == len(set(served)) < len(served)
+    # each distinct set is one matrix of one stack, one stack per set size
+    assert sum(np.shape(mat)[0] for mat, in factors) == len(set(served)) < len(served)
+    assert len(factors) <= len(sizes) < len(set(served))
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -602,3 +605,61 @@ def test_map_set_whose_gram_fails_fails_alone(count_calls, method):
     expect = point_rows(grid, method, data, spec, 71.0)
     assert [(r.status, r.result) for r in rows] == expect
     assert [status for status, _ in expect] == ["ok", "ok", "numeric_failure", "ok"]
+
+
+def cluster_instance(rng, collinear=None):
+    """Four clusters of six stations 100 apart, each one neighbour set of
+    size 6 for the two grid points near its centre (radius 3): one group
+    of one size. Cluster `collinear` lies on a line."""
+    offsets = rng.uniform(-1.5, 1.5, size=(4, 6, 2))
+    if collinear is not None:
+        t = np.linspace(-1.5, 1.5, 6)
+        offsets[collinear] = np.column_stack([t, 0.5 * t + 0.2])
+    centres = np.array([[0.0, 0.0], [100.0, 0.0], [0.0, 100.0], [100.0, 100.0]])
+    data = SpatialDataset((centres[:, None, :] + offsets).reshape(-1, 2), rng.normal(size=24))
+    grid = np.repeat(centres, 2, axis=0) + np.tile([[0.1, -0.2], [-0.3, 0.25]], (4, 1))
+    return data, grid
+
+
+@pytest.mark.parametrize("method", ["universal", "bayes"])
+def test_collinear_set_in_a_size_group_fails_alone(count_calls, method):
+    data, grid = cluster_instance(np.random.default_rng(26), collinear=2)
+    spec = expo(nugget=0.1)
+    factors = count_calls("variokrig._linalg", "chol_with_jitter")
+    rows = krige_map(grid, method, data, spec, 3.0, mean=0.3, basis=LINEAR, prior=PRIOR)
+    assert [np.shape(mat) for mat, in factors] == [(3, 6, 6)]  # the rank check took it out
+    expect = point_rows(grid, method, data, spec, 3.0)
+    assert [(r.status, r.result) for r in rows] == expect
+    assert [status for status, _ in expect] == ["ok"] * 4 + ["numeric_failure"] * 2 + ["ok"] * 2
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_set_whose_factorisation_fails_fails_alone_in_its_group(monkeypatch, method):
+    # the jitter ladder is made to fail on the system of cluster 1 alone: the
+    # group's stacked call fails, and each set is factored again on its own
+    import variokrig.krige as krige_module
+    from variokrig._linalg import chol_with_jitter
+    from variokrig.exceptions import SingularMatrixError
+
+    data, grid = cluster_instance(np.random.default_rng(27))
+    spec = expo(nugget=0.1)
+    bad = data.locations[6:12]
+    target = gram(spec, bad)
+    if method == "bayes":
+        F = LINEAR.design(bad)
+        target = target + F @ PRIOR.phi @ F.T
+    sizes = []
+
+    def failing(mat):
+        stack = np.asarray(mat).reshape(-1, 6, 6)
+        sizes.append(len(stack))
+        if any(np.allclose(m, target, rtol=1e-12, atol=0.0) for m in stack):
+            raise SingularMatrixError("ladder exhausted")
+        return chol_with_jitter(mat)
+
+    monkeypatch.setattr(krige_module, "chol_with_jitter", failing)
+    rows = krige_map(grid, method, data, spec, 3.0, mean=0.3, basis=LINEAR, prior=PRIOR)
+    assert sizes == [4, 1, 1, 1, 1]
+    expect = point_rows(grid, method, data, spec, 3.0)
+    assert [(r.status, r.result) for r in rows] == expect
+    assert [status for status, _ in expect] == ["ok"] * 2 + ["numeric_failure"] * 2 + ["ok"] * 4
