@@ -11,7 +11,7 @@ is summarised by grid-exact quantiles.
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import ClassVar
 
 import numpy as np
@@ -71,10 +71,13 @@ class DensityGrid:
             raise DomainError(f"density grid of {points} points exceeds the cap of "
                               f"{self.MAX_POINTS} (use a coarser step)")
 
-    @property
+    @cached_property
     def log_grid(self) -> np.ndarray:
+        """The grid nodes, built on first use and read-only."""
         n = int(round((self.hi - self.lo) / self.step)) + 1
-        return np.linspace(self.lo, self.lo + (n - 1) * self.step, n)
+        grid = np.linspace(self.lo, self.lo + (n - 1) * self.step, n)
+        grid.flags.writeable = False
+        return grid
 
 
 @dataclass(frozen=True)
@@ -177,18 +180,25 @@ class _SharedCovariances:
 
 
 def _summarize(grid: DensityGrid, density: np.ndarray):
+    """Values, cdf and summary of a density on the grid. Raises
+    NumericError when its mass on the grid is not finite and positive: the
+    draws' lognormals then vanish at every node (a conditional variance far
+    below the grid step), and no cdf or quantile exists."""
     g = grid.log_grid
     y = np.exp(g)
     if grid.rule == "forward":
-        dy = np.exp(g + grid.step) - y
-        mass = density * dy
-        total = float(mass.sum())
+        mass = density * (np.exp(g + grid.step) - y)
+    else:
+        mass = 0.5 * (density[:-1] + density[1:]) * np.diff(y)
+    total = float(mass.sum())
+    if not (math.isfinite(total) and total > 0.0):
+        raise NumericError(f"predictive density has mass {total} on the grid "
+                           "(the conditional variance is below the grid's resolution)")
+    if grid.rule == "forward":
         cdf = np.cumsum(mass) / total
         mean = float((mass * (np.exp(g + grid.step) + y) / 2.0).sum() / total)
     else:
-        seg = 0.5 * (density[:-1] + density[1:]) * np.diff(y)
-        total = float(seg.sum())
-        cdf = np.concatenate([[0.0], np.cumsum(seg)]) / total
+        cdf = np.concatenate([[0.0], np.cumsum(mass)]) / total
         ymid = 0.5 * (density[:-1] * y[:-1] + density[1:] * y[1:]) * np.diff(y)
         mean = float(ymid.sum() / total)
     summary = {}
@@ -203,7 +213,7 @@ def _summarize(grid: DensityGrid, density: np.ndarray):
     summary["modal"] = float(y[int(np.argmax(density))])
     summary["mean"] = mean
     summary["approx_sd"] = (summary["q075"] - summary["q025"]) / IQR_TO_SD
-    return y, cdf, summary, tuple(clipped), total
+    return y, cdf, summary, tuple(clipped)
 
 
 def _density(moments, grid: DensityGrid) -> PredictiveDensity:
@@ -224,7 +234,7 @@ def _density(moments, grid: DensityGrid) -> PredictiveDensity:
         dens += term
     dens /= len(moments)
     dens = dens * np.exp(-g)  # Jacobian of the log transform
-    y, cdf, summary, clipped, _ = _summarize(grid, dens)
+    y, cdf, summary, clipped = _summarize(grid, dens)
     return PredictiveDensity(g, y, dens, cdf, summary, clipped)
 
 
@@ -301,11 +311,11 @@ def density_map(
 def _density_row(points, shared, prior_mean, prior_var, grid, i: int) -> DensityMapRow:
     try:
         moments = shared.moments(i, prior_mean, prior_var)
+        if moments is None:
+            return DensityMapRow(points[i], None, "too_few_neighbors")
+        return DensityMapRow(points[i], _density(moments, grid).summary, "ok")
     except NumericError:
         return DensityMapRow(points[i], None, "numeric_failure")
-    if moments is None:
-        return DensityMapRow(points[i], None, "too_few_neighbors")
-    return DensityMapRow(points[i], _density(moments, grid).summary, "ok")
 
 
 def density_map_csv(rows) -> str:

@@ -61,8 +61,13 @@ def matern_correlation(u, nu):
     Evaluated in log space so the 0 * inf products that plague the naive
     formula for small u / large nu never appear. u <= 0 maps to 1. ``nu``
     is a scalar or an array broadcasting against ``u`` (one smoothness per
-    row of a parameter block); every element goes through the same
-    operations either way, so a block row equals the scalar evaluation.
+    row of a parameter block). The two take different routes to log K_nu
+    (see `specfun.log_bessel_k`): an array nu takes scipy's kve per element,
+    a scalar nu that is not a half-integer takes the Chebyshev table. So a
+    block row equals the evaluation at that row's nu as a one-element
+    array, and agrees with the scalar evaluation to about 1e-13 relative.
+    Within either route an element's value depends only on its own u and
+    nu, not on the other elements of the call.
     """
     u = np.asarray(u, dtype=float)
     out = np.ones_like(u)
@@ -359,12 +364,24 @@ def _single_variogram(kind, nugget, sill, range_, shape, h):
     return np.where(h == 0.0, 0.0, nugget + sill * (1.0 - rho))
 
 
-def variogram_eval(spec, h):
-    """gamma(h) = C(0) - C(h); exactly 0 at h = 0."""
+def _spec_row(spec):
+    """(family, parameter vector in fitting order) of a model spec."""
     if isinstance(spec, NestedMaternSpec):
-        return nested_matern_variogram(spec, h)
+        return "nested_matern", spec.as_vector()
+    shape = () if spec.shape is None else (spec.shape,)
+    return spec.kind, np.array([spec.nugget, spec.sill, spec.range_, *shape], dtype=float)
+
+
+def variogram_eval(spec, h):
+    """gamma(h) = C(0) - C(h); exactly 0 at h = 0.
+
+    Evaluated as the one row of `variogram_rows` for the spec's parameters,
+    so it equals each row of a fit's parameter block bit for bit (a Matern
+    variogram takes scipy's kve per element, not the table of a scalar nu).
+    """
     h = _as_lags(h)
-    out = _single_variogram(spec.kind, spec.nugget, spec.sill, spec.range_, spec.shape, h)
+    family, params = _spec_row(spec)
+    out = variogram_rows(family, params[None], h.ravel()).reshape(h.shape)
     if out.ndim == 0:
         return float(out)
     return out
@@ -375,9 +392,10 @@ def variogram_rows(family: str, params, h, first=None) -> np.ndarray:
 
     Rows are in fitting order: (nugget, sill, range[, shape]) or the seven
     nested-Matern parameters. The parameters broadcast as (P, 1) columns
-    through the scalar code, so row i equals variogram_eval of the spec
-    built from params[i] bit for bit. Rows are not validated (see
-    `valid_rows`); NumericError is raised when any row would raise it.
+    through the scalar code, so the Matern rows take scipy's kve per
+    element with an array nu, and `variogram_eval` is the one-row case.
+    Rows are not validated (see `valid_rows`); NumericError is raised when
+    any row would raise it.
 
     A block may stack several finite-difference blocks. ``first[i]`` is the
     index of the first row of row i's block (default: every row belongs to
@@ -476,7 +494,7 @@ def _nested_correlation_parts(p, h, first=None):
     return at_origin, part
 
 
-def _nested_variogram(p, h, first=None):
+def _nested_variogram(p, h, first):
     at_origin, part = _nested_correlation_parts(p, h, first)
     nugget, sill1, _, _, sill2, _, _ = p
     return np.where(at_origin, 0.0, nugget + sill1 + sill2 - part)
@@ -493,10 +511,7 @@ def nested_matern_covariance(spec: NestedMaternSpec, h):
 
 def nested_matern_variogram(spec: NestedMaternSpec, h):
     """gamma(h) of the two-component Matern; 0 at the origin."""
-    out = _nested_variogram(_nested_params(spec), _as_lags(h))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return variogram_eval(spec, h)
 
 
 def matern_spectral_density(phi: float, alpha: float, nu: float, omega):

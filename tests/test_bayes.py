@@ -364,3 +364,71 @@ def test_beta_posterior_rank_deficient_prior():
     assert np.ptp(mean) < 1e-6 * np.abs(mean).max()
     assert np.abs(W - W[0, 0]).max() < 1e-6 * W[0, 0]
     assert W[0, 0] > 0.0
+
+
+# -- densities the grid cannot resolve ------------------------------------------------
+
+
+def test_density_with_no_mass_on_the_grid_is_a_numeric_failure(recwarn):
+    # without a nugget, the conditional variance 1e-6 from a station is so
+    # small that every draw's lognormal vanishes at every grid node
+    rng = np.random.default_rng(41)
+    data = log_dataset(rng, n=40)
+    draws = PosteriorDraws(np.array([[0.0, 0.8, 6.0, 1.3, 1.2, 30.0, 0.9],
+                                     [0.0, 0.7, 5.0, 1.7, 1.1, 35.0, 1.1]]))
+    near = data.locations[0] + [1e-6, 0.0]
+    with pytest.raises(NumericError, match="mass"):
+        predictive_density_at(near, data, draws, 0.0, 10.0, 4.0)
+    rows = density_map(np.vstack([near, [5.0, 5.0]]), data, draws, 0.0, 10.0, 4.0)
+    assert [r.status for r in rows] == ["numeric_failure", "ok"]
+    assert "nan" not in density_map_csv(rows)
+    assert not recwarn.list
+
+
+def test_density_grid_is_built_once_and_read_only():
+    grid = DensityGrid()
+    assert grid.log_grid is grid.log_grid
+    with pytest.raises(ValueError):
+        grid.log_grid[0] = 0.0
+    n = int(round((grid.hi - grid.lo) / grid.step)) + 1
+    assert np.array_equal(grid.log_grid, np.linspace(grid.lo, grid.lo + (n - 1) * grid.step, n))
+
+
+# -- the bound on what the Matern table changes in a density map ----------------------
+
+
+def test_density_map_from_the_table_stays_within_its_bound_of_kve(monkeypatch):
+    # Matern covariances at a scalar nu that is not a half-integer come from
+    # specfun's Chebyshev table of log kve. Against the same map from kve
+    # per element, status and quantile cells stay equal (the quantiles are
+    # grid nodes) and every other cell moves by at most 1e-11 relative.
+    from variokrig import specfun
+
+    rng = np.random.default_rng(51)
+    data = log_dataset(rng, n=60, spread=30.0)
+    base = np.array([0.05, 0.6, 8.0, 0.8, 0.9, 30.0, 1.4])
+    draws = PosteriorDraws(base * rng.uniform(0.6, 1.4, size=(10, 7)))
+    g = np.linspace(0.0, 30.0, 12)
+    grid = np.array([(x, y) for x in g for y in g])
+    table_calls = []
+    table = specfun._log_bessel_k_table
+    monkeypatch.setattr(specfun, "_log_bessel_k_table",
+                        lambda nu, x: table_calls.append(nu) or table(nu, x))
+    with_table = density_map_csv(density_map(grid, data, draws, 0.3, 10.0, 9.0))
+    assert len(table_calls) == 2 * len(draws)
+    monkeypatch.setattr(specfun, "_log_bessel_k_table", specfun._log_bessel_k_each)
+    with_kve = density_map_csv(density_map(grid, data, draws, 0.3, 10.0, 9.0))
+
+    header, *rows = with_table.splitlines()
+    assert header == with_kve.splitlines()[0]
+    names = header.split(",")
+    exact = {"status", "Median", "qq001", "qq005", "qq025", "qq075", "qq095", "qq099"}
+    served = 0
+    for row, ref in zip(rows, with_kve.splitlines()[1:], strict=True):
+        for name, a, b in zip(names, row.split(","), ref.split(","), strict=True):
+            if name in exact or not b:
+                assert a == b, name
+            else:
+                assert float(a) == pytest.approx(float(b), rel=1e-11, abs=0.0), name
+        served += row.endswith(",ok")
+    assert served > 100

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gammaln, kve
 
-from variokrig import DomainError, NumericError, bessel_k, bessel_k_scaled, gamma_fn
+from variokrig import DomainError, NumericError, bessel_k, bessel_k_scaled, gamma_fn, specfun
 
 
 def test_gamma_identities():
@@ -88,3 +89,87 @@ def test_bessel_overflow_signalled():
     # K_40 explodes for tiny arguments; must raise, not return inf
     with pytest.raises(NumericError):
         bessel_k(40.0, 1e-12)
+
+
+# -- the Chebyshev table of log kve at a scalar nu ------------------------------------
+
+# lags over the whole double range of the table and around every piece edge
+LAGS = np.sort(np.concatenate([
+    np.geomspace(1e-300, 1e300, 400),
+    np.exp(np.arange(-30.0, 8.0)),
+    np.nextafter(np.exp(np.arange(-30.0, 8.0)), 0.0),
+    np.random.default_rng(3).uniform(1e-3, 10.0, 500),
+]))
+
+
+def per_element_kve(nu, x):
+    """log K_nu(x) as log(kve) - x from scipy, element by element."""
+    return np.log(kve(nu, x)) - x
+
+
+@pytest.mark.parametrize("nu", [0.05, 0.73, 1.0, 2.7, 10.3, 39.9, 50.0])
+def test_table_value_does_not_depend_on_the_batch(nu):
+    full = specfun.log_bessel_k(nu, LAGS)
+    assert np.all(np.isfinite(full))
+    for lo, hi in [(0, 1), (5, 90), (400, 420), (433, LAGS.size), (0, LAGS.size // 2)]:
+        assert np.array_equal(specfun.log_bessel_k(nu, LAGS[lo:hi]), full[lo:hi])
+    singles = np.array([specfun.log_bessel_k(nu, x) for x in LAGS[::7]])
+    assert np.array_equal(singles, full[::7])
+    assert np.array_equal(specfun.log_bessel_k(nu, LAGS[::-1])[::-1], full)
+
+
+@pytest.mark.parametrize("nu", [0.5, 1.5, 2.5, 7.5, 49.5])
+def test_half_integer_scalar_nu_takes_kve_per_element(nu):
+    x = LAGS[np.isfinite(kve(nu, LAGS)) & (LAGS < 1e6)]
+    got = specfun.log_bessel_k(nu, x)
+    assert np.array_equal(got.view(np.int64), per_element_kve(nu, x).view(np.int64))
+
+
+def test_array_nu_takes_kve_per_element():
+    x = LAGS[(LAGS > 1e-3) & (LAGS < 1e6)]
+    rng = np.random.default_rng(5)
+    nus = rng.uniform(0.05, 20.0, x.size)
+    got = specfun.log_bessel_k(nus, x)
+    assert np.array_equal(got.view(np.int64), per_element_kve(nus, x).view(np.int64))
+    # a column of one repeated nu, as a fit's parameter block passes it
+    col = np.full((1, x.size), 1.3)
+    got = specfun.log_bessel_k(col, x)[0]
+    assert np.array_equal(got.view(np.int64), per_element_kve(1.3, x).view(np.int64))
+
+
+@pytest.mark.parametrize("nu", [40.0, 50.0])
+def test_table_keeps_the_small_argument_form_where_kve_overflows(nu):
+    x = np.geomspace(1e-14, 1e-3, 300)
+    overflow = ~np.isfinite(kve(nu, x))
+    assert overflow.any() and not overflow.all()
+    got = specfun.log_bessel_k(nu, x)
+    small = math.log(0.5) + gammaln(nu) + nu * (math.log(2.0) - np.log(x[overflow]))
+    assert np.array_equal(got[overflow], small)
+    # the piece holding the first finite kve is still evaluated per element
+    edge = (np.floor(np.log(x)) == math.floor(math.log(x[~overflow][0]))) & ~overflow
+    assert edge.any()
+    assert np.array_equal(got[edge], per_element_kve(nu, x[edge]))
+    # the pieces above take the table, within rounding of kve
+    table = ~overflow & ~edge
+    assert not np.array_equal(got[table], per_element_kve(nu, x[table]))
+    assert np.allclose(got[table], per_element_kve(nu, x[table]), rtol=1e-14, atol=0.0)
+
+
+def test_table_pieces_hold_only_where_kve_is_finite_and_positive():
+    # every piece a finite argument can fall in: k = -745, ..., 709
+    k = np.arange(-745.0, 710.0)
+    coef, holds = specfun._log_kve_pieces(2.7, k[0], k.size)
+    with np.errstate(over="ignore"):
+        nodes = np.exp(k[:, None] + 0.5 * (specfun._NODES + 1.0))
+        f = kve(2.7, nodes)
+    assert np.array_equal(holds, (nodes[:, -1] >= np.finfo(float).tiny)
+                          & np.all(np.isfinite(f) & (f > 0.0), axis=1))
+    # kve overflows below e^-258 at nu = 2.7, and is not finite at the top
+    assert np.array_equal(k[holds], np.arange(-258.0, 20.0))
+    assert np.all(np.isfinite(coef[:, holds]))
+    # non-finite or non-positive arguments fall back to the per-element path
+    odd = np.array([0.0, math.inf, math.nan, 1.0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got = specfun.log_bessel_k(2.7, odd)
+        want = specfun._log_bessel_k_each(2.7, odd)
+    assert np.array_equal(got[:3], want[:3], equal_nan=True)
