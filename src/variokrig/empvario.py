@@ -101,12 +101,15 @@ class EmpiricalVariogram:
 class _Pairs(NamedTuple):
     """The qualifying unordered pairs (i < j) of a location set, sorted by
     distance; the positions of the pairs that share their distance with a
-    neighbour; and the number of pairs at zero distance."""
+    neighbour, and for each of them its group, the number of its run of
+    equal distance (0, 1, ... in distance order; int16 while the runs
+    fit); and the number of pairs at zero distance."""
 
     i: np.ndarray
     j: np.ndarray
     dist: np.ndarray
     ties: np.ndarray
+    groups: np.ndarray
     n_zero: int
 
 
@@ -130,15 +133,23 @@ def _pairs(locations: np.ndarray, max_dist: float, direction: Direction | None) 
     tied = np.flatnonzero(dist[1:] == dist[:-1])
     ties = np.zeros(dist.size, dtype=bool)  # np.union1d would import numpy.ma
     ties[tied] = ties[tied + 1] = True
-    return _Pairs(i[order], j[order], dist, np.flatnonzero(ties), n_zero)
+    ties = np.flatnonzero(ties)
+    starts = dist[ties[1:]] != dist[ties[:-1]]
+    # numpy's stable sort of 16-bit integers is a radix sort
+    small = starts.sum() < np.iinfo(np.int16).max
+    groups = np.zeros(ties.size, dtype=np.int16 if small else np.intp)
+    np.cumsum(starts, out=groups[1:])
+    return _Pairs(i[order], j[order], dist, ties, groups, n_zero)
 
 
 def _half_sq_diffs(pairs: _Pairs, values: np.ndarray) -> np.ndarray:
     """Half squared differences of `values` over the pairs, ordered by
-    (distance, value); only runs of equal distance need sorting."""
+    (distance, value); only runs of equal distance need sorting: by value,
+    then stably by group."""
     hsd = 0.5 * (values[pairs.i] - values[pairs.j]) ** 2
-    t = pairs.ties
-    hsd[t] = hsd[t][np.lexsort((hsd[t], pairs.dist[t]))]
+    tied = hsd[pairs.ties]
+    by_value = np.argsort(tied)
+    hsd[pairs.ties] = tied[by_value[np.argsort(pairs.groups[by_value], kind="stable")]]
     return hsd
 
 

@@ -20,7 +20,11 @@ reverse-communication loop exactly as `scipy.optimize.minimize` drives it
 (the evaluation at the start, the cache of the last point, the evaluation
 count and the stopping tests), so every fit equals its own `minimize` run
 bit for bit. Each round evaluates the points and difference rows of every
-fit that asked for a value in one `variogram_rows` call. A single fit is a
+fit that asked for a value in one `variogram_rows` call per group of fits
+on the same lags; there each distinct Matern (range, nu) row is evaluated
+once (see `models.variogram_rows`). The boxes and the lag groups, with
+their stacked data, are built once per run, not per round, and a run
+tests a request for its cached point on Python lists. A single fit is a
 batch of one. `setulb` is private scipy API. It is loaded from scipy's
 compiled L-BFGS-B module, `scipy.optimize._lbfgsb`, alone, so a fit does
 not import `scipy.optimize`. Where that module is missing, or its `setulb`
@@ -119,10 +123,12 @@ class FitResult:
 
     def to_csv_row(self) -> str:
         """`nugget,sill1,...,converged` row; failed fits emit the all-zero
-        sentinel params for compatibility with the reference output."""
+        sentinel params for compatibility with the reference output. The
+        objective of a column that could not be fitted at all (math.inf)
+        is an empty cell."""
         params = self.params if self.converged else np.zeros_like(self.params)
         cells = [fmt_float(v) for v in params]
-        cells.append(fmt_float(self.objective))
+        cells.append(fmt_float(self.objective) if math.isfinite(self.objective) else "")
         cells.append("true" if self.converged else "false")
         return ",".join(cells)
 
@@ -220,16 +226,15 @@ def _objective(family, h, g, n, method):
 
 def _stacked_objectives(family, X, block, h, g, n, method) -> np.ndarray:
     """Objective at every row of X, a stack of parameter blocks: row i
-    belongs to block[i] (non-decreasing), whose data are g[block[i]] and
-    n[block[i]] at the lags h. Rows that build no valid spec get _PENALTY;
-    the others are evaluated by one `variogram_rows` call, in which a row
-    shares Matern values with the first valid row of its block. Raises
-    NumericError when any row would raise it."""
+    belongs to block[i], whose data are g[block[i]] and n[block[i]] at the
+    lags h. Rows that build no valid spec get _PENALTY; the others are
+    evaluated by one `variogram_rows` call. Raises NumericError when any
+    row would raise it."""
     valid = valid_rows(family, X)
     out = np.full(len(X), _PENALTY)
     if valid.any():
         ids = block[valid]
-        model = variogram_rows(family, X[valid], h, np.searchsorted(ids, ids))
+        model = variogram_rows(family, X[valid], h)
         out[valid] = _row_objectives(model, g[ids], n[ids], method)
     return out
 
@@ -445,7 +450,7 @@ class _LbfgsbRun:
         self._maxfun = MAX_EVALS // (n + 1)  # k + 1 points per evaluation
         self._maxiter = MAX_EVALS
         self._iterations = 0
-        self._cache = None  # (x, f, g) of the last evaluation
+        self._cache = None  # (x as a list, f, g) of the last evaluation
         self.nfev = 0
 
     @property
@@ -454,7 +459,7 @@ class _LbfgsbRun:
 
     def record(self, f: float, g: np.ndarray):
         """f and g at the current x."""
-        self._cache = (self.x.copy(), f, g)
+        self._cache = (self.x.tolist(), f, g)
         self.nfev += 1
 
     def advance(self) -> bool:
@@ -469,7 +474,10 @@ class _LbfgsbRun:
                          self._iwa, task, self._lsave, self._isave, self._dsave,
                          _LBFGSB_MAXLS, self._ln_task)
             if task[0] == _TASK_FG:
-                if not (self.x == self._cache[0]).all():  # minimize's np.array_equal
+                # minimize's np.array_equal, without a numpy reduction: list
+                # == compares float by float, so -0.0 equals 0.0 and NaN
+                # nothing
+                if self.x.tolist() != self._cache[0]:
                     return True
             elif task[0] == _TASK_NEW_X:
                 self._iterations += 1
@@ -481,8 +489,26 @@ class _LbfgsbRun:
                 return False
 
 
-def _block_objectives(problems, blocks) -> np.ndarray:
-    """Objective at every row of the (C, P, k) blocks, block c of problem c.
+def _lag_groups(problems):
+    """The problems grouped by their lags, once per lockstep run: each
+    problem's group and its slot in the group, and each group's lags and
+    the stacks of its problems' g and n."""
+    index, members, group_of, slot_of = {}, [], [], []
+    for p in problems:
+        group = index.setdefault(p.h.tobytes(), len(index))
+        if group == len(members):
+            members.append([])
+        group_of.append(group)
+        slot_of.append(len(members[group]))
+        members[group].append(p)
+    stacks = [(ps[0].h, np.array([p.g for p in ps]), np.array([p.n for p in ps]))
+              for ps in members]
+    return np.array(group_of), np.array(slot_of), stacks
+
+
+def _block_objectives(problems, lag_groups, waiting, blocks) -> np.ndarray:
+    """Objective at every row of the (C, P, k) blocks, block c of problem
+    waiting[c].
 
     The blocks of problems on the same lags are evaluated together; when
     that raises NumericError, each block is evaluated alone, which confines
@@ -490,42 +516,43 @@ def _block_objectives(problems, blocks) -> np.ndarray:
     """
     C, P, k = blocks.shape
     family, method = problems[0].family, problems[0].method
-    groups = {}
-    for c, p in enumerate(problems):
-        groups.setdefault(p.h.tobytes(), []).append(c)
+    group_of, slot_of, stacks = lag_groups
+    groups = group_of[waiting]
     out = np.empty((C, P))
-    for cols in groups.values():
-        if len(cols) > 1:
+    for gi, (h, g, n) in enumerate(stacks):
+        cols = np.flatnonzero(groups == gi)
+        if cols.size > 1:
             try:
                 out[cols] = _stacked_objectives(
-                    family, blocks[cols].reshape(-1, k), np.repeat(np.arange(len(cols)), P),
-                    problems[cols[0]].h, np.array([problems[c].g for c in cols]),
-                    np.array([problems[c].n for c in cols]), method,
-                ).reshape(len(cols), P)
+                    family, blocks[cols].reshape(-1, k), np.repeat(slot_of[waiting[cols]], P),
+                    h, g, n, method,
+                ).reshape(cols.size, P)
                 continue
             except NumericError:
                 pass
         for c in cols:
-            out[c] = problems[c].rows(blocks[c])
+            out[c] = problems[waiting[c]].rows(blocks[c])
     return out
 
 
 def _lockstep(setulb, problems, starts) -> list[_LbfgsbRun]:
     """Run L-BFGS-B on every problem from its start, all in lockstep: each
     round evaluates f and the forward-difference gradient of every run
-    waiting for them, in one `_block_objectives` call."""
+    waiting for them, in one `_block_objectives` call. The boxes and the
+    lag groups are built once, before the first round."""
     runs = [_LbfgsbRun(setulb, x0, p.bounds) for p, x0 in zip(problems, starts)]
-    waiting = list(range(len(runs)))
-    while waiting:
-        live = [problems[i] for i in waiting]
+    lower = np.array([p.bounds.lower for p in problems])
+    upper = np.array([p.bounds.upper for p in problems])
+    lag_groups = _lag_groups(problems)
+    waiting = np.arange(len(runs))
+    while waiting.size:
         X = np.array([runs[i].x for i in waiting])
-        blocks, stepped = _difference_blocks(
-            X, np.array([p.bounds.lower for p in live]), np.array([p.bounds.upper for p in live]))
-        F = _block_objectives(live, blocks)
+        blocks, stepped = _difference_blocks(X, lower[waiting], upper[waiting])
+        F = _block_objectives(problems, lag_groups, waiting, blocks)
         grads = (F[:, 1:] - F[:, :1]) / (stepped - X)
-        for i, f, g in zip(waiting, F[:, 0], grads):
-            runs[i].record(float(f), g)
-        waiting = [i for i in waiting if runs[i].advance()]
+        for i, f, g in zip(waiting.tolist(), F[:, 0].tolist(), grads):
+            runs[i].record(f, g)
+        waiting = np.array([i for i in waiting.tolist() if runs[i].advance()], dtype=np.intp)
     return runs
 
 

@@ -67,22 +67,34 @@ def matern_correlation(u, nu):
     block row equals the evaluation at that row's nu as a one-element
     array, and agrees with the scalar evaluation to about 1e-13 relative.
     Within either route an element's value depends only on its own u and
-    nu, not on the other elements of the call.
+    nu, not on the other elements of the call: a (P, 1) column nu takes
+    (nu - 1) log 2 and log Gamma(nu) once per row, and subtracts each
+    from every element of the row, as the elementwise formula does. A huge
+    u gives 0 (see `specfun.log_bessel_k` for kve's NaN there).
     """
     u = np.asarray(u, dtype=float)
-    out = np.ones_like(u)
+    # once per row of a column nu, not per element; each is still subtracted
+    # on its own, in the order of the formula
+    log_scale = (nu - 1.0) * math.log(2.0)
+    log_gamma_nu = log_gamma(nu)
     pos = u > 0.0
-    if np.any(pos):
-        up = u[pos]
-        # a scalar nu stays a Python number: scipy's kve is slower on a 0-d array
-        nup = np.broadcast_to(nu, u.shape)[pos] if isinstance(nu, np.ndarray) else nu
-        logrho = (
-            nup * np.log(up)
-            + log_bessel_k(nup, up)
-            - (nup - 1.0) * math.log(2.0)
-            - log_gamma(nup)
-        )
-        out[pos] = np.minimum(np.exp(logrho), 1.0)
+    whole = pos.all()
+    if not whole:
+        out = np.ones_like(u)
+        u = u[pos]
+        if isinstance(nu, np.ndarray):
+            nu, log_scale, log_gamma_nu = (np.broadcast_to(a, pos.shape)[pos]
+                                           for a in (nu, log_scale, log_gamma_nu))
+    # a scalar nu stays a Python number: scipy's kve is slower on a 0-d array
+    logrho = nu * np.log(u)
+    logrho += log_bessel_k(nu, u)
+    logrho -= log_scale
+    logrho -= log_gamma_nu
+    rho = np.minimum(np.exp(logrho), 1.0)
+    if whole:
+        out = rho
+    else:
+        out[pos] = rho
     if not np.all(np.isfinite(out)):
         raise NumericError(f"Matern correlation not finite for nu={nu}")
     return out
@@ -387,7 +399,7 @@ def variogram_eval(spec, h):
     return out
 
 
-def variogram_rows(family: str, params, h, first=None) -> np.ndarray:
+def variogram_rows(family: str, params, h) -> np.ndarray:
     """gamma(h) for every row of a (P, k) block of parameter vectors.
 
     Rows are in fitting order: (nugget, sill, range[, shape]) or the seven
@@ -397,10 +409,11 @@ def variogram_rows(family: str, params, h, first=None) -> np.ndarray:
     Rows are not validated (see `valid_rows`); NumericError is raised when
     any row would raise it.
 
-    A block may stack several finite-difference blocks. ``first[i]`` is the
-    index of the first row of row i's block (default: every row belongs to
-    one block starting at row 0); a nested-Matern component whose arguments
-    in row i equal those of that row reuses its values.
+    Rows share values by value: the nested-Matern components of all rows
+    go through one `matern_correlation` call, which evaluates each
+    distinct (range, nu) pair once, wherever in the block it occurs. So a
+    row's values do not depend on the other rows, and a block may stack
+    the finite-difference blocks of several fits.
     """
     h = _as_lags(h)
     params = np.asarray(params, dtype=float)
@@ -409,9 +422,7 @@ def variogram_rows(family: str, params, h, first=None) -> np.ndarray:
         return np.array(rows, dtype=float).reshape(len(params), h.size)
     cols = [c[:, None] for c in params.T]
     if family == "nested_matern":
-        if first is None:
-            first = np.zeros(len(params), dtype=np.intp)
-        return _nested_variogram(cols, h, first)
+        return _nested_variogram(cols, h)
     nugget, sill, range_, *shape = cols
     return _single_variogram(family, nugget, sill, range_, shape[0] if shape else None, h)
 
@@ -462,40 +473,59 @@ def _nested_params(spec: NestedMaternSpec):
             spec.sill2, spec.range2, spec.nu2)
 
 
-def _matern_block(u, nu, first):
-    """matern_correlation at a scalar nu, or at a (P, 1) column of nu
-    against (P, m) scaled lags, where a row repeating the arguments of row
-    first[i] of its block reuses that row's values. A finite-difference
-    block moves one parameter per row, so each nested component has three
-    distinct rows per block."""
-    if not isinstance(nu, np.ndarray):
-        return matern_correlation(u, nu)
-    new = np.any(u != u[first], axis=1) | (nu[:, 0] != nu[first, 0])
-    new[first] = True
-    out = np.empty_like(u)
-    out[new] = matern_correlation(u[new], nu[new])
-    out[~new] = out[first[~new]]
-    return out
+def _distinct_rows(*cols):
+    """(first, inverse) over rows described by equal-length 1-D columns of
+    floats, compared bit for bit: the index of one row of each distinct
+    value, and for every row the position of its value in `first`.
+    Sorted by `np.lexsort`, as `np.unique` would load numpy.ma."""
+    keys = [c.view(np.int64) for c in cols]
+    order = np.lexsort(keys)
+    new = np.zeros(order.size, dtype=bool)
+    new[:1] = True
+    for key in keys:
+        ordered = key[order]
+        new[1:] |= ordered[1:] != ordered[:-1]
+    inverse = np.empty(order.size, dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
 
 
-def _nested_correlation_parts(p, h, first=None):
+def _nested_correlation_parts(p, h):
     """(at_origin, sill1 rho1 + sill2 rho2) for the seven parameters `p`,
-    floats or (P, 1) columns with the block starts `first`, at validated
-    lags `h`."""
+    floats or (P, 1) columns, at validated lags `h`.
+
+    With columns, the rows of both components are evaluated in one
+    `matern_correlation` call, each distinct (range, nu) pair once: a
+    finite-difference block moves one parameter per row, so it holds three
+    distinct rows per component. Equal arguments give equal values, so
+    every row is the value it would have alone."""
     _, sill1, range1, nu1, sill2, range2, nu2 = p
-    u1 = h / (range1 / (2.0 * np.sqrt(nu1)))
-    u2 = h / (range2 / (2.0 * np.sqrt(nu2)))
-    at_origin = (h == 0.0) | ((u1 < _NESTED_ORIGIN_EPS) & (u2 < _NESTED_ORIGIN_EPS))
-    rho1 = _matern_block(u1, nu1, first)
-    rho2 = _matern_block(u2, nu2, first)
+    if isinstance(nu1, np.ndarray):
+        ranges, nus = np.concatenate([range1, range2]), np.concatenate([nu1, nu2])
+        first, inverse = _distinct_rows(ranges[:, 0], nus[:, 0])
+        ranges, nus = ranges[first], nus[first]
+        u = h / (ranges / (2.0 * np.sqrt(nus)))
+        near = u < _NESTED_ORIGIN_EPS
+        rho = matern_correlation(u, nus)
+        one, two = inverse[:len(nu1)], inverse[len(nu1):]
+        rho1, rho2 = rho[one], rho[two]
+        # False, broadcast over the rows, unless some lag is near the origin
+        near = near.any() and near[one] & near[two]
+    else:
+        u1 = h / (range1 / (2.0 * np.sqrt(nu1)))
+        u2 = h / (range2 / (2.0 * np.sqrt(nu2)))
+        near = (u1 < _NESTED_ORIGIN_EPS) & (u2 < _NESTED_ORIGIN_EPS)
+        rho1 = matern_correlation(u1, nu1)
+        rho2 = matern_correlation(u2, nu2)
+    at_origin = (h == 0.0) | near
     part = sill1 * rho1 + sill2 * rho2
     if not np.all(np.isfinite(np.where(at_origin, 0.0, part))):
         raise NumericError(f"nested Matern evaluation not finite for parameters {p}")
     return at_origin, part
 
 
-def _nested_variogram(p, h, first):
-    at_origin, part = _nested_correlation_parts(p, h, first)
+def _nested_variogram(p, h):
+    at_origin, part = _nested_correlation_parts(p, h)
     nugget, sill1, _, _, sill2, _, _ = p
     return np.where(at_origin, 0.0, nugget + sill1 + sill2 - part)
 

@@ -9,6 +9,7 @@ one path to the fields a command writes and bins, conditioned on observed
 data when given; a variogram table bins them through one pair geometry.
 """
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -149,7 +150,8 @@ class VariogramTable:
     """Binned variogram estimates of simulated fields, one column per run.
 
     Descriptor columns: 1-based lag index, mean pair distance (bin center
-    for empty bins), pair count. Empty bins carry NaN estimates.
+    for empty bins), pair count. Empty bins carry NaN estimates, written as
+    empty cells, as the `variogram` command writes an empty bin.
     """
 
     lags: np.ndarray
@@ -169,7 +171,7 @@ class VariogramTable:
         lines = [header]
         for row in self.as_matrix():
             cells = [str(int(row[0])), fmt_float(row[1]), str(int(row[2]))]
-            cells += [fmt_float(v) for v in row[3:]]
+            cells += ["" if math.isnan(v) else fmt_float(v) for v in row[3:]]
             lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
 

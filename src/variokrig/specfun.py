@@ -117,7 +117,11 @@ def log_bessel_k(nu, x) -> np.ndarray:
 
     Where the scaled Bessel itself overflows (x extremely small, nu large)
     the small-argument form K_nu(x) ~ Gamma(nu)/2 * (2/x)^nu takes over.
-    Intended for internal use by the Matern evaluators; accepts arrays.
+    Where scipy's kve is NaN at a number x (beyond about 1.07e9, at every
+    nu) the large-argument form K_nu(x) ~ sqrt(pi/(2x)) e^-x does; its
+    dropped factor 1 + (4 nu^2 - 1)/(8x) is below 1 + 1.2e-6 there for
+    nu <= 50. Intended for internal use by the Matern evaluators; accepts
+    arrays.
 
     ``nu`` is a scalar or an array broadcasting against ``x``. An array nu
     (the fits' parameter blocks) and a half-integer scalar nu (where kve is
@@ -132,33 +136,47 @@ def log_bessel_k(nu, x) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     if isinstance(nu, np.ndarray):
-        nu, x = np.broadcast_arrays(nu.astype(float, copy=False), x)
+        nu = nu.astype(float, copy=False)
     elif float(nu) % 1.0 != 0.5:
         return _log_bessel_k_table(float(nu), x)
     return _log_bessel_k_each(nu, x)
 
 
 def _log_bessel_k_each(nu, x):
-    """log K_nu(x) from one kve call per element, with the small-argument
-    form where kve is not finite and positive."""
+    """log K_nu(x) from one kve call per element. Where kve is not finite
+    and positive, an asymptotic form takes over: the small-argument form
+    where kve overflows (+inf), the large-argument form
+    K_nu(x) ~ sqrt(pi / (2x)) e^-x elsewhere (scipy's kve is NaN beyond
+    about x = 1.07e9). A NaN argument or nu gives NaN."""
     kve = _special().kve(nu, x)
     safe = np.isfinite(kve) & (kve > 0.0)
-    out = np.empty(kve.shape)
+    if safe.all():
+        out = np.log(kve)
+        out -= x
+        return out
+    if isinstance(nu, np.ndarray):  # the masks below index both
+        nu, x = np.broadcast_arrays(nu, x)
+    out = np.full(kve.shape, np.nan)
     out[safe] = np.log(kve[safe]) - x[safe]
-    if not np.all(safe):
-        xb = x[~safe]
-        nub = np.broadcast_to(nu[~safe] if isinstance(nu, np.ndarray) else nu, xb.shape)
+    small = kve == np.inf
+    if small.any():
+        xb = x[small]
+        nub = np.broadcast_to(nu[small] if isinstance(nu, np.ndarray) else nu, xb.shape)
         k0 = nub <= 0.0
-        small = np.empty_like(xb)
+        form = np.empty_like(xb)
         # K_0(x) ~ -log(x/2) - euler_gamma as x -> 0
-        small[k0] = np.log(-np.log(xb[k0] / 2.0) - np.euler_gamma)
+        form[k0] = np.log(-np.log(xb[k0] / 2.0) - np.euler_gamma)
         knu = ~k0
-        small[knu] = (
+        form[knu] = (
             math.log(0.5)
             + log_gamma(nub[knu])
             + nub[knu] * (math.log(2.0) - np.log(xb[knu]))
         )
-        out[~safe] = small
+        out[small] = form
+    large = ~(safe | small) & ~np.isnan(nu)
+    if large.any():
+        xb = x[large]
+        out[large] = 0.5 * np.log(math.pi / (2.0 * xb)) - xb
     return out
 
 

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -831,3 +832,64 @@ def test_uncreatable_out_dir_is_one_line_user_error(tmp_path, capsys, out):
     assert run("synth", "--seed", "1", "--n", "5", "--out", out) == 1
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: cannot create output directory")
+
+
+# a nan or inf cell, key=value or word, in any case and with any sign
+NON_FINITE = re.compile(r"(?<![a-z])[-+]?(nan|inf)(inity)?(?![a-z])", re.IGNORECASE)
+
+
+def test_no_exit_0_output_holds_nan_or_inf(tmp_path, capsys):
+    from variokrig.sim import SimBatch
+
+    data = str(make_synth(tmp_path, n=40, seed=3))
+    model = "kind=matern nugget=0.0661 sill=2.4523 range=122.79 nu=0.5"
+    grid = ["--grid", "4", "3", "-150", "150", "-100", "100"]
+    post = ["posterior", "--input", data, "--log", "--model", model, "--seed", "1"]
+    runs = {
+        "synth": ["synth", "--seed", "2", "--n", "30"],
+        "variogram": ["variogram", "--input", data, "--log"],
+        "huber": ["variogram", "--input", data, "--log", "--estimator", "huber"],
+        "cloud": ["variogram", "--input", data, "--log", "--cloud"],
+        "direction": ["variogram", "--input", data, "--log", "--direction", "45",
+                      "--n-bins", "6"],
+        "fit": ["fit", "--input", str(tmp_path / "variogram" / "variogram.csv")],
+        "fit-wls": ["fit", "--input", str(tmp_path / "variogram" / "variogram.csv"),
+                    "--family", "spherical", "--method", "wls"],
+        # a radius that leaves some grid points without neighbours
+        "krige": ["krige", "--input", data, "--log", "--model", model, *grid,
+                  "--radius", "40", "--pgm"],
+        "krige-bayes": ["krige", "--input", data, "--log", "--model", model, "--method",
+                        "bayes", "--at", "1.0,2.0"],
+        "krige-universal": ["krige", "--input", data, "--log", "--model", model, "--method",
+                            "universal", "--basis", "linear", "--at=-60.0,25.0"],
+        # four points: five of the six bins hold no pair
+        "simulate": ["simulate", "--model", model, "--grid", "2", "2", "0", "10", "0", "10",
+                     "--sims", "3", "--seed", "1", "--max-dist", "15", "--n-bins", "6"],
+        "simulate-kl": ["simulate", "--model", model, "--input", data, "--log",
+                        "--conditional", "--route", "kl", "--sims", "3", "--seed", "1"],
+        "posterior": [*post, "--sims", "12", "--n-bins", "8"],
+        "posterior-matern": [*post, "--sims", "12", "--n-bins", "8", "--family", "matern"],
+        # too few bins for the nested start heuristic: no column can be fitted
+        "posterior-unfit": [*post, "--sims", "3", "--n-bins", "3"],
+        "density": ["density", "--input", data, "--log", "--draws",
+                    str(tmp_path / "posterior" / "draws.csv"), "--grid", "3", "3", "-100", "100",
+                    "-80", "80", "--radius", "40"],
+        "density-at": ["density", "--input", data, "--log", "--draws",
+                       str(tmp_path / "posterior-matern" / "draws.csv"), "--at", "1.0,2.0",
+                       "--radius", "200"],
+        "copula-fit": ["copula-fit", "--draws", str(tmp_path / "posterior" / "draws.csv")],
+    }
+    assert {argv[0] for argv in runs.values()} == {
+        "synth", "variogram", "fit", "krige", "simulate", "posterior", "density", "copula-fit"}
+    for name, argv in runs.items():
+        out = tmp_path / name
+        assert run(*argv, "--out", str(out)) == 0, name
+        assert not NON_FINITE.search(capsys.readouterr().out), name
+        files = sorted(out.iterdir())
+        assert files, name
+        for path in files:
+            if path.suffix == ".bin":
+                assert np.all(np.isfinite(SimBatch.read_binary(path.read_bytes()))), path
+            else:
+                found = NON_FINITE.search(read(path))
+                assert not found, (path, found)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -609,6 +611,57 @@ def test_fallback_to_minimize_gives_the_same_fits(monkeypatch, count_calls):
     assert len(waves) > 1 and all(r.converged for r in lockstep)
     monkeypatch.setattr(fit_module, "_setulb", lambda: None)
     assert_same_fits(fit_nested_matern_batch(table, method="ols", seed=905 + 18), lockstep)
+
+
+def test_advance_serves_a_request_for_the_cached_point_from_the_cache():
+    # setulb's requests as minimize's cache sees them (np.array_equal):
+    # 0.0 is the point cached at -0.0; a NaN is never the cached point
+    def scripted(requests):
+        seen = []
+
+        def setulb(m, x, l, u, nbd, f, g, factr, pgtol, wa, iwa, task, *state):
+            seen.append((float(f), g.copy()))
+            x[:] = requests[len(seen) - 1]
+            task[0] = fit_module._TASK_FG
+
+        return setulb, seen
+
+    bounds = FitBounds(np.full(2, -1.0), np.full(2, 1.0))
+    setulb, seen = scripted([[0.0, 0.5], [0.0, 0.5], [0.25, 0.5]])
+    run = fit_module._LbfgsbRun(setulb, np.array([-0.0, 0.5]), bounds)
+    run.record(1.5, np.array([2.0, 3.0]))
+    assert run.advance() and run.nfev == 1
+    # setulb's first call starts the run and reads no f; the next two get the cache's
+    assert [f for f, _ in seen] == [0.0, 1.5, 1.5]
+    assert np.array_equal(seen[2][1], [2.0, 3.0])
+    assert run.x.tolist() == [0.25, 0.5]
+    setulb, seen = scripted([[math.nan, 0.5]])
+    run = fit_module._LbfgsbRun(setulb, np.array([0.0, 0.5]), bounds)
+    run.x[0] = math.nan
+    run.record(1.5, np.array([2.0, 3.0]))
+    assert run.advance() and len(seen) == 1
+
+
+@pytest.mark.parametrize("x0", [[-0.0, 0.9, -0.0], [0.0, -0.0, 0.4]])
+def test_lockstep_run_counts_evaluations_as_minimize_does(x0):
+    setulb = fit_module._setulb()
+    if setulb is None:
+        pytest.skip("scipy's setulb is not the routine the lockstep drives")
+    target = np.array([0.3, -0.0, -0.7])
+
+    def fun(x):
+        return float(((x - target) ** 2).sum()), 2.0 * (x - target)
+
+    bounds = FitBounds(np.full(3, -0.5), np.full(3, 1.0))
+    run = fit_module._LbfgsbRun(setulb, np.array(x0), bounds)
+    while True:
+        run.record(*fun(run.x))
+        if not run.advance():
+            break
+    res = minimize(fun, np.array(x0), jac=True, method="L-BFGS-B", bounds=bounds.pairs(),
+                   options={"maxfun": MAX_EVALS // 4, "maxiter": MAX_EVALS, "ftol": OBJ_RTOL})
+    assert run.nfev == res.nfev and run.success == res.success
+    assert np.array_equal(run.x, res.x)
 
 
 def test_lockstep_runs_where_setulb_is_the_c_routine():

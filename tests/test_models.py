@@ -290,15 +290,38 @@ def test_stacked_difference_blocks_evaluate_three_matern_rows_per_block(monkeypa
         block[1:][np.diag_indices(7)] += 1e-8
         blocks.append(block)
     X = np.vstack(blocks)
-    first = np.repeat(np.arange(0, 40, 8), 8)
     sizes = []
     log_bessel_k = models.log_bessel_k
     monkeypatch.setattr(models, "log_bessel_k",
                         lambda nu, u: sizes.append(u.size) or log_bessel_k(nu, u))
-    got = variogram_rows("nested_matern", X, h, first)
-    assert sizes == [5 * 3 * h.size] * 2
+    got = variogram_rows("nested_matern", X, h)
+    assert sizes == [2 * 5 * 3 * h.size]  # both components in one call
     expect = np.array([variogram_eval(NestedMaternSpec(*row), h) for row in X])
     assert np.array_equal(got.view(np.int64), expect.view(np.int64))
+
+
+def test_rows_sharing_range_and_nu_evaluate_the_pair_once(monkeypatch):
+    # two columns' rows: a pair recurs within a column, across the columns
+    # and across the components; the next float up and a moved nu are pairs
+    # of their own
+    a, b, c = (30.0, 0.8), (120.0, 1.5), (200.0, 2.5)
+    X = np.array([
+        [0.1, 1.0, *a, 0.5, *b],
+        [0.2, 1.1, *a, 0.6, *c],
+        [0.0, 0.9, *b, 0.4, *a],
+        [0.1, 1.0, *c, 0.5, np.nextafter(120.0, 200.0), 1.5],
+        [0.1, 1.0, 30.0, 0.8 + 1e-8, 0.5, *b],
+    ])
+    h = np.array([0.0, 3.0, 15.0, 40.0, 90.0, 160.0, 300.0])
+    sizes = []
+    log_bessel_k = models.log_bessel_k
+    monkeypatch.setattr(models, "log_bessel_k",
+                        lambda nu, u: sizes.append(u.size) or log_bessel_k(nu, u))
+    got = variogram_rows("nested_matern", X, h)
+    assert sizes == [5 * (h.size - 1)]  # every pair once, at the lags above 0
+    for row, values in zip(X, got):
+        expect = variogram_eval(NestedMaternSpec(*row), h)
+        assert np.array_equal(values.view(np.int64), expect.view(np.int64))
 
 
 # Relative error of matern_correlation against the 50-digit oracle, measured
@@ -380,3 +403,13 @@ def test_variogram_eval_is_the_one_row_of_variogram_rows(monkeypatch):
         got = variogram_eval(spec, h)
         assert np.array_equal(got.view(np.int64), rows[0].view(np.int64))
         assert variogram_eval(spec, h[7]) == rows[0, 7]
+
+
+def test_matern_of_huge_lags_is_zero():
+    # kve is NaN there: the small-argument form read 1
+    u = np.array([1e9, 1.2e9, 1e10, 1e300])
+    for nu, lags in ((2.7, u), (2.5, u), (np.array([[2.7], [0.5]]), np.vstack([u, u]))):
+        assert np.array_equal(models.matern_correlation(lags, nu), np.zeros(lags.shape))
+    spec = CovarianceSpec("matern", 0.0, 1.0, 1e-3, 1.3)
+    assert np.array_equal(covariance_eval(spec, [0.0, 1.0, 1e6]), [1.0, 0.0, 0.0])
+    assert variogram_eval(spec, 1e6) == 1.0

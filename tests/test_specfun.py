@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -173,3 +174,23 @@ def test_table_pieces_hold_only_where_kve_is_finite_and_positive():
         got = specfun.log_bessel_k(2.7, odd)
         want = specfun._log_bessel_k_each(2.7, odd)
     assert np.array_equal(got[:3], want[:3], equal_nan=True)
+
+
+# scipy's kve is NaN beyond about x = 1.07e9, at every nu
+HUGE = np.array([1e8, 1e9, 1.08e9, 1.2e9, 1e10, 1e15, 1e300])
+
+
+@pytest.mark.parametrize("nu", [0.5, 2.5, 2.7, 49.9, "array"])
+def test_log_bessel_k_takes_the_large_argument_form_where_kve_is_nan(nu):
+    nus = np.linspace(0.2, 40.0, HUGE.size) if nu == "array" else nu
+    nan = np.isnan(kve(nus, HUGE))
+    assert np.array_equal(nan, HUGE > 1.07e9)
+    got = specfun.log_bessel_k(nus, HUGE)
+    assert np.array_equal(got[nan], 0.5 * np.log(math.pi / (2.0 * HUGE[nan])) - HUGE[nan])
+    # the form drops a factor 1 + (4 nu^2 - 1) / (8x) of K: tiny against log K,
+    # at the first three lags where kve is NaN
+    for x, n, value in list(zip(HUGE, np.broadcast_to(nus, HUGE.shape), got))[2:5]:
+        want = float(mpmath.log(mpmath.besselk(float(n), float(x))))
+        assert abs(value - want) <= 1e-14 * abs(want)
+    # a NaN argument or nu stays NaN
+    assert np.isnan(specfun.log_bessel_k(np.array([math.nan, 2.0]), np.array([1.0, math.nan]))).all()
