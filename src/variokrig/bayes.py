@@ -19,7 +19,8 @@ import numpy as np
 from ._linalg import chol_with_jitter, spd_solve
 from .empvario import SpatialDataset
 from .exceptions import DomainError, NumericError
-from .krige import TrendBasis, _bayes_solve, _bayes_terms, _search, _Trend
+from .krige import (TrendBasis, _bayes_solve, _bayes_terms, _first_occurrences,
+                    _neighbour_sets, _Trend, _warn_dropped)
 from .models import PosteriorDraws, covariance_eval, covariance_matrix, distances
 from .util import MIN_NEIGHBORS, fmt_float, parallel_map
 
@@ -112,11 +113,13 @@ def _conditional_moments(L, cb, resid, mean0, var0):
 class _SharedCovariances:
     """Covariances of a block of target points under every draw.
 
-    One covariance evaluation per draw covers the distinct lags of the
-    whole block: the pair distances of each distinct neighbourhood and the
-    distances of each target to [x0; neighbours]. A draw whose evaluation
-    raises NumericError is evaluated point by point instead, so it fails
-    only the points whose own lags fail it. Read-only once built.
+    The neighbour sets are a Bayes kriging map's (`krige._neighbour_sets`;
+    `dropped` masks the duplicate locations left out). One covariance
+    evaluation per draw covers the distinct lags of the whole block: the
+    pair distances of each distinct neighbourhood and the distances of each
+    target to [x0; neighbours]. A draw whose evaluation raises NumericError
+    is evaluated point by point instead, so it fails only the points whose
+    own lags fail it. Read-only once built.
     """
 
     def __init__(self, points, log_data: SpatialDataset, specs, radius: float):
@@ -125,10 +128,11 @@ class _SharedCovariances:
         # index of its pair lags in `pieces`, index of its cross lags)
         self.targets = []
         pair_pieces, pieces = {}, []
-        dist, within = _search(points, log_data.locations, radius)
-        for row, keep in zip(dist, within):
-            idx = np.flatnonzero(keep)
-            if idx.size <= MIN_NEIGHBORS:
+        dist, _, sets, self.dropped = _neighbour_sets(
+            points, log_data.locations, _first_occurrences(log_data.locations), radius,
+            MIN_NEIGHBORS)
+        for row, idx in zip(dist, sets):
+            if idx is None:
                 self.targets.append(None)
                 continue
             key = idx.tobytes()
@@ -251,13 +255,14 @@ def predictive_density_at(
 
     `log_data` holds the observations already on the log scale. Returns
     None when the neighborhood has too few points (more than MIN_NEIGHBORS
-    are required).
+    are required). Duplicate locations are dropped, with one warning.
     """
     if prior_var < 0.0:
         raise DomainError("prior variance must be >= 0")
     points = np.asarray(x0, dtype=float).reshape(1, -1)
-    moments = _SharedCovariances(points, log_data, draws.specs(), radius).moments(
-        0, prior_mean, prior_var)
+    shared = _SharedCovariances(points, log_data, draws.specs(), radius)
+    _warn_dropped(shared.dropped, "neighborhood of the density", stacklevel=2)
+    moments = shared.moments(0, prior_mean, prior_var)
     return None if moments is None else _density(moments, grid)
 
 
@@ -293,18 +298,22 @@ def density_map(
 
     Each block of DENSITY_BLOCK points shares one covariance evaluation per
     draw (see _SharedCovariances); a point then gathers its T systems and
-    factors them in one call.
+    factors them in one call. Duplicate locations are dropped as a Bayes
+    kriging map drops them, with one warning per map.
     """
     if prior_var < 0.0:
         raise DomainError("prior variance must be >= 0")
     pts = np.atleast_2d(np.asarray(grid_points, dtype=float))
     specs = draws.specs()
+    dropped = np.zeros(len(log_data), dtype=bool)
     rows = []
     for start in range(0, pts.shape[0], DENSITY_BLOCK):
         points = pts[start:start + DENSITY_BLOCK]
         shared = _SharedCovariances(points, log_data, specs, radius)
+        dropped |= shared.dropped
         rows += parallel_map(partial(_density_row, points, shared, prior_mean, prior_var, grid),
                              range(points.shape[0]))
+    _warn_dropped(dropped, "neighborhoods of the density map", stacklevel=2)
     return rows
 
 

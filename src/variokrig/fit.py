@@ -122,13 +122,12 @@ class FitResult:
         return _make_spec(self.family, self.params)
 
     def to_csv_row(self) -> str:
-        """`nugget,sill1,...,converged` row; failed fits emit the all-zero
-        sentinel params for compatibility with the reference output. The
-        objective of a column that could not be fitted at all (math.inf)
-        is an empty cell."""
+        """`nugget,sill1,...,objective,converged` row; failed fits emit the
+        all-zero sentinel params for compatibility with the reference output.
+        The objective is always finite (at worst the penalty 1e100)."""
         params = self.params if self.converged else np.zeros_like(self.params)
         cells = [fmt_float(v) for v in params]
-        cells.append(fmt_float(self.objective) if math.isfinite(self.objective) else "")
+        cells.append(fmt_float(self.objective))
         cells.append("true" if self.converged else "false")
         return ",".join(cells)
 
@@ -347,6 +346,13 @@ def start_values_nested_matern(emp: EmpiricalVariogram) -> np.ndarray:
     return np.array(
         [nugget, sill1, range_below(sill1), 0.5, sill2, range_below(sill2), 0.5]
     )
+
+
+def _start_values(emp: EmpiricalVariogram, family: str) -> np.ndarray:
+    """The start heuristic of the family."""
+    if family == "nested_matern":
+        return start_values_nested_matern(emp)
+    return start_values_simple(emp, family)
 
 
 class _Problem:
@@ -587,12 +593,7 @@ def fit_variogram(
     parameters seen, never by raising.
     """
     problem = _Problem(emp, family, method, bounds)
-    if start is None:
-        if family == "nested_matern":
-            start = start_values_nested_matern(emp)
-        else:
-            start = start_values_simple(emp, family)
-    start = problem.start_in_box(start)
+    start = problem.start_in_box(_start_values(emp, family) if start is None else start)
     return problem.finish(start, _minimize([problem], [start])[0])
 
 
@@ -635,10 +636,13 @@ def fit_family_batch(
     """Fit one family to every simulated-variogram column of a table.
 
     The table layout is (lag index, distance, n(h), then one column per
-    simulation). Start values are recomputed per column; a failing fit is
-    retried from 5 multiplicatively jittered starts (+-20%, stream keyed on
-    the column index) before it is reported with converged=False. `seed`
-    must be an integer in [0, 2**64) (DomainError otherwise).
+    simulation). Every column's problem is built before any fit, so a
+    column with fewer non-empty bins than the family has parameters is one
+    DomainError for the whole table. Start values are recomputed per
+    column; a failing fit is retried from 5 multiplicatively jittered
+    starts (+-20%, stream keyed on the column index) before it is reported
+    with converged=False. `seed` must be an integer in [0, 2**64)
+    (DomainError otherwise).
 
     The columns are fitted in lockstep, and the retries of the columns
     still unconverged in waves, each wave in lockstep.
@@ -646,39 +650,23 @@ def fit_family_batch(
     if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
         raise DomainError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     mat = _table_matrix(table)
-    dist, counts = mat[:, 1], mat[:, 2]
-    n_sims = mat.shape[1] - 3
-    n_par = len(param_names(family))
-
-    problems, base, starts = {}, {}, {}
-    for j in range(n_sims):
-        emp = _column_emp(dist, counts, mat[:, 3 + j])
-        col_bounds = bounds if bounds is not None else default_bounds(family, emp)
-        try:
-            if family == "nested_matern":
-                base[j] = start_values_nested_matern(emp)
-            else:
-                base[j] = start_values_simple(emp, family)
-        except DomainError:
-            continue
-        problems[j] = _Problem(emp, family, method, col_bounds)
-        starts[j] = problems[j].start_in_box(base[j])
-
-    wave = list(problems)
-    runs = dict(zip(wave, _minimize([problems[j] for j in wave], [starts[j] for j in wave])))
+    emps = [_column_emp(mat[:, 1], mat[:, 2], column) for column in mat[:, 3:].T]
+    problems = [_Problem(emp, family, method, bounds) for emp in emps]
+    base = [_start_values(emp, family) for emp in emps]
+    starts = [p.start_in_box(b) for p, b in zip(problems, base)]
+    runs = _minimize(problems, starts)
 
     def finish(j: int) -> FitResult:
-        if j not in problems:
-            return FitResult(np.zeros(n_par), math.inf, False, 0, method, family)
         return problems[j].finish(starts[j], runs[j])
 
-    results = parallel_map(finish, range(n_sims))
-    rngs = {j: _restart_rng(seed, j) for j in wave}
+    results = parallel_map(finish, range(len(problems)))
+    wave = list(range(len(problems)))
+    rngs = [_restart_rng(seed, j) for j in wave]
     for _ in range(_N_RESTARTS):
         wave = [j for j in wave if not results[j].converged]
         if not wave:
             break
-        jittered = [problems[j].bounds.clip(base[j] * rngs[j].uniform(0.8, 1.2, size=n_par))
+        jittered = [problems[j].bounds.clip(base[j] * rngs[j].uniform(0.8, 1.2, size=base[j].size))
                     for j in wave]
         retries = _minimize([problems[j] for j in wave], jittered)
         for j, start, run in zip(wave, jittered, retries):
@@ -695,8 +683,6 @@ def fit_nested_matern_batch(
     seed: int = 0,
 ) -> list[FitResult]:
     """Nested-Matern batch fit over a simulated-variogram table."""
-    if bounds is None:
-        bounds = default_bounds("nested_matern")
     return fit_family_batch(table, "nested_matern", method, bounds, seed)
 
 

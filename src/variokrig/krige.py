@@ -3,7 +3,9 @@
 All predictors share the covariance convention that the nugget contributes
 only at exactly zero distance, a diagonal-jitter ladder for degenerate
 Gram matrices, and a clamp-to-zero policy for small negative variances
-produced by floating cancellation (counted, warned, never silent).
+produced by floating cancellation (counted, warned once per map or call,
+never silent). Maps and `bayes` densities build their neighbour sets in
+`_neighbour_sets`, which drops duplicate locations, also warned once.
 """
 
 import math
@@ -36,11 +38,24 @@ def _finish_sd(variance: float, scale: float, method: str) -> float:
         )
     if variance < 0.0:
         _diagnostics["clamped_variances"] += 1
-        warnings.warn(
-            f"{method}: variance {variance:.3e} clamped to 0", stacklevel=3
-        )
         variance = 0.0
     return math.sqrt(variance)
+
+
+def _warn_clamped(before: int, method: str, stacklevel: int):
+    """One warning for the variances clamped since the count read `before`."""
+    count = clamped_variance_count() - before
+    if count:
+        warnings.warn(f"{method}: {count} negative variances clamped to 0",
+                      stacklevel=stacklevel + 1)
+
+
+def _warn_dropped(dropped, where: str, stacklevel: int):
+    """One warning for the duplicate locations of the mask `dropped`."""
+    count = np.count_nonzero(dropped)
+    if count:
+        warnings.warn(f"dropped {count} duplicate locations from the {where}",
+                      stacklevel=stacklevel + 1)
 
 
 @dataclass(frozen=True)
@@ -142,26 +157,14 @@ class BayesPrior:
         return cls(np.array([mean]), np.array([[variance]]))
 
 
-def _search(points, locations, radius: float):
-    """The neighbour search of the package: distances (p, n) from every
-    point to every location, and the mask of those within `radius`
-    (boundary included)."""
-    if not radius > 0.0:  # also rejects NaN
-        raise DomainError("search radius must be > 0")
-    dist = distances(points, locations)
-    return dist, dist <= radius
-
-
 def neighborhood(data: SpatialDataset, x0, radius: float) -> SpatialDataset | None:
     """Points within `radius` of x0 (boundary included), original order.
 
     Returns None for an empty neighborhood (SpatialDataset cannot be empty).
     """
     x0 = np.asarray(x0, dtype=float).reshape(1, -1)
-    keep = _search(x0, data.locations, radius)[1][0]
-    if not np.any(keep):
-        return None
-    return data.subset(keep)
+    [idx] = _neighbour_sets(x0, data.locations, np.ones(len(data), dtype=bool), radius, 0)[2]
+    return None if idx is None else data.subset(idx)
 
 
 def _first_occurrences(locations) -> np.ndarray:
@@ -177,12 +180,27 @@ def _dedupe(data: SpatialDataset) -> SpatialDataset:
     keep = _first_occurrences(data.locations)
     if np.all(keep):
         return data
-    warnings.warn(
-        f"dropped {np.count_nonzero(~keep)} duplicate locations from the "
-        "kriging neighborhood",
-        stacklevel=3,
-    )
+    _warn_dropped(~keep, "kriging neighborhood", stacklevel=3)
     return data.subset(keep)
+
+
+def _neighbour_sets(points, locations, first, radius: float, least: int):
+    """The neighbour search of the package, over a block of points: a point
+    with more than `least` locations within `radius` (boundary included) is
+    served, its set the indices of those in `first`, the mask of the
+    locations that repeat no earlier one. Returns the distances (p, n), the
+    member mask (p, n), each point's index set or None, and the mask of the
+    duplicate locations dropped from a set."""
+    if not radius > 0.0:  # also rejects NaN
+        raise DomainError("search radius must be > 0")
+    dist = distances(points, locations)
+    within = dist <= radius
+    served = np.count_nonzero(within, axis=1) > least
+    dropped = np.any(within[served] & ~first, axis=0)
+    member = within & first & served[:, None]
+    cols = np.nonzero(member)[1]
+    sets = [cols[a:b] if ok else None for (a, b), ok in zip(_bounds(member), served)]
+    return dist, member, sets, dropped
 
 
 def _system(spec, data: SpatialDataset, x0):
@@ -196,21 +214,30 @@ def _system(spec, data: SpatialDataset, x0):
 # -- neighbour sets: checked, factored once, then solved per point -------------
 
 
-def _checked(method, locations, basis, prior):
+def _passing(method, n, F):
+    """Whether sets of n locations with trend designs F (G, n, k), or None,
+    can be solved: ordinary kriging needs at least 2 points, universal and
+    Bayes kriging a full-rank design. One bool for all of them, or the mask
+    of the rank checks."""
+    if method == "ordinary":
+        return n >= 2
+    return True if F is None else _ranks(F) == F.shape[2]
+
+
+def _checked(method, locations, basis):
     """Trend design of the locations of one neighbour set free of duplicate
-    locations, after the checks that need no covariance."""
-    if method not in KRIGE_METHODS:
-        raise DomainError(f"unknown kriging method {method!r}")
-    if method == "ordinary" and len(locations) < 2:
+    locations, or None; DomainError where the set fails `_passing` (the
+    design's own rank check names the dependent column)."""
+    if not _passing(method, len(locations), None):
         raise DomainError("ordinary kriging needs at least 2 data points")
-    if method not in ("universal", "bayes"):
-        return None
-    F = basis.design(locations)
-    if method == "universal" and len(locations) < F.shape[1]:
-        raise DomainError("need at least as many points as basis functions")
-    if method == "bayes" and prior.mu.size != F.shape[1]:
+    return basis.design(locations) if method in ("universal", "bayes") else None
+
+
+def _check_prior(basis: TrendBasis, prior: BayesPrior | None):
+    if prior is None:
+        raise DomainError("bayes kriging needs a prior")
+    if prior.mu.size != len(basis):
         raise DomainError("prior dimension does not match the trend basis")
-    return F
 
 
 class _Trend(NamedTuple):
@@ -334,11 +361,14 @@ def _predict(method, x0, subset, spec, mean, basis, prior) -> KrigingResult:
     """One prediction: the set and point halves over one covariance
     evaluation of [x0; locations]."""
     data = _dedupe(subset)
-    F = _checked(method, data.locations, basis, prior)
+    F = _checked(method, data.locations, basis)
     K, c0, c00 = _system(spec, data, x0)
     [fac] = _factor(method, data.values[None], None if F is None else F[None], K[None],
                     mean, prior)
-    return _at(fac, None if F is None else basis.at(x0), c0, c00)
+    clamped = clamped_variance_count()
+    result = _at(fac, None if F is None else basis.at(x0), c0, c00)
+    _warn_clamped(clamped, f"{method} kriging", stacklevel=3)
+    return result
 
 
 def simple_weights(x0, data: SpatialDataset, spec) -> np.ndarray:
@@ -360,7 +390,7 @@ def simple_kriging(x0, data: SpatialDataset, spec, mean: float) -> KrigingResult
 def ordinary_weights(x0, data: SpatialDataset, spec) -> tuple[np.ndarray, float]:
     """Sum-to-one kriging weights and the Lagrange multiplier."""
     data = _dedupe(data)
-    _checked("ordinary", data.locations, None, None)
+    _checked("ordinary", data.locations, None)
     K, c0, _ = _system(spec, data, x0)
     return _ordinary_weights(chol_with_jitter(K)[0], c0)
 
@@ -376,7 +406,7 @@ def ordinary_kriging(x0, data: SpatialDataset, spec) -> KrigingResult:
 def gls_beta(data: SpatialDataset, spec, basis: TrendBasis) -> np.ndarray:
     """Generalized least-squares trend estimate (F'K^-1 F)^-1 F'K^-1 z."""
     data = _dedupe(data)
-    F = _checked("universal", data.locations, basis, None)
+    F = _checked("universal", data.locations, basis)
     K = covariance_matrix(spec, data.locations)
     return _factor("universal", data.values[None], F[None], K[None])[0].beta
 
@@ -400,6 +430,7 @@ def bayes_kriging(x0, data: SpatialDataset, spec, basis: TrendBasis,
     Phi = 0 reproduces simple kriging with mean f0'mu; an arbitrarily flat
     prior reproduces universal kriging.
     """
+    _check_prior(basis, prior)
     return _predict("bayes", x0, data, spec, 0.0, basis, prior)
 
 
@@ -421,20 +452,6 @@ class MapRow:
     location: np.ndarray
     result: KrigingResult | None
     status: str
-
-
-def _passing(method, n, F, prior):
-    """Whether the sets of n locations with trend designs F (G, n, k), or
-    None, pass the checks of `_checked`: one bool for all of them, or the
-    mask of the rank checks."""
-    if method == "ordinary":
-        return n >= 2
-    if F is None:
-        return True
-    k = F.shape[2]
-    if (method == "universal" and n < k) or (method == "bayes" and prior.mu.size != k):
-        return False
-    return _ranks(F) == k
 
 
 def _factor_alone(method, values, F, K, mean, prior):
@@ -473,7 +490,7 @@ def _factor_sets(method, data: SpatialDataset, sets, spec, mean, basis, prior):
         idx = np.stack([sets[j] for j in members])
         pos = np.searchsorted(union, idx)
         F = None if design is None else design[pos]
-        ok = np.full(len(members), True) & _passing(method, n, F, prior)
+        ok = np.full(len(members), True) & _passing(method, n, F)
         if gram is None:
             K = np.empty((len(members), n, n))
             for g in np.flatnonzero(ok):
@@ -572,22 +589,20 @@ def krige_map(
         raise DomainError(f"unknown kriging method {method!r}")
     if method in ("universal", "bayes") and basis is None:
         raise DomainError(f"{method} kriging needs a trend basis")
-    if method == "bayes" and prior is None:
-        raise DomainError("bayes kriging needs a prior")
+    if method == "bayes":
+        _check_prior(basis, prior)
     if not min_neighbors >= 0:
         raise DomainError(f"min_neighbors must be >= 0, got {min_neighbors}")
 
     first = _first_occurrences(data.locations)
     dropped = np.zeros(len(data), dtype=bool)
+    clamped = clamped_variance_count()
     rows, previous = [], {}
     for start in range(0, grid.shape[0], MAP_BLOCK):
         points = grid[start:start + MAP_BLOCK]
-        dist, within = _search(points, data.locations, radius)
-        served = np.count_nonzero(within, axis=1) > min_neighbors
-        dropped |= np.any(within[served] & ~first, axis=0)
-        member = within & first & served[:, None]
-        cols = np.nonzero(member)[1]
-        sets = [cols[a:b] if ok else None for (a, b), ok in zip(_bounds(member), served)]
+        dist, member, sets, block_dropped = _neighbour_sets(points, data.locations, first,
+                                                            radius, min_neighbors)
+        dropped |= block_dropped
         keys = [None if idx is None else idx.tobytes() for idx in sets]
         factored = {key: previous[key] for key in keys if key in previous}
         new = {key: idx for key, idx in zip(keys, sets) if key is not None and key not in factored}
@@ -607,12 +622,8 @@ def krige_map(
         f0s = basis.evaluate(points) if method in ("universal", "bayes") else None
         rows += parallel_map(partial(_map_row, points, f0s, systems, lags, crosses, spec),
                              range(points.shape[0]))
-    if np.any(dropped):
-        warnings.warn(
-            f"dropped {np.count_nonzero(dropped)} duplicate locations from the "
-            "kriging neighborhoods of the map",
-            stacklevel=2,
-        )
+    _warn_dropped(dropped, "kriging neighborhoods of the map", stacklevel=2)
+    _warn_clamped(clamped, f"{method} kriging", stacklevel=2)
     return rows
 
 

@@ -123,7 +123,9 @@ def log_bessel_k(nu, x) -> np.ndarray:
     nu <= 50. Intended for internal use by the Matern evaluators; accepts
     arrays.
 
-    ``nu`` is a scalar or an array broadcasting against ``x``. An array nu
+    ``nu`` is a scalar or an array broadcasting against ``x``, every value
+    > 0 (every Matern smoothness is; K_0's own small-argument form is not
+    implemented). An array nu
     (the fits' parameter blocks) and a half-integer scalar nu (where kve is
     cheap) take scipy's kve element by element, so every element goes
     through the same operations either way. Any other scalar nu reads log
@@ -143,9 +145,9 @@ def log_bessel_k(nu, x) -> np.ndarray:
 
 
 def _log_bessel_k_each(nu, x):
-    """log K_nu(x) from one kve call per element. Where kve is not finite
-    and positive, an asymptotic form takes over: the small-argument form
-    where kve overflows (+inf), the large-argument form
+    """log K_nu(x), nu > 0, from one kve call per element. Where kve is not
+    finite and positive, an asymptotic form takes over: the small-argument
+    form where kve overflows (+inf), the large-argument form
     K_nu(x) ~ sqrt(pi / (2x)) e^-x elsewhere (scipy's kve is NaN beyond
     about x = 1.07e9). A NaN argument or nu gives NaN."""
     kve = _special().kve(nu, x)
@@ -162,17 +164,7 @@ def _log_bessel_k_each(nu, x):
     if small.any():
         xb = x[small]
         nub = np.broadcast_to(nu[small] if isinstance(nu, np.ndarray) else nu, xb.shape)
-        k0 = nub <= 0.0
-        form = np.empty_like(xb)
-        # K_0(x) ~ -log(x/2) - euler_gamma as x -> 0
-        form[k0] = np.log(-np.log(xb[k0] / 2.0) - np.euler_gamma)
-        knu = ~k0
-        form[knu] = (
-            math.log(0.5)
-            + log_gamma(nub[knu])
-            + nub[knu] * (math.log(2.0) - np.log(xb[knu]))
-        )
-        out[small] = form
+        out[small] = math.log(0.5) + log_gamma(nub) + nub * (math.log(2.0) - np.log(xb))
     large = ~(safe | small) & ~np.isnan(nu)
     if large.any():
         xb = x[large]

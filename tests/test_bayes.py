@@ -181,6 +181,52 @@ def test_shared_moments_equal_bayes_kriging_on_each_draws_own_system():
     assert served > 6
 
 
+def test_density_drops_duplicates_as_the_bayes_map_does():
+    # a density is the constant-trend Bayes kriging predictor under each
+    # draw, so with a duplicated station its per-draw moments equal the
+    # Bayes map's bit for bit; each map warns once about the duplicate
+    import warnings
+
+    from variokrig import krige_map
+
+    rng = np.random.default_rng(34)
+    data = log_dataset(rng, n=30)
+    locs, values = data.locations.copy(), data.values.copy()
+    locs[7], values[7] = locs[3], values[3] + 0.5
+    data = SpatialDataset(locs, values)
+    draws = several_draws(rng, 5)
+    points = np.vstack([rng.uniform(0.0, 10.0, size=(15, 2)), locs[[3]] + 0.1])
+    prior = BayesPrior.scalar(0.3, 7.0)
+
+    def caught_messages(run):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run()
+        return [str(w.message) for w in caught]
+
+    maps = []
+    for spec in draws.specs():
+        assert caught_messages(lambda: maps.append(krige_map(
+            points, "bayes", data, spec, 4.0, basis=TrendBasis.constant(), prior=prior))) == [
+            "dropped 1 duplicate locations from the kriging neighborhoods of the map"]
+    shared = _SharedCovariances(points, data, draws.specs(), 4.0)
+    for i in range(len(points)):
+        rows = [rows[i] for rows in maps]
+        got = shared.moments(i, 0.3, 7.0)
+        if got is None:
+            assert {r.status for r in rows} == {"too_few_neighbors"}
+            continue
+        mine = np.array([[m, math.sqrt(s2)] for m, s2 in got])
+        theirs = np.array([[r.result.prediction, r.result.sd] for r in rows])
+        assert np.array_equal(mine.view(np.int64), theirs.view(np.int64))
+    assert np.flatnonzero(shared.dropped).tolist() == [7]
+    assert caught_messages(lambda: density_map(points, data, draws, 0.3, 7.0, 4.0)) == [
+        "dropped 1 duplicate locations from the neighborhoods of the density map"]
+    assert caught_messages(
+            lambda: predictive_density_at(points[-1], data, draws, 0.3, 7.0, 4.0)) == [
+        "dropped 1 duplicate locations from the neighborhood of the density"]
+
+
 def test_forward_rule_reproduces_reference_weighting():
     rng = np.random.default_rng(6)
     data = log_dataset(rng)

@@ -834,6 +834,22 @@ def test_uncreatable_out_dir_is_one_line_user_error(tmp_path, capsys, out):
     assert len(lines) == 1 and lines[0].startswith("error: cannot create output directory")
 
 
+@pytest.mark.parametrize("n_bins", ["3", "4", "5", "6"])
+def test_posterior_with_fewer_bins_than_parameters_exits_1(tmp_path, capsys, n_bins):
+    # fewer bins than the 7 nested-Matern parameters is one user error,
+    # whether or not the start heuristic (4 bins) could run (4 to 6 bins
+    # pin a rule that already held)
+    data = str(make_synth(tmp_path, n=40, seed=3))
+    capsys.readouterr()
+    model = "kind=matern nugget=0.0661 sill=2.4523 range=122.79 nu=0.5"
+    out = tmp_path / "posterior"
+    assert run("posterior", "--input", data, "--log", "--model", model, "--seed", "1",
+               "--sims", "3", "--n-bins", n_bins, "--out", str(out)) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: nested_matern has 7 parameters")
+    assert not (out / "draws.csv").exists()
+
+
 # a nan or inf cell, key=value or word, in any case and with any sign
 NON_FINITE = re.compile(r"(?<![a-z])[-+]?(nan|inf)(inity)?(?![a-z])", re.IGNORECASE)
 
@@ -869,8 +885,6 @@ def test_no_exit_0_output_holds_nan_or_inf(tmp_path, capsys):
                         "--conditional", "--route", "kl", "--sims", "3", "--seed", "1"],
         "posterior": [*post, "--sims", "12", "--n-bins", "8"],
         "posterior-matern": [*post, "--sims", "12", "--n-bins", "8", "--family", "matern"],
-        # too few bins for the nested start heuristic: no column can be fitted
-        "posterior-unfit": [*post, "--sims", "3", "--n-bins", "3"],
         "density": ["density", "--input", data, "--log", "--draws",
                     str(tmp_path / "posterior" / "draws.csv"), "--grid", "3", "3", "-100", "100",
                     "-80", "80", "--radius", "40"],

@@ -228,6 +228,22 @@ def test_batch_smoke_convergence_rate():
     assert sum(r.converged for r in results) >= 8
 
 
+@pytest.mark.parametrize("n_bins", [3, 5])
+def test_batch_with_too_few_bins_is_one_domain_error_before_any_fit(count_calls, n_bins):
+    # 3 non-empty bins fall short of the nested start heuristic as well as
+    # of the 7 parameters, 5 only of the parameters: either way the problem
+    # of the short column raises before anything is fitted (the 5-bin case
+    # pins a rule that already held)
+    h = np.linspace(10.0, 200.0, 8)
+    full = nested_matern_variogram(NestedMaternSpec(0.05, 1.5, 20.0, 0.5, 1.0, 150.0, 2.0), h)
+    short = full.copy()
+    short[n_bins:] = np.nan  # a NaN estimate leaves its bin empty
+    waves = count_calls("variokrig.fit", "_minimize")
+    with pytest.raises(DomainError, match=f"7 parameters but only {n_bins} non-empty bins"):
+        fit_nested_matern_batch(make_table(h, [full, short, full]))
+    assert waves == []
+
+
 def test_batch_csv_round_trip_and_sentinel():
     from variokrig.fit import FitResult
 

@@ -584,6 +584,39 @@ def test_map_warns_once_about_duplicates():
         ordinary_kriging(data.locations[3], data, spec)
 
 
+def test_map_with_a_prior_of_another_dimension_is_a_domain_error():
+    # one DomainError at the map's entry, as bayes_kriging raises for the
+    # same inputs
+    data, spec, grid = map_instance(np.random.default_rng(21), expo(nugget=0.1))
+    for basis in (TrendBasis.constant(), TrendBasis.linear(2)):
+        prior = BayesPrior.scalar(0.0, 1.0) if len(basis) == 3 else PRIOR
+        with pytest.raises(DomainError, match="prior dimension"):
+            krige_map(grid, "bayes", data, spec, 3.0, basis=basis, prior=prior)
+        with pytest.raises(DomainError, match="prior dimension"):
+            bayes_kriging(grid[0], data, spec, basis, prior)
+
+
+def test_clamped_variances_warn_once_per_map_and_per_call():
+    # kriging at the stations without a nugget: C(0) - c0'w cancels to a
+    # tiny negative variance at many of them
+    from variokrig.krige import clamped_variance_count
+
+    data, spec = random_instance(np.random.default_rng(16), 40)
+    before = clamped_variance_count()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rows = krige_map(data.locations, "ordinary", data, spec, math.inf)
+    clamped = clamped_variance_count() - before
+    assert clamped > 1 and all(r.status == "ok" for r in rows)
+    assert [str(w.message) for w in caught] == [
+        f"ordinary kriging: {clamped} negative variances clamped to 0"]
+    x0 = next(x for x, r in zip(data.locations, rows) if r.result.sd == 0.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        simple_kriging(x0, data, spec, 0.0)
+    assert len(caught) <= 1 and clamped_variance_count() - before - clamped == len(caught)
+
+
 @pytest.mark.filterwarnings("ignore::UserWarning", "ignore::RuntimeWarning")
 @pytest.mark.parametrize("method", METHODS)
 def test_map_set_whose_gram_fails_fails_alone(count_calls, method):
