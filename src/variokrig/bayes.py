@@ -20,7 +20,7 @@ from ._linalg import chol_with_jitter, spd_solve
 from .empvario import SpatialDataset
 from .exceptions import DomainError, NumericError
 from .krige import (TrendBasis, _bayes_solve, _bayes_terms, _first_occurrences,
-                    _neighbour_sets, _Trend, _warn_dropped)
+                    _neighbour_sets, _warn_dropped)
 from .models import PosteriorDraws, covariance_eval, covariance_matrix, distances
 from .util import MIN_NEIGHBORS, fmt_float, parallel_map
 
@@ -39,6 +39,11 @@ IQR_TO_SD = 1.45  # interquartile range to standard deviation divisor
 # Map points whose lags share one covariance evaluation per draw; the
 # shared values take T x (distinct lags of the block) floats.
 DENSITY_BLOCK = 512
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
@@ -76,9 +81,22 @@ class DensityGrid:
     def log_grid(self) -> np.ndarray:
         """The grid nodes, built on first use and read-only."""
         n = int(round((self.hi - self.lo) / self.step)) + 1
-        grid = np.linspace(self.lo, self.lo + (n - 1) * self.step, n)
-        grid.flags.writeable = False
-        return grid
+        return _read_only(np.linspace(self.lo, self.lo + (n - 1) * self.step, n))
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """exp of the nodes: the grid on the original scale, read-only."""
+        return _read_only(np.exp(self.log_grid))
+
+    @cached_property
+    def jacobian(self) -> np.ndarray:
+        """exp(-node), the Jacobian of the log transform, read-only."""
+        return _read_only(np.exp(-self.log_grid))
+
+    @cached_property
+    def widths(self) -> np.ndarray:
+        """The differences of `values`, the trapezoid widths, read-only."""
+        return _read_only(np.diff(self.values))
 
 
 @dataclass(frozen=True)
@@ -97,7 +115,7 @@ class PredictiveDensity:
         return "\n".join(lines) + "\n"
 
 
-_F0 = np.ones(1)  # the constant trend at the target
+_F0 = np.ones((1, 1))  # the constant trend at the target, one row
 
 
 def _conditional_moments(L, cb, resid, mean0, var0):
@@ -171,15 +189,15 @@ class _SharedCovariances:
         c00, c0 = V[:, n * n], V[:, n * n + 1:]
         F = np.ones((n, 1))
         mu, phi = np.array([prior_mean]), np.array([[prior_var]])
-        trend = _Trend(F, mu, phi, values - F @ mu)
         L, _ = chol_with_jitter(K + F @ phi @ F.T)
         # the draws share the trend terms; V is Fortran-ordered, and cb is
         # made C-ordered so that each draw's cb @ lam keeps the bits of a
         # one-point solve
-        Fpf0, mean0, quad = _bayes_terms(trend, _F0)
-        cb = np.ascontiguousarray(c0 + Fpf0)
+        [phif0], [mean0], [quad] = _bayes_terms(_F0, mu, phi)
+        cb = np.ascontiguousarray(c0 + F @ phif0)
         var0 = c00 + quad
-        return [_conditional_moments(L[t], cb[t], trend.resid, mean0, var0[t])
+        resid = values - F @ mu
+        return [_conditional_moments(L[t], cb[t], resid, mean0, var0[t])
                 for t in range(V.shape[0])]
 
 
@@ -188,12 +206,11 @@ def _summarize(grid: DensityGrid, density: np.ndarray):
     NumericError when its mass on the grid is not finite and positive: the
     draws' lognormals then vanish at every node (a conditional variance far
     below the grid step), and no cdf or quantile exists."""
-    g = grid.log_grid
-    y = np.exp(g)
+    g, y = grid.log_grid, grid.values
     if grid.rule == "forward":
         mass = density * (np.exp(g + grid.step) - y)
     else:
-        mass = 0.5 * (density[:-1] + density[1:]) * np.diff(y)
+        mass = 0.5 * (density[:-1] + density[1:]) * grid.widths
     total = float(mass.sum())
     if not (math.isfinite(total) and total > 0.0):
         raise NumericError(f"predictive density has mass {total} on the grid "
@@ -203,7 +220,7 @@ def _summarize(grid: DensityGrid, density: np.ndarray):
         mean = float((mass * (np.exp(g + grid.step) + y) / 2.0).sum() / total)
     else:
         cdf = np.concatenate([[0.0], np.cumsum(mass)]) / total
-        ymid = 0.5 * (density[:-1] * y[:-1] + density[1:] * y[1:]) * np.diff(y)
+        ymid = 0.5 * (density[:-1] * y[:-1] + density[1:] * y[1:]) * grid.widths
         mean = float(ymid.sum() / total)
     summary = {}
     clipped = []
@@ -225,19 +242,20 @@ def _density(moments, grid: DensityGrid) -> PredictiveDensity:
     g = grid.log_grid
     # canonical accumulation order: bit-identical under row permutation
     m, s2 = np.array(sorted(moments)).T[:, :, None]
-    # the T x grid lognormal terms exp(-(g - m)^2 / (2 s2)) / sqrt(2 pi s2),
-    # built in place: fresh temporaries of this size cost more than the arithmetic
+    # the T x grid lognormal terms exp((g - m)^2 / (-2 s2)) / sqrt(2 pi s2),
+    # built in place: fresh temporaries of this size cost more than the
+    # arithmetic; dividing by -2 s2 gives the bits of negating, then dividing
+    # by 2 s2
     terms = g - m
     np.square(terms, out=terms)
-    np.negative(terms, out=terms)
-    np.divide(terms, 2.0 * s2, out=terms)
+    np.divide(terms, -2.0 * s2, out=terms)
     np.exp(terms, out=terms)
     np.divide(terms, np.sqrt(2.0 * math.pi * s2), out=terms)
-    dens = np.zeros_like(g)
-    for term in terms:
-        dens += term
+    # a reduction over the leading axis of a C-ordered array adds the rows
+    # one after another, the bits of a loop of `+=` from zero
+    dens = terms.sum(axis=0)
     dens /= len(moments)
-    dens = dens * np.exp(-g)  # Jacobian of the log transform
+    dens = dens * grid.jacobian
     y, cdf, summary, clipped = _summarize(grid, dens)
     return PredictiveDensity(g, y, dens, cdf, summary, clipped)
 

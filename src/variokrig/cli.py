@@ -5,7 +5,8 @@ copula-fit. Every stochastic command requires an explicit --seed and is a
 pure function of its inputs, so reruns reproduce outputs byte for byte.
 All files land in the directory given by --out; on failure the partial
 outputs of the failing command are removed and the exit status is 1 for
-user errors, 2 for numeric failures.
+user errors, 2 for numeric failures. Every warning is one `warning:` line
+on stderr.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -86,11 +88,14 @@ def _read_lines(path: str, flag: str) -> list[str]:
         raise UsageError(f"argument {flag}: cannot read {path}: {exc}") from None
 
 
-def ingest_csv(path: str, log_transform: bool = False) -> empvario.SpatialDataset:
+def ingest_csv(path: str, log_transform: bool = False,
+               report_duplicates: bool = True) -> empvario.SpatialDataset:
     """Read an EASTING,NORTHING,VALUE table (case-insensitive header).
 
     Row order is preserved; duplicate locations are kept with a warning
-    count on stderr. --log takes natural logs and requires positive values.
+    count on stderr, unless `report_duplicates` is False: maps and densities
+    drop them from their neighbourhoods and warn about that themselves.
+    --log takes natural logs and requires positive values.
     """
     lines = _read_lines(path, "--input")
     if not lines:
@@ -124,7 +129,7 @@ def ingest_csv(path: str, log_transform: bool = False) -> empvario.SpatialDatase
     # np.unique(locs, axis=0), whose first call would import numpy.ma
     ordered = locs[np.lexsort(locs.T[::-1])]
     duplicates = int(np.count_nonzero(np.all(ordered[1:] == ordered[:-1], axis=1)))
-    if duplicates:
+    if duplicates and report_duplicates:
         print(f"warning: {duplicates} duplicate locations kept", file=sys.stderr)
     if log_transform:
         if np.any(vals <= 0.0):
@@ -244,7 +249,7 @@ def _cmd_fit(args, out: OutputDir):
 
 
 def _cmd_krige(args, out: OutputDir):
-    data = ingest_csv(args.input, args.log)
+    data = ingest_csv(args.input, args.log, report_duplicates=False)
     spec = models.spec_from_text(args.model)
     if args.at_data:
         grid = data.locations
@@ -328,7 +333,7 @@ def _cmd_posterior(args, out: OutputDir):
 
 
 def _cmd_density(args, out: OutputDir):
-    log_data = ingest_csv(args.input, args.log)
+    log_data = ingest_csv(args.input, args.log, report_duplicates=False)
     draws = _read_draws(args.draws)
     grid_cfg = bayes.DensityGrid(args.grid_lo, args.grid_hi, args.grid_step, args.rule)
     if args.at is not None:
@@ -593,7 +598,17 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _warning_line(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
+    with warnings.catch_warnings():
+        warnings.showwarning = _warning_line
+        return _run(argv)
+
+
+def _run(argv) -> int:
     parser = build_parser()
     out = None
     try:

@@ -6,13 +6,17 @@ Gram matrices, and a clamp-to-zero policy for small negative variances
 produced by floating cancellation (counted, warned once per map or call,
 never silent). Maps and `bayes` densities build their neighbour sets in
 `_neighbour_sets`, which drops duplicate locations, also warned once.
-"""
+
+A map works in blocks of grid points sized by a distance budget (see
+`_block_size`): at least MAP_BLOCK points, and as many more as keep the
+block's distances to the data within MAP_DISTANCES. A block factors its new
+neighbour sets in stacks of one size; each point then costs only its own
+solves, its dot products and building its row."""
 
 import math
 import warnings
 from dataclasses import dataclass
 from functools import partial
-from typing import NamedTuple
 
 import numpy as np
 
@@ -240,62 +244,48 @@ def _check_prior(basis: TrendBasis, prior: BayesPrior | None):
         raise DomainError("prior dimension does not match the trend basis")
 
 
-class _Trend(NamedTuple):
-    """Bayes trend terms of one data set: design F, prior moments mu and
-    phi of the coefficients, and resid = z - F mu."""
-
-    F: np.ndarray
-    mu: np.ndarray
-    phi: np.ndarray
-    resid: np.ndarray
-
-
 @dataclass(frozen=True)
 class _Factored:
-    """The location-independent half of one predictor on one neighbour set.
-
-    L is the Cholesky factor of K (Bayes: K + F Phi F'). Universal kriging
-    adds M = F'K^-1 F, the GLS trend beta and resid = z - F beta; simple
-    kriging keeps resid = z - m.
+    """The location-independent half of one predictor on G neighbour sets of
+    one size, stacked: their data values (G, n) and the Cholesky factors L
+    (G, n, n) of K (Bayes: K + F Phi F'). Simple kriging adds resid = z - m;
+    Bayes kriging the designs F (G, n, k) and resid = z - F mu; universal
+    kriging, set by set, the designs, M = F'K^-1 F, the GLS trend beta and
+    resid = z - F beta. Set g of the stack is `(fac, g)`.
     """
 
     method: str
     values: np.ndarray
     L: np.ndarray
     mean: float = 0.0
-    resid: np.ndarray | None = None
+    resid: np.ndarray | list | None = None
     F: np.ndarray | None = None
-    M: np.ndarray | None = None
-    beta: np.ndarray | None = None
-    trend: _Trend | None = None
+    M: list | None = None
+    beta: list | None = None
 
 
-def _factored(method, values, F, L, mean, prior) -> _Factored:
-    """One set's factored system from the factor L of its matrix."""
-    if method == "bayes":
-        return _Factored(method, values, L, trend=_Trend(F, prior.mu, prior.phi,
-                                                         values - F @ prior.mu))
-    if method == "simple":
-        return _Factored(method, values, L, mean=mean, resid=values - mean)
-    if method == "universal":
-        KiF = chol_solve(L, F)
-        M = F.T @ KiF
-        beta = np.linalg.solve(M, KiF.T @ values)
-        return _Factored(method, values, L, resid=values - F @ beta, F=F, M=M, beta=beta)
-    return _Factored(method, values, L)
-
-
-def _factor(method, values, F, K, mean=0.0, prior=None) -> list[_Factored]:
+def _factor(method, values, F, K, mean=0.0, prior=None) -> _Factored:
     """Factor the systems of G checked sets of one size at once: their data
     values (G, n), trend designs F (G, n, k) (universal and Bayes kriging,
     else None) and covariances K (G, n, n). The G matrices, K or Bayes'
     K + F Phi F', take one `chol_with_jitter` call; NumericError when any
-    of them fails."""
+    of them fails. Bayes residuals take one stacked product, each item the
+    product F mu of its set alone."""
     if method == "bayes":
         K = K + F @ prior.phi @ F.transpose(0, 2, 1)
     L, _ = chol_with_jitter(K)
-    return [_factored(method, values[g], None if F is None else F[g], L[g], mean, prior)
-            for g in range(len(L))]
+    if method == "bayes":
+        return _Factored(method, values, L, F=F,
+                         resid=values - np.matmul(F, prior.mu[:, None])[:, :, 0])
+    if method == "simple":
+        return _Factored(method, values, L, mean=mean, resid=values - mean)
+    if method == "universal":
+        KiF = [chol_solve(L[g], F[g]) for g in range(len(L))]
+        M = [F[g].T @ KiF[g] for g in range(len(L))]
+        beta = [np.linalg.solve(M[g], KiF[g].T @ values[g]) for g in range(len(L))]
+        return _Factored(method, values, L, F=F, M=M, beta=beta,
+                         resid=[values[g] - F[g] @ beta[g] for g in range(len(L))])
+    return _Factored(method, values, L)
 
 
 def _ordinary_weights(L, c0):
@@ -313,11 +303,14 @@ def _ordinary_weights(L, c0):
     return a - nu * b, float(nu)
 
 
-def _bayes_terms(trend: _Trend, f0):
-    """The terms of the Bayes predictor at a point with trend row f0 that
-    need no covariance: F Phi f0, f0'mu and f0' Phi f0."""
-    F, mu, phi, _ = trend
-    return F @ (phi @ f0), f0 @ mu, f0 @ phi @ f0
+def _bayes_terms(f0s, mu, phi):
+    """The terms of the Bayes predictor at P points with trend rows f0s
+    (P, k) that need no covariance: Phi f0 (P, k), f0'mu (P,) and
+    f0' Phi f0 (P,). Stacked per-item products: each point's bits are those
+    of its own products phi @ f0, f0 @ mu and f0 @ phi @ f0."""
+    rows, cols = f0s[:, None, :], f0s[:, :, None]
+    return (np.matmul(phi, cols)[:, :, 0], np.matmul(rows, mu[:, None])[:, 0, 0],
+            np.matmul(np.matmul(rows, phi), cols)[:, 0, 0])
 
 
 def _bayes_solve(L, cb, resid, mean0, var0):
@@ -329,32 +322,37 @@ def _bayes_solve(L, cb, resid, mean0, var0):
     return float(mean0 + lam @ resid), float(var0 - cb @ lam)
 
 
-def _bayes_at(L, trend: _Trend, f0, c0, c00):
-    """Mean and variance of the Bayes predictor at one point."""
-    Fpf0, mean0, quad = _bayes_terms(trend, f0)
-    return _bayes_solve(L, c0 + Fpf0, trend.resid, mean0, c00 + quad)
+def _point_terms(method, points, basis, prior) -> list:
+    """Per point, the trend terms of `_at`: the trend row f0 (universal
+    kriging), (Phi f0, f0'mu, f0' Phi f0) (Bayes kriging) or None."""
+    if method == "universal":
+        return list(basis.evaluate(points))
+    if method == "bayes":
+        return list(zip(*_bayes_terms(basis.evaluate(points), prior.mu, prior.phi)))
+    return [None] * len(points)
 
 
-def _at(fac: _Factored, f0, c0, c00) -> KrigingResult:
-    """The per-point half of a predictor: its solves against the set's
-    factor and the dot products, given the trend row f0 (universal and
-    Bayes kriging), c0 and C(0) at the point."""
-    method = fac.method
+def _at(fac: _Factored, g: int, terms, c0, c00) -> KrigingResult:
+    """The per-point half of a predictor on set g of `fac`: its solves
+    against the set's factor and the dot products, given the point's
+    `_point_terms`, c0 and C(0)."""
+    method, L = fac.method, fac.L[g]
     if method == "simple":
-        lam = chol_solve(fac.L, c0)
-        pred, var = fac.mean + lam @ fac.resid, c00 - lam @ c0
+        lam = chol_solve(L, c0)
+        pred, var = fac.mean + lam @ fac.resid[g], c00 - lam @ c0
     elif method == "ordinary":
-        w, nu = _ordinary_weights(fac.L, c0)
-        pred, var = w @ fac.values, c00 - c0 @ w - nu
+        w, nu = _ordinary_weights(L, c0)
+        pred, var = w @ fac.values[g], c00 - c0 @ w - nu
     elif method == "universal":
-        Kic0 = chol_solve(fac.L, c0)
-        pred = f0 @ fac.beta + Kic0 @ fac.resid
-        g = f0 - fac.F.T @ Kic0
-        var = c00 - c0 @ Kic0 + g @ np.linalg.solve(fac.M, g)
+        f0, Kic0 = terms, chol_solve(L, c0)
+        pred = f0 @ fac.beta[g] + Kic0 @ fac.resid[g]
+        gap = f0 - fac.F[g].T @ Kic0
+        var = c00 - c0 @ Kic0 + gap @ np.linalg.solve(fac.M[g], gap)
     else:
-        pred, var = _bayes_at(fac.L, fac.trend, f0, c0, c00)
+        phif0, mean0, quad = terms
+        pred, var = _bayes_solve(L, c0 + fac.F[g] @ phif0, fac.resid[g], mean0, c00 + quad)
     return KrigingResult(float(pred), _finish_sd(float(var), c00, f"{method} kriging"),
-                         len(fac.values), method)
+                         fac.values.shape[1], method)
 
 
 def _predict(method, x0, subset, spec, mean, basis, prior) -> KrigingResult:
@@ -363,10 +361,11 @@ def _predict(method, x0, subset, spec, mean, basis, prior) -> KrigingResult:
     data = _dedupe(subset)
     F = _checked(method, data.locations, basis)
     K, c0, c00 = _system(spec, data, x0)
-    [fac] = _factor(method, data.values[None], None if F is None else F[None], K[None],
-                    mean, prior)
+    fac = _factor(method, data.values[None], None if F is None else F[None], K[None],
+                  mean, prior)
     clamped = clamped_variance_count()
-    result = _at(fac, None if F is None else basis.at(x0), c0, c00)
+    [terms] = _point_terms(method, np.asarray(x0, dtype=float).reshape(1, -1), basis, prior)
+    result = _at(fac, 0, terms, c0, c00)
     _warn_clamped(clamped, f"{method} kriging", stacklevel=3)
     return result
 
@@ -408,7 +407,7 @@ def gls_beta(data: SpatialDataset, spec, basis: TrendBasis) -> np.ndarray:
     data = _dedupe(data)
     F = _checked("universal", data.locations, basis)
     K = covariance_matrix(spec, data.locations)
-    return _factor("universal", data.values[None], F[None], K[None])[0].beta
+    return _factor("universal", data.values[None], F[None], K[None]).beta[0]
 
 
 def universal_kriging(x0, data: SpatialDataset, spec, basis: TrendBasis) -> KrigingResult:
@@ -440,11 +439,18 @@ STATUS_OK = "ok"
 STATUS_FEW = "too_few_neighbors"
 STATUS_NUMERIC = "numeric_failure"
 
-# Grid points searched and factored together. A block's search holds
-# MAP_BLOCK x n distances. A map holds the factored sets of one block and the
-# previous one at a time; only a set that comes back after a whole block
-# without it is factored a second time.
+# A map searches and factors its grid points block by block. A block holds at
+# least MAP_BLOCK points, and more while its distances to the n data
+# locations fit in MAP_DISTANCES: 655 points at n = 200, MAP_BLOCK from
+# n = 1024 on. So a block's search never holds more than
+# max(MAP_BLOCK x n, MAP_DISTANCES) distances (1 MiB of floats below n = 1024).
 MAP_BLOCK = 128
+MAP_DISTANCES = 2**17
+
+
+def _block_size(n: int) -> int:
+    """Grid points per map block over n data locations."""
+    return max(MAP_BLOCK, MAP_DISTANCES // n)
 
 
 @dataclass(frozen=True)
@@ -455,16 +461,18 @@ class MapRow:
 
 
 def _factor_alone(method, values, F, K, mean, prior):
-    """The factored system of one set of `_factor`'s arguments, or STATUS_NUMERIC."""
+    """The factored system `(fac, 0)` of one set of `_factor`'s arguments,
+    or STATUS_NUMERIC."""
     try:
-        return _factor(method, values, F, K, mean, prior)[0]
+        return _factor(method, values, F, K, mean, prior), 0
     except NumericError:
         return STATUS_NUMERIC
 
 
 def _factor_sets(method, data: SpatialDataset, sets, spec, mean, basis, prior):
-    """The factored system of each index set of `data`, or STATUS_NUMERIC
-    when its checks or its factorisation fail.
+    """The factored system `(fac, g)` of each index set of `data` (set g of
+    the stack `fac`), or STATUS_NUMERIC when its checks or its factorisation
+    fail.
 
     Sets of one size form a group. The trend designs of a group are rows of
     one basis evaluation over the union of the sets, checked at once; its
@@ -505,7 +513,8 @@ def _factor_sets(method, data: SpatialDataset, sets, spec, mean, basis, prior):
             continue
         values, F, K = data.values[idx[keep]], None if F is None else F[keep], K[keep]
         try:
-            factored = _factor(method, values, F, K, mean, prior)
+            fac = _factor(method, values, F, K, mean, prior)
+            factored = [(fac, g) for g in range(keep.size)]
         except NumericError:
             factored = [_factor_alone(method, values[g:g + 1], None if F is None else F[g:g + 1],
                                       K[g:g + 1], mean, prior) for g in range(keep.size)]
@@ -533,16 +542,16 @@ def _cross_rows(spec, lags, bounds):
     return [None if ab is None else values[ab[0]:ab[1]] for ab in bounds]
 
 
-def _map_row(points, f0s, systems, lags, crosses, spec, i: int) -> MapRow:
-    x0, fac, row = points[i], systems[i], crosses[i]
-    if fac is None:
+def _map_row(points, terms, systems, lags, crosses, spec, i: int) -> MapRow:
+    x0, system, row = points[i], systems[i], crosses[i]
+    if system is None:
         return MapRow(x0, None, STATUS_FEW)
-    if fac is STATUS_NUMERIC:
+    if system is STATUS_NUMERIC:
         return MapRow(x0, None, STATUS_NUMERIC)
     try:
         if row is None:
             row = covariance_eval(spec, lags[i])
-        res = _at(fac, None if f0s is None else f0s[i], row[1:], row[0])
+        res = _at(*system, terms[i], row[1:], row[0])
     except (NumericError, DomainError):
         return MapRow(x0, None, STATUS_NUMERIC)
     if not (math.isfinite(res.prediction) and math.isfinite(res.sd)):
@@ -567,20 +576,32 @@ def krige_map(
     a missing row, never an error; per-point numeric failures are reported
     with their own status code.
 
-    The map works block by block. One distance matrix from the MAP_BLOCK
-    points of a block to all data gives every neighbour set of the block
-    and every point's cross lags. Duplicate locations are dropped once per
-    map (they lie at the same distance, so they enter and leave a set
-    together), with one warning. Points with the same neighbour set share
-    one factored system. The sets new to a block (a set of the previous
-    block is reused) are grouped by size: a group's designs and Gram
-    matrices are sliced from one basis and one covariance evaluation over
-    the union of the new sets, checked as one stack and factored in one
-    `chol_with_jitter` call, and a group whose call fails is factored set
-    by set, so a failing set fails alone. The cross-covariances of the
-    block take one more evaluation and its trend rows one basis evaluation,
-    and each point then costs only its solves against its set's factor.
+    The map works block by block. A block holds `_block_size(n)` points for
+    n data locations: at least MAP_BLOCK, and more while the block's n
+    distances per point fit in MAP_DISTANCES (655 points at n = 200,
+    MAP_BLOCK from n = 1024 on). One distance matrix from the points of a
+    block to all data gives every neighbour set of the block and every
+    point's cross lags. Duplicate locations are dropped once per map (they
+    lie at the same distance, so they enter and leave a set together), with
+    one warning. Points with the same neighbour set share one factored
+    system. The sets new to a block (a set of the previous block is reused)
+    are grouped by size: a group's designs and Gram matrices are sliced
+    from one basis and one covariance evaluation over the union of the new
+    sets, checked as one stack and factored in one `chol_with_jitter` call,
+    its residuals taken in one stacked product, and a group whose call
+    fails is factored set by set, so a failing set fails alone. The
+    cross-covariances of the block take one more evaluation, and its trend
+    terms (f0, or Bayes' Phi f0, f0'mu and f0'Phi f0) one basis evaluation
+    and three stacked products. Each point then costs only its solves
+    against its set's factor, its dot products and its row.
     A global radius gives one set, so the whole map factors one matrix.
+
+    Memory: a block's distances and its cross lags hold at most
+    max(MAP_BLOCK x n, MAP_DISTANCES) floats each. A set of m locations
+    takes m x m floats of factor; the map keeps the factors of the current
+    block's sets and the previous block's (with the stacks they were
+    factored in), so a radius that gives many distinct large sets needs
+    memory in proportion to the block's size.
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     if grid.shape[0] == 0:
@@ -598,8 +619,9 @@ def krige_map(
     dropped = np.zeros(len(data), dtype=bool)
     clamped = clamped_variance_count()
     rows, previous = [], {}
-    for start in range(0, grid.shape[0], MAP_BLOCK):
-        points = grid[start:start + MAP_BLOCK]
+    block = _block_size(len(data))
+    for start in range(0, grid.shape[0], block):
+        points = grid[start:start + block]
         dist, member, sets, block_dropped = _neighbour_sets(points, data.locations, first,
                                                             radius, min_neighbors)
         dropped |= block_dropped
@@ -613,14 +635,14 @@ def krige_map(
         systems = [None if key is None else factored[key] for key in keys]
         # the lags of each point with a factored set, [0, its distances],
         # one point after another
-        solved = np.array([isinstance(fac, _Factored) for fac in systems])[:, None]
+        solved = np.array([isinstance(system, tuple) for system in systems])[:, None]
         at_x0 = np.hstack([solved, member & solved])
         flat = np.hstack([np.zeros((len(points), 1)), dist])[at_x0]
         bounds = [ab if ok else None for ab, ok in zip(_bounds(at_x0), solved[:, 0])]
         lags = [None if ab is None else flat[ab[0]:ab[1]] for ab in bounds]
         crosses = _cross_rows(spec, flat, bounds)
-        f0s = basis.evaluate(points) if method in ("universal", "bayes") else None
-        rows += parallel_map(partial(_map_row, points, f0s, systems, lags, crosses, spec),
+        terms = _point_terms(method, points, basis, prior)
+        rows += parallel_map(partial(_map_row, points, terms, systems, lags, crosses, spec),
                              range(points.shape[0]))
     _warn_dropped(dropped, "kriging neighborhoods of the map", stacklevel=2)
     _warn_clamped(clamped, f"{method} kriging", stacklevel=2)

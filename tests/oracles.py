@@ -148,3 +148,70 @@ def _pairwise_estimate(hsd, estimator, c):
             return new
         gamma = new
     return 0.0
+
+
+def _jittered_cholesky(mat):
+    """Lower Cholesky factor of mat + delta I for the first delta of the
+    ladder 0, 1e-10 s, 2e-10 s, ..., 64e-10 s (s the mean diagonal) whose
+    factor is finite; None when every rung fails."""
+    n = mat.shape[0]
+    base = 1e-10 * max(float(np.trace(mat)) / max(n, 1), np.finfo(float).tiny)
+    for delta in [0.0] + [base * 2.0**k for k in range(7)]:
+        try:
+            L = np.linalg.cholesky(mat if delta == 0.0 else mat + delta * np.eye(n))
+        except np.linalg.LinAlgError:
+            continue
+        if np.all(np.isfinite(L)):
+            return L
+    return None
+
+
+def _chol_solve(L, rhs):
+    from scipy.linalg import solve_triangular
+
+    return solve_triangular(L.T, solve_triangular(L, rhs, lower=True), lower=False)
+
+
+def kriging_point_reference(method, x0, locations, values, spec, mean, f0, F, mu, phi,
+                            covariance_eval):
+    """(prediction, variance) of one predictor at x0 from its own neighbour
+    set alone, or None where its Cholesky factor does not exist.
+
+    Each point builds its own system: c0 and C(0) from the distances of x0
+    (scipy's cdist) and K from those of the set, through `covariance_eval`.
+    The jitter ladder and the formulas follow the per-point predictors
+    product by product: 2-D products with the point's own trend row f0,
+    and each triangular solve through scipy's `solve_triangular`. So a
+    prediction must equal a map row's to the last bit."""
+    from scipy.spatial.distance import cdist
+
+    x0 = np.atleast_2d(x0)
+    c00 = covariance_eval(spec, np.zeros(1))[0]
+    c0 = covariance_eval(spec, cdist(x0, locations)[0])
+    K = covariance_eval(spec, cdist(locations, locations))
+    if method == "bayes":
+        K = K + F @ phi @ F.T
+    L = _jittered_cholesky(K)
+    if L is None:
+        return None
+    if method == "simple":
+        lam = _chol_solve(L, c0)
+        return mean + lam @ (values - mean), c00 - lam @ c0
+    if method == "ordinary":
+        one = np.ones(c0.size)
+        ab = _chol_solve(L, np.column_stack([c0, one]))
+        a, b = ab[:, 0], ab[:, 1]
+        nu = (one @ a - 1.0) / (one @ b)
+        w = a - nu * b
+        return w @ values, c00 - c0 @ w - nu
+    if method == "universal":
+        KiF = _chol_solve(L, F)
+        M = F.T @ KiF
+        beta = np.linalg.solve(M, KiF.T @ values)
+        Kic0 = _chol_solve(L, c0)
+        g = f0 - F.T @ Kic0
+        return (f0 @ beta + Kic0 @ (values - F @ beta),
+                c00 - c0 @ Kic0 + g @ np.linalg.solve(M, g))
+    cb = c0 + F @ (phi @ f0)
+    lam = _chol_solve(L, cb)
+    return f0 @ mu + lam @ (values - F @ mu), (c00 + f0 @ phi @ f0) - cb @ lam

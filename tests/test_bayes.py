@@ -150,9 +150,7 @@ def test_conditional_moments_match_bayes_kriging_and_are_monotone_in_phi():
 def test_shared_moments_equal_bayes_kriging_on_each_draws_own_system():
     # bit for bit: the shared lags, the stacked factorisation and the terms
     # computed once per point must not move the last bit of any moment
-    from variokrig._linalg import chol_with_jitter
-    from variokrig.krige import _bayes_at, _Trend
-    from variokrig.models import covariance_matrix
+    from oracles import kriging_point_reference
 
     rng = np.random.default_rng(33)
     data = log_dataset(rng, n=40)
@@ -170,13 +168,11 @@ def test_shared_moments_equal_bayes_kriging_on_each_draws_own_system():
         served += 1
         F = np.ones((idx.size, 1))
         mu, phi = np.array([0.3]), np.array([[7.0]])
-        trend = _Trend(F, mu, phi, data.values[idx] - F @ mu)
         expect = []
         for spec in draws.specs():
-            M = covariance_matrix(spec, np.vstack([x0, data.locations[idx]]))
-            K = np.ascontiguousarray(M[1:, 1:])
-            L, _ = chol_with_jitter(K + F @ phi @ F.T)
-            expect.append(_bayes_at(L, trend, np.ones(1), M[0, 1:].copy(), M[0, 0]))
+            m, s2 = kriging_point_reference("bayes", x0, data.locations[idx], data.values[idx],
+                                            spec, 0.0, np.ones(1), F, mu, phi, covariance_eval)
+            expect.append((float(m), float(s2)))
         assert got == expect
     assert served > 6
 
@@ -439,6 +435,37 @@ def test_density_grid_is_built_once_and_read_only():
     n = int(round((grid.hi - grid.lo) / grid.step)) + 1
     assert np.array_equal(grid.log_grid, np.linspace(grid.lo, grid.lo + (n - 1) * grid.step, n))
 
+
+
+@pytest.mark.parametrize("rule", ["trapezoid", "forward"])
+def test_density_keeps_the_bits_of_its_per_call_terms(rule):
+    # exp(g), exp(-g) and diff(exp g) are built once per grid, each
+    # lognormal term divides by -2 s2 instead of negating, then dividing,
+    # and the terms are summed by one reduction instead of a loop
+    from variokrig.bayes import _density
+
+    grid = DensityGrid(rule=rule)
+    g = grid.log_grid
+    for name, expect in (("values", np.exp(g)), ("jacobian", np.exp(-g)),
+                         ("widths", np.diff(np.exp(g)))):
+        cached = getattr(grid, name)
+        assert cached is getattr(grid, name)
+        assert cached.view(np.int64).tolist() == expect.view(np.int64).tolist()
+        with pytest.raises(ValueError):
+            cached[0] = 0.0
+    rng = np.random.default_rng(35)
+    moments = list(zip(rng.normal(0.5, 0.4, size=40).tolist(),
+                       rng.uniform(0.05, 0.6, size=40).tolist()))
+    m, s2 = np.array(sorted(moments)).T[:, :, None]
+    terms = np.exp(-np.square(g - m) / (2.0 * s2)) / np.sqrt(2.0 * math.pi * s2)
+    dens = np.zeros_like(g)
+    for term in terms:
+        dens += term
+    dens /= len(moments)
+    dens = dens * np.exp(-g)
+    pd = _density(moments, grid)
+    assert pd.density.view(np.int64).tolist() == dens.view(np.int64).tolist()
+    assert pd.values.view(np.int64).tolist() == np.exp(g).view(np.int64).tolist()
 
 # -- the bound on what the Matern table changes in a density map ----------------------
 

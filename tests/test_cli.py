@@ -404,6 +404,38 @@ def test_duplicate_locations_warned_on_ingest(tmp_path, capsys):
     assert "duplicate" in capsys.readouterr().err
 
 
+
+def test_each_warning_is_one_line_and_a_duplicate_is_reported_once(tmp_path, capsys):
+    # every warning reaches stderr as one `warning:` line, without a file
+    # name or source line; a map or density drops a duplicated station from
+    # its neighbourhoods and says so once, in place of the reader's "kept"
+    data_path = make_synth(tmp_path, n=40)
+    dup = tmp_path / "dup.csv"
+    lines = read(data_path).splitlines()
+    dup.write_text("\n".join(lines + [lines[1]]) + "\n")
+    draws_path = tmp_path / "draws.csv"
+    draws_path.write_text("nugget,sill,range,shape\n0.05,1.2,60.0,0.5\n0.1,1.0,80.0,0.5\n")
+    model = "kind=matern nugget=0.0661 sill=2.4523 range=122.79 nu=0.5"
+    grid = ["--grid", "3", "3", "0", "100", "0", "80"]
+    capsys.readouterr()
+    for argv, expect in [
+        (("krige", "--input", data_path, "--log", "--model", SYNTH_NONUG, "--method",
+          "ordinary", "--at-data"),
+         r"warning: ordinary kriging: \d+ negative variances clamped to 0"),
+        (("density", "--input", dup, "--log", "--draws", draws_path, *grid, "--radius", "200"),
+         r"warning: dropped 1 duplicate locations from the neighborhoods of the density map"),
+        (("density", "--input", dup, "--log", "--draws", draws_path, "--at", "0,0",
+          "--radius", "1000"),
+         r"warning: dropped 1 duplicate locations from the neighborhood of the density"),
+        (("krige", "--input", dup, "--log", "--model", model, "--method", "bayes", *grid),
+         r"warning: dropped 1 duplicate locations from the kriging neighborhoods of the map"),
+        (("variogram", "--input", dup, "--log"), r"warning: 1 duplicate locations kept"),
+    ]:
+        for _ in range(2):  # a second run in the same process warns again
+            assert run(*map(str, argv), "--out", str(tmp_path / "o")) == 0
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and re.fullmatch(expect, err[0]), (argv[0], err)
+
 def test_duplicate_location_count_is_numpy_unique_count(tmp_path, capsys):
     # 0.0 and -0.0 are one location, as np.unique counts them
     from variokrig.cli import ingest_csv

@@ -525,11 +525,12 @@ def test_map_rows_equal_single_point_predictions(method, radius, kind):
 
 @pytest.mark.parametrize("method", METHODS)
 def test_global_map_factors_one_matrix(count_calls, method):
-    from variokrig.krige import MAP_BLOCK
+    from variokrig.krige import _block_size
 
     rng = np.random.default_rng(22)
     data, spec, grid = map_instance(rng, expo(nugget=0.1))
-    grid = np.vstack([grid, rng.uniform(0.0, 10.0, size=(2 * MAP_BLOCK, 2))])  # three blocks
+    block = _block_size(len(data))
+    grid = np.vstack([grid, rng.uniform(0.0, 10.0, size=(2 * block, 2))])  # three blocks
     factors = count_calls("variokrig._linalg", "chol_with_jitter")
     with pytest.warns(UserWarning, match="duplicate"):
         rows = krige_map(grid, method, data, spec, math.inf, mean=0.3, basis=LINEAR,
@@ -556,11 +557,11 @@ def test_local_map_factors_each_distinct_neighbour_set_once(count_calls, method)
 
 @pytest.mark.parametrize("method", METHODS)
 def test_local_map_evaluates_covariances_at_most_twice_per_block(count_calls, method):
-    from variokrig.krige import MAP_BLOCK
+    from variokrig.krige import _block_size
 
     rng = np.random.default_rng(24)
     data = SpatialDataset(rng.uniform(0.0, 10.0, size=(40, 2)), rng.normal(size=40))
-    grid = rng.uniform(0.0, 10.0, size=(3 * MAP_BLOCK + 5, 2))  # four blocks
+    grid = rng.uniform(0.0, 10.0, size=(3 * _block_size(40) + 5, 2))  # four blocks
     evals = count_calls("variokrig.models", "covariance_eval")
     searches = count_calls("variokrig.krige", "neighborhood")
     rows = krige_map(grid, method, data, expo(nugget=0.1), 2.5, mean=0.3, basis=LINEAR,
@@ -696,3 +697,210 @@ def test_set_whose_factorisation_fails_fails_alone_in_its_group(monkeypatch, met
     expect = point_rows(grid, method, data, spec, 3.0)
     assert [(r.status, r.result) for r in rows] == expect
     assert [status for status, _ in expect] == ["ok"] * 2 + ["numeric_failure"] * 2 + ["ok"] * 4
+
+
+# -- map blocks and the bits of their rows ------------------------------------------
+
+
+def test_map_block_rule():
+    # a block holds at least MAP_BLOCK points and at most max(MAP_BLOCK x n,
+    # MAP_DISTANCES) distances to the n data locations
+    from variokrig.krige import MAP_BLOCK, MAP_DISTANCES, _block_size
+
+    assert (MAP_BLOCK, MAP_DISTANCES) == (128, 2**17)
+    assert [_block_size(n) for n in (1, 200, 1023, 1024, 5000)] == [2**17, 655, 128, 128, 128]
+    for n in range(1, 3000):
+        block = _block_size(n)
+        assert block >= MAP_BLOCK
+        assert block * n <= max(MAP_BLOCK * n, MAP_DISTANCES)
+        assert block == MAP_BLOCK or (block + 1) * n > MAP_DISTANCES  # as many as fit
+
+
+@pytest.mark.parametrize("points", [1, 654, 655, 656, 1400])
+def test_map_searches_one_block_of_the_rule_at_a_time(count_calls, points):
+    rng = np.random.default_rng(28)
+    data = SpatialDataset(rng.uniform(0.0, 10.0, size=(200, 2)), rng.normal(size=200))
+    grid = rng.uniform(0.0, 10.0, size=(points, 2))
+    searches = count_calls("variokrig.krige", "_neighbour_sets")
+    krige_map(grid, "ordinary", data, expo(nugget=0.1), 1.5)
+    assert [len(block) for block, *_ in searches] == [655] * (points // 655) + (
+        [points % 655] if points % 655 else [])
+
+
+def _bits(values):
+    return np.array(values, dtype=float).view(np.int64)
+
+
+def reference_rows(grid, method, data, spec, radius, basis, prior, mean=0.3):
+    """(status, prediction, sd, set size) of each grid point, each from its
+    own neighbour set by `oracles.kriging_point_reference`: duplicates
+    dropped (first kept), more than 4 locations in reach to be served, a
+    full-rank design for the trend methods, and variances within
+    -1e-10 max(1, C(0)) clamped to 0."""
+    from scipy.spatial.distance import cdist
+
+    from oracles import kriging_point_reference
+
+    _, first = np.unique(data.locations, axis=0, return_index=True)
+    keep = np.zeros(len(data), dtype=bool)
+    keep[first] = True
+    c00 = covariance_eval(spec, np.zeros(1))[0]
+    rows = []
+    for x0, dist in zip(grid, cdist(grid, data.locations)):
+        within = dist <= radius
+        idx = np.flatnonzero(within & keep)
+        if np.count_nonzero(within) <= 4:
+            rows.append(("too_few_neighbors", None, None, idx.size))
+            continue
+        locs, values = data.locations[idx], data.values[idx]
+        F = f0 = None
+        if method in ("universal", "bayes"):
+            F, f0 = basis.evaluate(locs), basis.evaluate(x0[None])[0]
+            if np.linalg.matrix_rank(F) < F.shape[1]:
+                rows.append(("numeric_failure", None, None, idx.size))
+                continue
+        got = kriging_point_reference(method, x0, locs, values, spec, mean, f0, F, prior.mu,
+                                      prior.phi, covariance_eval)
+        if got is None or got[1] < -1e-10 * max(1.0, c00):
+            rows.append(("numeric_failure", None, None, idx.size))
+            continue
+        pred, sd = float(got[0]), math.sqrt(max(float(got[1]), 0.0))
+        if not (math.isfinite(pred) and math.isfinite(sd)):
+            rows.append(("numeric_failure", None, None, idx.size))
+            continue
+        rows.append(("ok", pred, sd, idx.size))
+    return rows
+
+
+def bits_instance(kind):
+    """Data, spec, grid and radius of a local map of at least three blocks.
+    "exponential": 600 random stations, one of them duplicated. "triangle":
+    a 30 x 15 lattice of stations under the triangle model, which is not
+    positive definite in two dimensions: some neighbour sets of a size
+    cannot be factored even with jitter, while others of that size can."""
+    from variokrig.krige import _block_size
+
+    rng = np.random.default_rng(29)
+    if kind == "exponential":
+        locs = rng.uniform(0.0, 30.0, size=(600, 2))
+        locs[11] = locs[4]
+        spec, radius, hi = expo(nugget=0.05), 2.5, [30.0, 30.0]
+    else:
+        locs = np.array([(x, y) for x in range(30) for y in range(15)], dtype=float)
+        spec, radius, hi = CovarianceSpec("triangle", 0.0, 1.0, 1.4), 3.0, [29.0, 14.0]
+    data = SpatialDataset(locs, rng.normal(size=len(locs)))
+    block = _block_size(len(data))
+    grid = rng.uniform(0.0, hi, size=(2 * block + 40, 2))
+    return data, spec, grid, radius
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("basis", ["constant", "linear"])
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("kind", ["exponential", "triangle"])
+def test_map_rows_equal_the_per_point_reference_bit_for_bit(method, basis, kind):
+    # the per-block terms, the stacked residuals and the block rule must not
+    # move the last bit of any row
+    data, spec, grid, radius = bits_instance(kind)
+    basis = TrendBasis.constant() if basis == "constant" else LINEAR
+    k = len(basis)
+    prior = BayesPrior(np.linspace(-0.5, 0.5, k), np.eye(k) + 0.3)
+    rows = krige_map(grid, method, data, spec, radius, mean=0.3, basis=basis, prior=prior)
+    expect = reference_rows(grid, method, data, spec, radius, basis, prior)
+    assert [r.status for r in rows] == [status for status, *_ in expect]
+    served = [(r, e) for r, e in zip(rows, expect) if r.status == "ok"]
+    assert _bits([(r.result.prediction, r.result.sd) for r, _ in served]).tolist() == \
+        _bits([e[1:3] for _, e in served]).tolist()
+    assert [r.result.n_neighbors for r, _ in served] == [e[3] for _, e in served]
+    assert len(served) > len(grid) // 4
+    if kind == "triangle":
+        # a size group whose stacked factorisation failed: some of its sets
+        # failed alone, the others were served
+        status_by_size = {}
+        for status, *_, size in expect:
+            status_by_size.setdefault(size, set()).add(status)
+        assert any(s >= {"ok", "numeric_failure"} for s in status_by_size.values())
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_stacked_trend_terms_equal_per_point_products(k):
+    # the Bayes terms of a block and the residuals of a size group are
+    # stacked per-item products; each item must keep the bits of its own
+    # products (2-D products such as f0s @ phi.T do not)
+    from variokrig.krige import _bayes_terms, _factor
+
+    rng = np.random.default_rng(30 + k)
+    f0s = rng.normal(size=(500, k)) * 37.0
+    a = rng.normal(size=(k, k))
+    mu, phi = rng.normal(size=k), a @ a.T + 0.1 * np.eye(k)
+    phif0, mean0, quad = _bayes_terms(f0s, mu, phi)
+    assert _bits(phif0).tolist() == _bits([phi @ f0 for f0 in f0s]).tolist()
+    assert _bits(mean0).tolist() == _bits([f0 @ mu for f0 in f0s]).tolist()
+    assert _bits(quad).tolist() == _bits([f0 @ phi @ f0 for f0 in f0s]).tolist()
+    G, n = 40, 17
+    F = rng.normal(size=(G, n, k))
+    values = rng.normal(size=(G, n))
+    K = np.stack([np.eye(n) + 0.1 for _ in range(G)])
+    fac = _factor("bayes", values, F, K, prior=BayesPrior(mu, phi))
+    assert _bits(fac.resid).tolist() == _bits([values[g] - F[g] @ mu for g in range(G)]).tolist()
+
+
+# -- map invariances ------------------------------------------------------------------
+
+
+INVARIANCE_CASES = [("simple", TrendBasis.constant()), ("ordinary", TrendBasis.constant()),
+                    ("universal", LINEAR), ("bayes", TrendBasis.constant())]
+
+
+def invariance_instance():
+    rng = np.random.default_rng(31)
+    data = SpatialDataset(rng.uniform(0.0, 10.0, size=(60, 2)), rng.normal(size=60))
+    grid = np.vstack([rng.uniform(0.0, 10.0, size=(80, 2)), [[50.0, 50.0]]])
+    return data, grid
+
+
+def assert_same_map(rows, other):
+    assert [r.status for r in rows] == [r.status for r in other]
+    assert sum(r.status == "ok" for r in rows) > len(rows) // 2
+    for r, o in zip(rows, other):
+        if r.result is not None:
+            assert r.result.n_neighbors == o.result.n_neighbors
+            assert o.result.prediction == pytest.approx(r.result.prediction, rel=1e-9, abs=1e-12)
+            assert o.result.sd == pytest.approx(r.result.sd, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("method,basis", INVARIANCE_CASES)
+def test_map_is_translation_invariant(method, basis):
+    # a trend of constant and linear terms spans the same space after a shift
+    data, grid = invariance_instance()
+    spec, prior = expo(nugget=0.1), BayesPrior.scalar(0.3, 4.0)
+    shift = np.array([37.25, -81.5])
+    rows = krige_map(grid, method, data, spec, 3.0, mean=0.3, basis=basis, prior=prior)
+    moved = krige_map(grid + shift, method, SpatialDataset(data.locations + shift, data.values),
+                      spec, 3.0, mean=0.3, basis=basis, prior=prior)
+    assert_same_map(rows, moved)
+    assert [r.location.tolist() for r in moved] == (grid + shift).tolist()
+
+
+@pytest.mark.parametrize("method,basis", INVARIANCE_CASES)
+def test_map_is_rotation_invariant(method, basis):
+    data, grid = invariance_instance()
+    spec, prior = expo(nugget=0.1), BayesPrior.scalar(0.3, 4.0)
+    angle = 0.7
+    rot = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+    rows = krige_map(grid, method, data, spec, 3.0, mean=0.3, basis=basis, prior=prior)
+    turned = krige_map(grid @ rot.T, method, SpatialDataset(data.locations @ rot.T, data.values),
+                       spec, 3.0, mean=0.3, basis=basis, prior=prior)
+    assert_same_map(rows, turned)
+
+
+@pytest.mark.parametrize("method,basis", INVARIANCE_CASES)
+def test_map_is_invariant_under_row_permutation(method, basis):
+    # a permutation reorders each Gram matrix, so only the bits may move
+    data, grid = invariance_instance()
+    spec, prior = expo(nugget=0.1), BayesPrior.scalar(0.3, 4.0)
+    perm = np.random.default_rng(32).permutation(len(data))
+    rows = krige_map(grid, method, data, spec, 3.0, mean=0.3, basis=basis, prior=prior)
+    permuted = krige_map(grid, method, SpatialDataset(data.locations[perm], data.values[perm]),
+                         spec, 3.0, mean=0.3, basis=basis, prior=prior)
+    assert_same_map(rows, permuted)
