@@ -21,7 +21,7 @@ from .empvario import SpatialDataset
 from .exceptions import DomainError, NumericError
 from .krige import (TrendBasis, _bayes_solve, _bayes_terms, _first_occurrences,
                     _neighbour_sets, _warn_dropped)
-from .models import PosteriorDraws, covariance_eval, covariance_matrix, distances
+from .models import PosteriorDraws, covariance_matrix, covariance_values, distances
 from .util import MIN_NEIGHBORS, fmt_float, parallel_map
 
 QUANTILE_PS = {
@@ -135,13 +135,12 @@ class _SharedCovariances:
     `dropped` masks the duplicate locations left out). One covariance
     evaluation per draw covers the distinct lags of the whole block: the
     pair distances of each distinct neighbourhood and the distances of each
-    target to [x0; neighbours]. A draw whose evaluation raises NumericError
-    is evaluated point by point instead, so it fails only the points whose
-    own lags fail it. Read-only once built.
+    target to [x0; neighbours]. A value is NaN where its lag or value is
+    not finite (`covariance_values`), and a point fails only when one of
+    its own values is. Read-only once built.
     """
 
     def __init__(self, points, log_data: SpatialDataset, specs, radius: float):
-        self.specs = specs
         # per point: None (too few neighbours) or (values of its neighbours,
         # index of its pair lags in `pieces`, index of its cross lags)
         self.targets = []
@@ -165,25 +164,23 @@ class _SharedCovariances:
         self.lags, inverse = np.unique(np.concatenate(pieces), return_inverse=True)
         self.positions = np.split(inverse, np.cumsum([p.size for p in pieces[:-1]]))
         self.values = np.empty((len(specs), self.lags.size))
-        self.failed = []
         for t, spec in enumerate(specs):
-            try:
-                self.values[t] = covariance_eval(spec, self.lags)
-            except NumericError:
-                self.values[t] = np.nan
-                self.failed.append(t)
+            self.values[t] = covariance_values(spec, self.lags)
+        # the draws with a NaN value, whose entries each point must test
+        self.failed = [t for t, row in enumerate(self.values) if np.isnan(row).any()]
 
     def moments(self, i: int, prior_mean: float, prior_var: float):
         """(mean, variance) under every draw at point i, or None when it has
-        too few neighbours. The T systems are factored in one call."""
+        too few neighbours; NumericError when a covariance of its own lags is
+        not finite. The T systems are factored in one call."""
         target = self.targets[i]
         if target is None:
             return None
         values, pairs, cross = target
         own = np.concatenate([self.positions[pairs], self.positions[cross]])
         V = self.values[:, own]
-        for t in self.failed:
-            V[t] = covariance_eval(self.specs[t], self.lags[own])
+        if self.failed and np.isnan(V[self.failed]).any():
+            raise NumericError("a posterior draw's covariance is not finite at this point's lags")
         n = values.size
         K = V[:, :n * n].reshape(-1, n, n)
         c00, c0 = V[:, n * n], V[:, n * n + 1:]

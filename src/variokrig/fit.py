@@ -22,15 +22,17 @@ count and the stopping tests), so every fit equals its own `minimize` run
 bit for bit. Each round evaluates the points and difference rows of every
 fit that asked for a value in one `variogram_rows` call per group of fits
 on the same lags; there each distinct Matern (range, nu) row is evaluated
-once (see `models.variogram_rows`). The boxes and the lag groups, with
-their stacked data, are built once per run, not per round, and a run
-tests a request for its cached point on Python lists. A single fit is a
-batch of one. `setulb` is private scipy API. It is loaded from scipy's
-compiled L-BFGS-B module, `scipy.optimize._lbfgsb`, alone, so a fit does
-not import `scipy.optimize`. Where that module is missing, or its `setulb`
-is not the 17-argument routine the loop was written for, each fit runs
-through `minimize` instead, with the same results; only that fallback
-imports `scipy.optimize`.
+once (see `models.variogram_rows`). A row whose variogram values are not
+finite gets the penalty objective 1e100, alone: the other rows of its
+call keep their values, so no call is repeated row by row. The boxes and
+the lag groups, with their stacked data, are built once per run, not per
+round, and a run tests a request for its cached point on Python lists. A
+single fit is a batch of one. `setulb` is private scipy API. It is loaded
+from scipy's compiled L-BFGS-B module, `scipy.optimize._lbfgsb`, alone,
+so a fit does not import `scipy.optimize`. Where that module is missing,
+or its `setulb` is not the 17-argument routine the loop was written for,
+each fit runs through `minimize` instead, with the same results; only
+that fallback imports `scipy.optimize`.
 """
 
 import functools
@@ -227,8 +229,8 @@ def _stacked_objectives(family, X, block, h, g, n, method) -> np.ndarray:
     """Objective at every row of X, a stack of parameter blocks: row i
     belongs to block[i], whose data are g[block[i]] and n[block[i]] at the
     lags h. Rows that build no valid spec get _PENALTY; the others are
-    evaluated by one `variogram_rows` call. Raises NumericError when any
-    row would raise it."""
+    evaluated by one `variogram_rows` call, and a row whose values are not
+    finite gets _PENALTY alone."""
     valid = valid_rows(family, X)
     out = np.full(len(X), _PENALTY)
     if valid.any():
@@ -242,18 +244,13 @@ def _objective_rows(family, h, g, n, method):
     """Objective at every row of a (P, k) parameter block.
 
     Row i equals `_objective(...)(X[i])` bit for bit. The rows that build a
-    valid spec are evaluated together by `variogram_rows`; the others get
-    _PENALTY. A block in which a row raises NumericError is evaluated row by
-    row through `_objective`.
+    valid spec are evaluated together by `variogram_rows`; the others, and
+    the rows whose values are not finite, get _PENALTY.
     """
-    fun = _objective(family, h, g, n, method)
 
     def rows(X):
-        try:
-            return _stacked_objectives(family, X, np.zeros(len(X), dtype=np.intp),
-                                       h, g[None, :], n[None, :], method)
-        except NumericError:  # row by row, so only the failing rows get _PENALTY
-            return np.array([fun(x) for x in X])
+        return _stacked_objectives(family, X, np.zeros(len(X), dtype=np.intp),
+                                   h, g[None, :], n[None, :], method)
 
     return rows
 
@@ -516,9 +513,9 @@ def _block_objectives(problems, lag_groups, waiting, blocks) -> np.ndarray:
     """Objective at every row of the (C, P, k) blocks, block c of problem
     waiting[c].
 
-    The blocks of problems on the same lags are evaluated together; when
-    that raises NumericError, each block is evaluated alone, which confines
-    _PENALTY to the failing rows.
+    The blocks of problems on the same lags are evaluated together, and
+    _PENALTY falls on the failing rows alone; a problem alone on its lags
+    is evaluated through its own `rows`.
     """
     C, P, k = blocks.shape
     family, method = problems[0].family, problems[0].method
@@ -528,16 +525,13 @@ def _block_objectives(problems, lag_groups, waiting, blocks) -> np.ndarray:
     for gi, (h, g, n) in enumerate(stacks):
         cols = np.flatnonzero(groups == gi)
         if cols.size > 1:
-            try:
-                out[cols] = _stacked_objectives(
-                    family, blocks[cols].reshape(-1, k), np.repeat(slot_of[waiting[cols]], P),
-                    h, g, n, method,
-                ).reshape(cols.size, P)
-                continue
-            except NumericError:
-                pass
-        for c in cols:
-            out[c] = problems[waiting[c]].rows(blocks[c])
+            out[cols] = _stacked_objectives(
+                family, blocks[cols].reshape(-1, k), np.repeat(slot_of[waiting[cols]], P),
+                h, g, n, method,
+            ).reshape(cols.size, P)
+        else:
+            for c in cols:
+                out[c] = problems[waiting[c]].rows(blocks[c])
     return out
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from ._linalg import chol_solve, chol_with_jitter, spd_solve
 from .empvario import SpatialDataset
 from .exceptions import DomainError, NumericError, SingularMatrixError
-from .models import covariance_eval, covariance_matrix, distances
+from .models import covariance_matrix, covariance_values, distances
 from .util import KRIGE_METHODS, MIN_NEIGHBORS, fmt_float, parallel_map
 
 _diagnostics = {"clamped_variances": 0}
@@ -477,19 +477,18 @@ def _factor_sets(method, data: SpatialDataset, sets, spec, mean, basis, prior):
     Sets of one size form a group. The trend designs of a group are rows of
     one basis evaluation over the union of the sets, checked at once; its
     Gram matrices are gathered with one index from one covariance
-    evaluation over that union, and the group is factored in one call. When
-    that call fails, each set of the group is factored alone and fails
-    alone. When the union's evaluation fails, each set evaluates its own
-    and fails alone if its own lags fail.
+    evaluation over that union (`covariance_values`), and the group is
+    factored in one call. A set whose gathered Gram matrix is not finite
+    leaves its group, as one that fails the rank check does. When the
+    group's call fails, each set of the group is factored alone and fails
+    alone.
     """
     member = np.zeros(len(data.values), dtype=bool)  # np.unique would import numpy.ma
     member[np.concatenate(sets)] = True
     union = np.flatnonzero(member)
-    try:
-        gram = covariance_matrix(spec, data.locations[union])
-    except (NumericError, DomainError):
-        gram = None
-    design = basis.evaluate(data.locations[union]) if method in ("universal", "bayes") else None
+    locations = data.locations[union]
+    gram = covariance_values(spec, distances(locations, locations))
+    design = basis.evaluate(locations) if method in ("universal", "bayes") else None
     groups = {}
     for j, idx in enumerate(sets):
         groups.setdefault(idx.size, []).append(j)
@@ -498,16 +497,8 @@ def _factor_sets(method, data: SpatialDataset, sets, spec, mean, basis, prior):
         idx = np.stack([sets[j] for j in members])
         pos = np.searchsorted(union, idx)
         F = None if design is None else design[pos]
-        ok = np.full(len(members), True) & _passing(method, n, F)
-        if gram is None:
-            K = np.empty((len(members), n, n))
-            for g in np.flatnonzero(ok):
-                try:
-                    K[g] = covariance_matrix(spec, data.locations[idx[g]])
-                except (NumericError, DomainError):
-                    ok[g] = False
-        else:
-            K = gram[pos[:, :, None], pos[:, None, :]]
+        K = gram[pos[:, :, None], pos[:, None, :]]
+        ok = np.all(np.isfinite(K), axis=(1, 2)) & _passing(method, n, F)
         keep = np.flatnonzero(ok)
         if keep.size == 0:
             continue
@@ -530,29 +521,18 @@ def _bounds(mask):
     return zip([0] + ends[:-1], ends)
 
 
-def _cross_rows(spec, lags, bounds):
-    """Row 0 of the covariance over [x0; locations], (C(0), c0), of every
-    point with bounds into `lags`, from one covariance evaluation. When that
-    evaluation fails, every row is None and each point evaluates its own
-    row, failing alone if its own lags fail."""
-    try:
-        values = covariance_eval(spec, lags) if lags.size else lags
-    except NumericError:
-        return [None] * len(bounds)
-    return [None if ab is None else values[ab[0]:ab[1]] for ab in bounds]
-
-
-def _map_row(points, terms, systems, lags, crosses, spec, i: int) -> MapRow:
+def _map_row(points, terms, systems, crosses, i: int) -> MapRow:
+    """The row of point i, given its factored system and its cross row
+    (C(0), c0). A NaN in the cross row makes the prediction NaN, and so the
+    point a numeric failure."""
     x0, system, row = points[i], systems[i], crosses[i]
     if system is None:
         return MapRow(x0, None, STATUS_FEW)
     if system is STATUS_NUMERIC:
         return MapRow(x0, None, STATUS_NUMERIC)
     try:
-        if row is None:
-            row = covariance_eval(spec, lags[i])
         res = _at(*system, terms[i], row[1:], row[0])
-    except (NumericError, DomainError):
+    except NumericError:
         return MapRow(x0, None, STATUS_NUMERIC)
     if not (math.isfinite(res.prediction) and math.isfinite(res.sd)):
         return MapRow(x0, None, STATUS_NUMERIC)
@@ -590,9 +570,11 @@ def krige_map(
     sets, checked as one stack and factored in one `chol_with_jitter` call,
     its residuals taken in one stacked product, and a group whose call
     fails is factored set by set, so a failing set fails alone. The
-    cross-covariances of the block take one more evaluation, and its trend
-    terms (f0, or Bayes' Phi f0, f0'mu and f0'Phi f0) one basis evaluation
-    and three stacked products. Each point then costs only its solves
+    cross-covariances of the block take one more evaluation. Both
+    evaluations follow `covariance_values`: a lag or value that is not
+    finite is NaN, and fails only the set or point that holds it. The trend
+    terms (f0, or Bayes' Phi f0, f0'mu and f0'Phi f0) take one basis
+    evaluation and three stacked products. Each point then costs only its solves
     against its set's factor, its dot products and its row.
     A global radius gives one set, so the whole map factors one matrix.
 
@@ -638,11 +620,10 @@ def krige_map(
         solved = np.array([isinstance(system, tuple) for system in systems])[:, None]
         at_x0 = np.hstack([solved, member & solved])
         flat = np.hstack([np.zeros((len(points), 1)), dist])[at_x0]
-        bounds = [ab if ok else None for ab, ok in zip(_bounds(at_x0), solved[:, 0])]
-        lags = [None if ab is None else flat[ab[0]:ab[1]] for ab in bounds]
-        crosses = _cross_rows(spec, flat, bounds)
+        cross = covariance_values(spec, flat) if flat.size else flat
+        crosses = [cross[a:b] if ok else None for (a, b), ok in zip(_bounds(at_x0), solved[:, 0])]
         terms = _point_terms(method, points, basis, prior)
-        rows += parallel_map(partial(_map_row, points, terms, systems, lags, crosses, spec),
+        rows += parallel_map(partial(_map_row, points, terms, systems, crosses),
                              range(points.shape[0]))
     _warn_dropped(dropped, "kriging neighborhoods of the map", stacklevel=2)
     _warn_clamped(clamped, f"{method} kriging", stacklevel=2)

@@ -10,7 +10,7 @@ provided for flexible fitting.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -70,7 +70,8 @@ def matern_correlation(u, nu):
     nu, not on the other elements of the call: a (P, 1) column nu takes
     (nu - 1) log 2 and log Gamma(nu) once per row, and subtracts each
     from every element of the row, as the elementwise formula does. A huge
-    u gives 0 (see `specfun.log_bessel_k` for kve's NaN there).
+    u gives 0 (see `specfun.log_bessel_k` for kve's NaN there). The values
+    are unchecked: u = inf gives NaN, for the public evaluators to judge.
     """
     u = np.asarray(u, dtype=float)
     # once per row of a column nu, not per element; each is still subtracted
@@ -92,11 +93,8 @@ def matern_correlation(u, nu):
     logrho -= log_gamma_nu
     rho = np.minimum(np.exp(logrho), 1.0)
     if whole:
-        out = rho
-    else:
-        out[pos] = rho
-    if not np.all(np.isfinite(out)):
-        raise NumericError(f"Matern correlation not finite for nu={nu}")
+        return rho
+    out[pos] = rho
     return out
 
 
@@ -331,15 +329,47 @@ def _as_lags(h):
     return h
 
 
+def _checked_values(out, spec):
+    """`out`, a float when 0-d; NumericError when a value is not finite."""
+    if not np.all(np.isfinite(out)):
+        raise NumericError(f"model {spec_to_text(spec)} is not finite at some lag")
+    return float(out) if out.ndim == 0 else out
+
+
+def _covariance(spec, h) -> np.ndarray:
+    """C(h) at lags h >= 0, unchecked: an entry whose lag or value is not
+    finite may be anything. numpy's warnings are silenced, as every caller
+    tests the values."""
+    with np.errstate(all="ignore"):
+        if isinstance(spec, NestedMaternSpec):
+            at_origin, part = _nested_correlation_parts(astuple(spec), h)
+            return np.where(at_origin, spec.total_sill, part)
+        rho = _unit_correlation(spec.kind, spec.shape, h / spec.range_)
+        return spec.sill * rho + np.where(h == 0.0, spec.nugget, 0.0)
+
+
 def covariance_eval(spec, h):
-    """C(h) for a CovarianceSpec or NestedMaternSpec; h scalar or array."""
-    if isinstance(spec, NestedMaternSpec):
-        return nested_matern_covariance(spec, h)
-    h = _as_lags(h)
-    rho = _unit_correlation(spec.kind, spec.shape, h / spec.range_)
-    out = spec.sill * rho + np.where(h == 0.0, spec.nugget, 0.0)
-    if out.ndim == 0:
-        return float(out)
+    """C(h) for a CovarianceSpec or NestedMaternSpec; h scalar or array.
+
+    DomainError for a lag that is negative or not finite, NumericError
+    when a value is not finite."""
+    return _checked_values(_covariance(spec, _as_lags(h)), spec)
+
+
+def covariance_values(spec, h) -> np.ndarray:
+    """C(h) at an array of lags >= 0, NaN exactly where a lag or its value
+    is not finite, and elsewhere the bits of `covariance_eval`: the failure
+    rule of maps and densities, which fail only the sets and points holding
+    a NaN. Only a batch that `covariance_eval` fails is evaluated again."""
+    try:
+        return covariance_eval(spec, h)
+    except (DomainError, NumericError):
+        pass
+    h = np.asarray(h, dtype=float)
+    finite = np.isfinite(h)
+    out = np.full(h.shape, np.nan)
+    out[finite] = _covariance(spec, _as_lags(h[finite]))
+    out[~np.isfinite(out)] = np.nan
     return out
 
 
@@ -393,10 +423,8 @@ def variogram_eval(spec, h):
     """
     h = _as_lags(h)
     family, params = _spec_row(spec)
-    out = variogram_rows(family, params[None], h.ravel()).reshape(h.shape)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _checked_values(variogram_rows(family, params[None], h.ravel()).reshape(h.shape),
+                           spec)
 
 
 def variogram_rows(family: str, params, h) -> np.ndarray:
@@ -406,8 +434,9 @@ def variogram_rows(family: str, params, h) -> np.ndarray:
     nested-Matern parameters. The parameters broadcast as (P, 1) columns
     through the scalar code, so the Matern rows take scipy's kve per
     element with an array nu, and `variogram_eval` is the one-row case.
-    Rows are not validated (see `valid_rows`); NumericError is raised when
-    any row would raise it.
+    Neither the rows (see `valid_rows`) nor the values are checked: a value
+    that is not finite is returned as it is, for the caller to fail its row
+    alone.
 
     Rows share values by value: the nested-Matern components of all rows
     go through one `matern_correlation` call, which evaluates each
@@ -417,14 +446,15 @@ def variogram_rows(family: str, params, h) -> np.ndarray:
     """
     h = _as_lags(h)
     params = np.asarray(params, dtype=float)
-    if family in EXPONENT_KINDS:  # Python-float parameters, as a spec holds them
-        rows = [_single_variogram(family, *row, h) for row in params.tolist()]
-        return np.array(rows, dtype=float).reshape(len(params), h.size)
-    cols = [c[:, None] for c in params.T]
-    if family == "nested_matern":
-        return _nested_variogram(cols, h)
-    nugget, sill, range_, *shape = cols
-    return _single_variogram(family, nugget, sill, range_, shape[0] if shape else None, h)
+    with np.errstate(all="ignore"):
+        if family in EXPONENT_KINDS:  # Python-float parameters, as a spec holds them
+            rows = [_single_variogram(family, *row, h) for row in params.tolist()]
+            return np.array(rows, dtype=float).reshape(len(params), h.size)
+        cols = [c[:, None] for c in params.T]
+        if family == "nested_matern":
+            return _nested_variogram(cols, h)
+        nugget, sill, range_, *shape = cols
+        return _single_variogram(family, nugget, sill, range_, shape[0] if shape else None, h)
 
 
 def valid_rows(family: str, params) -> np.ndarray:
@@ -466,11 +496,6 @@ def matern_eval(nugget: float, sill: float, range_: float, nu: float, h):
 # Lags scaled below this count as the origin; the reference fallback for
 # non-finite Bessel products is applied only there.
 _NESTED_ORIGIN_EPS = 1e-12
-
-
-def _nested_params(spec: NestedMaternSpec):
-    return (spec.nugget, spec.sill1, spec.range1, spec.nu1,
-            spec.sill2, spec.range2, spec.nu2)
 
 
 def _distinct_rows(*cols):
@@ -517,11 +542,7 @@ def _nested_correlation_parts(p, h):
         near = (u1 < _NESTED_ORIGIN_EPS) & (u2 < _NESTED_ORIGIN_EPS)
         rho1 = matern_correlation(u1, nu1)
         rho2 = matern_correlation(u2, nu2)
-    at_origin = (h == 0.0) | near
-    part = sill1 * rho1 + sill2 * rho2
-    if not np.all(np.isfinite(np.where(at_origin, 0.0, part))):
-        raise NumericError(f"nested Matern evaluation not finite for parameters {p}")
-    return at_origin, part
+    return (h == 0.0) | near, sill1 * rho1 + sill2 * rho2
 
 
 def _nested_variogram(p, h):
@@ -532,11 +553,7 @@ def _nested_variogram(p, h):
 
 def nested_matern_covariance(spec: NestedMaternSpec, h):
     """C(h) of the two-component Matern; nugget + both sills at the origin."""
-    at_origin, part = _nested_correlation_parts(_nested_params(spec), _as_lags(h))
-    out = np.where(at_origin, spec.total_sill, part)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return covariance_eval(spec, h)
 
 
 def nested_matern_variogram(spec: NestedMaternSpec, h):

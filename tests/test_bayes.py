@@ -380,6 +380,21 @@ def test_density_map_rows_equal_single_point_densities():
         covariance_eval(draws.spec(5), np.array([24.0]))
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in subtract:RuntimeWarning")
+def test_density_point_with_overflowing_cross_lags_fails_alone():
+    # six stations at easting -1e308: from easting 8e307 on, the lags are inf
+    data = SpatialDataset(np.column_stack([np.full(6, -1e308), [0.0, 5.0, 9.0, 2.0, 7.0, 1.0]]),
+                          np.log([1.0, 2.0, 1.5, 0.5, 1.2, 0.9]))
+    draws = PosteriorDraws(np.array([[0.05, 1.2, 60.0, 0.5], [0.1, 1.0, 10.0, 1.5]]))
+    grid = np.array([[-1e308, 3.0], [8e307, 3.0], [1.6e308, 10.0]])
+    rows = density_map(grid, data, draws, 0.0, 10.0, math.inf)
+    assert [r.status for r in rows] == ["ok", "numeric_failure", "numeric_failure"]
+    assert rows[0].summary == predictive_density_at(grid[0], data, draws, 0.0, 10.0,
+                                                    math.inf).summary
+    with pytest.raises(NumericError):
+        predictive_density_at(grid[1], data, draws, 0.0, 10.0, math.inf)
+
+
 def test_density_map_evaluates_each_draw_once(count_calls):
     rng = np.random.default_rng(31)
     data = log_dataset(rng, n=30)

@@ -939,3 +939,60 @@ def test_no_exit_0_output_holds_nan_or_inf(tmp_path, capsys):
             else:
                 found = NON_FINITE.search(read(path))
                 assert not found, (path, found)
+
+
+# -- a lag or value that is not finite fails only its own points ---------------------
+
+FAR_TABLE = "EASTING,NORTHING,VALUE\n" + "".join(
+    f"-1e308,{y},{v}\n" for y, v in zip([0, 5, 9, 2, 7, 1], [1.0, 2.0, 1.5, 0.5, 1.2, 0.9]))
+FAR_GRID = ["--grid", "2", "1", "0", "1.6e308", "-1", "10"]
+
+
+@pytest.fixture
+def far_inputs(tmp_path):
+    data = tmp_path / "far.csv"
+    data.write_text(FAR_TABLE)
+    draws = tmp_path / "draws.csv"
+    draws.write_text("nugget,sill,range,shape\n0.05,1.2,60.0,0.5\n0.1,1.0,10.0,1.5\n")
+    return str(data), str(draws)
+
+
+@pytest.mark.parametrize("command", ["ordinary", "bayes", "density"])
+def test_map_points_with_overflowing_lags_are_numeric_failures(tmp_path, capsys, far_inputs,
+                                                               command):
+    data, draws = far_inputs
+    out = tmp_path / "o"
+    if command == "density":
+        argv = ["density", "--input", data, "--draws", draws, "--radius", "inf"]
+        name = "density_map.csv"
+    else:
+        argv = ["krige", "--input", data, "--method", command, "--model",
+                "kind=exponential nugget=0.1 sill=1.0 range=10.0"]
+        name = "krige.csv"
+    assert run(*argv, *FAR_GRID, "--out", str(out)) == 0
+    rows = read(out / name).strip().splitlines()[1:]
+    assert len(rows) == 2 and all(row.endswith(",numeric_failure") for row in rows)
+
+
+def test_density_at_a_point_with_overflowing_lags_exits_2(tmp_path, capsys, far_inputs):
+    data, draws = far_inputs
+    code = run("density", "--input", data, "--draws", draws, "--at=8e307,3", "--radius", "inf",
+               "--out", str(tmp_path / "o"))
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert sum(line.startswith("numeric failure:") for line in err) == 1
+
+
+def test_map_whose_covariance_overflows_prints_no_numpy_warning(tmp_path, capsys):
+    # every point's cross lags reach past 127, where h / range overflows:
+    # each row reports the failure, and numpy's warnings would only repeat it
+    data = tmp_path / "line.csv"
+    data.write_text("EASTING,NORTHING,VALUE\n0,0,1.0\n100,0,2.0\n200,0,1.5\n300,0,0.5\n"
+                    "0,100,1.2\n100,100,0.9\n")
+    capsys.readouterr()
+    assert run("krige", "--input", str(data), "--method", "ordinary", "--model",
+               "kind=matern nugget=0.05 sill=1.0 range=1.0e-306 nu=0.5",
+               "--grid", "3", "2", "0", "300", "0", "100", "--out", str(tmp_path / "o")) == 0
+    rows = read(tmp_path / "o" / "krige.csv").strip().splitlines()[1:]
+    assert len(rows) == 6 and all(row.endswith(",numeric_failure") for row in rows)
+    assert capsys.readouterr().err == ""

@@ -622,8 +622,8 @@ def test_clamped_variances_warn_once_per_map_and_per_call():
 @pytest.mark.parametrize("method", METHODS)
 def test_map_set_whose_gram_fails_fails_alone(count_calls, method):
     # two tight clusters 200 apart and a set spanning 140: C(h) of this spec
-    # is not finite beyond h ~ 127, so the block's union Gram fails and the
-    # sets are evaluated one by one
+    # is not finite beyond h ~ 127, so the block's union Gram holds NaN and
+    # the set that gathers one leaves its group
     spec = MAP_SPECS["overflowing"]
     rng = np.random.default_rng(25)
     cluster = rng.uniform(0.0, 2.0, size=(6, 2))
@@ -635,10 +635,41 @@ def test_map_set_whose_gram_fails_fails_alone(count_calls, method):
         covariance_eval(spec, np.array([138.0]))
     evals = count_calls("variokrig.models", "covariance_eval")
     rows = krige_map(grid, method, data, spec, 71.0, mean=0.3, basis=LINEAR, prior=PRIOR)
-    assert len(evals) == 1 + 3 + 1  # the failed union, each of the 3 sets, the cross rows
+    assert len(evals) == 2  # the union and the cross rows, once each
     expect = point_rows(grid, method, data, spec, 71.0)
     assert [(r.status, r.result) for r in rows] == expect
     assert [status for status, _ in expect] == ["ok", "ok", "numeric_failure", "ok"]
+
+
+# six stations at easting -1e308: a grid point at easting 8e307 or beyond
+# lies farther from them than the largest float, so its cross lags are inf
+FAR_STATIONS = SpatialDataset(
+    np.column_stack([np.full(6, -1e308), [0.0, 5.0, 9.0, 2.0, 7.0, 1.0]]),
+    np.array([1.0, 2.0, 1.5, 0.5, 1.2, 0.9]))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in subtract:RuntimeWarning")
+@pytest.mark.parametrize("method", METHODS)
+def test_map_point_with_overflowing_cross_lags_fails_alone(method):
+    spec = CovarianceSpec("exponential", 0.1, 1.0, 10.0)
+    grid = np.array([[-1e308, 3.0], [8e307, 3.0], [1.6e308, 10.0]])
+    rows = krige_map(grid, method, FAR_STATIONS, spec, math.inf, mean=0.3,
+                     basis=TrendBasis.constant(), prior=BayesPrior.scalar(0.0, 1.0))
+    assert [r.status for r in rows] == ["ok", "numeric_failure", "numeric_failure"]
+    assert rows[1].result is rows[2].result is None
+    assert math.isfinite(rows[0].result.prediction)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("predict", [simple_kriging, ordinary_kriging])
+def test_wave_covariance_that_is_not_finite_fails_a_prediction(predict):
+    # sin(u) / u of the overflowed lag from (300, 0) is NaN
+    spec = CovarianceSpec("wave", 0.1, 1.0, 1e-306)
+    data = SpatialDataset(np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0], [10.0, 10.0],
+                                    [5.0, 5.0]]), np.array([1.0, 2.0, 1.5, 0.5, 1.2]))
+    args = (0.0,) if predict is simple_kriging else ()
+    with pytest.raises(NumericError):
+        predict([300.0, 0.0], data, spec, *args)
 
 
 def cluster_instance(rng, collinear=None):

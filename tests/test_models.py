@@ -413,3 +413,79 @@ def test_matern_of_huge_lags_is_zero():
     spec = CovarianceSpec("matern", 0.0, 1.0, 1e-3, 1.3)
     assert np.array_equal(covariance_eval(spec, [0.0, 1.0, 1e6]), [1.0, 0.0, 0.0])
     assert variogram_eval(spec, 1e6) == 1.0
+
+
+# -- covariance_values: NaN exactly where a lag or its value is not finite ---------
+
+VALUES_LAGS = np.array([0.0, 1e-300, 0.5, 1.0, 3.0, 250.0, 1e300, 1.7e308, math.inf, 2.0])
+
+
+def values_specs():
+    """Every family at a plain range and at a subnormal-scale range (its
+    large lags overflow h / range), and the nested Matern both ways."""
+    for kind, shape in ALL_KINDS:
+        yield make_spec(kind, shape)
+        yield make_spec(kind, shape, range_=1e-306)
+    yield NestedMaternSpec(0.1, 0.8, 6.0, 1.3, 1.2, 30.0, 0.9)
+    yield NestedMaternSpec(0.1, 0.8, 1e-306, 0.5, 1.2, 30.0, 2.5)
+
+
+def _alone(spec, lag):
+    """covariance_eval at one lag, or None where it raises."""
+    try:
+        return covariance_eval(spec, np.array([lag]))[0]
+    except (DomainError, models.NumericError):
+        return None
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("spec", list(values_specs()), ids=spec_to_text)
+def test_covariance_values_is_covariance_eval_with_nan_where_it_fails(spec):
+    got = models.covariance_values(spec, VALUES_LAGS)
+    alone = [_alone(spec, lag) for lag in VALUES_LAGS]
+    fails = np.array([a is None for a in alone])
+    assert np.array_equal(np.isnan(got), fails)
+    assert np.all(fails[~np.isfinite(VALUES_LAGS)])
+    want = np.array([0.0 if a is None else a for a in alone])
+    assert np.array_equal(got[~fails].view(np.int64), want[~fails].view(np.int64))
+    # the lags that pass, in one call, have the same bits
+    batch = covariance_eval(spec, VALUES_LAGS[~fails])
+    assert np.array_equal(got[~fails].view(np.int64), batch.view(np.int64))
+
+
+def test_covariance_values_evaluates_a_passing_batch_once(count_calls):
+    evals = count_calls("variokrig.models", "covariance_eval")
+    spec = make_spec("matern", 1.7)
+    got = models.covariance_values(spec, VALUES_LAGS[:7])
+    assert len(evals) == 1
+    assert np.array_equal(got, covariance_eval(spec, VALUES_LAGS[:7]))
+
+
+def test_covariance_values_rejects_a_negative_lag():
+    with pytest.raises(DomainError):
+        models.covariance_values(make_spec("exponential", None), np.array([1.0, -1.0, math.inf]))
+
+
+def test_every_family_fails_a_value_that_is_not_finite():
+    # sin(u) / u of an overflowed u is NaN: an error, not a value
+    wave = CovarianceSpec("wave", 0.1, 1.0, 1e-306)
+    assert np.all(np.isfinite(covariance_eval(wave, np.array([0.0, 1.0]))))
+    with pytest.raises(models.NumericError):
+        covariance_eval(wave, np.array([0.0, 1.0, 200.0]))
+    with pytest.raises(models.NumericError):
+        variogram_eval(wave, np.array([200.0]))
+
+
+def test_variogram_rows_returns_values_that_are_not_finite_as_they_are():
+    # the second row's range1 overflows h / range at lag 200: that value
+    # is NaN, the rest of the row is finite, and the first row is its value
+    # alone
+    params = np.array([[0.1, 0.8, 6.0, 1.3, 1.2, 30.0, 0.9],
+                       [0.1, 0.8, 1e-306, 0.5, 1.2, 30.0, 2.5]])
+    h = np.array([1.0, 5.0, 200.0])
+    with np.errstate(all="raise"):  # and numpy's warnings stay silent
+        rows = variogram_rows("nested_matern", params, h)
+    assert np.array_equal(np.isnan(rows[1]), [False, False, True])
+    assert np.array_equal(rows[0], variogram_rows("nested_matern", params[:1], h)[0])
+    with pytest.raises(models.NumericError):
+        variogram_eval(NestedMaternSpec(*params[1]), h)
