@@ -5,8 +5,11 @@ lives in exactly one place: a symmetric matrix that fails Cholesky gets
 ``delta * I`` added, with delta starting at 1e-10 times the mean diagonal
 and doubling up to six times before the attempt is abandoned. A system is
 factored once by ``chol_with_jitter`` and solved with that factor by
-``chol_solve``, as often as its callers need; ``spd_solve`` does both for a
-one-off system. The module is the package's only route to scipy's LAPACK.
+``chol_solve``, as often as its callers need: ``chol_solve_into`` solves in
+place (a density's per-draw solves), and ``chol_solve_each`` solves a stack
+of right-hand sides against views of a stack of factors (a map's per-point
+solves). ``spd_solve`` does both for a one-off system. The module is the
+package's only route to scipy's LAPACK.
 The first triangular solve loads LAPACK's ``dtrtrs`` from the compiled
 module `scipy.linalg._flapack` alone, without the `scipy.linalg` package;
 where that module is missing, it imports `scipy.linalg.lapack`, whose
@@ -99,13 +102,43 @@ def chol_solve(L, rhs):
     the LAPACK calls that ``scipy.linalg.solve_triangular`` makes for
     ``L`` and then ``L.T``, without its per-call validation.
     """
-    Lt = np.ascontiguousarray(L).T
-    y, info = _dtrtrs(Lt, rhs, lower=0, trans=1)
+    return chol_solve_into(L, np.array(rhs, dtype=float, order="F"))
+
+
+def chol_solve_into(L, b):
+    """``chol_solve(L, b)`` in place of ``b``, a float64 vector or a
+    Fortran-ordered (n, r) block of right-hand sides, with the same two
+    LAPACK calls and so the same bits. Returns ``b``. Any other ``b`` would
+    be copied by the LAPACK wrapper and left unsolved, so the callers build
+    ``b`` in that layout."""
+    Lt = L.T
+    info = _dtrtrs(Lt, b, lower=0, trans=1, overwrite_b=1)[1]
     if info == 0:
-        x, info = _dtrtrs(Lt, y, lower=0, trans=0)
+        info = _dtrtrs(Lt, b, lower=0, trans=0, overwrite_b=1)[1]
     if info != 0:
         raise SingularMatrixError(f"triangular solve failed (LAPACK info {info})")
-    return x
+    return b
+
+
+def chol_solve_each(L, which, rhs):
+    """``chol_solve_into(L[which[p]], rhs[p])`` for every item p, where L
+    is a C-ordered (G, n, n) stack of factors and ``rhs`` a stack of P
+    items: vectors (P, n) or Fortran-ordered (n, r) blocks, such as the
+    transpose (0, 2, 1) of a C-ordered (P, r, n) array. Each item passes a
+    view of its factor, so no factor is copied, and only its two LAPACK
+    calls run per item. Returns the mask of the items whose solve failed;
+    their rows are set to NaN. The layout of ``rhs`` is checked, since
+    ``chol_solve_into`` cannot see a copy."""
+    if len(rhs) and not (rhs.dtype == np.float64 and rhs[0].flags.f_contiguous):
+        raise ValueError("right-hand sides must be float64 and Fortran-ordered per item")
+    failed = np.zeros(len(rhs), dtype=bool)
+    for p, g in enumerate(which.tolist()):
+        try:
+            chol_solve_into(L[g], rhs[p])
+        except SingularMatrixError:
+            failed[p] = True
+    rhs[failed] = np.nan
+    return failed
 
 
 def spd_solve(mat, rhs):

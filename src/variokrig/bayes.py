@@ -7,19 +7,24 @@ covariance matrix (prior variance added to every entry, Schur complement
 for the variance). The predictive density on the original scale averages
 the resulting lognormal densities over the draws on a fixed log grid and
 is summarised by grid-exact quantiles.
+
+Per draw, only the two triangular solves of its weights run in Python
+(`_conditional_moments`); a point's T draws are factored in one call, and
+their means, variances and positivity checks are stacked products with the
+bits of the Bayes kriging map's (`krige._bayes_moments`).
 """
 
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from ._linalg import chol_with_jitter, spd_solve
+from ._linalg import chol_solve_into, chol_with_jitter, spd_solve
 from .empvario import SpatialDataset
 from .exceptions import DomainError, NumericError
-from .krige import (TrendBasis, _bayes_solve, _bayes_terms, _first_occurrences,
+from .krige import (TrendBasis, _bayes_moments, _bayes_terms, _first_occurrences,
                     _neighbour_sets, _warn_dropped)
 from .models import PosteriorDraws, covariance_matrix, covariance_values, distances
 from .util import MIN_NEIGHBORS, fmt_float, parallel_map
@@ -118,14 +123,12 @@ class PredictiveDensity:
 _F0 = np.ones((1, 1))  # the constant trend at the target, one row
 
 
-def _conditional_moments(L, cb, resid, mean0, var0):
-    """Posterior mean / variance of the log-value under one parameter draw:
-    the constant-trend Bayes predictor's solve through the factor L of
-    K + phi, given the terms of `_bayes_solve`."""
-    m, s2 = _bayes_solve(L, cb, resid, mean0, var0)
-    if s2 <= 0.0 or not math.isfinite(s2) or not math.isfinite(m):
-        raise NumericError("conditional variance is not positive")
-    return m, s2
+def _conditional_moments(L, lam):
+    """The weights of the constant-trend Bayes predictor under one
+    parameter draw: its two triangular solves through the factor L of
+    K + phi, in place of lam, which holds cb = c0 + phi on entry. Called
+    once per draw, the span `bayes.draw_moment` of `perfbench/tracing.py`."""
+    return chol_solve_into(L, lam)
 
 
 class _SharedCovariances:
@@ -138,6 +141,12 @@ class _SharedCovariances:
     target to [x0; neighbours]. A value is NaN where its lag or value is
     not finite (`covariance_values`), and a point fails only when one of
     its own values is. Read-only once built.
+
+    A point's moments (`moment_table`) factor its T systems in one call;
+    then each draw makes only its two triangular solves
+    (`_conditional_moments`), and the T means, variances and positivity
+    checks are stacked products (`krige._bayes_moments`), with the bits of
+    the Bayes kriging map's rows.
     """
 
     def __init__(self, points, log_data: SpatialDataset, specs, radius: float):
@@ -170,9 +179,18 @@ class _SharedCovariances:
         self.failed = [t for t, row in enumerate(self.values) if np.isnan(row).any()]
 
     def moments(self, i: int, prior_mean: float, prior_var: float):
-        """(mean, variance) under every draw at point i, or None when it has
-        too few neighbours; NumericError when a covariance of its own lags is
-        not finite. The T systems are factored in one call."""
+        """[(mean, variance)] under every draw at point i, as Python floats,
+        or None when it has too few neighbours; see `moment_table`."""
+        table = self.moment_table(i, prior_mean, prior_var)
+        return None if table is None else list(map(tuple, table.tolist()))
+
+    def moment_table(self, i: int, prior_mean: float, prior_var: float):
+        """(mean, variance) under every draw at point i, a (T, 2) array, or
+        None when it has too few neighbours; NumericError when a covariance
+        of its own lags is not finite, or a draw's variance is not positive
+        or a moment not finite. The T systems are factored in one call;
+        each draw then makes only its solves (`_conditional_moments`), and
+        the T moments and checks are stacked products."""
         target = self.targets[i]
         if target is None:
             return None
@@ -188,14 +206,18 @@ class _SharedCovariances:
         mu, phi = np.array([prior_mean]), np.array([[prior_var]])
         L, _ = chol_with_jitter(K + F @ phi @ F.T)
         # the draws share the trend terms; V is Fortran-ordered, and cb is
-        # made C-ordered so that each draw's cb @ lam keeps the bits of a
+        # made C-ordered so that each draw's products keep the bits of a
         # one-point solve
         [phif0], [mean0], [quad] = _bayes_terms(_F0, mu, phi)
         cb = np.ascontiguousarray(c0 + F @ phif0)
-        var0 = c00 + quad
-        resid = values - F @ mu
-        return [_conditional_moments(L[t], cb[t], resid, mean0, var0[t])
-                for t in range(V.shape[0])]
+        lam = cb.copy()
+        for t in range(len(L)):
+            _conditional_moments(L[t], lam[t])
+        with np.errstate(all="ignore"):
+            m, s2 = _bayes_moments(cb, lam, values - F @ mu, mean0, c00 + quad)
+        if not np.all((s2 > 0.0) & np.isfinite(s2) & np.isfinite(m)):
+            raise NumericError("conditional variance is not positive")
+        return np.column_stack([m, s2])
 
 
 def _summarize(grid: DensityGrid, density: np.ndarray):
@@ -235,10 +257,13 @@ def _summarize(grid: DensityGrid, density: np.ndarray):
 
 
 def _density(moments, grid: DensityGrid) -> PredictiveDensity:
-    """The predictive density averaging the lognormal of every draw."""
+    """The predictive density averaging the lognormal of every draw, given
+    the draws' (mean, variance) pairs, a (T, 2) array or a list."""
     g = grid.log_grid
-    # canonical accumulation order: bit-identical under row permutation
-    m, s2 = np.array(sorted(moments)).T[:, :, None]
+    # canonical accumulation order, sorted by mean, then variance:
+    # bit-identical under row permutation
+    pairs = np.asarray(moments, dtype=float)
+    m, s2 = pairs[np.lexsort(pairs.T[::-1])].T[:, :, None]
     # the T x grid lognormal terms exp((g - m)^2 / (-2 s2)) / sqrt(2 pi s2),
     # built in place: fresh temporaries of this size cost more than the
     # arithmetic; dividing by -2 s2 gives the bits of negating, then dividing
@@ -277,7 +302,7 @@ def predictive_density_at(
     points = np.asarray(x0, dtype=float).reshape(1, -1)
     shared = _SharedCovariances(points, log_data, draws.specs(), radius)
     _warn_dropped(shared.dropped, "neighborhood of the density", stacklevel=2)
-    moments = shared.moments(0, prior_mean, prior_var)
+    moments = shared.moment_table(0, prior_mean, prior_var)
     return None if moments is None else _density(moments, grid)
 
 
@@ -292,8 +317,7 @@ _SUMMARY_KEYS = (
 )
 
 
-@dataclass(frozen=True)
-class DensityMapRow:
+class DensityMapRow(NamedTuple):
     location: np.ndarray
     summary: dict | None
     status: str
@@ -313,8 +337,11 @@ def density_map(
 
     Each block of DENSITY_BLOCK points shares one covariance evaluation per
     draw (see _SharedCovariances); a point then gathers its T systems and
-    factors them in one call. Duplicate locations are dropped as a Bayes
-    kriging map drops them, with one warning per map.
+    factors them in one call. Per draw, only its two triangular solves run
+    in Python; the draws' moments and checks are stacked products, and a
+    draw whose variance is not positive fails its point alone. Duplicate
+    locations are dropped as a Bayes kriging map drops them, with one
+    warning per map.
     """
     if prior_var < 0.0:
         raise DomainError("prior variance must be >= 0")
@@ -334,7 +361,7 @@ def density_map(
 
 def _density_row(points, shared, prior_mean, prior_var, grid, i: int) -> DensityMapRow:
     try:
-        moments = shared.moments(i, prior_mean, prior_var)
+        moments = shared.moment_table(i, prior_mean, prior_var)
         if moments is None:
             return DensityMapRow(points[i], None, "too_few_neighbors")
         return DensityMapRow(points[i], _density(moments, grid).summary, "ok")
@@ -343,15 +370,18 @@ def _density_row(points, shared, prior_mean, prior_var, grid, i: int) -> Density
 
 
 def density_map_csv(rows) -> str:
-    header = "x,y," + ",".join(MAP_COLUMNS) + ",status"
-    lines = [header]
-    for row in rows:
-        x, y = row.location[0], row.location[1]
-        if row.summary is None:
-            lines.append(f"{fmt_float(x)},{fmt_float(y)}," + "," * (len(MAP_COLUMNS) - 1) + f",{row.status}")
+    """`x,y,<MAP_COLUMNS>,status` serialization of a density map. Each
+    row's location becomes Python floats in one `tolist`, and every float
+    prints as its `repr`, the text of `util.fmt_float`."""
+    lines = ["x,y," + ",".join(MAP_COLUMNS) + ",status"]
+    empty = "," * (len(MAP_COLUMNS) - 1)
+    for location, summary, status in rows:
+        x, y = location.tolist()[:2]
+        if summary is None:
+            lines.append(f"{x!r},{y!r},{empty},{status}")
         else:
-            cells = [fmt_float(row.summary[k]) for k in _SUMMARY_KEYS]
-            lines.append(f"{fmt_float(x)},{fmt_float(y)}," + ",".join(cells) + f",{row.status}")
+            cells = ",".join([repr(summary[k]) for k in _SUMMARY_KEYS])
+            lines.append(f"{x!r},{y!r},{cells},{status}")
     return "\n".join(lines) + "\n"
 
 

@@ -10,21 +10,26 @@ never silent). Maps and `bayes` densities build their neighbour sets in
 A map works in blocks of grid points sized by a distance budget (see
 `_block_size`): at least MAP_BLOCK points, and as many more as keep the
 block's distances to the data within MAP_DISTANCES. A block factors its new
-neighbour sets in stacks of one size; each point then costs only its own
-solves, its dot products and building its row."""
+neighbour sets in stacks of one size. Per point, only its triangular solves
+against its set's factor (`_linalg.chol_solve_each`) and building its row
+run in Python; the right-hand sides, the dot products, the variances and
+the statuses are stacked numpy steps over the points of one stack of
+factors (`_predictions`, `_finish_sd`), whose items keep the bits of the
+point's own products. The single-point predictors run the same steps on a
+stack of one point."""
 
-import math
 import warnings
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
-from ._linalg import chol_solve, chol_with_jitter, spd_solve
+from ._linalg import chol_solve, chol_solve_each, chol_with_jitter, spd_solve
 from .empvario import SpatialDataset
 from .exceptions import DomainError, NumericError, SingularMatrixError
 from .models import covariance_matrix, covariance_values, distances
-from .util import KRIGE_METHODS, MIN_NEIGHBORS, fmt_float, parallel_map
+from .util import KRIGE_METHODS, MIN_NEIGHBORS, parallel_map
 
 _diagnostics = {"clamped_variances": 0}
 
@@ -34,16 +39,21 @@ def clamped_variance_count() -> int:
     return _diagnostics["clamped_variances"]
 
 
-def _finish_sd(variance: float, scale: float, method: str) -> float:
-    tol = 1e-10 * max(1.0, scale)
-    if variance < -tol:
-        raise NumericError(
-            f"{method} produced variance {variance} below -{tol}"
-        )
-    if variance < 0.0:
-        _diagnostics["clamped_variances"] += 1
-        variance = 0.0
-    return math.sqrt(variance)
+def _tolerance(scale):
+    """How far below zero the variances of points with C(0) = scale may
+    fall before they fail: 1e-10 max(1, scale)."""
+    return 1e-10 * np.fmax(1.0, scale)
+
+
+def _finish_sd(variance, scale, failed):
+    """Standard deviations of P points from their variances (P,) and C(0)
+    (P,), leaving out the points of the mask `failed`: a variance within
+    `_tolerance` below zero is clamped to 0 and counted, and one below
+    that gives NaN."""
+    clamped = ~failed & (variance < 0.0) & (variance >= -_tolerance(scale))
+    _diagnostics["clamped_variances"] += int(np.count_nonzero(clamped))
+    with np.errstate(invalid="ignore"):
+        return np.sqrt(np.where(clamped, 0.0, variance))
 
 
 def _warn_clamped(before: int, method: str, stacklevel: int):
@@ -62,8 +72,7 @@ def _warn_dropped(dropped, where: str, stacklevel: int):
                       stacklevel=stacklevel + 1)
 
 
-@dataclass(frozen=True)
-class KrigingResult:
+class KrigingResult(NamedTuple):
     prediction: float
     sd: float
     n_neighbors: int
@@ -250,18 +259,18 @@ class _Factored:
     one size, stacked: their data values (G, n) and the Cholesky factors L
     (G, n, n) of K (Bayes: K + F Phi F'). Simple kriging adds resid = z - m;
     Bayes kriging the designs F (G, n, k) and resid = z - F mu; universal
-    kriging, set by set, the designs, M = F'K^-1 F, the GLS trend beta and
-    resid = z - F beta. Set g of the stack is `(fac, g)`.
+    kriging the designs, M = F'K^-1 F (G, k, k), the GLS trends beta (G, k)
+    and resid = z - F beta. Set g of the stack is `(fac, g)`.
     """
 
     method: str
     values: np.ndarray
     L: np.ndarray
     mean: float = 0.0
-    resid: np.ndarray | list | None = None
+    resid: np.ndarray | None = None
     F: np.ndarray | None = None
-    M: list | None = None
-    beta: list | None = None
+    M: np.ndarray | None = None
+    beta: np.ndarray | None = None
 
 
 def _factor(method, values, F, K, mean=0.0, prior=None) -> _Factored:
@@ -269,8 +278,8 @@ def _factor(method, values, F, K, mean=0.0, prior=None) -> _Factored:
     values (G, n), trend designs F (G, n, k) (universal and Bayes kriging,
     else None) and covariances K (G, n, n). The G matrices, K or Bayes'
     K + F Phi F', take one `chol_with_jitter` call; NumericError when any
-    of them fails. Bayes residuals take one stacked product, each item the
-    product F mu of its set alone."""
+    of them fails. The residuals take one stacked product, each item the
+    product F mu (or F beta) of its set alone."""
     if method == "bayes":
         K = K + F @ prior.phi @ F.transpose(0, 2, 1)
     L, _ = chol_with_jitter(K)
@@ -281,26 +290,38 @@ def _factor(method, values, F, K, mean=0.0, prior=None) -> _Factored:
         return _Factored(method, values, L, mean=mean, resid=values - mean)
     if method == "universal":
         KiF = [chol_solve(L[g], F[g]) for g in range(len(L))]
-        M = [F[g].T @ KiF[g] for g in range(len(L))]
-        beta = [np.linalg.solve(M[g], KiF[g].T @ values[g]) for g in range(len(L))]
+        M = np.stack([F[g].T @ KiF[g] for g in range(len(L))])
+        beta = np.stack([np.linalg.solve(M[g], KiF[g].T @ values[g]) for g in range(len(L))])
         return _Factored(method, values, L, F=F, M=M, beta=beta,
-                         resid=[values[g] - F[g] @ beta[g] for g in range(len(L))])
+                         resid=values - np.matmul(F, beta[:, :, None])[:, :, 0])
     return _Factored(method, values, L)
 
 
-def _ordinary_weights(L, c0):
-    """Weights w and Lagrange multiplier nu from the factor L of K.
+def _dots(a, b):
+    """The dot products a[p] @ b[p] of two stacks of P vectors (either may
+    be one vector that every item shares): one stacked matmul of (P, 1, n)
+    by (P, n, 1), whose items keep the bits of their own 1-D products (a
+    2-D product or einsum would not)."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
-    One stacked solve K [a, b] = [c0, 1]; nu = (1'a - 1)/(1'b), w = a - nu b.
-    """
-    one = np.ones(c0.size)
-    ab = chol_solve(L, np.column_stack([c0, one]))
+
+def _ordinary_weights(L, which, c0):
+    """Weights w (P, n), Lagrange multipliers nu (P,) and the mask of the
+    failed points, for P points on the sets `which` of the factor stack L
+    with cross-covariances c0 (P, n). Per point one solve K [a, b] = [c0, 1];
+    nu = (1'a - 1)/(1'b) and w = a - nu b. A point fails when its solve
+    does, or when 1'b is 0 or not finite (its constraint system is
+    singular); its w and nu are then NaN."""
+    ab = np.empty((c0.shape[0], 2, c0.shape[1]))
+    ab[:, 0], ab[:, 1] = c0, 1.0
+    failed = chol_solve_each(L, which, ab.transpose(0, 2, 1))
     a, b = ab[:, 0], ab[:, 1]
-    denom = one @ b
-    if denom == 0.0 or not math.isfinite(denom):
-        raise SingularMatrixError("ordinary kriging constraint system is singular")
-    nu = (one @ a - 1.0) / denom
-    return a - nu * b, float(nu)
+    one = np.ones(c0.shape[1])
+    denom = _dots(one, b)
+    failed |= (denom == 0.0) | ~np.isfinite(denom)
+    with np.errstate(all="ignore"):
+        nu = np.where(failed, np.nan, (_dots(one, a) - 1.0) / denom)
+        return a - nu[:, None] * b, nu, failed
 
 
 def _bayes_terms(f0s, mu, phi):
@@ -313,61 +334,74 @@ def _bayes_terms(f0s, mu, phi):
             np.matmul(np.matmul(rows, phi), cols)[:, 0, 0])
 
 
-def _bayes_solve(L, cb, resid, mean0, var0):
-    """Mean f0'mu + lambda'resid and Schur-complement variance
-    C(0) + f0'Phi f0 - cb'lambda of the Bayes predictor, with weights lambda
-    solving (K + F Phi F') lambda = cb = c0 + F Phi f0 through the factor L
-    of K + F Phi F'; mean0 = f0'mu and var0 = C(0) + f0'Phi f0."""
-    lam = chol_solve(L, cb)
-    return float(mean0 + lam @ resid), float(var0 - cb @ lam)
+def _bayes_moments(cb, lam, resid, mean0, var0):
+    """Means f0'mu + lambda'resid and Schur-complement variances
+    C(0) + f0'Phi f0 - cb'lambda of the Bayes predictor at P points (or
+    under P draws), stacked: weights lambda (P, n) solving
+    (K + F Phi F') lambda = cb = c0 + F Phi f0, residuals z - F mu, and
+    mean0 = f0'mu and var0 = C(0) + f0'Phi f0."""
+    return mean0 + _dots(lam, resid), var0 - _dots(cb, lam)
 
 
-def _point_terms(method, points, basis, prior) -> list:
-    """Per point, the trend terms of `_at`: the trend row f0 (universal
-    kriging), (Phi f0, f0'mu, f0' Phi f0) (Bayes kriging) or None."""
+def _point_terms(method, points, basis, prior) -> tuple:
+    """The trend terms of the points for `_predictions`, each stacked over
+    the points: the trend rows (f0,) (universal kriging),
+    (Phi f0, f0'mu, f0' Phi f0) (Bayes kriging) or none."""
     if method == "universal":
-        return list(basis.evaluate(points))
+        return (basis.evaluate(points),)
     if method == "bayes":
-        return list(zip(*_bayes_terms(basis.evaluate(points), prior.mu, prior.phi)))
-    return [None] * len(points)
+        return _bayes_terms(basis.evaluate(points), prior.mu, prior.phi)
+    return ()
 
 
-def _at(fac: _Factored, g: int, terms, c0, c00) -> KrigingResult:
-    """The per-point half of a predictor on set g of `fac`: its solves
-    against the set's factor and the dot products, given the point's
-    `_point_terms`, c0 and C(0)."""
-    method, L = fac.method, fac.L[g]
-    if method == "simple":
-        lam = chol_solve(L, c0)
-        pred, var = fac.mean + lam @ fac.resid[g], c00 - lam @ c0
-    elif method == "ordinary":
-        w, nu = _ordinary_weights(L, c0)
-        pred, var = w @ fac.values[g], c00 - c0 @ w - nu
-    elif method == "universal":
-        f0, Kic0 = terms, chol_solve(L, c0)
-        pred = f0 @ fac.beta[g] + Kic0 @ fac.resid[g]
-        gap = f0 - fac.F[g].T @ Kic0
-        var = c00 - c0 @ Kic0 + gap @ np.linalg.solve(fac.M[g], gap)
-    else:
-        phif0, mean0, quad = terms
-        pred, var = _bayes_solve(L, c0 + fac.F[g] @ phif0, fac.resid[g], mean0, c00 + quad)
-    return KrigingResult(float(pred), _finish_sd(float(var), c00, f"{method} kriging"),
-                         fac.values.shape[1], method)
+def _predictions(fac: _Factored, which, terms, c0, c00):
+    """Predictions and variances (P,) of P points on the sets `which` of
+    `fac`, given their `_point_terms`, cross-covariances c0 (P, n) and C(0)
+    (P,), and the mask of the points whose solve failed (their values are
+    NaN). Per point, only its triangular solves run in Python; the rest
+    are stacked per-item products with the bits of the point's own."""
+    method, L = fac.method, fac.L
+    with np.errstate(all="ignore"):
+        if method == "ordinary":
+            w, nu, failed = _ordinary_weights(L, which, c0)
+            return _dots(w, fac.values[which]), c00 - _dots(c0, w) - nu, failed
+        if method == "bayes":
+            phif0, mean0, quad = terms
+            cb = c0 + np.matmul(fac.F[which], phif0[:, :, None])[:, :, 0]
+            lam = cb.copy()
+            failed = chol_solve_each(L, which, lam)
+            return (*_bayes_moments(cb, lam, fac.resid[which], mean0, c00 + quad), failed)
+        lam = np.array(c0)
+        failed = chol_solve_each(L, which, lam)
+        if method == "simple":
+            return fac.mean + _dots(lam, fac.resid[which]), c00 - _dots(lam, c0), failed
+        [f0] = terms
+        gap = f0 - np.matmul(fac.F[which].transpose(0, 2, 1), lam[:, :, None])[:, :, 0]
+        spread = _dots(gap, np.linalg.solve(fac.M[which], gap[:, :, None])[:, :, 0])
+        return (_dots(f0, fac.beta[which]) + _dots(lam, fac.resid[which]),
+                c00 - _dots(c0, lam) + spread, failed)
 
 
 def _predict(method, x0, subset, spec, mean, basis, prior) -> KrigingResult:
     """One prediction: the set and point halves over one covariance
-    evaluation of [x0; locations]."""
+    evaluation of [x0; locations], on a stack of one point."""
     data = _dedupe(subset)
     F = _checked(method, data.locations, basis)
     K, c0, c00 = _system(spec, data, x0)
     fac = _factor(method, data.values[None], None if F is None else F[None], K[None],
                   mean, prior)
     clamped = clamped_variance_count()
-    [terms] = _point_terms(method, np.asarray(x0, dtype=float).reshape(1, -1), basis, prior)
-    result = _at(fac, 0, terms, c0, c00)
+    terms = _point_terms(method, np.asarray(x0, dtype=float).reshape(1, -1), basis, prior)
+    c00 = np.array([c00])
+    pred, var, failed = _predictions(fac, np.zeros(1, dtype=int), terms, c0[None], c00)
+    if failed[0]:
+        raise SingularMatrixError(f"{method} kriging system is singular at this point")
+    tol = _tolerance(c00[0])
+    if var[0] < -tol:
+        raise NumericError(f"{method} kriging produced variance {var[0]} below -{tol}")
+    sd = _finish_sd(var, c00, failed)
     _warn_clamped(clamped, f"{method} kriging", stacklevel=3)
-    return result
+    return KrigingResult(float(pred[0]), float(sd[0]), data.values.size, method)
 
 
 def simple_weights(x0, data: SpatialDataset, spec) -> np.ndarray:
@@ -391,7 +425,11 @@ def ordinary_weights(x0, data: SpatialDataset, spec) -> tuple[np.ndarray, float]
     data = _dedupe(data)
     _checked("ordinary", data.locations, None)
     K, c0, _ = _system(spec, data, x0)
-    return _ordinary_weights(chol_with_jitter(K)[0], c0)
+    L, _ = chol_with_jitter(K)
+    [w], [nu], [failed] = _ordinary_weights(L[None], np.zeros(1, dtype=int), c0[None])
+    if failed:
+        raise SingularMatrixError("ordinary kriging constraint system is singular")
+    return w, float(nu)
 
 
 def ordinary_kriging(x0, data: SpatialDataset, spec) -> KrigingResult:
@@ -453,8 +491,7 @@ def _block_size(n: int) -> int:
     return max(MAP_BLOCK, MAP_DISTANCES // n)
 
 
-@dataclass(frozen=True)
-class MapRow:
+class MapRow(NamedTuple):
     location: np.ndarray
     result: KrigingResult | None
     status: str
@@ -521,22 +558,54 @@ def _bounds(mask):
     return zip([0] + ends[:-1], ends)
 
 
-def _map_row(points, terms, systems, crosses, i: int) -> MapRow:
-    """The row of point i, given its factored system and its cross row
-    (C(0), c0). A NaN in the cross row makes the prediction NaN, and so the
-    point a numeric failure."""
-    x0, system, row = points[i], systems[i], crosses[i]
-    if system is None:
-        return MapRow(x0, None, STATUS_FEW)
-    if system is STATUS_NUMERIC:
-        return MapRow(x0, None, STATUS_NUMERIC)
-    try:
-        res = _at(*system, terms[i], row[1:], row[0])
-    except NumericError:
-        return MapRow(x0, None, STATUS_NUMERIC)
-    if not (math.isfinite(res.prediction) and math.isfinite(res.sd)):
-        return MapRow(x0, None, STATUS_NUMERIC)
-    return MapRow(x0, res, STATUS_OK)
+def _block_rows(method, points, dist, member, set_of, systems, spec, terms) -> list[MapRow]:
+    """The rows of a block's points, given their distances to the data,
+    their neighbour masks, the number of each point's set in `systems`
+    (-1 for too few neighbours), the sets' factored systems `(fac, g)` or
+    STATUS_NUMERIC, and the points' `_point_terms`.
+
+    The cross lags of the points with a system, [0, its distances], take one
+    covariance evaluation. A NaN among a point's values makes its
+    prediction NaN, and so the point a numeric failure. The points of one
+    stack of factors are predicted together (`_predictions`); then each
+    point only builds its row, one `parallel_map` item per point."""
+    stacks = {}  # id of a stack of factors -> (its number, the stack)
+    set_stack = np.full(len(systems) + 1, -1)  # the last entry stands for -1
+    set_g = np.zeros(len(systems) + 1, dtype=int)
+    for j, system in enumerate(systems):
+        if system is not STATUS_NUMERIC:
+            fac, set_g[j] = system
+            set_stack[j] = stacks.setdefault(id(fac), (len(stacks), fac))[0]
+    stack_of, which_of = set_stack[set_of], set_g[set_of]
+    P = len(points)
+    solved = stack_of >= 0
+    at_x0 = np.hstack([solved[:, None], member & solved[:, None]])
+    flat = np.hstack([np.zeros((P, 1)), dist])[at_x0]
+    cross = covariance_values(spec, flat) if flat.size else flat
+    counts = np.count_nonzero(at_x0, axis=1)
+    starts = np.cumsum(counts) - counts
+    code = (set_of >= 0).astype(int)  # 0 too few neighbours, 1 failed, 2 served
+    preds, sds, sizes = np.full(P, np.nan), np.full(P, np.nan), np.zeros(P, dtype=int)
+    for s, fac in stacks.values():
+        pts = np.flatnonzero(stack_of == s)
+        n = fac.values.shape[1]
+        row = cross[starts[pts, None] + np.arange(n + 1)]
+        pred, var, failed = _predictions(fac, which_of[pts], tuple(t[pts] for t in terms),
+                                         row[:, 1:], row[:, 0])
+        sd = _finish_sd(var, row[:, 0], failed)
+        ok = ~failed & np.isfinite(pred) & np.isfinite(sd)
+        preds[pts], sds[pts], sizes[pts] = pred, sd, n
+        code[pts[ok]] = 2
+    statuses = np.array([STATUS_FEW, STATUS_NUMERIC, STATUS_OK], dtype=object)[code]
+    return parallel_map(partial(_map_row, method, points, preds.tolist(), sds.tolist(),
+                                sizes.tolist(), statuses.tolist()), range(P))
+
+
+def _map_row(method, points, preds, sds, sizes, statuses, i: int) -> MapRow:
+    """The row of point i of a block, from the block's stacked results."""
+    if statuses[i] != STATUS_OK:
+        return MapRow(points[i], None, statuses[i])
+    return MapRow(points[i], KrigingResult(preds[i], sds[i], sizes[i], method), STATUS_OK)
 
 
 def krige_map(
@@ -574,8 +643,15 @@ def krige_map(
     evaluations follow `covariance_values`: a lag or value that is not
     finite is NaN, and fails only the set or point that holds it. The trend
     terms (f0, or Bayes' Phi f0, f0'mu and f0'Phi f0) take one basis
-    evaluation and three stacked products. Each point then costs only its solves
-    against its set's factor, its dot products and its row.
+    evaluation and three stacked products.
+
+    The points of one stack of factors are then predicted together
+    (`_block_rows`): per point, only its two triangular solves against a
+    view of its set's factor run in Python (`_linalg.chol_solve_each`).
+    The right-hand sides, the dot products, the variances with their clamp
+    rule (`_finish_sd`) and the statuses are stacked numpy steps whose
+    items keep the bits of the point's own products, so a row equals the
+    single-point predictor's. Each point then only builds its row.
     A global radius gives one set, so the whole map factors one matrix.
 
     Memory: a block's distances and its cross lags hold at most
@@ -583,7 +659,9 @@ def krige_map(
     takes m x m floats of factor; the map keeps the factors of the current
     block's sets and the previous block's (with the stacks they were
     factored in), so a radius that gives many distinct large sets needs
-    memory in proportion to the block's size.
+    memory in proportion to the block's size. The stacked steps hold
+    vectors of the points (P x m floats), and no factor is copied per
+    point.
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     if grid.shape[0] == 0:
@@ -608,39 +686,33 @@ def krige_map(
                                                             radius, min_neighbors)
         dropped |= block_dropped
         keys = [None if idx is None else idx.tobytes() for idx in sets]
-        factored = {key: previous[key] for key in keys if key in previous}
-        new = {key: idx for key, idx in zip(keys, sets) if key is not None and key not in factored}
+        distinct = dict(zip(keys, sets))
+        distinct.pop(None, None)
+        factored = {key: previous[key] for key in distinct if key in previous}
+        new = {key: idx for key, idx in distinct.items() if key not in factored}
         if new:
             factored.update(zip(new, _factor_sets(method, data, list(new.values()), spec,
                                                   mean, basis, prior)))
         previous = factored
-        systems = [None if key is None else factored[key] for key in keys]
-        # the lags of each point with a factored set, [0, its distances],
-        # one point after another
-        solved = np.array([isinstance(system, tuple) for system in systems])[:, None]
-        at_x0 = np.hstack([solved, member & solved])
-        flat = np.hstack([np.zeros((len(points), 1)), dist])[at_x0]
-        cross = covariance_values(spec, flat) if flat.size else flat
-        crosses = [cross[a:b] if ok else None for (a, b), ok in zip(_bounds(at_x0), solved[:, 0])]
-        terms = _point_terms(method, points, basis, prior)
-        rows += parallel_map(partial(_map_row, points, terms, systems, crosses),
-                             range(points.shape[0]))
+        number = {key: j for j, key in enumerate(factored)}
+        set_of = np.array([number.get(key, -1) for key in keys])
+        rows += _block_rows(method, points, dist, member, set_of, list(factored.values()),
+                            spec, _point_terms(method, points, basis, prior))
     _warn_dropped(dropped, "kriging neighborhoods of the map", stacklevel=2)
     _warn_clamped(clamped, f"{method} kriging", stacklevel=2)
     return rows
 
 
 def krige_map_csv(rows) -> str:
-    """`x,y,prediction,sd,n_neighbors,status` serialization of a map."""
+    """`x,y,prediction,sd,n_neighbors,status` serialization of a map. Each
+    row's location becomes Python floats in one `tolist`, and every float
+    prints as its `repr`, the text of `util.fmt_float`."""
     lines = ["x,y,prediction,sd,n_neighbors,status"]
-    for row in rows:
-        x, y = row.location[0], row.location[1]
-        if row.result is None:
-            lines.append(f"{fmt_float(x)},{fmt_float(y)},,,0,{row.status}")
+    for location, result, status in rows:
+        x, y = location.tolist()[:2]
+        if result is None:
+            lines.append(f"{x!r},{y!r},,,0,{status}")
         else:
-            r = row.result
-            lines.append(
-                f"{fmt_float(x)},{fmt_float(y)},{fmt_float(r.prediction)},"
-                f"{fmt_float(r.sd)},{r.n_neighbors},{row.status}"
-            )
+            lines.append(f"{x!r},{y!r},{result.prediction!r},{result.sd!r},"
+                         f"{result.n_neighbors},{status}")
     return "\n".join(lines) + "\n"

@@ -379,14 +379,18 @@ def distances(a, b) -> np.ndarray:
 
     The squared differences are summed coordinate by coordinate in order,
     the sum scipy's ``cdist`` forms, so the two agree bit for bit in one to
-    three dimensions; only (n, m) arrays are allocated.
+    three dimensions; only (n, m) arrays are allocated. A difference or a
+    square beyond the largest float is inf, without a numpy warning: the
+    covariance of an inf lag is NaN (`covariance_values`), and the point it
+    belongs to reports the failure.
     """
     if a.shape[1] != b.shape[1]:
         raise DomainError(f"points of dimension {a.shape[1]} and {b.shape[1]} have no distance")
     sq = np.zeros((a.shape[0], b.shape[0]))
-    for k in range(a.shape[1]):
-        diff = a[:, k, None] - b[None, :, k]
-        sq += diff * diff
+    with np.errstate(over="ignore"):
+        for k in range(a.shape[1]):
+            diff = a[:, k, None] - b[None, :, k]
+            sq += diff * diff
     return np.sqrt(sq, out=sq)
 
 

@@ -283,6 +283,26 @@ def test_density_map_rows_and_csv():
     assert lines[0] == "x,y,Modal,Median,Mean,qq001,qq005,qq025,qq075,qq095,qq099,approxVar,status"
     assert lines[1].endswith("ok")
     assert lines[2].endswith("too_few_neighbors")
+    # a -0.0 coordinate and a subnormal value print as `fmt_float` prints
+    # each cell
+    from variokrig.bayes import _SUMMARY_KEYS, MAP_COLUMNS, DensityMapRow
+    from variokrig.util import fmt_float
+
+    rows = density_map([[5.0, -0.0], [-0.0, 900.0]], data, several_draws(rng), 0.0, 10.0, 50.0)
+    assert [r.status for r in rows] == ["ok", "too_few_neighbors"]
+    rows.append(DensityMapRow(np.array([-0.0, 5e-324]), dict.fromkeys(_SUMMARY_KEYS, 1e-310),
+                              "ok"))
+    expect = [lines[0]]
+    for row in rows:
+        cells = [fmt_float(row.location[0]), fmt_float(row.location[1])]
+        if row.summary is None:
+            cells += [""] * len(MAP_COLUMNS)
+        else:
+            cells += [fmt_float(row.summary[k]) for k in _SUMMARY_KEYS]
+        expect.append(",".join(cells + [row.status]))
+    text = density_map_csv(rows)
+    assert text == "\n".join(expect) + "\n"
+    assert text.splitlines()[3].startswith("-0.0,5e-324,1e-310,")
 
 
 # -- trend posterior --------------------------------------------------------------------
@@ -380,7 +400,6 @@ def test_density_map_rows_equal_single_point_densities():
         covariance_eval(draws.spec(5), np.array([24.0]))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in subtract:RuntimeWarning")
 def test_density_point_with_overflowing_cross_lags_fails_alone():
     # six stations at easting -1e308: from easting 8e307 on, the lags are inf
     data = SpatialDataset(np.column_stack([np.full(6, -1e308), [0.0, 5.0, 9.0, 2.0, 7.0, 1.0]]),
@@ -407,6 +426,47 @@ def test_density_map_evaluates_each_draw_once(count_calls):
     served = sum(r.status != "too_few_neighbors" for r in rows)
     assert len(evals) == len(draws)
     assert len(factors) == served > 1  # one stacked factorisation per point
+
+
+def test_failing_draw_fails_only_its_point(monkeypatch):
+    # next to a station, draw 3 sees the covariance 1.001 C(0) at that
+    # station (a lag in (0, 1e-6)): the point's weights under that draw are
+    # 1.001 e_j, and its conditional variance about -2e-3 C(0), not positive
+    from variokrig import bayes, models
+
+    rng = np.random.default_rng(37)
+    data = log_dataset(rng, n=30)
+    draws = several_draws(rng, 6)
+    g = np.linspace(0.5, 9.5, 5)
+    grid = np.vstack([[(x, y) for x in g for y in g], data.locations[[4]] + [1e-7, 0.0]])
+    tilted_range = draws.table[3, 2]
+    evaluate = models.covariance_eval
+
+    def tilted(spec, h):
+        c = evaluate(spec, h)
+        h = np.asarray(h, dtype=float)
+        if spec.range_ != tilted_range:
+            return c
+        return np.where((h > 0.0) & (h < 1e-6), 1.001 * (spec.nugget + spec.sill), c)
+
+    monkeypatch.setattr(models, "covariance_eval", tilted)
+    solved = []
+    conditional_moments = bayes._conditional_moments
+    monkeypatch.setattr(bayes, "_conditional_moments",
+                        lambda L, lam: solved.append(1) or conditional_moments(L, lam))
+    rows = density_map(grid, data, draws, 0.3, 7.0, 4.0)
+    served = [i for i, r in enumerate(rows) if r.status != "too_few_neighbors"]
+    assert len(solved) == len(draws) * len(served) and len(served) > 10
+    assert [r.status for r in rows[:-1]].count("numeric_failure") == 0
+    assert rows[-1].status == "numeric_failure" and rows[-1].summary is None
+    for x0, row in zip(grid[:-1], rows):
+        pd = predictive_density_at(x0, data, draws, 0.3, 7.0, 4.0)
+        assert row.summary == (None if pd is None else pd.summary)
+    with pytest.raises(NumericError, match="not positive"):
+        predictive_density_at(grid[-1], data, draws, 0.3, 7.0, 4.0)
+    # under the other draws the point is served
+    others = PosteriorDraws(np.delete(draws.table, 3, axis=0))
+    assert predictive_density_at(grid[-1], data, others, 0.3, 7.0, 4.0) is not None
 
 
 def test_beta_posterior_rank_deficient_prior():

@@ -969,9 +969,12 @@ def test_map_points_with_overflowing_lags_are_numeric_failures(tmp_path, capsys,
         argv = ["krige", "--input", data, "--method", command, "--model",
                 "kind=exponential nugget=0.1 sill=1.0 range=10.0"]
         name = "krige.csv"
+    capsys.readouterr()
     assert run(*argv, *FAR_GRID, "--out", str(out)) == 0
     rows = read(out / name).strip().splitlines()[1:]
     assert len(rows) == 2 and all(row.endswith(",numeric_failure") for row in rows)
+    # the overflowing coordinate differences print no numpy warning
+    assert capsys.readouterr().err == ""
 
 
 def test_density_at_a_point_with_overflowing_lags_exits_2(tmp_path, capsys, far_inputs):

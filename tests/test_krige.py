@@ -425,6 +425,25 @@ def test_map_csv_layout():
     assert lines[0] == "x,y,prediction,sd,n_neighbors,status"
     assert lines[1].endswith("ok")
     assert lines[2].endswith(",,,0,too_few_neighbors".replace(",,,", ",,,")) or "too_few_neighbors" in lines[2]
+    # a -0.0 coordinate and subnormal predictions print as `fmt_float` prints
+    # each cell
+    from variokrig.util import fmt_float
+
+    tiny = SpatialDataset(data.locations, data.values * 1e-310)
+    rows = krige_map([[-0.0, 5.0], [5.0, -0.0], [500.0, 500.0]], "ordinary", tiny, spec, 20.0)
+    assert [r.status for r in rows] == ["ok", "ok", "too_few_neighbors"]
+    assert 0.0 < abs(rows[0].result.prediction) < np.finfo(float).tiny
+    expect = ["x,y,prediction,sd,n_neighbors,status"]
+    for row in rows:
+        cells = [fmt_float(row.location[0]), fmt_float(row.location[1])]
+        if row.result is None:
+            cells += ["", "", "0"]
+        else:
+            r = row.result
+            cells += [fmt_float(r.prediction), fmt_float(r.sd), str(r.n_neighbors)]
+        expect.append(",".join(cells + [row.status]))
+    assert krige_map_csv(rows) == "\n".join(expect) + "\n"
+    assert krige_map_csv(rows).splitlines()[1].startswith("-0.0,5.0,")
 
 
 def test_duplicate_locations_dropped_with_warning():
@@ -648,7 +667,6 @@ FAR_STATIONS = SpatialDataset(
     np.array([1.0, 2.0, 1.5, 0.5, 1.2, 0.9]))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in subtract:RuntimeWarning")
 @pytest.mark.parametrize("method", METHODS)
 def test_map_point_with_overflowing_cross_lags_fails_alone(method):
     spec = CovarianceSpec("exponential", 0.1, 1.0, 10.0)
@@ -728,6 +746,77 @@ def test_set_whose_factorisation_fails_fails_alone_in_its_group(monkeypatch, met
     expect = point_rows(grid, method, data, spec, 3.0)
     assert [(r.status, r.result) for r in rows] == expect
     assert [status for status, _ in expect] == ["ok"] * 2 + ["numeric_failure"] * 2 + ["ok"] * 4
+
+
+# a grid point at one of the offsets below from station j sees at that station
+# the covariance t C(0) (`tilted`): its simple kriging weights are t e_j, and
+# its variance is -2 (t - 1) C(0) to first order (Bayes kriging too, since its
+# cb changes by (t - 1) times the column of the station). t - 1 = 2.5e-11
+# clamps a variance of about -5e-11, inside the tolerance 1e-10 for C(0) = 1;
+# t - 1 = 1e-3 fails.
+CLAMPED_OFFSET, CLAMPED_T = 8e-7, 1.0 + 2.5e-11
+FAILING_OFFSET, FAILING_T = 1e-7, 1.0 + 1e-3
+
+
+def tilted(covariance_eval, c0):
+    """`covariance_eval`, except that a lag in (0, 1e-6) sees t c0."""
+
+    def evaluate(spec, h):
+        c = covariance_eval(spec, h)
+        h = np.asarray(h, dtype=float)
+        near = (h > 0.0) & (h < 1e-6)
+        if not np.any(near):
+            return c
+        t = np.where(h < 5e-7, FAILING_T, CLAMPED_T)
+        return np.where(near, t * c0, c)
+
+    return evaluate
+
+
+@pytest.mark.parametrize("method", ["simple", "bayes"])
+def test_clamp_rule_and_solves_inside_a_stacked_size_group(monkeypatch, count_calls, method):
+    # four clusters of six stations, one set each: one size group, factored
+    # in one call, whose points are predicted as one stack; next to two
+    # stations of cluster 0 a clamped and a failing variance
+    from oracles import kriging_point_reference
+    from variokrig import _linalg, models
+    from variokrig.krige import clamped_variance_count
+
+    data, grid = cluster_instance(np.random.default_rng(36))
+    stations = data.locations[[0, 1]]
+    grid = np.vstack([grid, stations + [[CLAMPED_OFFSET, 0.0], [0.0, FAILING_OFFSET]]])
+    spec = expo(nugget=0.1, sill=0.9)
+    basis, prior = TrendBasis.constant(), BayesPrior.scalar(0.3, 2.0)
+    evaluate = tilted(models.covariance_eval, spec.nugget + spec.sill)
+    monkeypatch.setattr(models, "covariance_eval", evaluate)
+    _linalg.chol_solve(np.eye(1), np.ones(1))  # the first call binds LAPACK's dtrtrs
+    solves = count_calls("variokrig._linalg", "_dtrtrs")
+    factors = count_calls("variokrig._linalg", "chol_with_jitter")
+    before = clamped_variance_count()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rows = krige_map(grid, method, data, spec, 5.0, mean=0.3, basis=basis, prior=prior)
+    assert [np.shape(mat) for mat, in factors] == [(4, 6, 6)]
+    assert len(solves) == 2 * len(grid)
+    assert [r.status for r in rows] == ["ok"] * 9 + ["numeric_failure"]
+    assert clamped_variance_count() - before == 1
+    assert [str(w.message) for w in caught] == [
+        f"{method} kriging: 1 negative variances clamped to 0"]
+    tol = 1e-10 * max(1.0, spec.nugget + spec.sill)
+    variances = []
+    for x0, row in zip(grid, rows):
+        idx = np.flatnonzero(np.hypot(*(data.locations - x0).T) <= 5.0)
+        F = np.ones((idx.size, 1))
+        pred, var = kriging_point_reference(method, x0, data.locations[idx], data.values[idx],
+                                            spec, 0.3, np.ones(1), F, prior.mu, prior.phi,
+                                            evaluate)
+        variances.append(var)
+        if row.status == "ok":
+            assert _bits([row.result.prediction, row.result.sd]).tolist() == \
+                _bits([pred, math.sqrt(max(var, 0.0))]).tolist()
+    assert min(variances[:8]) > 0.01
+    assert -tol < variances[8] < -0.1 * tol and rows[8].result.sd == 0.0
+    assert variances[9] < -1e3 * tol
 
 
 # -- map blocks and the bits of their rows ------------------------------------------

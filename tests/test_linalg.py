@@ -50,3 +50,30 @@ def test_one_rung_past_the_ladder_raises():
         chol_with_jitter(mat)
     with pytest.raises(SingularMatrixError):
         chol_with_jitter(np.stack([needing(0), mat]))
+
+
+def test_solves_of_a_stack_equal_one_solve_per_item_bit_for_bit():
+    from variokrig._linalg import chol_solve, chol_solve_each
+
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=(3, 5, 5))
+    L = np.linalg.cholesky(a @ a.transpose(0, 2, 1) + 0.5 * np.eye(5))
+    which = np.array([2, 0, 2, 1])
+    vectors = rng.normal(size=(4, 5))
+    blocks = rng.normal(size=(4, 2, 5))  # C-ordered: each item's transpose is an (n, 2) block
+    x, xb = vectors.copy(), blocks.copy()
+    assert not chol_solve_each(L, which, x).any()
+    assert not chol_solve_each(L, which, xb.transpose(0, 2, 1)).any()
+    for p, g in enumerate(which):
+        assert np.array_equal(x[p], chol_solve(L[g], vectors[p]))
+        assert np.array_equal(xb[p].T, chol_solve(L[g], blocks[p].T))
+    # a zero on a factor's diagonal fails its items alone, whose rows turn NaN
+    L[0, 3, 3] = 0.0
+    x = vectors.copy()
+    assert chol_solve_each(L, which, x).tolist() == [False, True, False, False]
+    assert np.isnan(x[1]).all() and np.array_equal(x[0], chol_solve(L[2], vectors[0]))
+    with pytest.raises(SingularMatrixError):
+        chol_solve(L[0], vectors[1])
+    # a block of another layout would be copied by LAPACK's wrapper, not solved
+    with pytest.raises(ValueError):
+        chol_solve_each(L, which, blocks.copy().transpose(0, 2, 1).copy())
