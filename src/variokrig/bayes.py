@@ -24,7 +24,7 @@ import numpy as np
 from ._linalg import chol_solve_into, chol_with_jitter, spd_solve
 from .empvario import SpatialDataset
 from .exceptions import DomainError, NumericError
-from .krige import (TrendBasis, _bayes_moments, _bayes_terms, _first_occurrences,
+from .krige import (TrendBasis, _bayes_moments, _bayes_terms, _cross_lags, _first_occurrences,
                     _neighbour_sets, _warn_dropped)
 from .models import PosteriorDraws, covariance_matrix, covariance_values, distances
 from .util import MIN_NEIGHBORS, fmt_float, parallel_map
@@ -41,8 +41,9 @@ QUANTILE_PS = {
 
 IQR_TO_SD = 1.45  # interquartile range to standard deviation divisor
 
-# Map points whose lags share one covariance evaluation per draw; the
-# shared values take T x (distinct lags of the block) floats.
+# Map points whose lags share one neighbour search and one covariance
+# evaluation per draw; the shared values take T x (distinct lags of the
+# block) floats, so a block is this count, not the kriging maps' budget.
 DENSITY_BLOCK = 512
 
 
@@ -134,13 +135,13 @@ def _conditional_moments(L, lam):
 class _SharedCovariances:
     """Covariances of a block of target points under every draw.
 
-    The neighbour sets are a Bayes kriging map's (`krige._neighbour_sets`;
-    `dropped` masks the duplicate locations left out). One covariance
-    evaluation per draw covers the distinct lags of the whole block: the
-    pair distances of each distinct neighbourhood and the distances of each
-    target to [x0; neighbours]. A value is NaN where its lag or value is
-    not finite (`covariance_values`), and a point fails only when one of
-    its own values is. Read-only once built.
+    The numbered neighbour sets are a Bayes kriging map's
+    (`krige._neighbour_sets`; `dropped` masks the duplicate locations left
+    out). One covariance evaluation per draw covers the distinct lags of
+    the whole block: the pair distances of each distinct set and each
+    point's cross lags (`krige._cross_lags`). A value is NaN where its lag
+    or value is not finite (`covariance_values`), and a point fails only
+    when one of its own values is. Read-only once built.
 
     A point's moments (`moment_table`) factor its T systems in one call;
     then each draw makes only its two triangular solves
@@ -150,28 +151,15 @@ class _SharedCovariances:
     """
 
     def __init__(self, points, log_data: SpatialDataset, specs, radius: float):
-        # per point: None (too few neighbours) or (values of its neighbours,
-        # index of its pair lags in `pieces`, index of its cross lags)
-        self.targets = []
-        pair_pieces, pieces = {}, []
-        dist, _, sets, self.dropped = _neighbour_sets(
+        dist, member, self.set_of, sets, self.dropped = _neighbour_sets(
             points, log_data.locations, _first_occurrences(log_data.locations), radius,
             MIN_NEIGHBORS)
-        for row, idx in zip(dist, sets):
-            if idx is None:
-                self.targets.append(None)
-                continue
-            key = idx.tobytes()
-            if key not in pair_pieces:
-                pair_pieces[key] = len(pieces)
-                locs = log_data.locations[idx]
-                pieces.append(distances(locs, locs).ravel())
-            pieces.append(np.concatenate(([0.0], row[idx])))
-            self.targets.append((log_data.values[idx], pair_pieces[key], len(pieces) - 1))
-        if not pieces:
-            return
-        self.lags, inverse = np.unique(np.concatenate(pieces), return_inverse=True)
-        self.positions = np.split(inverse, np.cumsum([p.size for p in pieces[:-1]]))
+        self.neighbour_values = [log_data.values[idx] for idx in sets]
+        locations = log_data.locations
+        pairs = [distances(locations[idx], locations[idx]).ravel() for idx in sets]
+        cross, self.cross_starts = _cross_lags(dist, member, self.set_of >= 0)
+        self.lags, inverse = np.unique(np.concatenate([*pairs, cross]), return_inverse=True)
+        *self.pair_at, self.cross_at = np.split(inverse, np.cumsum([p.size for p in pairs]))
         self.values = np.empty((len(specs), self.lags.size))
         for t, spec in enumerate(specs):
             self.values[t] = covariance_values(spec, self.lags)
@@ -191,15 +179,14 @@ class _SharedCovariances:
         or a moment not finite. The T systems are factored in one call;
         each draw then makes only its solves (`_conditional_moments`), and
         the T moments and checks are stacked products."""
-        target = self.targets[i]
-        if target is None:
+        j = self.set_of[i]
+        if j < 0:
             return None
-        values, pairs, cross = target
-        own = np.concatenate([self.positions[pairs], self.positions[cross]])
-        V = self.values[:, own]
+        values, start = self.neighbour_values[j], self.cross_starts[i]
+        n = values.size
+        V = self.values[:, np.concatenate([self.pair_at[j], self.cross_at[start:start + n + 1]])]
         if self.failed and np.isnan(V[self.failed]).any():
             raise NumericError("a posterior draw's covariance is not finite at this point's lags")
-        n = values.size
         K = V[:, :n * n].reshape(-1, n, n)
         c00, c0 = V[:, n * n], V[:, n * n + 1:]
         F = np.ones((n, 1))
@@ -335,7 +322,8 @@ def density_map(
     """Predictive-density summaries over a grid; sparse neighborhoods give
     missing rows rather than errors.
 
-    Each block of DENSITY_BLOCK points shares one covariance evaluation per
+    Each block of DENSITY_BLOCK points runs the kriging maps' neighbour
+    search and set numbering once and shares one covariance evaluation per
     draw (see _SharedCovariances); a point then gathers its T systems and
     factors them in one call. Per draw, only its two triangular solves run
     in Python; the draws' moments and checks are stacked products, and a

@@ -341,7 +341,7 @@ def _cmd_density(args, out: OutputDir):
             args.at, log_data, draws, args.prior_mean, args.prior_var, args.radius, grid_cfg
         )
         if pd is None:
-            print("too few neighbors at the requested point", file=sys.stderr)
+            print("warning: too few neighbors at the requested point", file=sys.stderr)
             out.write_text("density.csv", "value,density,cdf\n")
             return
         out.write_text("density.csv", pd.to_csv())

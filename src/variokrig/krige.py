@@ -4,19 +4,22 @@ All predictors share the covariance convention that the nugget contributes
 only at exactly zero distance, a diagonal-jitter ladder for degenerate
 Gram matrices, and a clamp-to-zero policy for small negative variances
 produced by floating cancellation (counted, warned once per map or call,
-never silent). Maps and `bayes` densities build their neighbour sets in
-`_neighbour_sets`, which drops duplicate locations, also warned once.
+never silent). Maps and `bayes` densities build and number a block's
+neighbour sets in `_neighbour_sets`, which drops duplicate locations (warned
+once), and lay out its cross lags with `_cross_lags`.
 
 A map works in blocks of grid points sized by a distance budget (see
 `_block_size`): at least MAP_BLOCK points, and as many more as keep the
-block's distances to the data within MAP_DISTANCES. A block factors its new
-neighbour sets in stacks of one size. Per point, only its triangular solves
-against its set's factor (`_linalg.chol_solve_each`) and building its row
-run in Python; the right-hand sides, the dot products, the variances and
-the statuses are stacked numpy steps over the points of one stack of
-factors (`_predictions`, `_finish_sd`), whose items keep the bits of the
-point's own products. The single-point predictors run the same steps on a
-stack of one point."""
+block's distances to the data within MAP_DISTANCES (a density's blocks hold
+`bayes.DENSITY_BLOCK` points, as its shared values grow with draws x lags).
+A block factors its new neighbour sets in stacks of one size. Per point,
+only its triangular solves against its set's factor
+(`_linalg.chol_solve_each`) and building its row run in Python; the
+right-hand sides, the dot products, the variances and the statuses are
+stacked numpy steps over the points of one stack of factors
+(`_predictions`, `_finish_sd`), whose items keep the bits of the point's
+own products. The single-point predictors run the same steps on a stack of
+one point."""
 
 import warnings
 from dataclasses import dataclass
@@ -176,8 +179,9 @@ def neighborhood(data: SpatialDataset, x0, radius: float) -> SpatialDataset | No
     Returns None for an empty neighborhood (SpatialDataset cannot be empty).
     """
     x0 = np.asarray(x0, dtype=float).reshape(1, -1)
-    [idx] = _neighbour_sets(x0, data.locations, np.ones(len(data), dtype=bool), radius, 0)[2]
-    return None if idx is None else data.subset(idx)
+    _, _, [j], sets, _ = _neighbour_sets(x0, data.locations, np.ones(len(data), dtype=bool),
+                                         radius, 0)
+    return None if j < 0 else data.subset(sets[j])
 
 
 def _first_occurrences(locations) -> np.ndarray:
@@ -202,8 +206,9 @@ def _neighbour_sets(points, locations, first, radius: float, least: int):
     with more than `least` locations within `radius` (boundary included) is
     served, its set the indices of those in `first`, the mask of the
     locations that repeat no earlier one. Returns the distances (p, n), the
-    member mask (p, n), each point's index set or None, and the mask of the
-    duplicate locations dropped from a set."""
+    member mask (p, n), each point's set number (-1 when it is not served),
+    the distinct index sets, numbered by one `np.unique` over the member
+    rows, and the mask of the duplicate locations dropped from a set."""
     if not radius > 0.0:  # also rejects NaN
         raise DomainError("search radius must be > 0")
     dist = distances(points, locations)
@@ -211,9 +216,20 @@ def _neighbour_sets(points, locations, first, radius: float, least: int):
     served = np.count_nonzero(within, axis=1) > least
     dropped = np.any(within[served] & ~first, axis=0)
     member = within & first & served[:, None]
-    cols = np.nonzero(member)[1]
-    sets = [cols[a:b] if ok else None for (a, b), ok in zip(_bounds(member), served)]
-    return dist, member, sets, dropped
+    set_of = np.full(len(points), -1)
+    rows = member[served]
+    items = rows.view(np.dtype((np.void, rows.shape[1])))[:, 0]  # one bytes item per row
+    # the index outputs keep np.unique from importing numpy.ma
+    _, index, set_of[served] = np.unique(items, return_index=True, return_inverse=True)
+    return dist, member, set_of, [np.flatnonzero(rows[k]) for k in index], dropped
+
+
+def _cross_lags(dist, member, which):
+    """The cross lags [0, distances to its set] of each point of the mask
+    `which`, laid out point after point, and the start of each point's."""
+    at_x0 = np.hstack([which[:, None], member & which[:, None]])
+    counts = np.count_nonzero(at_x0, axis=1)
+    return np.hstack([np.zeros((len(dist), 1)), dist])[at_x0], np.cumsum(counts) - counts
 
 
 def _system(spec, data: SpatialDataset, x0):
@@ -551,13 +567,6 @@ def _factor_sets(method, data: SpatialDataset, sets, spec, mean, basis, prior):
     return systems
 
 
-def _bounds(mask):
-    """Per row of a boolean matrix, the bounds (start, end) of its True
-    entries among all of them in row-major order."""
-    ends = np.cumsum(np.count_nonzero(mask, axis=1)).tolist()
-    return zip([0] + ends[:-1], ends)
-
-
 def _block_rows(method, points, dist, member, set_of, systems, spec, terms) -> list[MapRow]:
     """The rows of a block's points, given their distances to the data,
     their neighbour masks, the number of each point's set in `systems`
@@ -578,12 +587,8 @@ def _block_rows(method, points, dist, member, set_of, systems, spec, terms) -> l
             set_stack[j] = stacks.setdefault(id(fac), (len(stacks), fac))[0]
     stack_of, which_of = set_stack[set_of], set_g[set_of]
     P = len(points)
-    solved = stack_of >= 0
-    at_x0 = np.hstack([solved[:, None], member & solved[:, None]])
-    flat = np.hstack([np.zeros((P, 1)), dist])[at_x0]
+    flat, starts = _cross_lags(dist, member, stack_of >= 0)
     cross = covariance_values(spec, flat) if flat.size else flat
-    counts = np.count_nonzero(at_x0, axis=1)
-    starts = np.cumsum(counts) - counts
     code = (set_of >= 0).astype(int)  # 0 too few neighbours, 1 failed, 2 served
     preds, sds, sizes = np.full(P, np.nan), np.full(P, np.nan), np.zeros(P, dtype=int)
     for s, fac in stacks.values():
@@ -632,9 +637,9 @@ def krige_map(
     block to all data gives every neighbour set of the block and every
     point's cross lags. Duplicate locations are dropped once per map (they
     lie at the same distance, so they enter and leave a set together), with
-    one warning. Points with the same neighbour set share one factored
-    system. The sets new to a block (a set of the previous block is reused)
-    are grouped by size: a group's designs and Gram matrices are sliced
+    one warning. The points of one numbered set share its factored system.
+    The sets new to a block (a set of the previous block is reused) are
+    grouped by size: a group's designs and Gram matrices are sliced
     from one basis and one covariance evaluation over the union of the new
     sets, checked as one stack and factored in one `chol_with_jitter` call,
     its residuals taken in one stacked product, and a group whose call
@@ -682,22 +687,19 @@ def krige_map(
     block = _block_size(len(data))
     for start in range(0, grid.shape[0], block):
         points = grid[start:start + block]
-        dist, member, sets, block_dropped = _neighbour_sets(points, data.locations, first,
-                                                            radius, min_neighbors)
+        dist, member, set_of, sets, block_dropped = _neighbour_sets(
+            points, data.locations, first, radius, min_neighbors)
         dropped |= block_dropped
-        keys = [None if idx is None else idx.tobytes() for idx in sets]
-        distinct = dict(zip(keys, sets))
-        distinct.pop(None, None)
-        factored = {key: previous[key] for key in distinct if key in previous}
-        new = {key: idx for key, idx in distinct.items() if key not in factored}
+        keys = [idx.tobytes() for idx in sets]
+        systems = [previous.get(key) for key in keys]
+        new = [j for j, system in enumerate(systems) if system is None]
         if new:
-            factored.update(zip(new, _factor_sets(method, data, list(new.values()), spec,
-                                                  mean, basis, prior)))
-        previous = factored
-        number = {key: j for j, key in enumerate(factored)}
-        set_of = np.array([number.get(key, -1) for key in keys])
-        rows += _block_rows(method, points, dist, member, set_of, list(factored.values()),
-                            spec, _point_terms(method, points, basis, prior))
+            for j, system in zip(new, _factor_sets(method, data, [sets[j] for j in new], spec,
+                                                   mean, basis, prior)):
+                systems[j] = system
+        previous = dict(zip(keys, systems))
+        rows += _block_rows(method, points, dist, member, set_of, systems, spec,
+                            _point_terms(method, points, basis, prior))
     _warn_dropped(dropped, "kriging neighborhoods of the map", stacklevel=2)
     _warn_clamped(clamped, f"{method} kriging", stacklevel=2)
     return rows

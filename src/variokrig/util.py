@@ -22,7 +22,7 @@ def parallel_map(fn, items, n_threads=None):
     (``perfbench/tracing.py``) finds it as ``util.parallel_map``, rebinds it
     in each calling module to time every item, and passes ``n_threads``
     positionally. So the name and the signature stay, and ``n_threads`` is
-    ignored. The run-scoped diagnostics collector of ROADMAP item 3 retires
+    ignored. The run-scoped diagnostics collector of ROADMAP item 4 retires
     this hook.
     """
     return [fn(it) for it in items]

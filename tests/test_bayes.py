@@ -223,6 +223,49 @@ def test_density_drops_duplicates_as_the_bayes_map_does():
         "dropped 1 duplicate locations from the neighborhood of the density"]
 
 
+def test_density_map_across_blocks_equals_each_points_density(count_calls):
+    # the search and set numbering run once per block of DENSITY_BLOCK points;
+    # every block reaches the duplicated station, which is warned about once
+    import warnings
+
+    from variokrig.bayes import DENSITY_BLOCK
+
+    rng = np.random.default_rng(35)
+    data = log_dataset(rng, n=30)
+    locs, values = data.locations.copy(), data.values.copy()
+    locs[9], values[9] = locs[2], values[2] - 0.25
+    data = SpatialDataset(locs, values)
+    draws = several_draws(rng, 3)
+    points = rng.uniform(-1.0, 11.0, size=(2 * DENSITY_BLOCK + 3, 2))
+    grid = DensityGrid(step=0.25)
+    searches = count_calls("variokrig.krige", "_neighbour_sets")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rows = density_map(points, data, draws, 0.3, 7.0, 3.5, grid)
+    assert [str(w.message) for w in caught] == [
+        "dropped 1 duplicate locations from the neighborhoods of the density map"]
+    assert [len(block) for block, *_ in searches] == [DENSITY_BLOCK, DENSITY_BLOCK, 3]
+    statuses = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for row, x0 in zip(rows, points):
+            assert np.array_equal(row.location, x0)
+            try:
+                pd = predictive_density_at(x0, data, draws, 0.3, 7.0, 3.5, grid)
+            except NumericError:
+                status, summary = "numeric_failure", None
+            else:
+                status = "ok" if pd is not None else "too_few_neighbors"
+                summary = None if pd is None else pd.summary
+            assert (row.status, row.summary) == (status, summary)
+            statuses.append(status)
+    assert statuses.count("ok") > len(points) // 2
+    assert statuses.count("too_few_neighbors") > 0
+    near = (np.hypot(*(points - locs[2]).T) <= 3.5) & (np.array(statuses) == "ok")
+    assert all(np.any(near[start:start + DENSITY_BLOCK])
+               for start in range(0, len(points), DENSITY_BLOCK))  # each block drops it
+
+
 def test_forward_rule_reproduces_reference_weighting():
     rng = np.random.default_rng(6)
     data = log_dataset(rng)

@@ -291,7 +291,7 @@ def test_density_too_few_neighbors_writes_empty(tmp_path, capsys):
         "--at", "5000,5000", "--radius", "10", "--out", str(ddir),
     ) == 0
     assert read(ddir / "density.csv") == "value,density,cdf\n"
-    assert "too few neighbors" in capsys.readouterr().err
+    assert capsys.readouterr().err == "warning: too few neighbors at the requested point\n"
 
 
 def test_all_outputs_inside_out_dir(tmp_path):

@@ -78,6 +78,46 @@ def test_neighborhood_preserves_order():
     assert idx == sorted(idx)
 
 
+def test_neighbour_sets_number_each_distinct_set_once():
+    from variokrig.krige import _first_occurrences, _neighbour_sets
+
+    # station 5 repeats station 1; stations 4 and 6 lie exactly at the radius
+    # of the origin; the four stations near (10.5, 10.5) are exactly `least`
+    locations = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 0.0],
+                          [1.0, 0.0], [0.0, 2.0], [10.0, 10.0], [11.0, 10.0], [10.0, 11.0],
+                          [11.0, 11.0]])
+    points = np.array([[0.0, 0.0], [10.5, 10.5], [0.5, 0.5], [2.0, 1.0], [50.0, 50.0],
+                       [0.0, 0.0], [1.0, 1.0], [2.0, 1.0]])
+    first = _first_occurrences(locations)
+    radius, least = 2.0, 4
+    _, member, set_of, sets, dropped = _neighbour_sets(points, locations, first, radius, least)
+    reach = [np.hypot(*(locations - x0).T) <= radius for x0 in points]
+    oracle = [np.flatnonzero(within & first) for within in reach]
+    served = [np.count_nonzero(within) > least for within in reach]
+    assert served == [True, False, True, True, False, True, True, True]
+    assert oracle[0].tolist() == [0, 1, 2, 3, 4, 6]  # the boundary kept, the duplicate not
+    assert oracle[3].tolist() == [1, 2, 3, 4]  # served by counting the duplicate
+    assert np.flatnonzero(dropped).tolist() == [5]
+    assert set_of.tolist().count(-1) == 2
+    for i in range(len(points)):
+        assert (set_of[i] >= 0) == served[i]
+        assert np.array_equal(member[i], np.isin(np.arange(len(locations)), oracle[i])
+                              & served[i])
+        if served[i]:
+            assert np.array_equal(sets[set_of[i]], oracle[i])
+        for k in range(len(points)):
+            if served[i] and served[k]:
+                same = np.array_equal(oracle[i], oracle[k])
+                assert (set_of[i] == set_of[k]) == same
+    assert len({idx.tobytes() for idx in sets}) == len(sets) == 2
+    assert sorted(set(set_of.tolist()) - {-1}) == list(range(len(sets)))
+
+    _, member, set_of, sets, dropped = _neighbour_sets(points[[1, 4]], locations, first, radius,
+                                                       least)
+    assert set_of.tolist() == [-1, -1] and sets == []
+    assert not member.any() and not dropped.any()
+
+
 # -- simple kriging --------------------------------------------------------------
 
 
