@@ -3,13 +3,16 @@
 Every covariance system is factored here, so the degenerate-matrix policy
 lives in exactly one place: a symmetric matrix that fails Cholesky gets
 ``delta * I`` added, with delta starting at 1e-10 times the mean diagonal
-and doubling up to six times before the attempt is abandoned. A system is
-factored once by ``chol_with_jitter`` and solved with that factor by
-``chol_solve``, as often as its callers need: ``chol_solve_into`` solves in
-place (a density's per-draw solves), and ``chol_solve_each`` solves a stack
-of right-hand sides against views of a stack of factors (a map's per-point
-solves). ``spd_solve`` does both for a one-off system. The module is the
-package's only route to scipy's LAPACK.
+and doubling up to six times before the attempt is abandoned. Past the
+ladder, one (n, n) matrix raises SingularMatrixError, as
+`models.covariance_eval` raises, and a matrix of a stack gets a NaN factor,
+as `models.covariance_values` gives NaN: its solves are NaN, and it fails
+its own item (neighbour set, draw or point) alone. A system is factored once by ``chol_with_jitter`` and solved with
+that factor by ``chol_solve``, as often as its callers need:
+``chol_solve_into`` solves in place (a density's per-draw solves), and
+``chol_solve_each`` solves a stack of right-hand sides against views of a
+stack of factors (a map's per-point solves). ``spd_solve`` does both for a
+one-off system. The module is the package's only route to scipy's LAPACK.
 The first triangular solve loads LAPACK's ``dtrtrs`` from the compiled
 module `scipy.linalg._flapack` alone, without the `scipy.linalg` package;
 where that module is missing, it imports `scipy.linalg.lapack`, whose
@@ -34,7 +37,8 @@ def jitter_ladder(scale: float):
 
 
 def _chol_one(mat):
-    """(L, delta) of one matrix: the jitter ladder of ``chol_with_jitter``."""
+    """(L, delta) of one matrix for the first rung of the jitter ladder that
+    factors it, or None when the ladder is exhausted."""
     n = mat.shape[0]
     scale = float(np.trace(mat)) / max(n, 1)
     for delta in jitter_ladder(scale):
@@ -45,9 +49,7 @@ def _chol_one(mat):
             continue
         if np.all(np.isfinite(L)):
             return L, delta
-    raise SingularMatrixError(
-        f"matrix of order {n} is not positive definite even after jitter"
-    )
+    return None
 
 
 def chol_with_jitter(mat):
@@ -55,24 +57,30 @@ def chol_with_jitter(mat):
 
     ``mat`` is one (n, n) matrix or a (T, n, n) stack: the T draws of one
     density point, or a group of same-size neighbour sets of a kriging map.
-    Returns ``(L, delta)``; a stack is factored in one call and, when any of
+    Returns ``(L, delta)``. One matrix past the ladder raises
+    SingularMatrixError. A stack is factored in one call and, when any of
     its matrices needs jitter, again matrix by matrix, each with its own
-    delta (the largest is returned). The factor of each matrix is the same
-    either way, and the same as a call on that matrix alone. Raises
-    SingularMatrixError when the ladder is exhausted for any matrix of the
-    stack; a caller that must fail that matrix alone factors the stack's
-    matrices one by one again.
+    delta (the largest is returned); a matrix past the ladder then gets a
+    NaN factor and adds no delta, and the stack never raises. The factor of
+    each matrix is the same either way, and the same as a call on that
+    matrix alone.
     """
     mat = np.asarray(mat, dtype=float)
     if mat.ndim == 2:
-        return _chol_one(mat)
+        factored = _chol_one(mat)
+        if factored is None:
+            raise SingularMatrixError(
+                f"matrix of order {mat.shape[0]} is not positive definite even after jitter"
+            )
+        return factored
     try:
         L = np.linalg.cholesky(mat)
         if np.all(np.isfinite(L)):
             return L, 0.0
     except np.linalg.LinAlgError:
         pass
-    factors = [_chol_one(m) for m in mat]
+    failed = (np.full(mat.shape[1:], np.nan), 0.0)
+    factors = [_chol_one(m) or failed for m in mat]
     return np.stack([L for L, _ in factors]), max(delta for _, delta in factors)
 
 
@@ -126,19 +134,16 @@ def chol_solve_each(L, which, rhs):
     items: vectors (P, n) or Fortran-ordered (n, r) blocks, such as the
     transpose (0, 2, 1) of a C-ordered (P, r, n) array. Each item passes a
     view of its factor, so no factor is copied, and only its two LAPACK
-    calls run per item. Returns the mask of the items whose solve failed;
-    their rows are set to NaN. The layout of ``rhs`` is checked, since
+    calls run per item. An item whose solve fails is set to NaN, as is one
+    solved against a NaN factor. The layout of ``rhs`` is checked, since
     ``chol_solve_into`` cannot see a copy."""
     if len(rhs) and not (rhs.dtype == np.float64 and rhs[0].flags.f_contiguous):
         raise ValueError("right-hand sides must be float64 and Fortran-ordered per item")
-    failed = np.zeros(len(rhs), dtype=bool)
     for p, g in enumerate(which.tolist()):
         try:
             chol_solve_into(L[g], rhs[p])
         except SingularMatrixError:
-            failed[p] = True
-    rhs[failed] = np.nan
-    return failed
+            rhs[p] = np.nan
 
 
 def spd_solve(mat, rhs):

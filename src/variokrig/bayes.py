@@ -163,30 +163,22 @@ class _SharedCovariances:
         self.values = np.empty((len(specs), self.lags.size))
         for t, spec in enumerate(specs):
             self.values[t] = covariance_values(spec, self.lags)
-        # the draws with a NaN value, whose entries each point must test
-        self.failed = [t for t, row in enumerate(self.values) if np.isnan(row).any()]
-
-    def moments(self, i: int, prior_mean: float, prior_var: float):
-        """[(mean, variance)] under every draw at point i, as Python floats,
-        or None when it has too few neighbours; see `moment_table`."""
-        table = self.moment_table(i, prior_mean, prior_var)
-        return None if table is None else list(map(tuple, table.tolist()))
 
     def moment_table(self, i: int, prior_mean: float, prior_var: float):
         """(mean, variance) under every draw at point i, a (T, 2) array, or
-        None when it has too few neighbours; NumericError when a covariance
-        of its own lags is not finite, or a draw's variance is not positive
-        or a moment not finite. The T systems are factored in one call;
-        each draw then makes only its solves (`_conditional_moments`), and
-        the T moments and checks are stacked products."""
+        None when it has too few neighbours; NumericError when a draw's
+        variance is not positive or a moment not finite, as it is where a
+        covariance of the point's own lags is not finite or a draw's system
+        is past the jitter ladder (its factor is NaN). The T systems are
+        factored in one call; each draw then makes only its solves
+        (`_conditional_moments`), and the T moments and checks are stacked
+        products."""
         j = self.set_of[i]
         if j < 0:
             return None
         values, start = self.neighbour_values[j], self.cross_starts[i]
         n = values.size
         V = self.values[:, np.concatenate([self.pair_at[j], self.cross_at[start:start + n + 1]])]
-        if self.failed and np.isnan(V[self.failed]).any():
-            raise NumericError("a posterior draw's covariance is not finite at this point's lags")
         K = V[:, :n * n].reshape(-1, n, n)
         c00, c0 = V[:, n * n], V[:, n * n + 1:]
         F = np.ones((n, 1))
@@ -203,7 +195,7 @@ class _SharedCovariances:
         with np.errstate(all="ignore"):
             m, s2 = _bayes_moments(cb, lam, values - F @ mu, mean0, c00 + quad)
         if not np.all((s2 > 0.0) & np.isfinite(s2) & np.isfinite(m)):
-            raise NumericError("conditional variance is not positive")
+            raise NumericError("conditional variance is not positive or a moment not finite")
         return np.column_stack([m, s2])
 
 
@@ -269,6 +261,15 @@ def _density(moments, grid: DensityGrid) -> PredictiveDensity:
     return PredictiveDensity(g, y, dens, cdf, summary, clipped)
 
 
+def _check_prior_moments(prior_mean: float, prior_var: float):
+    """DomainError unless the prior mean is finite and the prior variance
+    finite and >= 0."""
+    if not math.isfinite(prior_mean):
+        raise DomainError("prior mean must be finite")
+    if not (prior_var >= 0.0 and math.isfinite(prior_var)):
+        raise DomainError("prior variance must be finite and >= 0")
+
+
 def predictive_density_at(
     x0,
     log_data: SpatialDataset,
@@ -284,8 +285,7 @@ def predictive_density_at(
     None when the neighborhood has too few points (more than MIN_NEIGHBORS
     are required). Duplicate locations are dropped, with one warning.
     """
-    if prior_var < 0.0:
-        raise DomainError("prior variance must be >= 0")
+    _check_prior_moments(prior_mean, prior_var)
     points = np.asarray(x0, dtype=float).reshape(1, -1)
     shared = _SharedCovariances(points, log_data, draws.specs(), radius)
     _warn_dropped(shared.dropped, "neighborhood of the density", stacklevel=2)
@@ -331,8 +331,7 @@ def density_map(
     locations are dropped as a Bayes kriging map drops them, with one
     warning per map.
     """
-    if prior_var < 0.0:
-        raise DomainError("prior variance must be >= 0")
+    _check_prior_moments(prior_mean, prior_var)
     pts = np.atleast_2d(np.asarray(grid_points, dtype=float))
     specs = draws.specs()
     dropped = np.zeros(len(log_data), dtype=bool)

@@ -513,9 +513,9 @@ def _block_objectives(problems, lag_groups, waiting, blocks) -> np.ndarray:
     """Objective at every row of the (C, P, k) blocks, block c of problem
     waiting[c].
 
-    The blocks of problems on the same lags are evaluated together, and
-    _PENALTY falls on the failing rows alone; a problem alone on its lags
-    is evaluated through its own `rows`.
+    The blocks of problems on the same lags are evaluated together, in one
+    `_stacked_objectives` call, and _PENALTY falls on the failing rows
+    alone.
     """
     C, P, k = blocks.shape
     family, method = problems[0].family, problems[0].method
@@ -524,14 +524,10 @@ def _block_objectives(problems, lag_groups, waiting, blocks) -> np.ndarray:
     out = np.empty((C, P))
     for gi, (h, g, n) in enumerate(stacks):
         cols = np.flatnonzero(groups == gi)
-        if cols.size > 1:
-            out[cols] = _stacked_objectives(
-                family, blocks[cols].reshape(-1, k), np.repeat(slot_of[waiting[cols]], P),
-                h, g, n, method,
-            ).reshape(cols.size, P)
-        else:
-            for c in cols:
-                out[c] = problems[waiting[c]].rows(blocks[c])
+        out[cols] = _stacked_objectives(
+            family, blocks[cols].reshape(-1, k), np.repeat(slot_of[waiting[cols]], P),
+            h, g, n, method,
+        ).reshape(cols.size, P)
     return out
 
 

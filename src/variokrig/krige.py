@@ -31,7 +31,7 @@ import numpy as np
 from ._linalg import chol_solve, chol_solve_each, chol_with_jitter, spd_solve
 from .empvario import SpatialDataset
 from .exceptions import DomainError, NumericError, SingularMatrixError
-from .models import covariance_matrix, covariance_values, distances
+from .models import _distinct_rows, covariance_matrix, covariance_values, distances
 from .util import KRIGE_METHODS, MIN_NEIGHBORS, parallel_map
 
 _diagnostics = {"clamped_variances": 0}
@@ -48,12 +48,11 @@ def _tolerance(scale):
     return 1e-10 * np.fmax(1.0, scale)
 
 
-def _finish_sd(variance, scale, failed):
+def _finish_sd(variance, scale):
     """Standard deviations of P points from their variances (P,) and C(0)
-    (P,), leaving out the points of the mask `failed`: a variance within
-    `_tolerance` below zero is clamped to 0 and counted, and one below
-    that gives NaN."""
-    clamped = ~failed & (variance < 0.0) & (variance >= -_tolerance(scale))
+    (P,): a variance within `_tolerance` below zero is clamped to 0 and
+    counted, and one below that, or NaN, gives NaN."""
+    clamped = (variance < 0.0) & (variance >= -_tolerance(scale))
     _diagnostics["clamped_variances"] += int(np.count_nonzero(clamped))
     with np.errstate(invalid="ignore"):
         return np.sqrt(np.where(clamped, 0.0, variance))
@@ -162,6 +161,8 @@ class BayesPrior:
         phi = np.atleast_2d(np.asarray(self.phi, dtype=float))
         if phi.shape != (mu.size, mu.size):
             raise DomainError("prior covariance must be k x k for a k-vector mean")
+        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(phi))):
+            raise DomainError("prior mean and covariance must be finite")
         if not np.allclose(phi, phi.T, rtol=0.0, atol=1e-12 * (1.0 + np.abs(phi).max())):
             raise DomainError("prior covariance must be symmetric")
         chol_with_jitter(phi)  # PSD check; raises SingularMatrixError otherwise
@@ -207,8 +208,8 @@ def _neighbour_sets(points, locations, first, radius: float, least: int):
     served, its set the indices of those in `first`, the mask of the
     locations that repeat no earlier one. Returns the distances (p, n), the
     member mask (p, n), each point's set number (-1 when it is not served),
-    the distinct index sets, numbered by one `np.unique` over the member
-    rows, and the mask of the duplicate locations dropped from a set."""
+    the distinct index sets, numbered by `models._distinct_rows` over the
+    member rows, and the mask of the duplicate locations dropped from a set."""
     if not radius > 0.0:  # also rejects NaN
         raise DomainError("search radius must be > 0")
     dist = distances(points, locations)
@@ -218,10 +219,8 @@ def _neighbour_sets(points, locations, first, radius: float, least: int):
     member = within & first & served[:, None]
     set_of = np.full(len(points), -1)
     rows = member[served]
-    items = rows.view(np.dtype((np.void, rows.shape[1])))[:, 0]  # one bytes item per row
-    # the index outputs keep np.unique from importing numpy.ma
-    _, index, set_of[served] = np.unique(items, return_index=True, return_inverse=True)
-    return dist, member, set_of, [np.flatnonzero(rows[k]) for k in index], dropped
+    first, set_of[served] = _distinct_rows(rows)
+    return dist, member, set_of, [np.flatnonzero(rows[k]) for k in first], dropped
 
 
 def _cross_lags(dist, member, which):
@@ -293,9 +292,10 @@ def _factor(method, values, F, K, mean=0.0, prior=None) -> _Factored:
     """Factor the systems of G checked sets of one size at once: their data
     values (G, n), trend designs F (G, n, k) (universal and Bayes kriging,
     else None) and covariances K (G, n, n). The G matrices, K or Bayes'
-    K + F Phi F', take one `chol_with_jitter` call; NumericError when any
-    of them fails. The residuals take one stacked product, each item the
-    product F mu (or F beta) of its set alone."""
+    K + F Phi F', take one `chol_with_jitter` call, in which a matrix past
+    the jitter ladder gets a NaN factor, and so NaN solves and predictions.
+    The residuals take one stacked product, each item the product F mu (or
+    F beta) of its set alone."""
     if method == "bayes":
         K = K + F @ prior.phi @ F.transpose(0, 2, 1)
     L, _ = chol_with_jitter(K)
@@ -322,22 +322,22 @@ def _dots(a, b):
 
 
 def _ordinary_weights(L, which, c0):
-    """Weights w (P, n), Lagrange multipliers nu (P,) and the mask of the
-    failed points, for P points on the sets `which` of the factor stack L
-    with cross-covariances c0 (P, n). Per point one solve K [a, b] = [c0, 1];
-    nu = (1'a - 1)/(1'b) and w = a - nu b. A point fails when its solve
-    does, or when 1'b is 0 or not finite (its constraint system is
-    singular); its w and nu are then NaN."""
+    """Weights w (P, n) and Lagrange multipliers nu (P,) of P points on the
+    sets `which` of the factor stack L with cross-covariances c0 (P, n).
+    Per point one solve K [a, b] = [c0, 1]; nu = (1'a - 1)/(1'b) and
+    w = a - nu b. Where the solve fails (a and b are NaN), or 1'b is 0 or
+    not finite (the constraint system is singular), nu is NaN, and so are w
+    and the point's prediction and variance."""
     ab = np.empty((c0.shape[0], 2, c0.shape[1]))
     ab[:, 0], ab[:, 1] = c0, 1.0
-    failed = chol_solve_each(L, which, ab.transpose(0, 2, 1))
+    chol_solve_each(L, which, ab.transpose(0, 2, 1))
     a, b = ab[:, 0], ab[:, 1]
     one = np.ones(c0.shape[1])
     denom = _dots(one, b)
-    failed |= (denom == 0.0) | ~np.isfinite(denom)
+    singular = (denom == 0.0) | ~np.isfinite(denom)
     with np.errstate(all="ignore"):
-        nu = np.where(failed, np.nan, (_dots(one, a) - 1.0) / denom)
-        return a - nu[:, None] * b, nu, failed
+        nu = np.where(singular, np.nan, (_dots(one, a) - 1.0) / denom)
+        return a - nu[:, None] * b, nu
 
 
 def _bayes_terms(f0s, mu, phi):
@@ -373,34 +373,36 @@ def _point_terms(method, points, basis, prior) -> tuple:
 def _predictions(fac: _Factored, which, terms, c0, c00):
     """Predictions and variances (P,) of P points on the sets `which` of
     `fac`, given their `_point_terms`, cross-covariances c0 (P, n) and C(0)
-    (P,), and the mask of the points whose solve failed (their values are
-    NaN). Per point, only its triangular solves run in Python; the rest
-    are stacked per-item products with the bits of the point's own."""
+    (P,); both are NaN where a point's solve fails or its factor is NaN.
+    Per point, only its triangular solves run in Python; the rest are
+    stacked per-item products with the bits of the point's own."""
     method, L = fac.method, fac.L
     with np.errstate(all="ignore"):
         if method == "ordinary":
-            w, nu, failed = _ordinary_weights(L, which, c0)
-            return _dots(w, fac.values[which]), c00 - _dots(c0, w) - nu, failed
+            w, nu = _ordinary_weights(L, which, c0)
+            return _dots(w, fac.values[which]), c00 - _dots(c0, w) - nu
         if method == "bayes":
             phif0, mean0, quad = terms
             cb = c0 + np.matmul(fac.F[which], phif0[:, :, None])[:, :, 0]
             lam = cb.copy()
-            failed = chol_solve_each(L, which, lam)
-            return (*_bayes_moments(cb, lam, fac.resid[which], mean0, c00 + quad), failed)
+            chol_solve_each(L, which, lam)
+            return _bayes_moments(cb, lam, fac.resid[which], mean0, c00 + quad)
         lam = np.array(c0)
-        failed = chol_solve_each(L, which, lam)
+        chol_solve_each(L, which, lam)
         if method == "simple":
-            return fac.mean + _dots(lam, fac.resid[which]), c00 - _dots(lam, c0), failed
+            return fac.mean + _dots(lam, fac.resid[which]), c00 - _dots(lam, c0)
         [f0] = terms
         gap = f0 - np.matmul(fac.F[which].transpose(0, 2, 1), lam[:, :, None])[:, :, 0]
         spread = _dots(gap, np.linalg.solve(fac.M[which], gap[:, :, None])[:, :, 0])
         return (_dots(f0, fac.beta[which]) + _dots(lam, fac.resid[which]),
-                c00 - _dots(c0, lam) + spread, failed)
+                c00 - _dots(c0, lam) + spread)
 
 
 def _predict(method, x0, subset, spec, mean, basis, prior) -> KrigingResult:
     """One prediction: the set and point halves over one covariance
-    evaluation of [x0; locations], on a stack of one point."""
+    evaluation of [x0; locations], on a stack of one point. Raises
+    SingularMatrixError where the prediction or its variance is not
+    finite, the map's numeric failure."""
     data = _dedupe(subset)
     F = _checked(method, data.locations, basis)
     K, c0, c00 = _system(spec, data, x0)
@@ -409,13 +411,13 @@ def _predict(method, x0, subset, spec, mean, basis, prior) -> KrigingResult:
     clamped = clamped_variance_count()
     terms = _point_terms(method, np.asarray(x0, dtype=float).reshape(1, -1), basis, prior)
     c00 = np.array([c00])
-    pred, var, failed = _predictions(fac, np.zeros(1, dtype=int), terms, c0[None], c00)
-    if failed[0]:
+    pred, var = _predictions(fac, np.zeros(1, dtype=int), terms, c0[None], c00)
+    if not (np.isfinite(pred[0]) and np.isfinite(var[0])):
         raise SingularMatrixError(f"{method} kriging system is singular at this point")
     tol = _tolerance(c00[0])
     if var[0] < -tol:
         raise NumericError(f"{method} kriging produced variance {var[0]} below -{tol}")
-    sd = _finish_sd(var, c00, failed)
+    sd = _finish_sd(var, c00)
     _warn_clamped(clamped, f"{method} kriging", stacklevel=3)
     return KrigingResult(float(pred[0]), float(sd[0]), data.values.size, method)
 
@@ -442,8 +444,8 @@ def ordinary_weights(x0, data: SpatialDataset, spec) -> tuple[np.ndarray, float]
     _checked("ordinary", data.locations, None)
     K, c0, _ = _system(spec, data, x0)
     L, _ = chol_with_jitter(K)
-    [w], [nu], [failed] = _ordinary_weights(L[None], np.zeros(1, dtype=int), c0[None])
-    if failed:
+    [w], [nu] = _ordinary_weights(L[None], np.zeros(1, dtype=int), c0[None])
+    if not (np.isfinite(nu) and np.all(np.isfinite(w))):
         raise SingularMatrixError("ordinary kriging constraint system is singular")
     return w, float(nu)
 
@@ -461,7 +463,10 @@ def gls_beta(data: SpatialDataset, spec, basis: TrendBasis) -> np.ndarray:
     data = _dedupe(data)
     F = _checked("universal", data.locations, basis)
     K = covariance_matrix(spec, data.locations)
-    return _factor("universal", data.values[None], F[None], K[None]).beta[0]
+    [beta] = _factor("universal", data.values[None], F[None], K[None]).beta
+    if not np.all(np.isfinite(beta)):
+        raise SingularMatrixError("GLS trend system is singular")
+    return beta
 
 
 def universal_kriging(x0, data: SpatialDataset, spec, basis: TrendBasis) -> KrigingResult:
@@ -513,28 +518,18 @@ class MapRow(NamedTuple):
     status: str
 
 
-def _factor_alone(method, values, F, K, mean, prior):
-    """The factored system `(fac, 0)` of one set of `_factor`'s arguments,
-    or STATUS_NUMERIC."""
-    try:
-        return _factor(method, values, F, K, mean, prior), 0
-    except NumericError:
-        return STATUS_NUMERIC
-
-
 def _factor_sets(method, data: SpatialDataset, sets, spec, mean, basis, prior):
     """The factored system `(fac, g)` of each index set of `data` (set g of
-    the stack `fac`), or STATUS_NUMERIC when its checks or its factorisation
-    fail.
+    the stack `fac`), or STATUS_NUMERIC when it fails its checks.
 
     Sets of one size form a group. The trend designs of a group are rows of
     one basis evaluation over the union of the sets, checked at once; its
     Gram matrices are gathered with one index from one covariance
     evaluation over that union (`covariance_values`), and the group is
-    factored in one call. A set whose gathered Gram matrix is not finite
-    leaves its group, as one that fails the rank check does. When the
-    group's call fails, each set of the group is factored alone and fails
-    alone.
+    factored in one call. A set that fails the rank check leaves its group.
+    A set whose gathered Gram matrix is not finite, or past the jitter
+    ladder, keeps its place with a NaN factor, so that its points alone
+    are numeric failures.
     """
     member = np.zeros(len(data.values), dtype=bool)  # np.unique would import numpy.ma
     member[np.concatenate(sets)] = True
@@ -550,20 +545,13 @@ def _factor_sets(method, data: SpatialDataset, sets, spec, mean, basis, prior):
         idx = np.stack([sets[j] for j in members])
         pos = np.searchsorted(union, idx)
         F = None if design is None else design[pos]
-        K = gram[pos[:, :, None], pos[:, None, :]]
-        ok = np.all(np.isfinite(K), axis=(1, 2)) & _passing(method, n, F)
-        keep = np.flatnonzero(ok)
+        keep = np.flatnonzero(np.broadcast_to(_passing(method, n, F), len(members)))
         if keep.size == 0:
             continue
-        values, F, K = data.values[idx[keep]], None if F is None else F[keep], K[keep]
-        try:
-            fac = _factor(method, values, F, K, mean, prior)
-            factored = [(fac, g) for g in range(keep.size)]
-        except NumericError:
-            factored = [_factor_alone(method, values[g:g + 1], None if F is None else F[g:g + 1],
-                                      K[g:g + 1], mean, prior) for g in range(keep.size)]
-        for g, fac in zip(keep, factored):
-            systems[members[g]] = fac
+        fac = _factor(method, data.values[idx[keep]], None if F is None else F[keep],
+                      gram[pos[keep, :, None], pos[keep, None, :]], mean, prior)
+        for g, j in enumerate(keep.tolist()):
+            systems[members[j]] = fac, g
     return systems
 
 
@@ -574,10 +562,11 @@ def _block_rows(method, points, dist, member, set_of, systems, spec, terms) -> l
     STATUS_NUMERIC, and the points' `_point_terms`.
 
     The cross lags of the points with a system, [0, its distances], take one
-    covariance evaluation. A NaN among a point's values makes its
-    prediction NaN, and so the point a numeric failure. The points of one
-    stack of factors are predicted together (`_predictions`); then each
-    point only builds its row, one `parallel_map` item per point."""
+    covariance evaluation. The points of one stack of factors are predicted
+    together (`_predictions`), and a point is ok when its prediction and sd
+    are finite: a NaN among its values, a NaN factor or a failed solve
+    makes it a numeric failure. Then each point only builds its row, one
+    `parallel_map` item per point."""
     stacks = {}  # id of a stack of factors -> (its number, the stack)
     set_stack = np.full(len(systems) + 1, -1)  # the last entry stands for -1
     set_g = np.zeros(len(systems) + 1, dtype=int)
@@ -595,10 +584,10 @@ def _block_rows(method, points, dist, member, set_of, systems, spec, terms) -> l
         pts = np.flatnonzero(stack_of == s)
         n = fac.values.shape[1]
         row = cross[starts[pts, None] + np.arange(n + 1)]
-        pred, var, failed = _predictions(fac, which_of[pts], tuple(t[pts] for t in terms),
-                                         row[:, 1:], row[:, 0])
-        sd = _finish_sd(var, row[:, 0], failed)
-        ok = ~failed & np.isfinite(pred) & np.isfinite(sd)
+        pred, var = _predictions(fac, which_of[pts], tuple(t[pts] for t in terms),
+                                 row[:, 1:], row[:, 0])
+        sd = _finish_sd(var, row[:, 0])
+        ok = np.isfinite(pred) & np.isfinite(sd)
         preds[pts], sds[pts], sizes[pts] = pred, sd, n
         code[pts[ok]] = 2
     statuses = np.array([STATUS_FEW, STATUS_NUMERIC, STATUS_OK], dtype=object)[code]
@@ -642,11 +631,12 @@ def krige_map(
     grouped by size: a group's designs and Gram matrices are sliced
     from one basis and one covariance evaluation over the union of the new
     sets, checked as one stack and factored in one `chol_with_jitter` call,
-    its residuals taken in one stacked product, and a group whose call
-    fails is factored set by set, so a failing set fails alone. The
-    cross-covariances of the block take one more evaluation. Both
-    evaluations follow `covariance_values`: a lag or value that is not
-    finite is NaN, and fails only the set or point that holds it. The trend
+    and its residuals taken in one stacked product. The cross-covariances
+    of the block take one more evaluation. Both evaluations follow
+    `covariance_values`, and the factorisation its rule: a lag or value
+    that is not finite is NaN, as is the factor of a set past the jitter
+    ladder, and fails only the set or point that holds it. A row is ok
+    when its prediction and sd are finite. The trend
     terms (f0, or Bayes' Phi f0, f0'mu and f0'Phi f0) take one basis
     evaluation and three stacked products.
 

@@ -139,7 +139,7 @@ def test_conditional_moments_match_bayes_kriging_and_are_monotone_in_phi():
     shared = _SharedCovariances(np.array([x0]), data, [spec], math.inf)
     prev = 0.0
     for phi in (0.0, 0.5, 2.0, 10.0, 100.0):
-        [(m, s2)] = shared.moments(0, 0.4, phi)
+        [(m, s2)] = shared.moment_table(0, 0.4, phi)
         bk = bayes_kriging(x0, data, spec, TrendBasis.constant(), BayesPrior.scalar(0.4, phi))
         assert m == pytest.approx(bk.prediction, abs=1e-10)
         assert math.sqrt(s2) == pytest.approx(bk.sd, abs=1e-10)
@@ -160,7 +160,7 @@ def test_shared_moments_equal_bayes_kriging_on_each_draws_own_system():
     shared = _SharedCovariances(points, data, draws.specs(), 4.0)
     served = 0
     for i, x0 in enumerate(points):
-        got = shared.moments(i, 0.3, 7.0)
+        got = shared.moment_table(i, 0.3, 7.0)
         idx = np.flatnonzero(np.hypot(*(data.locations - x0).T) <= 4.0)
         if got is None:
             assert idx.size <= 4
@@ -172,8 +172,8 @@ def test_shared_moments_equal_bayes_kriging_on_each_draws_own_system():
         for spec in draws.specs():
             m, s2 = kriging_point_reference("bayes", x0, data.locations[idx], data.values[idx],
                                             spec, 0.0, np.ones(1), F, mu, phi, covariance_eval)
-            expect.append((float(m), float(s2)))
-        assert got == expect
+            expect.append([float(m), float(s2)])
+        assert got.tolist() == expect
     assert served > 6
 
 
@@ -208,7 +208,7 @@ def test_density_drops_duplicates_as_the_bayes_map_does():
     shared = _SharedCovariances(points, data, draws.specs(), 4.0)
     for i in range(len(points)):
         rows = [rows[i] for rows in maps]
-        got = shared.moments(i, 0.3, 7.0)
+        got = shared.moment_table(i, 0.3, 7.0)
         if got is None:
             assert {r.status for r in rows} == {"too_few_neighbors"}
             continue
@@ -395,6 +395,19 @@ def test_beta_posterior_conjugate_oracle():
     mean, W = beta_posterior(data, spec, TrendBasis.constant(), [mu], sigma2, np.eye(1))
     assert W[0, 0] == pytest.approx(w_expect, rel=1e-10)
     assert mean[0] == pytest.approx(mean_expect, rel=1e-10)
+
+
+@pytest.mark.parametrize("prior_mean, prior_var", [
+    (math.nan, 10.0), (math.inf, 10.0), (0.0, math.nan), (0.0, math.inf), (0.0, -1.0)])
+def test_non_finite_or_negative_prior_moments_are_domain_errors(prior_mean, prior_var):
+    # rejected where they enter: a NaN prior variance passes a `< 0` test,
+    # and would fail every point of a map
+    rng = np.random.default_rng(6)
+    data, draws = log_dataset(rng), several_draws(rng, 3)
+    with pytest.raises(DomainError, match="prior"):
+        predictive_density_at([5.0, 5.0], data, draws, prior_mean, prior_var, 1e9)
+    with pytest.raises(DomainError, match="prior"):
+        density_map(np.array([[5.0, 5.0]]), data, draws, prior_mean, prior_var, 1e9)
 
 
 def test_zero_draws_precondition():

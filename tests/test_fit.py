@@ -457,13 +457,13 @@ def test_fit_equals_scipy_finite_difference_oracle_bitwise(family, method):
 def test_n_evals_counts_point_evaluations(monkeypatch):
     emp = noisy_emp("nested_matern", seed=7)
     rows_seen = []
-    make_rows = fit_module._objective_rows
+    stacked = fit_module._stacked_objectives
 
-    def counting_rows(*args):
-        rows = make_rows(*args)
-        return lambda block: rows_seen.append(len(block)) or rows(block)
+    def counting_rows(family, X, *args):
+        rows_seen.append(len(X))
+        return stacked(family, X, *args)
 
-    monkeypatch.setattr(fit_module, "_objective_rows", counting_rows)
+    monkeypatch.setattr(fit_module, "_stacked_objectives", counting_rows)
     res = fit_variogram(emp, "nested_matern", "ols")
     assert res.n_evals == sum(rows_seen) > 0
     assert set(rows_seen) == {len(param_names("nested_matern")) + 1}

@@ -564,8 +564,23 @@ MAP_SPECS = {
 @pytest.mark.filterwarnings("ignore::UserWarning", "ignore::RuntimeWarning")
 @pytest.mark.parametrize("radius", [math.inf, 3.0])
 @pytest.mark.parametrize("method", METHODS)
-@pytest.mark.parametrize("kind", list(MAP_SPECS))
+@pytest.mark.parametrize("kind", [*MAP_SPECS, "triangle"])
 def test_map_rows_equal_single_point_predictions(method, radius, kind):
+    if kind == "triangle":
+        # real ladder exhaustion: a map row fails exactly where `_predict`
+        # raises. Locally some sets of a size are past the ladder and others
+        # are served; the one global set of all 450 stations is past it
+        data, spec, grid, _ = bits_instance(kind)
+        if radius == math.inf:
+            grid = grid[:12]  # each point's own system holds every station
+        rows = krige_map(grid, method, data, spec, radius, mean=0.3, basis=LINEAR,
+                         prior=PRIOR)
+        expect = point_rows(grid, method, data, spec, radius)
+        assert [(r.status, r.result) for r in rows] == expect
+        statuses = {status for status, _ in expect}
+        assert statuses == ({"numeric_failure"} if radius == math.inf
+                            else {"ok", "numeric_failure"})
+        return
     data, spec, grid = map_instance(np.random.default_rng(21), MAP_SPECS[kind])
     if kind == "gaussian":
         from variokrig._linalg import chol_with_jitter
@@ -642,6 +657,18 @@ def test_map_warns_once_about_duplicates():
     # each set holding the duplicate warned before; the single-point predictor still does
     with pytest.warns(UserWarning, match="duplicate"):
         ordinary_kriging(data.locations[3], data, spec)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_prior_with_non_finite_moments_is_a_domain_error(bad):
+    # a mean or covariance that is not finite would make every Bayes
+    # prediction NaN: it is rejected where it enters
+    with pytest.raises(DomainError, match="finite"):
+        BayesPrior(np.array([0.0, bad]), np.eye(2))
+    with pytest.raises(DomainError, match="finite"):
+        BayesPrior(np.zeros(2), np.array([[1.0, 0.0], [0.0, bad]]))
+    with pytest.raises(DomainError, match="finite"):
+        BayesPrior.scalar(bad, 1.0)
 
 
 def test_map_with_a_prior_of_another_dimension_is_a_domain_error():
@@ -758,11 +785,11 @@ def test_collinear_set_in_a_size_group_fails_alone(count_calls, method):
 
 @pytest.mark.parametrize("method", METHODS)
 def test_set_whose_factorisation_fails_fails_alone_in_its_group(monkeypatch, method):
-    # the jitter ladder is made to fail on the system of cluster 1 alone: the
-    # group's stacked call fails, and each set is factored again on its own
+    # the jitter ladder is made to fail on the system of cluster 1 alone: in
+    # the group's one stacked call its factor is NaN, and its points alone
+    # fail, as a single-point prediction on that set raises
     import variokrig.krige as krige_module
     from variokrig._linalg import chol_with_jitter
-    from variokrig.exceptions import SingularMatrixError
 
     data, grid = cluster_instance(np.random.default_rng(27))
     spec = expo(nugget=0.1)
@@ -776,13 +803,15 @@ def test_set_whose_factorisation_fails_fails_alone_in_its_group(monkeypatch, met
     def failing(mat):
         stack = np.asarray(mat).reshape(-1, 6, 6)
         sizes.append(len(stack))
-        if any(np.allclose(m, target, rtol=1e-12, atol=0.0) for m in stack):
-            raise SingularMatrixError("ladder exhausted")
-        return chol_with_jitter(mat)
+        L, delta = chol_with_jitter(mat)
+        for t, m in enumerate(stack):
+            if np.allclose(m, target, rtol=1e-12, atol=0.0):
+                L[t] = np.nan
+        return L, delta
 
     monkeypatch.setattr(krige_module, "chol_with_jitter", failing)
     rows = krige_map(grid, method, data, spec, 3.0, mean=0.3, basis=LINEAR, prior=PRIOR)
-    assert sizes == [4, 1, 1, 1, 1]
+    assert sizes == [4]
     expect = point_rows(grid, method, data, spec, 3.0)
     assert [(r.status, r.result) for r in rows] == expect
     assert [status for status, _ in expect] == ["ok"] * 2 + ["numeric_failure"] * 2 + ["ok"] * 4
@@ -980,6 +1009,30 @@ def test_map_rows_equal_the_per_point_reference_bit_for_bit(method, basis, kind)
         for status, *_, size in expect:
             status_by_size.setdefault(size, set()).add(status)
         assert any(s >= {"ok", "numeric_failure"} for s in status_by_size.values())
+
+
+@pytest.mark.parametrize("entry", [*METHODS, "gls_beta", "ordinary_weights", "simple_weights"])
+def test_single_item_entry_points_raise_on_a_set_past_the_ladder(entry):
+    # the 32 lattice stations within 3 of the point: under the triangle model
+    # their Gram matrix has an eigenvalue below -0.01, far past the ladder
+    from variokrig import SingularMatrixError
+
+    data, spec, _, radius = bits_instance("triangle")
+    x0 = [15.5, 7.5]
+    subset = neighborhood(data, x0, radius)
+    assert len(subset) == 32
+    assert np.linalg.eigvalsh(gram(spec, subset.locations)).min() < -0.01
+    run = {
+        "simple": lambda: simple_kriging(x0, subset, spec, 0.3),
+        "ordinary": lambda: ordinary_kriging(x0, subset, spec),
+        "universal": lambda: universal_kriging(x0, subset, spec, LINEAR),
+        "bayes": lambda: bayes_kriging(x0, subset, spec, LINEAR, PRIOR),
+        "gls_beta": lambda: gls_beta(subset, spec, LINEAR),
+        "ordinary_weights": lambda: ordinary_weights(x0, subset, spec),
+        "simple_weights": lambda: simple_weights(x0, subset, spec),
+    }[entry]
+    with pytest.raises(SingularMatrixError):
+        run()
 
 
 @pytest.mark.parametrize("k", [1, 3])

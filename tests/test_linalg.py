@@ -1,5 +1,6 @@
 """The diagonal-jitter ladder of `chol_with_jitter`: rung 0 adds nothing,
 rung k >= 1 adds 1e-10 * mean diagonal * 2^(k - 1), and rung 7 is the last.
+Past it, one matrix raises and a matrix of a stack gets a NaN factor.
 These tests pin the ladder as it stands."""
 
 import numpy as np
@@ -48,8 +49,15 @@ def test_one_rung_past_the_ladder_raises():
     mat = needing(RUNGS)
     with pytest.raises(SingularMatrixError):
         chol_with_jitter(mat)
-    with pytest.raises(SingularMatrixError):
-        chol_with_jitter(np.stack([needing(0), mat]))
+    # in a stack the matrix past the ladder gets a NaN factor and adds no
+    # delta; the others keep the factor and delta they have alone
+    L, delta = chol_with_jitter(np.stack([needing(0), mat, needing(2)]))
+    assert np.isnan(L[1]).all()
+    assert np.array_equal(L[0], chol_with_jitter(needing(0))[0])
+    assert np.array_equal(L[2], chol_with_jitter(needing(2))[0])
+    assert delta == delta_of(2, needing(2))
+    L, delta = chol_with_jitter(mat[None])
+    assert np.isnan(L).all() and delta == 0.0
 
 
 def test_solves_of_a_stack_equal_one_solve_per_item_bit_for_bit():
@@ -62,18 +70,25 @@ def test_solves_of_a_stack_equal_one_solve_per_item_bit_for_bit():
     vectors = rng.normal(size=(4, 5))
     blocks = rng.normal(size=(4, 2, 5))  # C-ordered: each item's transpose is an (n, 2) block
     x, xb = vectors.copy(), blocks.copy()
-    assert not chol_solve_each(L, which, x).any()
-    assert not chol_solve_each(L, which, xb.transpose(0, 2, 1)).any()
+    assert chol_solve_each(L, which, x) is None
+    chol_solve_each(L, which, xb.transpose(0, 2, 1))
     for p, g in enumerate(which):
         assert np.array_equal(x[p], chol_solve(L[g], vectors[p]))
         assert np.array_equal(xb[p].T, chol_solve(L[g], blocks[p].T))
-    # a zero on a factor's diagonal fails its items alone, whose rows turn NaN
+    # a zero on a factor's diagonal fails its items alone, whose rows turn
+    # NaN, and so does a NaN factor, the factor of a matrix past the ladder
     L[0, 3, 3] = 0.0
     x = vectors.copy()
-    assert chol_solve_each(L, which, x).tolist() == [False, True, False, False]
-    assert np.isnan(x[1]).all() and np.array_equal(x[0], chol_solve(L[2], vectors[0]))
+    chol_solve_each(L, which, x)
+    assert np.isnan(x).all(axis=1).tolist() == [False, True, False, False]
+    assert np.array_equal(x[0], chol_solve(L[2], vectors[0]))
     with pytest.raises(SingularMatrixError):
         chol_solve(L[0], vectors[1])
+    L[1] = np.nan
+    x = vectors.copy()
+    chol_solve_each(L, which, x)
+    assert np.isnan(x).all(axis=1).tolist() == [False, True, False, True]
+    assert np.array_equal(x[2], chol_solve(L[2], vectors[2]))
     # a block of another layout would be copied by LAPACK's wrapper, not solved
     with pytest.raises(ValueError):
         chol_solve_each(L, which, blocks.copy().transpose(0, 2, 1).copy())
