@@ -8,10 +8,14 @@ for the variance). The predictive density on the original scale averages
 the resulting lognormal densities over the draws on a fixed log grid and
 is summarised by grid-exact quantiles.
 
-Per draw, only the two triangular solves of its weights run in Python
-(`_conditional_moments`); a point's T draws are factored in one call, and
-their means, variances and positivity checks are stacked products with the
-bits of the Bayes kriging map's (`krige._bayes_moments`).
+A density map runs the kriging maps' block driver (`krige._map_blocks`)
+under their one byte budget, MAP_BYTES; a block counts its distances and
+its shared covariance values, 8 T bytes per distinct lag under T draws.
+Each neighbour set's T systems are factored once, in one call. Per draw,
+only the two triangular solves of a point's weights run in Python
+(`_conditional_moments`), and the T means, variances and positivity checks
+are stacked products with the bits of the Bayes kriging map's
+(`krige._bayes_moments`).
 """
 
 import math
@@ -24,8 +28,7 @@ import numpy as np
 from ._linalg import chol_solve_into, chol_with_jitter, spd_solve
 from .empvario import SpatialDataset
 from .exceptions import DomainError, NumericError
-from .krige import (TrendBasis, _bayes_moments, _bayes_terms, _cross_lags, _first_occurrences,
-                    _neighbour_sets, _warn_dropped)
+from .krige import TrendBasis, _bayes_moments, _bayes_terms, _map_blocks, _warn_dropped
 from .models import PosteriorDraws, covariance_matrix, covariance_values, distances
 from .util import MIN_NEIGHBORS, fmt_float, parallel_map
 
@@ -40,12 +43,6 @@ QUANTILE_PS = {
 }
 
 IQR_TO_SD = 1.45  # interquartile range to standard deviation divisor
-
-# Map points whose lags share one neighbour search and one covariance
-# evaluation per draw; the shared values take T x (distinct lags of the
-# block) floats, so a block is this count, not the kriging maps' budget.
-DENSITY_BLOCK = 512
-
 
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
@@ -132,71 +129,138 @@ def _conditional_moments(L, lam):
     return chol_solve_into(L, lam)
 
 
+def _pair_lags(locations, sets):
+    """The distances between the locations of the union of the index
+    `sets`, which hold each set's pair distances bit for bit, and each
+    location's place in that union."""
+    member = np.zeros(len(locations), dtype=bool)  # np.unique would import numpy.ma
+    member[np.concatenate(sets or [np.zeros(0, dtype=int)])] = True
+    union = locations[member]
+    return distances(union, union), np.cumsum(member) - 1
+
+
+def _lag_bytes(locations, draws: int, block):
+    """A density map's `held` (see `krige._map_blocks`): 8 T bytes for each
+    distinct lag of the block under T draws, counted at the first point
+    that holds it, and the distinct lags, sorted, with that point for each.
+    A point holds its cross lags, and the first point of a set the pair
+    distances of the set; the sets are taken in the order of their first
+    points, and each takes only the location pairs no earlier set held."""
+    numbers, firsts = np.unique(block.set_of, return_index=True)
+    firsts = firsts[numbers >= 0]
+    pair_lags, at = _pair_lags(locations, block.sets)
+    seen = np.zeros(pair_lags.shape, dtype=bool)
+    lags, counts = [block.cross], []
+    for j in np.argsort(firsts).tolist():
+        pairs = np.ix_(at[block.sets[j]], at[block.sets[j]])
+        new = ~seen[pairs]
+        seen[pairs] = True
+        lags.append(pair_lags[pairs][new])
+        counts.append(lags[-1].size)
+    held_by = np.concatenate([np.repeat(np.arange(len(block.points)), np.diff(block.starts)),
+                              np.repeat(np.sort(firsts), counts)])
+    order = np.argsort(held_by, kind="stable")
+    lags, where = np.unique(np.concatenate(lags)[order], return_index=True)
+    first = held_by[order][where]
+    return 8.0 * draws * np.bincount(first, minlength=len(block.points)), (lags, first)
+
+
 class _SharedCovariances:
-    """Covariances of a block of target points under every draw.
+    """Covariances of one block of a density map under every draw, and the
+    moments of its points.
 
-    The numbered neighbour sets are a Bayes kriging map's
-    (`krige._neighbour_sets`; `dropped` masks the duplicate locations left
-    out). One covariance evaluation per draw covers the distinct lags of
-    the whole block: the pair distances of each distinct set and each
-    point's cross lags (`krige._cross_lags`). A value is NaN where its lag
-    or value is not finite (`covariance_values`), and a point fails only
-    when one of its own values is. Read-only once built.
+    The block (`krige._Block`) is a Bayes kriging map's: its numbered
+    neighbour sets and its cross lags come from `krige._neighbour_sets`.
+    One covariance evaluation per draw covers the block's distinct lags,
+    `lags`: the pair distances of its sets and its points' cross lags. The
+    values of the lags that the previous block (`previous`) also held are
+    taken from it, not evaluated again. A value is NaN where its lag or
+    value is not finite (`covariance_values`), and a point fails only when
+    one of its own values is.
 
-    A point's moments (`moment_table`) factor its T systems in one call;
-    then each draw makes only its two triangular solves
+    A point's moments (`moment_table`) need its set's T systems K + phi
+    factored, in one call; the factors of the last set asked for are kept,
+    from the previous block too (the same set has the same values), so a
+    map that asks for the points of a set one after another factors each
+    set once. Then each draw makes only its two triangular solves
     (`_conditional_moments`), and the T means, variances and positivity
     checks are stacked products (`krige._bayes_moments`), with the bits of
     the Bayes kriging map's rows.
     """
 
-    def __init__(self, points, log_data: SpatialDataset, specs, radius: float):
-        dist, member, self.set_of, sets, self.dropped = _neighbour_sets(
-            points, log_data.locations, _first_occurrences(log_data.locations), radius,
-            MIN_NEIGHBORS)
-        self.neighbour_values = [log_data.values[idx] for idx in sets]
-        locations = log_data.locations
-        pairs = [distances(locations[idx], locations[idx]).ravel() for idx in sets]
-        cross, self.cross_starts = _cross_lags(dist, member, self.set_of >= 0)
-        self.lags, inverse = np.unique(np.concatenate([*pairs, cross]), return_inverse=True)
-        *self.pair_at, self.cross_at = np.split(inverse, np.cumsum([p.size for p in pairs]))
-        self.values = np.empty((len(specs), self.lags.size))
-        for t, spec in enumerate(specs):
-            self.values[t] = covariance_values(spec, self.lags)
+    def __init__(self, block, lags, log_data: SpatialDataset, specs, prior_mean: float,
+                 prior_var: float, previous=None):
+        self.block, self.log_data, self.lags = block, log_data, lags
+        self.values = np.empty((len(specs), lags.size))
+        fresh = np.ones(lags.size, dtype=bool)
+        self.factored = (None, None) if previous is None else previous.factored
+        if previous is not None and previous.lags.size:
+            known = previous.lags
+            at = np.minimum(np.searchsorted(known, lags), known.size - 1)
+            fresh = known[at] != lags
+            self.values[:, ~fresh] = previous.values[:, at[~fresh]]
+        if np.any(fresh):
+            for t, spec in enumerate(specs):
+                self.values[t, fresh] = covariance_values(spec, lags[fresh])
+        self.cross_at = np.searchsorted(lags, block.cross)
+        pair_lags, self.at = _pair_lags(log_data.locations, block.sets)
+        self.pair_at = np.searchsorted(lags, pair_lags)
+        self.mu, self.phi = np.array([prior_mean]), np.array([[prior_var]])
 
-    def moment_table(self, i: int, prior_mean: float, prior_var: float):
+    def _factor(self, j: int):
+        """The factors of set j's T systems K + phi, and its residuals."""
+        idx = self.block.sets[j]
+        n, at = idx.size, self.at[idx]
+        K = self.values[:, self.pair_at[np.ix_(at, at)].ravel()]
+        F = np.ones((n, 1))
+        L, _ = chol_with_jitter(K.reshape(-1, n, n) + F @ self.phi @ F.T)
+        return L, self.log_data.values[idx] - F @ self.mu
+
+    def moment_table(self, i: int):
         """(mean, variance) under every draw at point i, a (T, 2) array, or
         None when it has too few neighbours; NumericError when a draw's
         variance is not positive or a moment not finite, as it is where a
         covariance of the point's own lags is not finite or a draw's system
-        is past the jitter ladder (its factor is NaN). The T systems are
-        factored in one call; each draw then makes only its solves
-        (`_conditional_moments`), and the T moments and checks are stacked
-        products."""
-        j = self.set_of[i]
+        is past the jitter ladder (its factor is NaN). Each draw makes only
+        its solves (`_conditional_moments`), and the T moments and checks
+        are stacked products."""
+        j = self.block.set_of[i]
         if j < 0:
             return None
-        values, start = self.neighbour_values[j], self.cross_starts[i]
-        n = values.size
-        V = self.values[:, np.concatenate([self.pair_at[j], self.cross_at[start:start + n + 1]])]
-        K = V[:, :n * n].reshape(-1, n, n)
-        c00, c0 = V[:, n * n], V[:, n * n + 1:]
+        key = self.block.sets[j].tobytes()
+        if self.factored[0] != key:
+            self.factored = key, self._factor(j)
+        L, resid = self.factored[1]
+        start, n = self.block.starts[i], resid.size
+        cross = self.values[:, self.cross_at[start:start + n + 1]]
+        c00, c0 = cross[:, 0], cross[:, 1:]
         F = np.ones((n, 1))
-        mu, phi = np.array([prior_mean]), np.array([[prior_var]])
-        L, _ = chol_with_jitter(K + F @ phi @ F.T)
-        # the draws share the trend terms; V is Fortran-ordered, and cb is
-        # made C-ordered so that each draw's products keep the bits of a
-        # one-point solve
-        [phif0], [mean0], [quad] = _bayes_terms(_F0, mu, phi)
+        # the draws share the trend terms; the gathered values are
+        # Fortran-ordered, and cb is made C-ordered so that each draw's
+        # products keep the bits of a one-point solve
+        [phif0], [mean0], [quad] = _bayes_terms(_F0, self.mu, self.phi)
         cb = np.ascontiguousarray(c0 + F @ phif0)
         lam = cb.copy()
         for t in range(len(L)):
             _conditional_moments(L[t], lam[t])
         with np.errstate(all="ignore"):
-            m, s2 = _bayes_moments(cb, lam, values - F @ mu, mean0, c00 + quad)
+            m, s2 = _bayes_moments(cb, lam, resid, mean0, c00 + quad)
         if not np.all((s2 > 0.0) & np.isfinite(s2) & np.isfinite(m)):
             raise NumericError("conditional variance is not positive or a moment not finite")
         return np.column_stack([m, s2])
+
+
+def _density_blocks(points, log_data: SpatialDataset, draws: PosteriorDraws, prior_mean: float,
+                    prior_var: float, radius: float):
+    """The blocks of a density map over `points` (`krige._map_blocks`, its
+    bytes counted by `_lag_bytes`), each with its `_SharedCovariances`."""
+    specs = draws.specs()
+    previous = None
+    for block, (lags, first) in _map_blocks(points, log_data.locations, radius, MIN_NEIGHBORS,
+                                            partial(_lag_bytes, log_data.locations, len(specs))):
+        previous = _SharedCovariances(block, lags[first < len(block.points)], log_data, specs,
+                                      prior_mean, prior_var, previous)
+        yield block, previous
 
 
 def _summarize(grid: DensityGrid, density: np.ndarray):
@@ -287,9 +351,9 @@ def predictive_density_at(
     """
     _check_prior_moments(prior_mean, prior_var)
     points = np.asarray(x0, dtype=float).reshape(1, -1)
-    shared = _SharedCovariances(points, log_data, draws.specs(), radius)
-    _warn_dropped(shared.dropped, "neighborhood of the density", stacklevel=2)
-    moments = shared.moment_table(0, prior_mean, prior_var)
+    [(block, shared)] = _density_blocks(points, log_data, draws, prior_mean, prior_var, radius)
+    _warn_dropped(block.dropped, "neighborhood of the density", stacklevel=2)
+    moments = shared.moment_table(0)
     return None if moments is None else _density(moments, grid)
 
 
@@ -322,33 +386,36 @@ def density_map(
     """Predictive-density summaries over a grid; sparse neighborhoods give
     missing rows rather than errors.
 
-    Each block of DENSITY_BLOCK points runs the kriging maps' neighbour
-    search and set numbering once and shares one covariance evaluation per
-    draw (see _SharedCovariances); a point then gathers its T systems and
-    factors them in one call. Per draw, only its two triangular solves run
-    in Python; the draws' moments and checks are stacked products, and a
-    draw whose variance is not positive fails its point alone. Duplicate
-    locations are dropped as a Bayes kriging map drops them, with one
-    warning per map.
+    The map runs the kriging maps' block driver (`krige._map_blocks`): one
+    neighbour search and set numbering over the points ahead. A block ends
+    where the bytes it holds at once would pass MAP_BYTES: its distances to
+    the n data locations, 8 n per point, and its shared covariance values,
+    8 T bytes per distinct lag under T draws (`_lag_bytes`), which one
+    covariance evaluation per draw gives (see `_SharedCovariances`). A
+    block's points are taken set by set, so each neighbour set's T systems
+    are factored once, in one call, and shared by its points. Per draw,
+    only a point's two triangular solves run in Python; the draws' moments
+    and checks are stacked products, and a draw whose variance is not
+    positive fails its point alone. Each point is one `parallel_map` item,
+    and the rows come back in grid order. Duplicate locations are dropped
+    as a Bayes kriging map drops them, with one warning per map.
     """
     _check_prior_moments(prior_mean, prior_var)
     pts = np.atleast_2d(np.asarray(grid_points, dtype=float))
-    specs = draws.specs()
     dropped = np.zeros(len(log_data), dtype=bool)
     rows = []
-    for start in range(0, pts.shape[0], DENSITY_BLOCK):
-        points = pts[start:start + DENSITY_BLOCK]
-        shared = _SharedCovariances(points, log_data, specs, radius)
-        dropped |= shared.dropped
-        rows += parallel_map(partial(_density_row, points, shared, prior_mean, prior_var, grid),
-                             range(points.shape[0]))
+    for block, shared in _density_blocks(pts, log_data, draws, prior_mean, prior_var, radius):
+        dropped |= block.dropped
+        order = np.argsort(block.set_of, kind="stable")  # the points of a set together
+        done = parallel_map(partial(_density_row, block.points, shared, grid), order.tolist())
+        rows += [done[k] for k in np.argsort(order).tolist()]
     _warn_dropped(dropped, "neighborhoods of the density map", stacklevel=2)
     return rows
 
 
-def _density_row(points, shared, prior_mean, prior_var, grid, i: int) -> DensityMapRow:
+def _density_row(points, shared, grid, i: int) -> DensityMapRow:
     try:
-        moments = shared.moment_table(i, prior_mean, prior_var)
+        moments = shared.moment_table(i)
         if moments is None:
             return DensityMapRow(points[i], None, "too_few_neighbors")
         return DensityMapRow(points[i], _density(moments, grid).summary, "ok")

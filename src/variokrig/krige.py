@@ -5,18 +5,20 @@ only at exactly zero distance, a diagonal-jitter ladder for degenerate
 Gram matrices, and a clamp-to-zero policy for small negative variances
 produced by floating cancellation (counted, warned once per map or call,
 never silent). Maps and `bayes` densities build and number a block's
-neighbour sets in `_neighbour_sets`, which drops duplicate locations (warned
-once), and lay out its cross lags with `_cross_lags`.
+neighbour sets and lay out its cross lags in `_neighbour_sets`, which drops
+duplicate locations (warned once).
 
-A map works in blocks of grid points sized by a distance budget (see
-`_block_size`): at least MAP_BLOCK points, and as many more as keep the
-block's distances to the data within MAP_DISTANCES (a density's blocks hold
-`bayes.DENSITY_BLOCK` points, as its shared values grow with draws x lags).
-A block factors its new neighbour sets in stacks of one size. Per point,
-only its triangular solves against its set's factor
-(`_linalg.chol_solve_each`) and building its row run in Python; the
-right-hand sides, the dot products, the variances and the statuses are
-stacked numpy steps over the points of one stack of factors
+Kriging maps and density maps run one block driver, `_map_blocks`, under one
+byte budget, MAP_BYTES. A block is the longest run of the next grid points
+whose bytes stay within it: 8 n per point for its distances to the n data
+locations, plus what the map keeps for the block. A kriging map counts the
+factors of the neighbour sets new to the block, 8 m^2 bytes for a set of m
+locations; a density map counts its shared covariance values, 8 T bytes per
+distinct lag of the block under T draws. A block factors its new neighbour
+sets in stacks of one size. Per point, only its triangular solves against
+its set's factor (`_linalg.chol_solve_each`) and building its row run in
+Python; the right-hand sides, the dot products, the variances and the
+statuses are stacked numpy steps over the points of one stack of factors
 (`_predictions`, `_finish_sd`), whose items keep the bits of the point's
 own products. The single-point predictors run the same steps on a stack of
 one point."""
@@ -180,55 +182,68 @@ def neighborhood(data: SpatialDataset, x0, radius: float) -> SpatialDataset | No
     Returns None for an empty neighborhood (SpatialDataset cannot be empty).
     """
     x0 = np.asarray(x0, dtype=float).reshape(1, -1)
-    _, _, [j], sets, _ = _neighbour_sets(x0, data.locations, np.ones(len(data), dtype=bool),
+    _, [j], sets, _, _ = _neighbour_sets(x0, data.locations, np.ones(len(data), dtype=bool),
                                          radius, 0)
     return None if j < 0 else data.subset(sets[j])
 
 
 def _first_occurrences(locations) -> np.ndarray:
-    """Mask of the rows of `locations` that repeat no earlier row."""
-    _, first = np.unique(locations, axis=0, return_index=True)
-    keep = np.zeros(locations.shape[0], dtype=bool)
-    keep[first] = True
-    return keep
+    """The index of the first row of `locations` equal to each row: a row
+    that repeats no earlier row is its own first occurrence."""
+    _, first, inverse = np.unique(locations, axis=0, return_index=True, return_inverse=True)
+    return first[inverse.reshape(-1)]
 
 
 def _dedupe(data: SpatialDataset) -> SpatialDataset:
     """Drop exact duplicate locations, keeping the first occurrence."""
-    keep = _first_occurrences(data.locations)
+    keep = _first_occurrences(data.locations) == np.arange(len(data))
     if np.all(keep):
         return data
     _warn_dropped(~keep, "kriging neighborhood", stacklevel=3)
     return data.subset(keep)
 
 
+# The one byte budget of the blocks of kriging and density maps (see
+# `_map_blocks`).
+MAP_BYTES = 3 * 2**20
+
+
 def _neighbour_sets(points, locations, first, radius: float, least: int):
-    """The neighbour search of the package, over a block of points: a point
+    """The neighbour search of the package, over a run of points: a point
     with more than `least` locations within `radius` (boundary included) is
     served, its set the indices of those in `first`, the mask of the
-    locations that repeat no earlier one. Returns the distances (p, n), the
-    member mask (p, n), each point's set number (-1 when it is not served),
-    the distinct index sets, numbered by `models._distinct_rows` over the
-    member rows, and the mask of the duplicate locations dropped from a set."""
+    locations that repeat no earlier one. Returns the member mask (p, n),
+    each point's set number (-1 when it is not served), the distinct index
+    sets, numbered by `models._distinct_rows` over the member rows and read
+    off those rows by one `np.nonzero`, and the cross lags of the served
+    points, [0, distances to its set] point after point, with where each
+    point's start: point i's lags are `cross[starts[i]:starts[i + 1]]`.
+
+    The distances are formed for MAP_BYTES // (64 n) points at a time, an
+    eighth of the points whose distances alone would fill a block's budget,
+    so that their differences and masks stay well within it too."""
     if not radius > 0.0:  # also rejects NaN
         raise DomainError("search radius must be > 0")
-    dist = distances(points, locations)
-    within = dist <= radius
-    served = np.count_nonzero(within, axis=1) > least
-    dropped = np.any(within[served] & ~first, axis=0)
-    member = within & first & served[:, None]
-    set_of = np.full(len(points), -1)
+    p, n = len(points), len(locations)
+    member, served, cross = np.empty((p, n), dtype=bool), np.empty(p, dtype=bool), []
+    step = max(1, MAP_BYTES // (64 * n))
+    for a in range(0, p, step):
+        dist = distances(points[a:a + step], locations)
+        within = dist <= radius
+        served[a:a + step] = ok = np.count_nonzero(within, axis=1) > least
+        member[a:a + step] = rows = within & first & ok[:, None]
+        at_x0 = np.hstack([ok[:, None], rows])
+        cross.append(np.hstack([np.zeros((len(dist), 1)), dist])[at_x0])
+    starts = np.zeros(p + 1, dtype=int)
+    np.cumsum(served + np.count_nonzero(member, axis=1), out=starts[1:])
+    set_of = np.full(p, -1)
     rows = member[served]
-    first, set_of[served] = _distinct_rows(rows)
-    return dist, member, set_of, [np.flatnonzero(rows[k]) for k in first], dropped
-
-
-def _cross_lags(dist, member, which):
-    """The cross lags [0, distances to its set] of each point of the mask
-    `which`, laid out point after point, and the start of each point's."""
-    at_x0 = np.hstack([which[:, None], member & which[:, None]])
-    counts = np.count_nonzero(at_x0, axis=1)
-    return np.hstack([np.zeros((len(dist), 1)), dist])[at_x0], np.cumsum(counts) - counts
+    at, set_of[served] = _distinct_rows(rows)
+    distinct = rows[at]
+    cols = np.nonzero(distinct)[1]
+    ends = np.cumsum(np.count_nonzero(distinct, axis=1)).tolist()
+    sets = [cols[a:b] for a, b in zip([0] + ends, ends)]
+    return member, set_of, sets, np.concatenate(cross) if cross else np.zeros(0), starts
 
 
 def _system(spec, data: SpatialDataset, x0):
@@ -362,12 +377,15 @@ def _bayes_moments(cb, lam, resid, mean0, var0):
 def _point_terms(method, points, basis, prior) -> tuple:
     """The trend terms of the points for `_predictions`, each stacked over
     the points: the trend rows (f0,) (universal kriging),
-    (Phi f0, f0'mu, f0' Phi f0) (Bayes kriging) or none."""
-    if method == "universal":
-        return (basis.evaluate(points),)
-    if method == "bayes":
-        return _bayes_terms(basis.evaluate(points), prior.mu, prior.phi)
-    return ()
+    (Phi f0, f0'mu, f0' Phi f0) (Bayes kriging) or none. Like the
+    covariances, a term that overflows is not finite, quietly, and fails its
+    point's row."""
+    with np.errstate(all="ignore"):
+        if method == "universal":
+            return (basis.evaluate(points),)
+        if method == "bayes":
+            return _bayes_terms(basis.evaluate(points), prior.mu, prior.phi)
+        return ()
 
 
 def _predictions(fac: _Factored, which, terms, c0, c00):
@@ -498,18 +516,94 @@ STATUS_OK = "ok"
 STATUS_FEW = "too_few_neighbors"
 STATUS_NUMERIC = "numeric_failure"
 
-# A map searches and factors its grid points block by block. A block holds at
-# least MAP_BLOCK points, and more while its distances to the n data
-# locations fit in MAP_DISTANCES: 655 points at n = 200, MAP_BLOCK from
-# n = 1024 on. So a block's search never holds more than
-# max(MAP_BLOCK x n, MAP_DISTANCES) distances (1 MiB of floats below n = 1024).
-MAP_BLOCK = 128
-MAP_DISTANCES = 2**17
+class _Block(NamedTuple):
+    """A run of consecutive grid points of a map and their neighbour search:
+    the points, the number of each point's set (-1 when it is not served),
+    the distinct index sets, the cross lags of the served points laid out by
+    `_neighbour_sets` (point i's at `cross[starts[i]:starts[i + 1]]`), and
+    the mask of the duplicate locations dropped from the sets."""
+
+    points: np.ndarray
+    set_of: np.ndarray
+    sets: list
+    cross: np.ndarray
+    starts: np.ndarray
+    dropped: np.ndarray
 
 
-def _block_size(n: int) -> int:
-    """Grid points per map block over n data locations."""
-    return max(MAP_BLOCK, MAP_DISTANCES // n)
+def _run_slice(run, a: int, b: int, first) -> _Block:
+    """Points a to b of a searched run (points, member mask, set numbers,
+    sets, cross lags and their starts) as a `_Block`, their sets numbered
+    anew in the run's order. `first` holds the index of each location's
+    first occurrence: a duplicate is dropped where its first occurrence is a
+    member, as it lies at the same distance."""
+    points, member, set_of, sets, cross, starts = run
+    set_of = set_of[a:b]
+    used = np.zeros(len(sets) + 1, dtype=bool)  # the last entry stands for -1
+    used[set_of] = True
+    number = np.cumsum(used) - 1
+    number[-1] = -1
+    reached = np.any(member[a:b], axis=0)
+    return _Block(points[a:b], number[set_of], [sets[j] for j in np.flatnonzero(used[:-1])],
+                  cross[starts[a]:starts[b]], starts[a:b + 1] - starts[a],
+                  reached[first] & (first != np.arange(first.size)))
+
+
+def _map_blocks(grid, locations, radius: float, least: int, held):
+    """The one block driver of kriging and density maps: yields the blocks
+    of `grid`, in order, as `(block, found)`, `block` a `_Block` over the
+    data `locations` (see `_neighbour_sets` for `radius` and `least`).
+
+    A block is the longest run of the next grid points, at least one, whose
+    bytes stay within MAP_BYTES: 8 n per point for its distances to the n
+    locations, plus what the map keeps for it. `held(window)` counts the
+    latter for a `_Block` of candidate points: it returns the bytes each
+    point adds to those of the points before it, and what it found on the
+    way, which is yielded with the block (a block is the head of the window
+    it was cut from). A window holds twice the last block's points (the
+    whole search ahead at first), and twice as many again while it fits
+    whole.
+
+    The search runs ahead of the blocks: it covers the MAP_BYTES // (8 n)
+    next points at once, whose distances alone would fill the budget, and
+    the blocks are cut from it. When the rest of that run fits in one block,
+    the search starts again at its first point."""
+    n = len(locations)
+    first = _first_occurrences(locations)
+    keep = first == np.arange(n)
+    most = max(1, MAP_BYTES // (8 * n))
+    start, size = 0, most
+    while start < len(grid):
+        points = grid[start:start + most]
+        run = (points, *_neighbour_sets(points, locations, keep, radius, least))
+        a, end = 0, len(points)
+        while a < end:
+            b = min(end, a + 2 * size)
+            while True:
+                window = _run_slice(run, a, b, first)
+                extra, found = held(window)
+                total = 8 * n * np.arange(1, b - a + 1) + np.cumsum(extra)
+                size = max(1, int(np.searchsorted(total, MAP_BYTES, side="right")))
+                if size < b - a or b == end:
+                    break
+                b = min(end, a + 2 * (b - a))
+            if 0 < a and a + size == end < len(grid) - start:
+                break  # the block may reach past the run
+            yield (window if size == b - a else _run_slice(run, a, a + size, first)), found
+            a += size
+        start += a
+
+
+def _factor_bytes(previous, block: _Block):
+    """A kriging map's `held`: the factor of each of the block's sets that
+    is new to it, 8 m^2 bytes for m locations, counted at the first point
+    of the set; a set is new unless its key is in `previous`, those of the
+    sets of the block before."""
+    numbers, firsts = np.unique(block.set_of, return_index=True)
+    new = [j for j, idx in enumerate(block.sets) if idx.tobytes() not in previous]
+    extra = np.zeros(len(block.points))
+    extra[firsts[numbers >= 0][new]] = 8.0 * np.array([block.sets[j].size for j in new]) ** 2
+    return extra, None
 
 
 class MapRow(NamedTuple):
@@ -525,7 +619,8 @@ def _factor_sets(method, data: SpatialDataset, sets, spec, mean, basis, prior):
     Sets of one size form a group. The trend designs of a group are rows of
     one basis evaluation over the union of the sets, checked at once; its
     Gram matrices are gathered with one index from one covariance
-    evaluation over that union (`covariance_values`), and the group is
+    evaluation over the location pairs of that union (`covariance_values`),
+    and the group is
     factored in one call. A set that fails the rank check leaves its group.
     A set whose gathered Gram matrix is not finite, or past the jitter
     ladder, keeps its place with a NaN factor, so that its points alone
@@ -535,7 +630,12 @@ def _factor_sets(method, data: SpatialDataset, sets, spec, mean, basis, prior):
     member[np.concatenate(sets)] = True
     union = np.flatnonzero(member)
     locations = data.locations[union]
-    gram = covariance_values(spec, distances(locations, locations))
+    # the distances are symmetric bit for bit: one covariance evaluation of
+    # the upper triangle fills both
+    lags = distances(locations, locations)
+    upper = np.triu_indices(union.size)
+    gram = np.empty_like(lags)
+    gram[upper] = gram.T[upper] = covariance_values(spec, lags[upper])
     design = basis.evaluate(locations) if method in ("universal", "bayes") else None
     groups = {}
     for j, idx in enumerate(sets):
@@ -555,18 +655,16 @@ def _factor_sets(method, data: SpatialDataset, sets, spec, mean, basis, prior):
     return systems
 
 
-def _block_rows(method, points, dist, member, set_of, systems, spec, terms) -> list[MapRow]:
-    """The rows of a block's points, given their distances to the data,
-    their neighbour masks, the number of each point's set in `systems`
-    (-1 for too few neighbours), the sets' factored systems `(fac, g)` or
-    STATUS_NUMERIC, and the points' `_point_terms`.
+def _block_rows(method, block: _Block, systems, spec, terms) -> list[MapRow]:
+    """The rows of a block's points, given the sets' factored systems
+    `(fac, g)` or STATUS_NUMERIC, by the block's set numbers, and the points'
+    `_point_terms`.
 
-    The cross lags of the points with a system, [0, its distances], take one
-    covariance evaluation. The points of one stack of factors are predicted
-    together (`_predictions`), and a point is ok when its prediction and sd
-    are finite: a NaN among its values, a NaN factor or a failed solve
-    makes it a numeric failure. Then each point only builds its row, one
-    `parallel_map` item per point."""
+    The block's cross lags take one covariance evaluation. The points of one
+    stack of factors are predicted together (`_predictions`), and a point is
+    ok when its prediction and sd are finite: a NaN among its values, a NaN
+    factor or a failed solve makes it a numeric failure. Then each point
+    only builds its row, one `parallel_map` item per point."""
     stacks = {}  # id of a stack of factors -> (its number, the stack)
     set_stack = np.full(len(systems) + 1, -1)  # the last entry stands for -1
     set_g = np.zeros(len(systems) + 1, dtype=int)
@@ -574,10 +672,10 @@ def _block_rows(method, points, dist, member, set_of, systems, spec, terms) -> l
         if system is not STATUS_NUMERIC:
             fac, set_g[j] = system
             set_stack[j] = stacks.setdefault(id(fac), (len(stacks), fac))[0]
+    points, set_of, starts = block.points, block.set_of, block.starts
     stack_of, which_of = set_stack[set_of], set_g[set_of]
     P = len(points)
-    flat, starts = _cross_lags(dist, member, stack_of >= 0)
-    cross = covariance_values(spec, flat) if flat.size else flat
+    cross = covariance_values(spec, block.cross) if block.cross.size else block.cross
     code = (set_of >= 0).astype(int)  # 0 too few neighbours, 1 failed, 2 served
     preds, sds, sizes = np.full(P, np.nan), np.full(P, np.nan), np.zeros(P, dtype=int)
     for s, fac in stacks.values():
@@ -619,26 +717,26 @@ def krige_map(
     a missing row, never an error; per-point numeric failures are reported
     with their own status code.
 
-    The map works block by block. A block holds `_block_size(n)` points for
-    n data locations: at least MAP_BLOCK, and more while the block's n
-    distances per point fit in MAP_DISTANCES (655 points at n = 200,
-    MAP_BLOCK from n = 1024 on). One distance matrix from the points of a
-    block to all data gives every neighbour set of the block and every
-    point's cross lags. Duplicate locations are dropped once per map (they
-    lie at the same distance, so they enter and leave a set together), with
-    one warning. The points of one numbered set share its factored system.
-    The sets new to a block (a set of the previous block is reused) are
-    grouped by size: a group's designs and Gram matrices are sliced
-    from one basis and one covariance evaluation over the union of the new
-    sets, checked as one stack and factored in one `chol_with_jitter` call,
-    and its residuals taken in one stacked product. The cross-covariances
-    of the block take one more evaluation. Both evaluations follow
-    `covariance_values`, and the factorisation its rule: a lag or value
-    that is not finite is NaN, as is the factor of a set past the jitter
-    ladder, and fails only the set or point that holds it. A row is ok
-    when its prediction and sd are finite. The trend
-    terms (f0, or Bayes' Phi f0, f0'mu and f0'Phi f0) take one basis
-    evaluation and three stacked products.
+    The map works block by block (`_map_blocks`). A block ends where the
+    bytes it holds at once would pass MAP_BYTES: its distances to the n
+    data locations, 8 n per point, and the factors of its new neighbour
+    sets, 8 m^2 per set of m locations (a set of the block before is reused,
+    not factored or counted again). One search of the points ahead gives
+    every neighbour set of a block and every point's cross lags. Duplicate
+    locations are dropped once per map (they lie at the same distance, so
+    they enter and leave a set together), with one warning. The points of
+    one numbered set share its factored system. The sets new to a block (a
+    set of the previous block is reused) are grouped by size: a group's
+    designs and Gram matrices are sliced from one basis and one covariance
+    evaluation over the union of the new sets, checked as one stack and
+    factored in one `chol_with_jitter` call, and its residuals taken in one
+    stacked product. The cross-covariances of the block take one more
+    evaluation. Both evaluations follow `covariance_values`, and the
+    factorisation its rule: a lag or value that is not finite is NaN, as is
+    the factor of a set past the jitter ladder, and fails only the set or
+    point that holds it. A row is ok when its prediction and sd are finite.
+    The trend terms (f0, or Bayes' Phi f0, f0'mu and f0'Phi f0) take one
+    basis evaluation and three stacked products.
 
     The points of one stack of factors are then predicted together
     (`_block_rows`): per point, only its two triangular solves against a
@@ -649,14 +747,12 @@ def krige_map(
     single-point predictor's. Each point then only builds its row.
     A global radius gives one set, so the whole map factors one matrix.
 
-    Memory: a block's distances and its cross lags hold at most
-    max(MAP_BLOCK x n, MAP_DISTANCES) floats each. A set of m locations
-    takes m x m floats of factor; the map keeps the factors of the current
-    block's sets and the previous block's (with the stacks they were
-    factored in), so a radius that gives many distinct large sets needs
-    memory in proportion to the block's size. The stacked steps hold
-    vectors of the points (P x m floats), and no factor is copied per
-    point.
+    Memory: besides the block's budget, the map keeps the previous block's
+    factors (with the stacks they were factored in) for the sets it reuses,
+    and the search ahead keeps the member mask and cross lags of at most
+    MAP_BYTES // (8 n) points. While a group is factored, its gathered Gram
+    matrices and factors are held together. The stacked steps hold vectors
+    of the points (P x m floats), and no factor is copied per point.
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     if grid.shape[0] == 0:
@@ -670,26 +766,22 @@ def krige_map(
     if not min_neighbors >= 0:
         raise DomainError(f"min_neighbors must be >= 0, got {min_neighbors}")
 
-    first = _first_occurrences(data.locations)
     dropped = np.zeros(len(data), dtype=bool)
     clamped = clamped_variance_count()
     rows, previous = [], {}
-    block = _block_size(len(data))
-    for start in range(0, grid.shape[0], block):
-        points = grid[start:start + block]
-        dist, member, set_of, sets, block_dropped = _neighbour_sets(
-            points, data.locations, first, radius, min_neighbors)
-        dropped |= block_dropped
-        keys = [idx.tobytes() for idx in sets]
+    for block, _ in _map_blocks(grid, data.locations, radius, min_neighbors,
+                                lambda block: _factor_bytes(previous, block)):
+        dropped |= block.dropped
+        keys = [idx.tobytes() for idx in block.sets]
         systems = [previous.get(key) for key in keys]
         new = [j for j, system in enumerate(systems) if system is None]
         if new:
-            for j, system in zip(new, _factor_sets(method, data, [sets[j] for j in new], spec,
-                                                   mean, basis, prior)):
+            for j, system in zip(new, _factor_sets(method, data, [block.sets[j] for j in new],
+                                                   spec, mean, basis, prior)):
                 systems[j] = system
         previous = dict(zip(keys, systems))
-        rows += _block_rows(method, points, dist, member, set_of, systems, spec,
-                            _point_terms(method, points, basis, prior))
+        rows += _block_rows(method, block, systems, spec,
+                            _point_terms(method, block.points, basis, prior))
     _warn_dropped(dropped, "kriging neighborhoods of the map", stacklevel=2)
     _warn_clamped(clamped, f"{method} kriging", stacklevel=2)
     return rows

@@ -215,3 +215,85 @@ def kriging_point_reference(method, x0, locations, values, spec, mean, f0, F, mu
     cb = c0 + F @ (phi @ f0)
     lam = _chol_solve(L, cb)
     return f0 @ mu + lam @ (values - F @ mu), (c00 + f0 @ phi @ f0) - cb @ lam
+
+
+def neighbour_sets(points, locations, radius, least):
+    """Each point's neighbour set by a search of its own: the tuple of the
+    indices of the locations within `radius` (boundary included) that repeat
+    no earlier location, or None where `least` or fewer locations are within
+    reach (duplicates counted)."""
+    from scipy.spatial.distance import cdist
+
+    _, first = np.unique(locations, axis=0, return_index=True)
+    keep = np.zeros(len(locations), dtype=bool)
+    keep[first] = True
+    out = []
+    for dist in cdist(points, locations):
+        within = dist <= radius
+        out.append(tuple(np.flatnonzero(within & keep).tolist())
+                   if np.count_nonzero(within) > least else None)
+    return out
+
+
+def block_sizes(n, budget, count, added):
+    """The sizes of a map's blocks under one byte budget, point by point: a
+    block is the longest run of the next points, at least one, whose 8 n
+    bytes per point (distances to n locations) and the bytes the points add
+    stay within `budget`. `added(before)` starts a block after the points
+    `before` (a range, the block before): it returns a function of a
+    point's index giving the bytes that point adds to the block."""
+    sizes, start, before = [], 0, range(0)
+    while start < count:
+        add = added(before)
+        total, end = 8 * n + add(start), start + 1
+        while end < count:
+            total += 8 * n + add(end)
+            if total > budget:
+                break
+            end += 1
+        sizes.append(end - start)
+        start, before = end, range(start, end)
+    return sizes
+
+
+def factor_bytes(sets):
+    """`added` of `block_sizes` for a kriging map: 8 m^2 bytes for the factor
+    of each set of m locations new to the block, one that the block before
+    did not hold."""
+
+    def added(before):
+        kept, seen = {sets[i] for i in before}, set()
+
+        def add(i):
+            if sets[i] is None or sets[i] in seen:
+                return 0
+            seen.add(sets[i])
+            return 0 if sets[i] in kept else 8 * len(sets[i]) ** 2
+
+        return add
+
+    return added
+
+
+def lag_bytes(points, locations, sets, draws):
+    """`added` of `block_sizes` for a density map under `draws` draws: 8 T
+    bytes for each distinct lag of the block, the pair distances of its sets
+    and the cross lags [0, distances to its set] of its points."""
+    from scipy.spatial.distance import cdist
+
+    def added(before):
+        lags, seen = set(), set()
+
+        def add(i):
+            if sets[i] is None:
+                return 0
+            size, locs = len(lags), locations[list(sets[i])]
+            if sets[i] not in seen:
+                seen.add(sets[i])
+                lags.update(cdist(locs, locs).ravel().tolist())
+            lags.update([0.0, *cdist(points[i:i + 1], locs).ravel().tolist()])
+            return 8 * draws * (len(lags) - size)
+
+        return add
+
+    return added

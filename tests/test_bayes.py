@@ -17,7 +17,7 @@ from variokrig import (
     gls_beta,
     predictive_density_at,
 )
-from variokrig.bayes import _SharedCovariances, density_map_csv
+from variokrig.bayes import _density_blocks, density_map_csv
 from variokrig.exceptions import NumericError
 from variokrig.models import covariance_eval
 from variokrig.fit import FitResult
@@ -31,6 +31,14 @@ def log_dataset(rng, n=12, spread=10.0):
 
 def one_draw(nugget=0.05, sill=1.2, range_=6.0, nu=0.5):
     return PosteriorDraws(np.array([[nugget, sill, range_, nu]]))
+
+
+def one_block(points, data, draws, prior_mean, prior_var, radius):
+    """The shared covariances of a density map over `points` that is one
+    block."""
+    [(_, shared)] = _density_blocks(np.asarray(points, dtype=float), data, draws, prior_mean,
+                                    prior_var, radius)
+    return shared
 
 
 def several_draws(rng, t=8):
@@ -136,10 +144,9 @@ def test_conditional_moments_match_bayes_kriging_and_are_monotone_in_phi():
     data = log_dataset(rng)
     spec = one_draw().spec(0)
     x0 = [5.0, 5.0]
-    shared = _SharedCovariances(np.array([x0]), data, [spec], math.inf)
     prev = 0.0
     for phi in (0.0, 0.5, 2.0, 10.0, 100.0):
-        [(m, s2)] = shared.moment_table(0, 0.4, phi)
+        [(m, s2)] = one_block([x0], data, one_draw(), 0.4, phi, math.inf).moment_table(0)
         bk = bayes_kriging(x0, data, spec, TrendBasis.constant(), BayesPrior.scalar(0.4, phi))
         assert m == pytest.approx(bk.prediction, abs=1e-10)
         assert math.sqrt(s2) == pytest.approx(bk.sd, abs=1e-10)
@@ -157,10 +164,10 @@ def test_shared_moments_equal_bayes_kriging_on_each_draws_own_system():
     draws = PosteriorDraws(np.vstack([several_draws(rng, 6).table,
                                       [[0.1, 0.9, 4.0, 1.7], [0.0, 1.1, 5.0, 2.5]]]))
     points = rng.uniform(0.0, 10.0, size=(12, 2))
-    shared = _SharedCovariances(points, data, draws.specs(), 4.0)
+    shared = one_block(points, data, draws, 0.3, 7.0, 4.0)
     served = 0
     for i, x0 in enumerate(points):
-        got = shared.moment_table(i, 0.3, 7.0)
+        got = shared.moment_table(i)
         idx = np.flatnonzero(np.hypot(*(data.locations - x0).T) <= 4.0)
         if got is None:
             assert idx.size <= 4
@@ -205,17 +212,17 @@ def test_density_drops_duplicates_as_the_bayes_map_does():
         assert caught_messages(lambda: maps.append(krige_map(
             points, "bayes", data, spec, 4.0, basis=TrendBasis.constant(), prior=prior))) == [
             "dropped 1 duplicate locations from the kriging neighborhoods of the map"]
-    shared = _SharedCovariances(points, data, draws.specs(), 4.0)
+    [(block, shared)] = _density_blocks(points, data, draws, 0.3, 7.0, 4.0)
     for i in range(len(points)):
         rows = [rows[i] for rows in maps]
-        got = shared.moment_table(i, 0.3, 7.0)
+        got = shared.moment_table(i)
         if got is None:
             assert {r.status for r in rows} == {"too_few_neighbors"}
             continue
         mine = np.array([[m, math.sqrt(s2)] for m, s2 in got])
         theirs = np.array([[r.result.prediction, r.result.sd] for r in rows])
         assert np.array_equal(mine.view(np.int64), theirs.view(np.int64))
-    assert np.flatnonzero(shared.dropped).tolist() == [7]
+    assert np.flatnonzero(block.dropped).tolist() == [7]
     assert caught_messages(lambda: density_map(points, data, draws, 0.3, 7.0, 4.0)) == [
         "dropped 1 duplicate locations from the neighborhoods of the density map"]
     assert caught_messages(
@@ -224,46 +231,126 @@ def test_density_drops_duplicates_as_the_bayes_map_does():
 
 
 def test_density_map_across_blocks_equals_each_points_density(count_calls):
-    # the search and set numbering run once per block of DENSITY_BLOCK points;
-    # every block reaches the duplicated station, which is warned about once
+    # a block is the longest run of the next points, at least one, whose
+    # distances (8 n bytes per point) and shared covariance values (8 T bytes
+    # per distinct lag) stay within MAP_BYTES; each row has the bits of the
+    # point's own density, and every block drops the duplicated station,
+    # which is warned about once
     import warnings
 
-    from variokrig.bayes import DENSITY_BLOCK
+    from oracles import block_sizes, lag_bytes, neighbour_sets
+    from variokrig.krige import MAP_BYTES
 
     rng = np.random.default_rng(35)
-    data = log_dataset(rng, n=30)
+    data = log_dataset(rng, n=400)
     locs, values = data.locations.copy(), data.values.copy()
     locs[9], values[9] = locs[2], values[2] - 0.25
     data = SpatialDataset(locs, values)
-    draws = several_draws(rng, 3)
-    points = rng.uniform(-1.0, 11.0, size=(2 * DENSITY_BLOCK + 3, 2))
+    draws = several_draws(rng, 10)
+    points = rng.uniform(-1.0, 11.0, size=(600, 2))
     grid = DensityGrid(step=0.25)
-    searches = count_calls("variokrig.krige", "_neighbour_sets")
+    sets = neighbour_sets(points, locs, 1.2, 4)
+    sizes = block_sizes(len(locs), MAP_BYTES, len(points),
+                        lag_bytes(points, locs, sets, len(draws)))
+    blocks = count_calls("variokrig.bayes", "_SharedCovariances")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        rows = density_map(points, data, draws, 0.3, 7.0, 3.5, grid)
+        rows = density_map(points, data, draws, 0.3, 7.0, 1.2, grid)
     assert [str(w.message) for w in caught] == [
         "dropped 1 duplicate locations from the neighborhoods of the density map"]
-    assert [len(block) for block, *_ in searches] == [DENSITY_BLOCK, DENSITY_BLOCK, 3]
+    assert [len(block.points) for block, *_ in blocks] == sizes
+    assert len(sizes) >= 2
+    for block, *_ in blocks:
+        assert np.flatnonzero(block.dropped).tolist() == [9]
     statuses = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for row, x0 in zip(rows, points):
             assert np.array_equal(row.location, x0)
             try:
-                pd = predictive_density_at(x0, data, draws, 0.3, 7.0, 3.5, grid)
+                pd = predictive_density_at(x0, data, draws, 0.3, 7.0, 1.2, grid)
             except NumericError:
                 status, summary = "numeric_failure", None
             else:
                 status = "ok" if pd is not None else "too_few_neighbors"
                 summary = None if pd is None else pd.summary
-            assert (row.status, row.summary) == (status, summary)
+            assert row.status == status
+            if summary is None:
+                assert row.summary is None
+            else:
+                assert list(row.summary) == list(summary)
+                got, expect = (np.array(list(s.values())) for s in (row.summary, summary))
+                assert np.array_equal(got.view(np.int64), expect.view(np.int64))
             statuses.append(status)
     assert statuses.count("ok") > len(points) // 2
     assert statuses.count("too_few_neighbors") > 0
-    near = (np.hypot(*(points - locs[2]).T) <= 3.5) & (np.array(statuses) == "ok")
-    assert all(np.any(near[start:start + DENSITY_BLOCK])
-               for start in range(0, len(points), DENSITY_BLOCK))  # each block drops it
+
+
+def test_density_map_factors_each_neighbour_set_once(count_calls):
+    # points of one neighbour set share its stacked factorisation: one
+    # chol_with_jitter call per distinct served set, here fewer than the
+    # served points
+    from oracles import neighbour_sets
+
+    rng = np.random.default_rng(36)
+    data = log_dataset(rng, n=30)
+    draws = several_draws(rng, 6)
+    centres = rng.uniform(2.0, 8.0, size=(6, 2))
+    points = np.vstack([centres + rng.uniform(-0.05, 0.05, size=(6, 2)) for _ in range(4)])
+    served = [s for s in neighbour_sets(points, data.locations, 3.0, 4) if s is not None]
+    assert len(set(served)) < len(served)
+    factors = count_calls("variokrig._linalg", "chol_with_jitter")
+    rows = density_map(points, data, draws, 0.3, 7.0, 3.0, DensityGrid(step=0.25))
+    assert len(factors) == len(set(served))
+    assert sum(r.status != "too_few_neighbors" for r in rows) == len(served)
+
+
+def test_density_blocks_of_one_point_share_their_set_factor(count_calls):
+    # 100 draws of the pair lags of 100 stations take more than MAP_BYTES:
+    # each block holds one point, takes its values from the block before,
+    # and keeps the factors of the one global set
+    from variokrig.krige import MAP_BYTES
+
+    rng = np.random.default_rng(40)
+    data = log_dataset(rng, n=100)
+    draws = several_draws(rng, 100)
+    points = rng.uniform(0.0, 10.0, size=(3, 2))
+    grid = DensityGrid(step=0.25)
+    assert 8 * 100 * (100 * 99 // 2) > MAP_BYTES
+    blocks = count_calls("variokrig.bayes", "_SharedCovariances")
+    evals = count_calls("variokrig.models", "covariance_eval")
+    factors = count_calls("variokrig._linalg", "chol_with_jitter")
+    rows = density_map(points, data, draws, 0.3, 7.0, math.inf, grid)
+    assert [len(block.points) for block, *_ in blocks] == [1, 1, 1]
+    assert len(factors) == 1
+    assert len(evals) == 3 * len(draws)  # each block evaluates its own cross lags
+    for row, x0 in zip(rows, points):
+        summary = predictive_density_at(x0, data, draws, 0.3, 7.0, math.inf, grid).summary
+        got, expect = (np.array(list(s.values())) for s in (row.summary, summary))
+        assert np.array_equal(got.view(np.int64), expect.view(np.int64))
+
+
+def test_density_map_peak_memory_is_bounded_by_the_budget():
+    # 150 draws over 300 points: the shared values of one block take
+    # 8 T bytes per distinct lag, so the map holds a few MAP_BYTES at once
+    # (the values of the block and of the one before it, the factors of one
+    # set, a block's search), not the values of the whole map
+    import tracemalloc
+
+    from variokrig.krige import MAP_BYTES
+
+    rng = np.random.default_rng(38)
+    data = log_dataset(rng, n=40)
+    draws = several_draws(rng, 150)
+    points = rng.uniform(0.0, 10.0, size=(300, 2))
+    grid = DensityGrid(step=0.25)
+    tracemalloc.start()
+    try:
+        density_map(points, data, draws, 0.3, 7.0, 4.0, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * MAP_BYTES
 
 
 def test_forward_rule_reproduces_reference_weighting():
@@ -471,6 +558,8 @@ def test_density_point_with_overflowing_cross_lags_fails_alone():
 
 
 def test_density_map_evaluates_each_draw_once(count_calls):
+    from oracles import neighbour_sets
+
     rng = np.random.default_rng(31)
     data = log_dataset(rng, n=30)
     draws = several_draws(rng, 6)
@@ -479,9 +568,10 @@ def test_density_map_evaluates_each_draw_once(count_calls):
     evals = count_calls("variokrig.models", "covariance_eval")
     factors = count_calls("variokrig._linalg", "chol_with_jitter")
     rows = density_map(grid, data, draws, 0.0, 10.0, 4.0)
-    served = sum(r.status != "too_few_neighbors" for r in rows)
+    sets = {s for s in neighbour_sets(grid, data.locations, 4.0, 4) if s is not None}
     assert len(evals) == len(draws)
-    assert len(factors) == served > 1  # one stacked factorisation per point
+    assert sum(r.status != "too_few_neighbors" for r in rows) > 1
+    assert len(factors) == len(sets)  # one stacked factorisation per set
 
 
 def test_failing_draw_fails_only_its_point(monkeypatch):

@@ -957,7 +957,7 @@ def far_inputs(tmp_path):
     return str(data), str(draws)
 
 
-@pytest.mark.parametrize("command", ["ordinary", "bayes", "density"])
+@pytest.mark.parametrize("command", ["ordinary", "bayes", "bayes-linear", "density"])
 def test_map_points_with_overflowing_lags_are_numeric_failures(tmp_path, capsys, far_inputs,
                                                                command):
     data, draws = far_inputs
@@ -966,14 +966,16 @@ def test_map_points_with_overflowing_lags_are_numeric_failures(tmp_path, capsys,
         argv = ["density", "--input", data, "--draws", draws, "--radius", "inf"]
         name = "density_map.csv"
     else:
-        argv = ["krige", "--input", data, "--method", command, "--model",
+        method = ["bayes", "--basis", "linear"] if command == "bayes-linear" else [command]
+        argv = ["krige", "--input", data, "--method", *method, "--model",
                 "kind=exponential nugget=0.1 sill=1.0 range=10.0"]
         name = "krige.csv"
     capsys.readouterr()
     assert run(*argv, *FAR_GRID, "--out", str(out)) == 0
     rows = read(out / name).strip().splitlines()[1:]
     assert len(rows) == 2 and all(row.endswith(",numeric_failure") for row in rows)
-    # the overflowing coordinate differences print no numpy warning
+    # the overflowing coordinate differences, and a linear trend's terms at
+    # those coordinates, print no numpy warning
     assert capsys.readouterr().err == ""
 
 

@@ -79,7 +79,7 @@ def test_neighborhood_preserves_order():
 
 
 def test_neighbour_sets_number_each_distinct_set_once():
-    from variokrig.krige import _first_occurrences, _neighbour_sets
+    from variokrig.krige import _first_occurrences, _map_blocks, _neighbour_sets
 
     # station 5 repeats station 1; stations 4 and 6 lie exactly at the radius
     # of the origin; the four stations near (10.5, 10.5) are exactly `least`
@@ -88,34 +88,49 @@ def test_neighbour_sets_number_each_distinct_set_once():
                           [11.0, 11.0]])
     points = np.array([[0.0, 0.0], [10.5, 10.5], [0.5, 0.5], [2.0, 1.0], [50.0, 50.0],
                        [0.0, 0.0], [1.0, 1.0], [2.0, 1.0]])
-    first = _first_occurrences(locations)
+    assert _first_occurrences(locations).tolist() == [0, 1, 2, 3, 4, 1, 6, 7, 8, 9, 10]
+    first = _first_occurrences(locations) == np.arange(len(locations))
     radius, least = 2.0, 4
-    _, member, set_of, sets, dropped = _neighbour_sets(points, locations, first, radius, least)
+    member, set_of, sets, cross, starts = _neighbour_sets(points, locations, first, radius,
+                                                          least)
     reach = [np.hypot(*(locations - x0).T) <= radius for x0 in points]
     oracle = [np.flatnonzero(within & first) for within in reach]
     served = [np.count_nonzero(within) > least for within in reach]
     assert served == [True, False, True, True, False, True, True, True]
     assert oracle[0].tolist() == [0, 1, 2, 3, 4, 6]  # the boundary kept, the duplicate not
     assert oracle[3].tolist() == [1, 2, 3, 4]  # served by counting the duplicate
-    assert np.flatnonzero(dropped).tolist() == [5]
     assert set_of.tolist().count(-1) == 2
     for i in range(len(points)):
         assert (set_of[i] >= 0) == served[i]
         assert np.array_equal(member[i], np.isin(np.arange(len(locations)), oracle[i])
                               & served[i])
+        lags = cross[starts[i]:starts[i + 1]]
         if served[i]:
-            assert np.array_equal(sets[set_of[i]], oracle[i])
+            # one np.nonzero over the distinct rows: the values and dtype of
+            # np.flatnonzero, so the same bytes
+            assert sets[set_of[i]].dtype == oracle[i].dtype
+            assert sets[set_of[i]].tobytes() == oracle[i].tobytes()
+            assert lags.tolist() == [0.0, *np.hypot(*(locations[oracle[i]] - points[i]).T)]
+        else:
+            assert lags.size == 0
         for k in range(len(points)):
             if served[i] and served[k]:
                 same = np.array_equal(oracle[i], oracle[k])
                 assert (set_of[i] == set_of[k]) == same
     assert len({idx.tobytes() for idx in sets}) == len(sets) == 2
     assert sorted(set(set_of.tolist()) - {-1}) == list(range(len(sets)))
+    # a block drops the duplicate where a served point reaches it
+    [(block, _)] = _map_blocks(points, locations, radius, least,
+                               lambda block: (np.zeros(len(block.points)), None))
+    assert np.flatnonzero(block.dropped).tolist() == [5]
 
-    _, member, set_of, sets, dropped = _neighbour_sets(points[[1, 4]], locations, first, radius,
-                                                       least)
+    member, set_of, sets, cross, starts = _neighbour_sets(points[[1, 4]], locations, first,
+                                                          radius, least)
     assert set_of.tolist() == [-1, -1] and sets == []
-    assert not member.any() and not dropped.any()
+    assert not member.any() and cross.size == 0 and starts.tolist() == [0, 0, 0]
+    [(block, _)] = _map_blocks(points[[1, 4]], locations, radius, least,
+                               lambda block: (np.zeros(len(block.points)), None))
+    assert not block.dropped.any() and block.cross.size == 0
 
 
 # -- simple kriging --------------------------------------------------------------
@@ -599,16 +614,19 @@ def test_map_rows_equal_single_point_predictions(method, radius, kind):
 
 @pytest.mark.parametrize("method", METHODS)
 def test_global_map_factors_one_matrix(count_calls, method):
-    from variokrig.krige import _block_size
+    from variokrig.krige import MAP_BYTES
 
     rng = np.random.default_rng(22)
     data, spec, grid = map_instance(rng, expo(nugget=0.1))
-    block = _block_size(len(data))
-    grid = np.vstack([grid, rng.uniform(0.0, 10.0, size=(2 * block, 2))])  # three blocks
+    # a block holds fewer points than fill the budget with distances alone
+    most = MAP_BYTES // (8 * len(data))
+    grid = np.vstack([grid, rng.uniform(0.0, 10.0, size=(most, 2))])
+    blocks = count_calls("variokrig.krige", "_block_rows")
     factors = count_calls("variokrig._linalg", "chol_with_jitter")
     with pytest.warns(UserWarning, match="duplicate"):
         rows = krige_map(grid, method, data, spec, math.inf, mean=0.3, basis=LINEAR,
                          prior=PRIOR)
+    assert len(blocks) == 2
     assert len(factors) == 1
     assert sum(r.status == "ok" for r in rows) == len(grid)
 
@@ -631,11 +649,12 @@ def test_local_map_factors_each_distinct_neighbour_set_once(count_calls, method)
 
 @pytest.mark.parametrize("method", METHODS)
 def test_local_map_evaluates_covariances_at_most_twice_per_block(count_calls, method):
-    from variokrig.krige import _block_size
+    from variokrig.krige import MAP_BYTES
 
     rng = np.random.default_rng(24)
     data = SpatialDataset(rng.uniform(0.0, 10.0, size=(40, 2)), rng.normal(size=40))
-    grid = rng.uniform(0.0, 10.0, size=(3 * _block_size(40) + 5, 2))  # four blocks
+    grid = rng.uniform(0.0, 10.0, size=(MAP_BYTES // (8 * 40) + 5, 2))
+    blocks = count_calls("variokrig.krige", "_block_rows")
     evals = count_calls("variokrig.models", "covariance_eval")
     searches = count_calls("variokrig.krige", "neighborhood")
     rows = krige_map(grid, method, data, expo(nugget=0.1), 2.5, mean=0.3, basis=LINEAR,
@@ -643,7 +662,9 @@ def test_local_map_evaluates_covariances_at_most_twice_per_block(count_calls, me
     statuses = [r.status for r in rows]
     assert "numeric_failure" not in statuses
     assert statuses.count("ok") > len(grid) // 2
-    assert len(evals) <= 2 * 4  # one Gram over the block's new sets, one cross row
+    assert len(blocks) >= 2
+    # one Gram over the block's new sets, one cross row
+    assert len(evals) <= 2 * len(blocks)
     assert searches == []  # one block search, no per-point neighborhood
 
 
@@ -891,29 +912,125 @@ def test_clamp_rule_and_solves_inside_a_stacked_size_group(monkeypatch, count_ca
 # -- map blocks and the bits of their rows ------------------------------------------
 
 
+def rule_instance(n=200):
+    """n stations over [0, 10]^2, station 9 repeating station 4, and 2,500
+    grid points over [-1, 11]^2."""
+    rng = np.random.default_rng(27)
+    locs = rng.uniform(0.0, 10.0, size=(n, 2))
+    locs[9] = locs[4]
+    return locs, rng.uniform(-1.0, 11.0, size=(2500, 2))
+
+
+def kriging_blocks(grid, locations, radius, least=4):
+    """The blocks of a kriging map, each counting the factors of the sets
+    new to it, as `krige_map` runs `_map_blocks`."""
+    from variokrig.krige import _factor_bytes, _map_blocks
+
+    blocks, previous = [], set()
+    for block, _ in _map_blocks(grid, locations, radius, least,
+                                lambda block: _factor_bytes(previous, block)):
+        blocks.append(block)
+        previous = {idx.tobytes() for idx in block.sets}
+    return blocks
+
+
 def test_map_block_rule():
-    # a block holds at least MAP_BLOCK points and at most max(MAP_BLOCK x n,
-    # MAP_DISTANCES) distances to the n data locations
-    from variokrig.krige import MAP_BLOCK, MAP_DISTANCES, _block_size
+    # a block is the longest run of the next points, at least one, whose
+    # distances (8 n bytes per point) and the factors of the sets new to it
+    # (8 m^2 bytes per set of m locations the block before did not hold)
+    # stay within MAP_BYTES
+    from oracles import block_sizes, factor_bytes, neighbour_sets
+    from variokrig.krige import MAP_BYTES
 
-    assert (MAP_BLOCK, MAP_DISTANCES) == (128, 2**17)
-    assert [_block_size(n) for n in (1, 200, 1023, 1024, 5000)] == [2**17, 655, 128, 128, 128]
-    for n in range(1, 3000):
-        block = _block_size(n)
-        assert block >= MAP_BLOCK
-        assert block * n <= max(MAP_BLOCK * n, MAP_DISTANCES)
-        assert block == MAP_BLOCK or (block + 1) * n > MAP_DISTANCES  # as many as fit
+    assert MAP_BYTES == 3 * 2**20
+    locs, grid = rule_instance()
+    for radius in (1.0, 2.5, math.inf):
+        sets = neighbour_sets(grid, locs, radius, 4)
+        expect = block_sizes(len(locs), MAP_BYTES, len(grid), factor_bytes(sets))
+        blocks = kriging_blocks(grid, locs, radius)
+        assert [len(block.points) for block in blocks] == expect
+        assert len(expect) >= 2
+        assert np.array_equal(np.vstack([block.points for block in blocks]), grid)
+        got = [None if j < 0 else tuple(block.sets[j].tolist())
+               for block in blocks for j in block.set_of.tolist()]
+        assert got == sets
+        for block in blocks:  # every block reaches the duplicate and drops it
+            assert np.flatnonzero(block.dropped).tolist() == [9]
 
 
-@pytest.mark.parametrize("points", [1, 654, 655, 656, 1400])
-def test_map_searches_one_block_of_the_rule_at_a_time(count_calls, points):
-    rng = np.random.default_rng(28)
-    data = SpatialDataset(rng.uniform(0.0, 10.0, size=(200, 2)), rng.normal(size=200))
-    grid = rng.uniform(0.0, 10.0, size=(points, 2))
+def test_map_block_holds_one_point_past_the_budget(count_calls):
+    # one set of 700 locations takes 3.9 MB of factor, more than MAP_BYTES:
+    # the first block holds one point, and the next reuses its set
+    from variokrig.krige import MAP_BYTES
+
+    rng = np.random.default_rng(26)
+    data = SpatialDataset(rng.uniform(0.0, 10.0, size=(700, 2)), rng.normal(size=700))
+    grid = rng.uniform(0.0, 10.0, size=(3, 2))
+    assert 8 * 700 + 8 * 700**2 > MAP_BYTES
+    blocks = kriging_blocks(grid, data.locations, math.inf)
+    assert [len(block.points) for block in blocks] == [1, 2]
+    factors = count_calls("variokrig._linalg", "chol_with_jitter")
+    rows = krige_map(grid, "simple", data, expo(nugget=0.1), math.inf, mean=0.3)
+    assert [r.status for r in rows] == ["ok"] * 3
+    assert len(factors) == 1
+
+
+def test_large_radius_bayes_map_peak_memory_is_bounded_by_the_budget():
+    # about 100 of the 300 stations in each set: the factors new to a block
+    # take at most MAP_BYTES, so the map holds those of a block and of the
+    # one before it, a size group's gathered Gram matrices while it is
+    # factored, the search ahead and the rows: less than 4 MAP_BYTES at
+    # once, where blocks sized by their distances alone held 40 MB
+    import tracemalloc
+
+    from variokrig.krige import MAP_BYTES
+
+    rng = np.random.default_rng(39)
+    data = SpatialDataset(rng.uniform(0.0, 100.0, size=(300, 2)), rng.normal(size=300))
+    g = np.linspace(0.5, 99.5, 30)
+    grid = np.array([(x, y) for y in g for x in g])
+    tracemalloc.start()
+    try:
+        rows = krige_map(grid, "bayes", data, CovarianceSpec("exponential", 0.1, 1.0, 20.0),
+                         32.0, basis=TrendBasis.constant(), prior=BayesPrior.scalar(0.0, 100.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [r.status for r in rows] == ["ok"] * len(grid)
+    assert peak < 4 * MAP_BYTES
+
+
+@pytest.mark.parametrize("points", [1, 1965, 1966, 1967, 2500])
+def test_map_searches_ahead_in_runs_of_the_budget(count_calls, points):
+    # a search covers the MAP_BYTES // (8 n) next points, as many as fill the
+    # budget with distances alone, and the blocks are cut from it; it starts
+    # again at the first point of a block that reaches the end of its run
+    from oracles import block_sizes, factor_bytes, neighbour_sets
+    from variokrig.krige import MAP_BYTES
+
+    locs, grid = rule_instance()
+    data = SpatialDataset(locs, np.random.default_rng(28).normal(size=len(locs)))
+    grid = grid[:points]
+    most = MAP_BYTES // (8 * len(locs))
+    assert most == 1966
+    sizes = block_sizes(len(locs), MAP_BYTES, points,
+                        factor_bytes(neighbour_sets(grid, locs, 1.5, 4)))
+    runs, start, a = [0], 0, 0
+    for size in sizes:
+        end = min(points, start + most)
+        if a > start and a + size >= end and end < points:
+            runs.append(a)
+            start = a
+        a += size
     searches = count_calls("variokrig.krige", "_neighbour_sets")
-    krige_map(grid, "ordinary", data, expo(nugget=0.1), 1.5)
-    assert [len(block) for block, *_ in searches] == [655] * (points // 655) + (
-        [points % 655] if points % 655 else [])
+    blocks = count_calls("variokrig.krige", "_block_rows")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        krige_map(grid, "ordinary", data, expo(nugget=0.1), 1.5)
+    assert [len(block.points) for _, block, *_ in blocks] == sizes
+    assert [block.tolist() for block, *_ in searches] == \
+        [grid[s:s + most].tolist() for s in runs]
+    assert len(runs) > 1 or points <= most
 
 
 def _bits(values):
@@ -962,12 +1079,12 @@ def reference_rows(grid, method, data, spec, radius, basis, prior, mean=0.3):
 
 
 def bits_instance(kind):
-    """Data, spec, grid and radius of a local map of at least three blocks.
+    """Data, spec, grid and radius of a local map of at least two blocks.
     "exponential": 600 random stations, one of them duplicated. "triangle":
     a 30 x 15 lattice of stations under the triangle model, which is not
     positive definite in two dimensions: some neighbour sets of a size
     cannot be factored even with jitter, while others of that size can."""
-    from variokrig.krige import _block_size
+    from variokrig.krige import MAP_BYTES
 
     rng = np.random.default_rng(29)
     if kind == "exponential":
@@ -978,8 +1095,8 @@ def bits_instance(kind):
         locs = np.array([(x, y) for x in range(30) for y in range(15)], dtype=float)
         spec, radius, hi = CovarianceSpec("triangle", 0.0, 1.0, 1.4), 3.0, [29.0, 14.0]
     data = SpatialDataset(locs, rng.normal(size=len(locs)))
-    block = _block_size(len(data))
-    grid = rng.uniform(0.0, hi, size=(2 * block + 40, 2))
+    # more points than fill the budget with their distances alone
+    grid = rng.uniform(0.0, hi, size=(MAP_BYTES // (8 * len(data)) + 40, 2))
     return data, spec, grid, radius
 
 
@@ -987,14 +1104,16 @@ def bits_instance(kind):
 @pytest.mark.parametrize("basis", ["constant", "linear"])
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("kind", ["exponential", "triangle"])
-def test_map_rows_equal_the_per_point_reference_bit_for_bit(method, basis, kind):
+def test_map_rows_equal_the_per_point_reference_bit_for_bit(count_calls, method, basis, kind):
     # the per-block terms, the stacked residuals and the block rule must not
     # move the last bit of any row
     data, spec, grid, radius = bits_instance(kind)
     basis = TrendBasis.constant() if basis == "constant" else LINEAR
     k = len(basis)
     prior = BayesPrior(np.linspace(-0.5, 0.5, k), np.eye(k) + 0.3)
+    blocks = count_calls("variokrig.krige", "_block_rows")
     rows = krige_map(grid, method, data, spec, radius, mean=0.3, basis=basis, prior=prior)
+    assert len(blocks) >= 2
     expect = reference_rows(grid, method, data, spec, radius, basis, prior)
     assert [r.status for r in rows] == [status for status, *_ in expect]
     served = [(r, e) for r, e in zip(rows, expect) if r.status == "ok"]
