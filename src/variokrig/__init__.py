@@ -12,7 +12,9 @@ first time one of its attributes is read; the public names below resolve
 through the module `__getattr__` (PEP 562). So a command runs only the
 modules it uses: `variogram` runs `empvario`, `models` and `specfun`, and
 no command but `posterior` and `fit` runs `fit`. `exceptions` and `util`,
-which every command runs, load eagerly and import no numpy.
+which every command runs, load eagerly and import no numpy; neither does
+`cli`, so the command line parses its arguments, prints its help and
+reports usage errors before numpy loads.
 """
 
 import importlib.util as _ilu

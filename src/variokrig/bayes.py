@@ -42,6 +42,8 @@ QUANTILE_PS = {
     "q099": 0.99,
 }
 
+_QUANTILE_P = np.array(list(QUANTILE_PS.values()))
+
 IQR_TO_SD = 1.45  # interquartile range to standard deviation divisor
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -206,6 +208,8 @@ class _SharedCovariances:
         pair_lags, self.at = _pair_lags(log_data.locations, block.sets)
         self.pair_at = np.searchsorted(lags, pair_lags)
         self.mu, self.phi = np.array([prior_mean]), np.array([[prior_var]])
+        # the trend terms at the target, which every point shares
+        [self.phif0], [self.mean0], [self.quad] = _bayes_terms(_F0, self.mu, self.phi)
 
     def _factor(self, j: int):
         """The factors of set j's T systems K + phi, and its residuals."""
@@ -235,16 +239,14 @@ class _SharedCovariances:
         cross = self.values[:, self.cross_at[start:start + n + 1]]
         c00, c0 = cross[:, 0], cross[:, 1:]
         F = np.ones((n, 1))
-        # the draws share the trend terms; the gathered values are
-        # Fortran-ordered, and cb is made C-ordered so that each draw's
-        # products keep the bits of a one-point solve
-        [phif0], [mean0], [quad] = _bayes_terms(_F0, self.mu, self.phi)
-        cb = np.ascontiguousarray(c0 + F @ phif0)
+        # the gathered values are Fortran-ordered, and cb is made C-ordered
+        # so that each draw's products keep the bits of a one-point solve
+        cb = np.ascontiguousarray(c0 + F @ self.phif0)
         lam = cb.copy()
         for t in range(len(L)):
             _conditional_moments(L[t], lam[t])
         with np.errstate(all="ignore"):
-            m, s2 = _bayes_moments(cb, lam, resid, mean0, c00 + quad)
+            m, s2 = _bayes_moments(cb, lam, resid, self.mean0, c00 + self.quad)
         if not np.all((s2 > 0.0) & np.isfinite(s2) & np.isfinite(m)):
             raise NumericError("conditional variance is not positive or a moment not finite")
         return np.column_stack([m, s2])
@@ -286,8 +288,8 @@ def _summarize(grid: DensityGrid, density: np.ndarray):
         mean = float(ymid.sum() / total)
     summary = {}
     clipped = []
-    for name, p in QUANTILE_PS.items():
-        count = int(np.searchsorted(cdf, p, side="right"))
+    counts = np.searchsorted(cdf, _QUANTILE_P, side="right").tolist()
+    for name, count in zip(QUANTILE_PS, counts):
         if count == 0:
             summary[name] = float(y[0])
             clipped.append(name)

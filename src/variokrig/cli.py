@@ -7,6 +7,10 @@ All files land in the directory given by --out; on failure the partial
 outputs of the failing command are removed and the exit status is 1 for
 user errors, 2 for numeric failures. Every warning is one `warning:` line
 on stderr.
+
+Importing this module loads no numpy, so parsing, --help and usage errors
+run without it; numpy loads when a command starts its work (`fit --bounds`
+loads it while parsing, to build its FitBounds).
 """
 
 from __future__ import annotations
@@ -16,8 +20,6 @@ import math
 import os
 import sys
 import warnings
-
-import numpy as np
 
 from . import bayes, copula, empvario, fit, krige, models, sim
 from .exceptions import DomainError, FormatError, NumericError, VariokrigError
@@ -32,7 +34,7 @@ SYNTH_REGION = (-148.0, 149.0, -108.0, 109.0)
 
 ESTIMATORS = ("matheron", "cressie_hawkins", "huber")
 
-_LOCATION_STREAM = np.uint64(2**63)
+_LOCATION_STREAM = 2**63  # the second Philox key word of synth's locations
 
 
 class UsageError(VariokrigError):
@@ -97,6 +99,8 @@ def ingest_csv(path: str, log_transform: bool = False,
     drop them from their neighbourhoods and warn about that themselves.
     --log takes natural logs and requires positive values.
     """
+    import numpy as np
+
     lines = _read_lines(path, "--input")
     if not lines:
         raise FormatError(f"{path}: empty file")
@@ -161,6 +165,8 @@ def _grid_from_args(args) -> np.ndarray:
 def _bin_edges(args, locations: np.ndarray) -> np.ndarray:
     """--n-bins equal bins from 0 to --max-dist, which defaults to half the
     diagonal of the locations' bounding box."""
+    import numpy as np
+
     maxd = args.max_dist
     if maxd is None:
         span = locations.max(axis=0) - locations.min(axis=0)
@@ -208,9 +214,11 @@ def _read_draws(path: str) -> models.PosteriorDraws:
 
 
 def _cmd_synth(args, out: OutputDir):
+    import numpy as np
+
     spec = models.spec_from_text(args.model)
     rng = np.random.Generator(
-        np.random.Philox(key=[np.uint64(args.seed), _LOCATION_STREAM])
+        np.random.Philox(key=[np.uint64(args.seed), np.uint64(_LOCATION_STREAM)])
     )
     xmin, xmax, ymin, ymax = args.region
     locs = np.column_stack(
@@ -249,6 +257,8 @@ def _cmd_fit(args, out: OutputDir):
 
 
 def _cmd_krige(args, out: OutputDir):
+    import numpy as np
+
     data = ingest_csv(args.input, args.log, report_duplicates=False)
     spec = models.spec_from_text(args.model)
     if args.at_data:
@@ -282,6 +292,8 @@ def _cmd_krige(args, out: OutputDir):
 
 def _pgm(rows, nx: int, ny: int) -> str:
     """Grayscale map of the predictions, linear value-to-gray, missing = 0."""
+    import numpy as np
+
     vals = np.full((nx, ny), np.nan)
     for idx, row in enumerate(rows):
         if row.result is not None:
@@ -465,7 +477,7 @@ def _bounds(text: str) -> fit.FitBounds:
     lo_txt, _, hi_txt = text.partition(":")
     try:
         lo, hi = ([float(v) for v in part.split(",")] for part in (lo_txt, hi_txt))
-        return fit.FitBounds(np.array(lo), np.array(hi))
+        return fit.FitBounds(lo, hi)
     except (ValueError, DomainError):
         raise argparse.ArgumentTypeError(
             f"expected LO1,LO2,...:HI1,HI2,... with each LO < HI, got {text!r}") from None
@@ -614,14 +626,21 @@ def _run(argv) -> int:
     try:
         args = parser.parse_args(argv)
         out = OutputDir(args.out)
-        args.func(args, out)
+        # numpy loads once the arguments are parsed; its LinAlgError is a
+        # numeric failure
+        import numpy as np
+
+        try:
+            args.func(args, out)
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(str(exc)) from None
         return 0
     except (UsageError, FormatError, DomainError) as exc:
         if out is not None:
             out.cleanup()
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (NumericError, np.linalg.LinAlgError) as exc:
+    except NumericError as exc:
         if out is not None:
             out.cleanup()
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -462,8 +462,9 @@ def test_completely_empty_file_rejected(tmp_path, capsys):
 
 
 # Run by a fresh interpreter: the exit status of `variokrig ARGV`, whether
-# scipy's compiled modules load alone here (the lockstep fits' L-BFGS-B
-# routine and the special-function ufuncs), and the scipy modules loaded.
+# it loaded numpy, whether scipy's compiled modules load alone here (the
+# lockstep fits' L-BFGS-B routine and the special-function ufuncs), and the
+# scipy modules loaded.
 SCIPY_PROBE = """
 import sys
 from variokrig import cli, copula, fit, specfun
@@ -471,11 +472,12 @@ try:
     status = cli.main({argv!r}) if {argv!r} else 0
 except SystemExit as exc:  # --help
     status = exc.code
+numpy = "numpy" in sys.modules
 loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
 direct = (fit._setulb() is not None
           and specfun._special().__name__ == "scipy.special._special_ufuncs"
           and copula._line_searches() is not None)
-print(status, direct, *loaded)
+print(status, numpy, direct, *loaded)
 """
 
 
@@ -492,7 +494,7 @@ def test_cli_import_leaves_out_scipy_stats(tmp_path):
     src = os.path.dirname(os.path.dirname(variokrig.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    heavy = ("scipy.stats", "scipy.optimize", "scipy.interpolate", "scipy.spatial",
+    heavy = ("numpy", "scipy.stats", "scipy.optimize", "scipy.interpolate", "scipy.spatial",
              "concurrent.futures", "logging")
     for module in ("variokrig", "variokrig.cli"):
         probe = f"import sys, {module}; print([m for m in {heavy!r} if m in sys.modules])"
@@ -503,20 +505,21 @@ def test_cli_import_leaves_out_scipy_stats(tmp_path):
     def probe(*argv):
         out = subprocess.run([sys.executable, "-c", SCIPY_PROBE.format(argv=list(argv))],
                              env=env, capture_output=True, text=True, check=True)
-        status, direct, *loaded = out.stdout.splitlines()[-1].split()
+        status, numpy, direct, *loaded = out.stdout.splitlines()[-1].split()
         assert status == "0", out.stderr
-        return direct == "True", loaded
+        return numpy == "True", direct == "True", loaded
 
-    # scipy loads where it is used: the import, the help and a Matheron
-    # variogram need numpy only
+    # scipy loads where it is used: the import and the help load neither
+    # numpy nor scipy, and a Matheron variogram needs numpy only
+    for argv in ((), ("--help",)):
+        assert probe(*argv)[::2] == (False, []), argv
     data = str(make_synth(tmp_path))
-    for argv in ((), ("--help",),
-                 ("variogram", "--input", data, "--log", "--out", str(tmp_path / "v"))):
-        assert probe(*argv)[1] == [], argv
+    argv = ("variogram", "--input", data, "--log", "--out", str(tmp_path / "v"))
+    assert probe(*argv)[::2] == (True, [])
     # the fits of a posterior need scipy's special-function ufuncs and its
     # L-BFGS-B routine, not the scipy.special, scipy.optimize or scipy.linalg
     # packages; a map needs the ufuncs and LAPACK's dtrtrs
-    direct, loaded = probe(
+    _, direct, loaded = probe(
         "posterior", "--input", data, "--log", "--model", SYNTH_NONUG, "--sims", "4",
         "--seed", "1", "--out", str(tmp_path / "p"))
     import scipy
@@ -531,7 +534,7 @@ def test_cli_import_leaves_out_scipy_stats(tmp_path):
              "--grid", "3", "3", "0", "100", "0", "80", "--radius", "200",
              "--out", str(tmp_path / "d")))
     for argv in maps:
-        direct, loaded = probe(*argv)
+        _, direct, loaded = probe(*argv)
         if direct:
             assert loaded == ["scipy.linalg._flapack", "scipy.special._special_ufuncs"], argv
     # the copula fit computes its PCHIP margins in numpy and runs BFGS over
@@ -540,9 +543,59 @@ def test_cli_import_leaves_out_scipy_stats(tmp_path):
     rows = 1.0 + 0.1 * np.random.default_rng(2).normal(size=(30, 4))
     draws.write_text("nugget,sill,range,nue\n"
                      + "".join(",".join(map(repr, map(float, r))) + "\n" for r in rows))
-    direct, loaded = probe("copula-fit", "--draws", str(draws), "--out", str(tmp_path / "c"))
+    _, direct, loaded = probe("copula-fit", "--draws", str(draws), "--out", str(tmp_path / "c"))
     if direct:
         assert loaded == ["scipy.optimize._dcsrch", "scipy.optimize._linesearch"], loaded
+
+
+# Run by a fresh interpreter: `python -m variokrig ARGV` (with no ARGV, the
+# import of variokrig.cli alone), then its exit status and whether numpy
+# loaded.
+NUMPY_PROBE = """
+import runpy, sys
+sys.argv = ["variokrig", *{argv!r}]
+status = 0
+try:
+    if {argv!r}:
+        runpy.run_module("variokrig", run_name="__main__")
+    else:
+        import variokrig.cli
+except SystemExit as exc:
+    status = exc.code
+print(status, "numpy" in sys.modules)
+"""
+
+
+def test_parsing_help_and_usage_errors_load_no_numpy(tmp_path):
+    # numpy loads once a command starts its work: the import, the help texts
+    # and a usage error finish without it
+    import subprocess
+    import sys
+
+    import variokrig
+
+    src = os.path.dirname(os.path.dirname(variokrig.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def probe(*argv):
+        out = subprocess.run([sys.executable, "-c", NUMPY_PROBE.format(argv=list(argv))],
+                             env=env, capture_output=True, text=True)
+        status, numpy = out.stdout.splitlines()[-1].split()
+        return int(status), numpy == "True", out.stderr.splitlines()
+
+    data = str(make_synth(tmp_path))
+    out = str(tmp_path / "o")
+    assert probe() == (0, False, [])
+    assert probe("--help") == (0, False, [])
+    assert probe("density", "--help") == (0, False, [])
+    status, numpy, err = probe("krige", "--method", "nope", "--input", data,
+                               "--model", SYNTH_NONUG, "--at", "0,0", "--out", out)
+    assert (status, numpy) == (1, False)
+    assert len(err) == 1 and err[0].startswith("error: argument --method"), err
+    assert not os.path.exists(out)
+    # a command that computes loads it
+    assert probe("variogram", "--input", data, "--log", "--out", out) == (0, True, [])
 
 
 # The variokrig modules a command ran: the package registers the numerical
@@ -809,6 +862,25 @@ def test_memory_error_is_one_line_user_error(tmp_path, capsys, monkeypatch):
     out = tmp_path / "o"
     line = assert_user_error(run("synth", "--seed", "1", "--out", str(out)), capsys, out)
     assert "out of memory" in line and "85.7 GiB" in line
+
+
+def test_linalg_error_is_one_line_numeric_failure(tmp_path, capsys, monkeypatch):
+    # numpy's LinAlgError raised by a command's work exits 2 like a
+    # NumericError, and the files the command wrote are removed
+    from variokrig import copula
+
+    def singular(draws, result):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(copula, "joint_density_csv", singular)
+    rows = 1.0 + 0.1 * np.random.default_rng(2).normal(size=(30, 4))
+    draws = tmp_path / "draws.csv"
+    draws.write_text("nugget,sill,range,nue\n"
+                     + "".join(",".join(map(repr, map(float, r))) + "\n" for r in rows))
+    out = tmp_path / "c"
+    assert run("copula-fit", "--draws", str(draws), "--out", str(out)) == 2
+    assert capsys.readouterr().err.splitlines() == ["numeric failure: Singular matrix"]
+    assert out.is_dir() and not any(out.iterdir())
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
