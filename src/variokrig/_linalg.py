@@ -7,16 +7,16 @@ and doubling up to six times before the attempt is abandoned. Past the
 ladder, one (n, n) matrix raises SingularMatrixError, as
 `models.covariance_eval` raises, and a matrix of a stack gets a NaN factor,
 as `models.covariance_values` gives NaN: its solves are NaN, and it fails
-its own item (neighbour set, draw or point) alone. A system is factored once by ``chol_with_jitter`` and solved with
-that factor by ``chol_solve``, as often as its callers need:
-``chol_solve_into`` solves in place (a density's per-draw solves), and
-``chol_solve_each`` solves a stack of right-hand sides against views of a
-stack of factors (a map's per-point solves). ``spd_solve`` does both for a
-one-off system. The module is the package's only route to scipy's LAPACK.
-The first triangular solve loads LAPACK's ``dtrtrs`` from the compiled
-module `scipy.linalg._flapack` alone, without the `scipy.linalg` package;
-where that module is missing, it imports `scipy.linalg.lapack`, whose
-``dtrtrs`` is the same routine.
+its own item (neighbour set or point) alone. A system is factored once by
+``chol_with_jitter`` and solved with that factor by ``chol_solve``, as
+often as its callers need: ``chol_solve_each`` solves a stack of
+right-hand sides against views of a stack of factors (the per-point solves
+of kriging and density maps), each in place (``chol_solve_into``).
+``spd_solve`` does both for a one-off system. The module is the package's
+only route to scipy's LAPACK. The first triangular solve loads LAPACK's
+``dtrtrs`` from the compiled module `scipy.linalg._flapack` alone, without
+the `scipy.linalg` package; where that module is missing, it imports
+`scipy.linalg.lapack`, whose ``dtrtrs`` is the same routine.
 """
 
 import numpy as np
@@ -38,25 +38,27 @@ def jitter_ladder(scale: float):
 
 def _chol_one(mat):
     """(L, delta) of one matrix for the first rung of the jitter ladder that
-    factors it, or None when the ladder is exhausted."""
+    factors it, or None when the ladder is exhausted. A trace that
+    overflows makes an infinite scale and a shift that is not finite,
+    quietly: such a matrix simply fails the ladder."""
     n = mat.shape[0]
-    scale = float(np.trace(mat)) / max(n, 1)
-    for delta in jitter_ladder(scale):
-        try:
-            shifted = mat if delta == 0.0 else mat + delta * np.eye(n)
-            L = np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            continue
-        if np.all(np.isfinite(L)):
-            return L, delta
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = float(np.trace(mat)) / max(n, 1)
+        for delta in jitter_ladder(scale):
+            try:
+                L = np.linalg.cholesky(mat if delta == 0.0 else mat + delta * np.eye(n))
+            except np.linalg.LinAlgError:
+                continue
+            if np.all(np.isfinite(L)):
+                return L, delta
     return None
 
 
 def chol_with_jitter(mat):
     """Lower Cholesky factor of ``mat + delta*I`` for the smallest workable delta.
 
-    ``mat`` is one (n, n) matrix or a (T, n, n) stack: the T draws of one
-    density point, or a group of same-size neighbour sets of a kriging map.
+    ``mat`` is one (n, n) matrix or a (G, n, n) stack: a group of same-size
+    neighbour sets of a kriging or density map, under one covariance spec.
     Returns ``(L, delta)``. One matrix past the ladder raises
     SingularMatrixError. A stack is factored in one call and, when any of
     its matrices needs jitter, again matrix by matrix, each with its own
@@ -116,7 +118,8 @@ def chol_solve(L, rhs):
 def chol_solve_into(L, b):
     """``chol_solve(L, b)`` in place of ``b``, a float64 vector or a
     Fortran-ordered (n, r) block of right-hand sides, with the same two
-    LAPACK calls and so the same bits. Returns ``b``. Any other ``b`` would
+    LAPACK calls and so the same bits: the solve of ``chol_solve`` and of
+    each item of ``chol_solve_each``. Returns ``b``. Any other ``b`` would
     be copied by the LAPACK wrapper and left unsolved, so the callers build
     ``b`` in that layout."""
     Lt = L.T

@@ -8,14 +8,14 @@ for the variance). The predictive density on the original scale averages
 the resulting lognormal densities over the draws on a fixed log grid and
 is summarised by grid-exact quantiles.
 
-A density map runs the kriging maps' block driver (`krige._map_blocks`)
-under their one byte budget, MAP_BYTES; a block counts its distances and
-its shared covariance values, 8 T bytes per distinct lag under T draws.
-Each neighbour set's T systems are factored once, in one call. Per draw,
-only the two triangular solves of a point's weights run in Python
-(`_conditional_moments`), and the T means, variances and positivity checks
-are stacked products with the bits of the Bayes kriging map's
-(`krige._bayes_moments`).
+Under each draw, these moments are the constant-trend Bayes kriging map's:
+a density map runs that map's two steps over the same blocks
+(`krige._map_blocks`, under the one byte budget MAP_BYTES). A block's
+spec-independent half (`krige._prepare`) is built once; each draw runs the
+per-spec half (`krige._solve`: one covariance evaluation, one factorisation
+per size group of neighbour sets, stacked predictions) over the whole
+block (`_conditional_moments`), so its moments have the bits of that map's
+rows.
 """
 
 import math
@@ -25,11 +25,12 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from ._linalg import chol_solve_into, chol_with_jitter, spd_solve
+from ._linalg import spd_solve
 from .empvario import SpatialDataset
 from .exceptions import DomainError, NumericError
-from .krige import TrendBasis, _bayes_moments, _bayes_terms, _map_blocks, _warn_dropped
-from .models import PosteriorDraws, covariance_matrix, covariance_values, distances
+from .krige import (BayesPrior, TrendBasis, _factor_bytes, _map_blocks, _point_terms, _prepare,
+                    _solve, _warn_dropped)
+from .models import PosteriorDraws, covariance_matrix
 from .util import MIN_NEIGHBORS, fmt_float, parallel_map
 
 QUANTILE_PS = {
@@ -79,7 +80,7 @@ class DensityGrid:
         intervals = (self.hi - self.lo) / self.step
         points = round(intervals) + 1 if math.isfinite(intervals) else math.inf
         if points > self.MAX_POINTS:
-            raise DomainError(f"density grid of {points} points exceeds the cap of "
+            raise DomainError(f"density grid of {points:.12g} points exceeds the cap of "
                               f"{self.MAX_POINTS} (use a coarser step)")
 
     @cached_property
@@ -120,149 +121,46 @@ class PredictiveDensity:
         return "\n".join(lines) + "\n"
 
 
-_F0 = np.ones((1, 1))  # the constant trend at the target, one row
+def _conditional_moments(prepared, spec, prior):
+    """One draw's means and variances at the points of a block, NaN at a
+    point that has none: the per-spec step of the constant-trend Bayes
+    kriging map (`krige._solve`), so each has the bits of that map's row.
+    Called once per draw and block, the span `bayes.draw_moment` of
+    `perfbench/tracing.py`."""
+    _, mean, variance, _ = _solve("bayes", prepared, spec, 0.0, prior)
+    return mean, variance
 
 
-def _conditional_moments(L, lam):
-    """The weights of the constant-trend Bayes predictor under one
-    parameter draw: its two triangular solves through the factor L of
-    K + phi, in place of lam, which holds cb = c0 + phi on entry. Called
-    once per draw, the span `bayes.draw_moment` of `perfbench/tracing.py`."""
-    return chol_solve_into(L, lam)
-
-
-def _pair_lags(locations, sets):
-    """The distances between the locations of the union of the index
-    `sets`, which hold each set's pair distances bit for bit, and each
-    location's place in that union."""
-    member = np.zeros(len(locations), dtype=bool)  # np.unique would import numpy.ma
-    member[np.concatenate(sets or [np.zeros(0, dtype=int)])] = True
-    union = locations[member]
-    return distances(union, union), np.cumsum(member) - 1
-
-
-def _lag_bytes(locations, draws: int, block):
-    """A density map's `held` (see `krige._map_blocks`): 8 T bytes for each
-    distinct lag of the block under T draws, counted at the first point
-    that holds it, and the distinct lags, sorted, with that point for each.
-    A point holds its cross lags, and the first point of a set the pair
-    distances of the set; the sets are taken in the order of their first
-    points, and each takes only the location pairs no earlier set held."""
-    numbers, firsts = np.unique(block.set_of, return_index=True)
-    firsts = firsts[numbers >= 0]
-    pair_lags, at = _pair_lags(locations, block.sets)
-    seen = np.zeros(pair_lags.shape, dtype=bool)
-    lags, counts = [block.cross], []
-    for j in np.argsort(firsts).tolist():
-        pairs = np.ix_(at[block.sets[j]], at[block.sets[j]])
-        new = ~seen[pairs]
-        seen[pairs] = True
-        lags.append(pair_lags[pairs][new])
-        counts.append(lags[-1].size)
-    held_by = np.concatenate([np.repeat(np.arange(len(block.points)), np.diff(block.starts)),
-                              np.repeat(np.sort(firsts), counts)])
-    order = np.argsort(held_by, kind="stable")
-    lags, where = np.unique(np.concatenate(lags)[order], return_index=True)
-    first = held_by[order][where]
-    return 8.0 * draws * np.bincount(first, minlength=len(block.points)), (lags, first)
-
-
-class _SharedCovariances:
-    """Covariances of one block of a density map under every draw, and the
-    moments of its points.
-
-    The block (`krige._Block`) is a Bayes kriging map's: its numbered
-    neighbour sets and its cross lags come from `krige._neighbour_sets`.
-    One covariance evaluation per draw covers the block's distinct lags,
-    `lags`: the pair distances of its sets and its points' cross lags. The
-    values of the lags that the previous block (`previous`) also held are
-    taken from it, not evaluated again. A value is NaN where its lag or
-    value is not finite (`covariance_values`), and a point fails only when
-    one of its own values is.
-
-    A point's moments (`moment_table`) need its set's T systems K + phi
-    factored, in one call; the factors of the last set asked for are kept,
-    from the previous block too (the same set has the same values), so a
-    map that asks for the points of a set one after another factors each
-    set once. Then each draw makes only its two triangular solves
-    (`_conditional_moments`), and the T means, variances and positivity
-    checks are stacked products (`krige._bayes_moments`), with the bits of
-    the Bayes kriging map's rows.
-    """
-
-    def __init__(self, block, lags, log_data: SpatialDataset, specs, prior_mean: float,
-                 prior_var: float, previous=None):
-        self.block, self.log_data, self.lags = block, log_data, lags
-        self.values = np.empty((len(specs), lags.size))
-        fresh = np.ones(lags.size, dtype=bool)
-        self.factored = (None, None) if previous is None else previous.factored
-        if previous is not None and previous.lags.size:
-            known = previous.lags
-            at = np.minimum(np.searchsorted(known, lags), known.size - 1)
-            fresh = known[at] != lags
-            self.values[:, ~fresh] = previous.values[:, at[~fresh]]
-        if np.any(fresh):
-            for t, spec in enumerate(specs):
-                self.values[t, fresh] = covariance_values(spec, lags[fresh])
-        self.cross_at = np.searchsorted(lags, block.cross)
-        pair_lags, self.at = _pair_lags(log_data.locations, block.sets)
-        self.pair_at = np.searchsorted(lags, pair_lags)
-        self.mu, self.phi = np.array([prior_mean]), np.array([[prior_var]])
-        # the trend terms at the target, which every point shares
-        [self.phif0], [self.mean0], [self.quad] = _bayes_terms(_F0, self.mu, self.phi)
-
-    def _factor(self, j: int):
-        """The factors of set j's T systems K + phi, and its residuals."""
-        idx = self.block.sets[j]
-        n, at = idx.size, self.at[idx]
-        K = self.values[:, self.pair_at[np.ix_(at, at)].ravel()]
-        F = np.ones((n, 1))
-        L, _ = chol_with_jitter(K.reshape(-1, n, n) + F @ self.phi @ F.T)
-        return L, self.log_data.values[idx] - F @ self.mu
-
-    def moment_table(self, i: int):
-        """(mean, variance) under every draw at point i, a (T, 2) array, or
-        None when it has too few neighbours; NumericError when a draw's
-        variance is not positive or a moment not finite, as it is where a
-        covariance of the point's own lags is not finite or a draw's system
-        is past the jitter ladder (its factor is NaN). Each draw makes only
-        its solves (`_conditional_moments`), and the T moments and checks
-        are stacked products."""
-        j = self.block.set_of[i]
-        if j < 0:
-            return None
-        key = self.block.sets[j].tobytes()
-        if self.factored[0] != key:
-            self.factored = key, self._factor(j)
-        L, resid = self.factored[1]
-        start, n = self.block.starts[i], resid.size
-        cross = self.values[:, self.cross_at[start:start + n + 1]]
-        c00, c0 = cross[:, 0], cross[:, 1:]
-        F = np.ones((n, 1))
-        # the gathered values are Fortran-ordered, and cb is made C-ordered
-        # so that each draw's products keep the bits of a one-point solve
-        cb = np.ascontiguousarray(c0 + F @ self.phif0)
-        lam = cb.copy()
-        for t in range(len(L)):
-            _conditional_moments(L[t], lam[t])
-        with np.errstate(all="ignore"):
-            m, s2 = _bayes_moments(cb, lam, resid, self.mean0, c00 + self.quad)
-        if not np.all((s2 > 0.0) & np.isfinite(s2) & np.isfinite(m)):
-            raise NumericError("conditional variance is not positive or a moment not finite")
-        return np.column_stack([m, s2])
-
-
-def _density_blocks(points, log_data: SpatialDataset, draws: PosteriorDraws, prior_mean: float,
-                    prior_var: float, radius: float):
-    """The blocks of a density map over `points` (`krige._map_blocks`, its
-    bytes counted by `_lag_bytes`), each with its `_SharedCovariances`."""
+def _moment_blocks(points, log_data: SpatialDataset, draws: PosteriorDraws, prior_mean: float,
+                   prior_var: float, radius: float):
+    """The blocks of a density map over `points` (`krige._map_blocks`), each
+    with the means and variances of its points under the T draws, a
+    (2, T, P) array. A block holds what a kriging map's block holds when
+    none of its sets is reused, and 16 T bytes per point for the moments."""
     specs = draws.specs()
-    previous = None
-    for block, (lags, first) in _map_blocks(points, log_data.locations, radius, MIN_NEIGHBORS,
-                                            partial(_lag_bytes, log_data.locations, len(specs))):
-        previous = _SharedCovariances(block, lags[first < len(block.points)], log_data, specs,
-                                      prior_mean, prior_var, previous)
-        yield block, previous
+    basis, prior = TrendBasis.constant(), BayesPrior.scalar(prior_mean, prior_var)
+    for block in _map_blocks(points, log_data.locations, radius, MIN_NEIGHBORS,
+                             lambda block: _factor_bytes({}, block) + 16.0 * len(specs)):
+        prepared = _prepare("bayes", log_data, block, {}, basis,
+                            _point_terms("bayes", block.points, basis, prior))
+        moments = np.empty((2, len(specs), len(block.points)))
+        for t, spec in enumerate(specs):
+            moments[:, t] = _conditional_moments(prepared, spec, prior)
+        yield block, moments
+
+
+def _moment_table(block, moments, i: int):
+    """(mean, variance) under every draw at point i of a block, a (T, 2)
+    array, or None when it has too few neighbours; NumericError when a
+    draw's variance is not positive or a moment not finite, as it is where
+    a covariance of the point's own lags is not finite or a draw's system
+    is past the jitter ladder (its factor is NaN)."""
+    if block.set_of[i] < 0:
+        return None
+    m, s2 = moments[:, :, i]
+    if not np.all((s2 > 0.0) & np.isfinite(s2) & np.isfinite(m)):
+        raise NumericError("conditional variance is not positive or a moment not finite")
+    return np.column_stack([m, s2])
 
 
 def _summarize(grid: DensityGrid, density: np.ndarray):
@@ -353,10 +251,10 @@ def predictive_density_at(
     """
     _check_prior_moments(prior_mean, prior_var)
     points = np.asarray(x0, dtype=float).reshape(1, -1)
-    [(block, shared)] = _density_blocks(points, log_data, draws, prior_mean, prior_var, radius)
+    [(block, moments)] = _moment_blocks(points, log_data, draws, prior_mean, prior_var, radius)
     _warn_dropped(block.dropped, "neighborhood of the density", stacklevel=2)
-    moments = shared.moment_table(0)
-    return None if moments is None else _density(moments, grid)
+    table = _moment_table(block, moments, 0)
+    return None if table is None else _density(table, grid)
 
 
 MAP_COLUMNS = (
@@ -388,41 +286,41 @@ def density_map(
     """Predictive-density summaries over a grid; sparse neighborhoods give
     missing rows rather than errors.
 
-    The map runs the kriging maps' block driver (`krige._map_blocks`): one
-    neighbour search and set numbering over the points ahead. A block ends
+    Under each draw, the map is the constant-trend Bayes kriging map with
+    the prior N(prior_mean, prior_var) (`krige_map`): the same block driver
+    (`krige._map_blocks`), neighbour search and set numbering. A block ends
     where the bytes it holds at once would pass MAP_BYTES: its distances to
-    the n data locations, 8 n per point, and its shared covariance values,
-    8 T bytes per distinct lag under T draws (`_lag_bytes`), which one
-    covariance evaluation per draw gives (see `_SharedCovariances`). A
-    block's points are taken set by set, so each neighbour set's T systems
-    are factored once, in one call, and shared by its points. Per draw,
-    only a point's two triangular solves run in Python; the draws' moments
-    and checks are stacked products, and a draw whose variance is not
-    positive fails its point alone. Each point is one `parallel_map` item,
-    and the rows come back in grid order. Duplicate locations are dropped
-    as a Bayes kriging map drops them, with one warning per map.
+    the n data locations, 8 n per point, the factors of its sets, 8 m^2 per
+    set of m locations, and its points' moments, 16 T bytes per point under
+    T draws. A block's spec-independent half is prepared once
+    (`krige._prepare`); per draw, one covariance evaluation, one
+    factorisation per size group of its sets and the stacked predictions
+    give the draw's moments at every point (`_conditional_moments`). A
+    point fails when a draw's variance is not positive or a moment not
+    finite. Each point is then one `parallel_map` item, which builds its
+    density from its column of moments. Duplicate locations are dropped as
+    a Bayes kriging map drops them, with one warning per map.
     """
     _check_prior_moments(prior_mean, prior_var)
     pts = np.atleast_2d(np.asarray(grid_points, dtype=float))
     dropped = np.zeros(len(log_data), dtype=bool)
     rows = []
-    for block, shared in _density_blocks(pts, log_data, draws, prior_mean, prior_var, radius):
+    for block, moments in _moment_blocks(pts, log_data, draws, prior_mean, prior_var, radius):
         dropped |= block.dropped
-        order = np.argsort(block.set_of, kind="stable")  # the points of a set together
-        done = parallel_map(partial(_density_row, block.points, shared, grid), order.tolist())
-        rows += [done[k] for k in np.argsort(order).tolist()]
+        rows += parallel_map(partial(_density_row, block, moments, grid),
+                             range(len(block.points)))
     _warn_dropped(dropped, "neighborhoods of the density map", stacklevel=2)
     return rows
 
 
-def _density_row(points, shared, grid, i: int) -> DensityMapRow:
+def _density_row(block, moments, grid, i: int) -> DensityMapRow:
     try:
-        moments = shared.moment_table(i)
-        if moments is None:
-            return DensityMapRow(points[i], None, "too_few_neighbors")
-        return DensityMapRow(points[i], _density(moments, grid).summary, "ok")
+        table = _moment_table(block, moments, i)
+        if table is None:
+            return DensityMapRow(block.points[i], None, "too_few_neighbors")
+        return DensityMapRow(block.points[i], _density(table, grid).summary, "ok")
     except NumericError:
-        return DensityMapRow(points[i], None, "numeric_failure")
+        return DensityMapRow(block.points[i], None, "numeric_failure")
 
 
 def density_map_csv(rows) -> str:

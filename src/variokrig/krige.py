@@ -9,19 +9,19 @@ neighbour sets and lay out its cross lags in `_neighbour_sets`, which drops
 duplicate locations (warned once).
 
 Kriging maps and density maps run one block driver, `_map_blocks`, under one
-byte budget, MAP_BYTES. A block is the longest run of the next grid points
-whose bytes stay within it: 8 n per point for its distances to the n data
-locations, plus what the map keeps for the block. A kriging map counts the
-factors of the neighbour sets new to the block, 8 m^2 bytes for a set of m
-locations; a density map counts its shared covariance values, 8 T bytes per
-distinct lag of the block under T draws. A block factors its new neighbour
-sets in stacks of one size. Per point, only its triangular solves against
-its set's factor (`_linalg.chol_solve_each`) and building its row run in
-Python; the right-hand sides, the dot products, the variances and the
-statuses are stacked numpy steps over the points of one stack of factors
-(`_predictions`, `_finish_sd`), whose items keep the bits of the point's
-own products. The single-point predictors run the same steps on a stack of
-one point."""
+byte budget, MAP_BYTES, and one way to factor and solve a block's systems,
+in two steps. `_prepare` builds what no covariance spec changes, once per
+block: the size groups of its new neighbour sets, their trend designs and
+rank checks, and one lag vector. `_solve` runs per spec: one covariance
+evaluation of that vector, one factorisation per size group, and the
+stacked predictions. A kriging map runs it once per block; a density map,
+which is the constant-trend Bayes kriging map under each posterior draw,
+once per draw and block. Per point, only its triangular solves against its
+set's factor (`_linalg.chol_solve_each`) run in Python; the right-hand
+sides, the dot products, the variances and the statuses are stacked numpy
+steps over the points of one stack of factors (`_predictions`,
+`_finish_sd`), whose items keep the bits of the point's own products. The
+single-point predictors run the same steps on a stack of one point."""
 
 import warnings
 from dataclasses import dataclass
@@ -33,7 +33,8 @@ import numpy as np
 from ._linalg import chol_solve, chol_solve_each, chol_with_jitter, spd_solve
 from .empvario import SpatialDataset
 from .exceptions import DomainError, NumericError, SingularMatrixError
-from .models import _distinct_rows, covariance_matrix, covariance_values, distances
+from .models import (_distinct_rows, covariance_matrix, covariance_values, distances,
+                     pair_distances)
 from .util import KRIGE_METHODS, MIN_NEIGHBORS, parallel_map
 
 _diagnostics = {"clamped_variances": 0}
@@ -365,15 +366,6 @@ def _bayes_terms(f0s, mu, phi):
             np.matmul(np.matmul(rows, phi), cols)[:, 0, 0])
 
 
-def _bayes_moments(cb, lam, resid, mean0, var0):
-    """Means f0'mu + lambda'resid and Schur-complement variances
-    C(0) + f0'Phi f0 - cb'lambda of the Bayes predictor at P points (or
-    under P draws), stacked: weights lambda (P, n) solving
-    (K + F Phi F') lambda = cb = c0 + F Phi f0, residuals z - F mu, and
-    mean0 = f0'mu and var0 = C(0) + f0'Phi f0."""
-    return mean0 + _dots(lam, resid), var0 - _dots(cb, lam)
-
-
 def _point_terms(method, points, basis, prior) -> tuple:
     """The trend terms of the points for `_predictions`, each stacked over
     the points: the trend rows (f0,) (universal kriging),
@@ -404,7 +396,9 @@ def _predictions(fac: _Factored, which, terms, c0, c00):
             cb = c0 + np.matmul(fac.F[which], phif0[:, :, None])[:, :, 0]
             lam = cb.copy()
             chol_solve_each(L, which, lam)
-            return _bayes_moments(cb, lam, fac.resid[which], mean0, c00 + quad)
+            # f0'mu + lambda'(z - F mu) and the Schur complement
+            # C(0) + f0'Phi f0 - cb'lambda, lambda solving (K + F Phi F') lambda = cb
+            return mean0 + _dots(lam, fac.resid[which]), (c00 + quad) - _dots(cb, lam)
         lam = np.array(c0)
         chol_solve_each(L, which, lam)
         if method == "simple":
@@ -551,18 +545,19 @@ def _run_slice(run, a: int, b: int, first) -> _Block:
 
 def _map_blocks(grid, locations, radius: float, least: int, held):
     """The one block driver of kriging and density maps: yields the blocks
-    of `grid`, in order, as `(block, found)`, `block` a `_Block` over the
-    data `locations` (see `_neighbour_sets` for `radius` and `least`).
+    of `grid`, in order, each a `_Block` over the data `locations` (see
+    `_neighbour_sets` for `radius` and `least`).
 
     A block is the longest run of the next grid points, at least one, whose
     bytes stay within MAP_BYTES: 8 n per point for its distances to the n
     locations, plus what the map keeps for it. `held(window)` counts the
     latter for a `_Block` of candidate points: it returns the bytes each
-    point adds to those of the points before it, and what it found on the
-    way, which is yielded with the block (a block is the head of the window
-    it was cut from). A window holds twice the last block's points (the
-    whole search ahead at first), and twice as many again while it fits
-    whole.
+    point adds to those of the points before it (a block is the head of the
+    window it was cut from). A kriging map counts the factors of the sets
+    new to the block (`_factor_bytes`); a density map counts every set of
+    the block as new and adds 16 T bytes per point for its moments under T
+    draws. A window holds twice the last block's points (the whole search
+    ahead at first), and twice as many again while it fits whole.
 
     The search runs ahead of the blocks: it covers the MAP_BYTES // (8 n)
     next points at once, whose distances alone would fill the budget, and
@@ -581,15 +576,14 @@ def _map_blocks(grid, locations, radius: float, least: int, held):
             b = min(end, a + 2 * size)
             while True:
                 window = _run_slice(run, a, b, first)
-                extra, found = held(window)
-                total = 8 * n * np.arange(1, b - a + 1) + np.cumsum(extra)
+                total = 8 * n * np.arange(1, b - a + 1) + np.cumsum(held(window))
                 size = max(1, int(np.searchsorted(total, MAP_BYTES, side="right")))
                 if size < b - a or b == end:
                     break
                 b = min(end, a + 2 * (b - a))
             if 0 < a and a + size == end < len(grid) - start:
                 break  # the block may reach past the run
-            yield (window if size == b - a else _run_slice(run, a, a + size, first)), found
+            yield window if size == b - a else _run_slice(run, a, a + size, first)
             a += size
         start += a
 
@@ -603,7 +597,7 @@ def _factor_bytes(previous, block: _Block):
     new = [j for j, idx in enumerate(block.sets) if idx.tobytes() not in previous]
     extra = np.zeros(len(block.points))
     extra[firsts[numbers >= 0][new]] = 8.0 * np.array([block.sets[j].size for j in new]) ** 2
-    return extra, None
+    return extra
 
 
 class MapRow(NamedTuple):
@@ -612,85 +606,141 @@ class MapRow(NamedTuple):
     status: str
 
 
-def _factor_sets(method, data: SpatialDataset, sets, spec, mean, basis, prior):
-    """The factored system `(fac, g)` of each index set of `data` (set g of
-    the stack `fac`), or STATUS_NUMERIC when it fails its checks.
+class _Prepared(NamedTuple):
+    """The half of a block's systems that no covariance spec changes
+    (`_prepare`), for `_solve`.
 
-    Sets of one size form a group. The trend designs of a group are rows of
-    one basis evaluation over the union of the sets, checked at once; its
-    Gram matrices are gathered with one index from one covariance
-    evaluation over the location pairs of that union (`covariance_values`),
-    and the group is
-    factored in one call. A set that fails the rank check leaves its group.
-    A set whose gathered Gram matrix is not finite, or past the jitter
-    ladder, keeps its place with a NaN factor, so that its points alone
-    are numeric failures.
-    """
-    member = np.zeros(len(data.values), dtype=bool)  # np.unique would import numpy.ma
-    member[np.concatenate(sets)] = True
-    union = np.flatnonzero(member)
-    locations = data.locations[union]
-    # the distances are symmetric bit for bit: one covariance evaluation of
-    # the upper triangle fills both
-    lags = distances(locations, locations)
-    upper = np.triu_indices(union.size)
-    gram = np.empty_like(lags)
-    gram[upper] = gram.T[upper] = covariance_values(spec, lags[upper])
-    design = basis.evaluate(locations) if method in ("universal", "bayes") else None
-    groups = {}
-    for j, idx in enumerate(sets):
-        groups.setdefault(idx.size, []).append(j)
-    systems = [STATUS_NUMERIC] * len(sets)
-    for n, members in groups.items():
-        idx = np.stack([sets[j] for j in members])
-        pos = np.searchsorted(union, idx)
-        F = None if design is None else design[pos]
-        keep = np.flatnonzero(np.broadcast_to(_passing(method, n, F), len(members)))
-        if keep.size == 0:
-            continue
-        fac = _factor(method, data.values[idx[keep]], None if F is None else F[keep],
-                      gram[pos[keep, :, None], pos[keep, None, :]], mean, prior)
-        for g, j in enumerate(keep.tolist()):
-            systems[members[j]] = fac, g
-    return systems
+    `lags` holds the distances of the location pairs that share a set new
+    to the block, then the block's cross lags (`_Block.cross`). Each size
+    group of the new sets that pass their checks is (the index (G, n, n)
+    that gathers its matrices from the lags, its data values (G, n), its
+    trend designs (G, n, k) or None). `reused` holds the factored stacks
+    (`_Factored`) of the block before that this block's sets reuse. A
+    stack, the groups' first and then the reused ones, is (its points,
+    their items in it, the index (P, n + 1) of their cross rows [C(0), c0]
+    in the lags, their trend terms). `set_stack` and `set_item` give each
+    set's stack and item (-1 where the set fails its checks), `count` the
+    number of points."""
+
+    lags: np.ndarray
+    groups: list
+    reused: list
+    stacks: list
+    set_stack: np.ndarray
+    set_item: np.ndarray
+    count: int
 
 
-def _block_rows(method, block: _Block, systems, spec, terms) -> list[MapRow]:
-    """The rows of a block's points, given the sets' factored systems
-    `(fac, g)` or STATUS_NUMERIC, by the block's set numbers, and the points'
+def _prepare(method, data: SpatialDataset, block: _Block, previous, basis, terms) -> _Prepared:
+    """The spec-independent half of the systems of a block's sets: a set
+    whose key is in `previous` reuses its `(fac, g)` there, or fails as it
+    did (STATUS_NUMERIC); the others are new. `terms` are the points'
     `_point_terms`.
 
-    The block's cross lags take one covariance evaluation. The points of one
-    stack of factors are predicted together (`_predictions`), and a point is
-    ok when its prediction and sd are finite: a NaN among its values, a NaN
-    factor or a failed solve makes it a numeric failure. Then each point
-    only builds its row, one `parallel_map` item per point."""
-    stacks = {}  # id of a stack of factors -> (its number, the stack)
-    set_stack = np.full(len(systems) + 1, -1)  # the last entry stands for -1
-    set_g = np.zeros(len(systems) + 1, dtype=int)
-    for j, system in enumerate(systems):
+    The new sets form one group per size. Their trend designs are rows of
+    one basis evaluation over the union of the new sets, and each group's
+    rank checks run on its whole stack (`_passing`); a set that fails them
+    leaves its group. The lags take each location pair that shares a new
+    set once, a pair and its mirror as one (the distances are symmetric bit
+    for bit), not every pair of the union; a group's gather index is read
+    off the numbering of those pairs over the union."""
+    keys = [idx.tobytes() for idx in block.sets]
+    set_stack = np.full(len(keys) + 1, -1)  # the last entry stands for -1
+    set_item = np.zeros(len(keys) + 1, dtype=int)
+    by_size = {}
+    for j, key in enumerate(keys):
+        if key not in previous:
+            by_size.setdefault(block.sets[j].size, []).append(j)
+    groups, pair_lags = [], np.zeros(0)
+    if by_size:
+        member = np.zeros(len(data.values), dtype=bool)  # np.unique would import numpy.ma
+        member[np.concatenate([block.sets[j] for js in by_size.values() for j in js])] = True
+        union = np.flatnonzero(member)
+        locations = data.locations[union]
+        design = basis.evaluate(locations) if method in ("universal", "bayes") else None
+        shared = np.zeros((union.size, union.size), dtype=bool)
+        for n, js in by_size.items():
+            js = np.array(js)
+            pos = np.searchsorted(union, np.stack([block.sets[j] for j in js]))
+            F = None if design is None else design[pos]
+            keep = np.flatnonzero(np.broadcast_to(_passing(method, n, F), len(js)))
+            if keep.size == 0:
+                continue
+            set_stack[js[keep]], set_item[js[keep]] = len(groups), np.arange(keep.size)
+            shared[pos[keep, :, None], pos[keep, None, :]] = True
+            groups.append((pos[keep], data.values[union[pos[keep]]],
+                           None if F is None else F[keep]))
+        lo, hi = np.nonzero(np.triu(shared))
+        pairs = np.zeros(shared.shape, dtype=int)
+        pairs[lo, hi] = pairs[hi, lo] = np.arange(lo.size)
+        pair_lags = pair_distances(locations[lo], locations[hi])
+        groups = [(pairs[pos[:, :, None], pos[:, None, :]], z, F) for pos, z, F in groups]
+    reused = {}  # id of a stack -> its place among the reused stacks, the stack
+    for j, key in enumerate(keys):
+        system = previous.get(key, STATUS_NUMERIC)
         if system is not STATUS_NUMERIC:
-            fac, set_g[j] = system
-            set_stack[j] = stacks.setdefault(id(fac), (len(stacks), fac))[0]
-    points, set_of, starts = block.points, block.set_of, block.starts
-    stack_of, which_of = set_stack[set_of], set_g[set_of]
-    P = len(points)
-    cross = covariance_values(spec, block.cross) if block.cross.size else block.cross
-    code = (set_of >= 0).astype(int)  # 0 too few neighbours, 1 failed, 2 served
-    preds, sds, sizes = np.full(P, np.nan), np.full(P, np.nan), np.zeros(P, dtype=int)
-    for s, fac in stacks.values():
+            fac, set_item[j] = system
+            set_stack[j] = len(groups) + reused.setdefault(id(fac), (len(reused), fac))[0]
+    reused = [fac for _, fac in reused.values()]
+    stack_of, item_of = set_stack[block.set_of], set_item[block.set_of]
+    stacks = []
+    for s, n in enumerate([values.shape[1] for _, values, _ in groups] +
+                          [fac.values.shape[1] for fac in reused]):
         pts = np.flatnonzero(stack_of == s)
-        n = fac.values.shape[1]
-        row = cross[starts[pts, None] + np.arange(n + 1)]
-        pred, var = _predictions(fac, which_of[pts], tuple(t[pts] for t in terms),
-                                 row[:, 1:], row[:, 0])
-        sd = _finish_sd(var, row[:, 0])
-        ok = np.isfinite(pred) & np.isfinite(sd)
-        preds[pts], sds[pts], sizes[pts] = pred, sd, n
-        code[pts[ok]] = 2
+        rows = pair_lags.size + block.starts[pts, None] + np.arange(n + 1)
+        stacks.append((pts, item_of[pts], rows, tuple(t[pts] for t in terms)))
+    return _Prepared(np.concatenate([pair_lags, block.cross]), groups, reused, stacks,
+                     set_stack, set_item, len(block.points))
+
+
+def _solve(method, prepared: _Prepared, spec, mean, prior):
+    """The per-spec half of a block's systems: the factored stacks, the
+    groups' and then the reused ones, and the predictions, variances and
+    C(0) of the block's points, NaN at a point that has no stack.
+
+    The lags take one covariance evaluation (`covariance_values`), each
+    group is gathered from it and factored in one call (`_factor`), and the
+    points of each stack are predicted together (`_predictions`). A lag or
+    value that is not finite is NaN, as is the factor of a system past the
+    jitter ladder, and fails only the sets and points that hold it."""
+    lags = prepared.lags
+    values = covariance_values(spec, lags) if lags.size else lags
+    facs = [_factor(method, z, F, values[gather], mean, prior)
+            for gather, z, F in prepared.groups] + prepared.reused
+    pred, var, c00 = np.full((3, prepared.count), np.nan)
+    for (pts, which, rows, terms), fac in zip(prepared.stacks, facs):
+        row = values[rows]
+        c00[pts] = row[:, 0]
+        pred[pts], var[pts] = _predictions(fac, which, terms, row[:, 1:], row[:, 0])
+    return facs, pred, var, c00
+
+
+def _block_rows(method, block: _Block, data: SpatialDataset, previous, spec, mean, basis,
+                prior):
+    """The rows of a block's points (`_prepare`, then `_solve`), and the
+    systems of its sets by their keys, for the block after it: `(fac, g)`,
+    or STATUS_NUMERIC where a set fails its checks. `previous` holds those
+    of the block before; it is emptied once this block has taken the
+    stacks it reuses, so that the others are let go before it is factored.
+    A point is ok when its prediction and sd are finite (`_finish_sd`): a
+    NaN among its values, a NaN factor or a failed solve makes it a numeric
+    failure. Then each point only builds its row, one `parallel_map` item
+    per point."""
+    prepared = _prepare(method, data, block, previous, basis,
+                        _point_terms(method, block.points, basis, prior))
+    previous.clear()
+    facs, pred, var, c00 = _solve(method, prepared, spec, mean, prior)
+    sd = _finish_sd(var, c00)
+    ok = np.isfinite(pred) & np.isfinite(sd)
+    code = (block.set_of >= 0).astype(int) + ok  # 0 too few neighbours, 1 failed, 2 ok
     statuses = np.array([STATUS_FEW, STATUS_NUMERIC, STATUS_OK], dtype=object)[code]
-    return parallel_map(partial(_map_row, method, points, preds.tolist(), sds.tolist(),
-                                sizes.tolist(), statuses.tolist()), range(P))
+    rows = parallel_map(partial(_map_row, method, block.points, pred.tolist(), sd.tolist(),
+                                (np.diff(block.starts) - 1).tolist(), statuses.tolist()),
+                        range(len(block.points)))
+    systems = {idx.tobytes(): STATUS_NUMERIC if s < 0 else (facs[s], g)
+               for idx, s, g in zip(block.sets, prepared.set_stack.tolist(),
+                                    prepared.set_item.tolist())}
+    return rows, systems
 
 
 def _map_row(method, points, preds, sds, sizes, statuses, i: int) -> MapRow:
@@ -725,34 +775,35 @@ def krige_map(
     every neighbour set of a block and every point's cross lags. Duplicate
     locations are dropped once per map (they lie at the same distance, so
     they enter and leave a set together), with one warning. The points of
-    one numbered set share its factored system. The sets new to a block (a
-    set of the previous block is reused) are grouped by size: a group's
-    designs and Gram matrices are sliced from one basis and one covariance
-    evaluation over the union of the new sets, checked as one stack and
-    factored in one `chol_with_jitter` call, and its residuals taken in one
-    stacked product. The cross-covariances of the block take one more
-    evaluation. Both evaluations follow `covariance_values`, and the
-    factorisation its rule: a lag or value that is not finite is NaN, as is
-    the factor of a set past the jitter ladder, and fails only the set or
-    point that holds it. A row is ok when its prediction and sd are finite.
-    The trend terms (f0, or Bayes' Phi f0, f0'mu and f0'Phi f0) take one
-    basis evaluation and three stacked products.
+    one numbered set share its factored system.
 
-    The points of one stack of factors are then predicted together
-    (`_block_rows`): per point, only its two triangular solves against a
-    view of its set's factor run in Python (`_linalg.chol_solve_each`).
-    The right-hand sides, the dot products, the variances with their clamp
-    rule (`_finish_sd`) and the statuses are stacked numpy steps whose
-    items keep the bits of the point's own products, so a row equals the
-    single-point predictor's. Each point then only builds its row.
-    A global radius gives one set, so the whole map factors one matrix.
+    Each block takes two steps. `_prepare` does what no spec changes: it
+    groups the new sets by size, checks their trend designs, rows of one
+    basis evaluation over the union of the new sets, as one stack per
+    group, and lays out one lag vector, the distances of the location pairs
+    that share a new set and the block's cross lags. `_solve` evaluates
+    that vector once (`covariance_values`), factors each group in one
+    `chol_with_jitter` call and predicts the points of one stack of factors
+    together (`_predictions`): per point, only its two triangular solves
+    against a view of its set's factor run in Python
+    (`_linalg.chol_solve_each`). The right-hand sides, the dot products,
+    the variances with their clamp rule (`_finish_sd`) and the statuses
+    are stacked numpy steps whose items keep the bits of the point's own
+    products, so a row equals the single-point predictor's. A lag or value
+    that is not finite is NaN, as is the factor of a set past the jitter
+    ladder, and fails only the set or point that holds it; a row is ok
+    when its prediction and sd are finite. The trend terms (f0, or Bayes'
+    Phi f0, f0'mu and f0'Phi f0) take one basis evaluation and three
+    stacked products. Each point then only builds its row. A global radius
+    gives one set, so the whole map factors one matrix.
 
-    Memory: besides the block's budget, the map keeps the previous block's
-    factors (with the stacks they were factored in) for the sets it reuses,
-    and the search ahead keeps the member mask and cross lags of at most
-    MAP_BYTES // (8 n) points. While a group is factored, its gathered Gram
-    matrices and factors are held together. The stacked steps hold vectors
-    of the points (P x m floats), and no factor is copied per point.
+    Memory: besides the block's budget, the map keeps the stacks of the
+    previous block's factors that hold the sets it reuses, and the search
+    ahead keeps the member mask and cross lags of at most MAP_BYTES // (8 n)
+    points. The block's gather indices, as large as its new factors, are
+    held while it is solved, and a group's gathered Gram matrices while it
+    is factored. The stacked steps hold vectors of the points (P x m
+    floats), and no factor is copied per point.
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     if grid.shape[0] == 0:
@@ -769,19 +820,12 @@ def krige_map(
     dropped = np.zeros(len(data), dtype=bool)
     clamped = clamped_variance_count()
     rows, previous = [], {}
-    for block, _ in _map_blocks(grid, data.locations, radius, min_neighbors,
-                                lambda block: _factor_bytes(previous, block)):
+    for block in _map_blocks(grid, data.locations, radius, min_neighbors,
+                             lambda block: _factor_bytes(previous, block)):
         dropped |= block.dropped
-        keys = [idx.tobytes() for idx in block.sets]
-        systems = [previous.get(key) for key in keys]
-        new = [j for j, system in enumerate(systems) if system is None]
-        if new:
-            for j, system in zip(new, _factor_sets(method, data, [block.sets[j] for j in new],
-                                                   spec, mean, basis, prior)):
-                systems[j] = system
-        previous = dict(zip(keys, systems))
-        rows += _block_rows(method, block, systems, spec,
-                            _point_terms(method, block.points, basis, prior))
+        block_rows, previous = _block_rows(method, block, data, previous, spec, mean, basis,
+                                           prior)
+        rows += block_rows
     _warn_dropped(dropped, "kriging neighborhoods of the map", stacklevel=2)
     _warn_clamped(clamped, f"{method} kriging", stacklevel=2)
     return rows

@@ -386,10 +386,17 @@ def distances(a, b) -> np.ndarray:
     """
     if a.shape[1] != b.shape[1]:
         raise DomainError(f"points of dimension {a.shape[1]} and {b.shape[1]} have no distance")
-    sq = np.zeros((a.shape[0], b.shape[0]))
+    return pair_distances(a[:, None, :], b[None, :, :])
+
+
+def pair_distances(a, b) -> np.ndarray:
+    """Euclidean distances |a_i - b_i| between the rows of two coordinate
+    arrays that broadcast, (..., d): the sum of `distances`, so a pair's
+    distance has the same bits in both."""
+    sq = np.zeros(np.broadcast_shapes(a.shape, b.shape)[:-1])
     with np.errstate(over="ignore"):
-        for k in range(a.shape[1]):
-            diff = a[:, k, None] - b[None, :, k]
+        for k in range(a.shape[-1]):
+            diff = a[..., k] - b[..., k]
             sq += diff * diff
     return np.sqrt(sq, out=sq)
 

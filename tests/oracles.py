@@ -275,24 +275,19 @@ def factor_bytes(sets):
     return added
 
 
-def lag_bytes(points, locations, sets, draws):
-    """`added` of `block_sizes` for a density map under `draws` draws: 8 T
-    bytes for each distinct lag of the block, the pair distances of its sets
-    and the cross lags [0, distances to its set] of its points."""
-    from scipy.spatial.distance import cdist
+def moment_bytes(sets, draws):
+    """`added` of `block_sizes` for a density map under `draws` draws: the
+    rule of a kriging map that holds no set of the block before (8 m^2 bytes
+    for the factor of each set of m locations, at its first point in the
+    block) and 16 T bytes per point for its T means and variances."""
 
     def added(before):
-        lags, seen = set(), set()
+        seen = set()
 
         def add(i):
-            if sets[i] is None:
-                return 0
-            size, locs = len(lags), locations[list(sets[i])]
-            if sets[i] not in seen:
-                seen.add(sets[i])
-                lags.update(cdist(locs, locs).ravel().tolist())
-            lags.update([0.0, *cdist(points[i:i + 1], locs).ravel().tolist()])
-            return 8 * draws * (len(lags) - size)
+            new = sets[i] is not None and sets[i] not in seen
+            seen.add(sets[i])
+            return 16 * draws + (8 * len(sets[i]) ** 2 if new else 0)
 
         return add
 

@@ -17,7 +17,7 @@ from variokrig import (
     gls_beta,
     predictive_density_at,
 )
-from variokrig.bayes import _density_blocks, density_map_csv
+from variokrig.bayes import _moment_blocks, _moment_table, density_map_csv
 from variokrig.exceptions import NumericError
 from variokrig.models import covariance_eval
 from variokrig.fit import FitResult
@@ -34,11 +34,11 @@ def one_draw(nugget=0.05, sill=1.2, range_=6.0, nu=0.5):
 
 
 def one_block(points, data, draws, prior_mean, prior_var, radius):
-    """The shared covariances of a density map over `points` that is one
-    block."""
-    [(_, shared)] = _density_blocks(np.asarray(points, dtype=float), data, draws, prior_mean,
-                                    prior_var, radius)
-    return shared
+    """The one block of a density map over `points` and the means and
+    variances of its points under every draw, (2, T, P)."""
+    [(block, moments)] = _moment_blocks(np.asarray(points, dtype=float), data, draws,
+                                        prior_mean, prior_var, radius)
+    return block, moments
 
 
 def several_draws(rng, t=8):
@@ -146,7 +146,7 @@ def test_conditional_moments_match_bayes_kriging_and_are_monotone_in_phi():
     x0 = [5.0, 5.0]
     prev = 0.0
     for phi in (0.0, 0.5, 2.0, 10.0, 100.0):
-        [(m, s2)] = one_block([x0], data, one_draw(), 0.4, phi, math.inf).moment_table(0)
+        [(m, s2)] = _moment_table(*one_block([x0], data, one_draw(), 0.4, phi, math.inf), 0)
         bk = bayes_kriging(x0, data, spec, TrendBasis.constant(), BayesPrior.scalar(0.4, phi))
         assert m == pytest.approx(bk.prediction, abs=1e-10)
         assert math.sqrt(s2) == pytest.approx(bk.sd, abs=1e-10)
@@ -155,8 +155,9 @@ def test_conditional_moments_match_bayes_kriging_and_are_monotone_in_phi():
 
 
 def test_shared_moments_equal_bayes_kriging_on_each_draws_own_system():
-    # bit for bit: the shared lags, the stacked factorisation and the terms
-    # computed once per point must not move the last bit of any moment
+    # bit for bit: the block's one lag vector, the stacked factorisations
+    # of its size groups and the stacked terms must not move the last bit
+    # of any moment
     from oracles import kriging_point_reference
 
     rng = np.random.default_rng(33)
@@ -164,10 +165,10 @@ def test_shared_moments_equal_bayes_kriging_on_each_draws_own_system():
     draws = PosteriorDraws(np.vstack([several_draws(rng, 6).table,
                                       [[0.1, 0.9, 4.0, 1.7], [0.0, 1.1, 5.0, 2.5]]]))
     points = rng.uniform(0.0, 10.0, size=(12, 2))
-    shared = one_block(points, data, draws, 0.3, 7.0, 4.0)
+    block, moments = one_block(points, data, draws, 0.3, 7.0, 4.0)
     served = 0
     for i, x0 in enumerate(points):
-        got = shared.moment_table(i)
+        got = _moment_table(block, moments, i)
         idx = np.flatnonzero(np.hypot(*(data.locations - x0).T) <= 4.0)
         if got is None:
             assert idx.size <= 4
@@ -212,10 +213,10 @@ def test_density_drops_duplicates_as_the_bayes_map_does():
         assert caught_messages(lambda: maps.append(krige_map(
             points, "bayes", data, spec, 4.0, basis=TrendBasis.constant(), prior=prior))) == [
             "dropped 1 duplicate locations from the kriging neighborhoods of the map"]
-    [(block, shared)] = _density_blocks(points, data, draws, 0.3, 7.0, 4.0)
+    block, moments = one_block(points, data, draws, 0.3, 7.0, 4.0)
     for i in range(len(points)):
         rows = [rows[i] for rows in maps]
-        got = shared.moment_table(i)
+        got = _moment_table(block, moments, i)
         if got is None:
             assert {r.status for r in rows} == {"too_few_neighbors"}
             continue
@@ -232,13 +233,14 @@ def test_density_drops_duplicates_as_the_bayes_map_does():
 
 def test_density_map_across_blocks_equals_each_points_density(count_calls):
     # a block is the longest run of the next points, at least one, whose
-    # distances (8 n bytes per point) and shared covariance values (8 T bytes
-    # per distinct lag) stay within MAP_BYTES; each row has the bits of the
-    # point's own density, and every block drops the duplicated station,
-    # which is warned about once
+    # distances (8 n bytes per point), factors (8 m^2 bytes per set of m
+    # locations, none reused from the block before) and moments (16 T bytes
+    # per point) stay within MAP_BYTES; each row has the bits of the point's
+    # own density, and every block drops the duplicated station, which is
+    # warned about once
     import warnings
 
-    from oracles import block_sizes, lag_bytes, neighbour_sets
+    from oracles import block_sizes, moment_bytes, neighbour_sets
     from variokrig.krige import MAP_BYTES
 
     rng = np.random.default_rng(35)
@@ -247,20 +249,19 @@ def test_density_map_across_blocks_equals_each_points_density(count_calls):
     locs[9], values[9] = locs[2], values[2] - 0.25
     data = SpatialDataset(locs, values)
     draws = several_draws(rng, 10)
-    points = rng.uniform(-1.0, 11.0, size=(600, 2))
+    points = rng.uniform(-1.0, 11.0, size=(900, 2))
     grid = DensityGrid(step=0.25)
     sets = neighbour_sets(points, locs, 1.2, 4)
-    sizes = block_sizes(len(locs), MAP_BYTES, len(points),
-                        lag_bytes(points, locs, sets, len(draws)))
-    blocks = count_calls("variokrig.bayes", "_SharedCovariances")
+    sizes = block_sizes(len(locs), MAP_BYTES, len(points), moment_bytes(sets, len(draws)))
+    blocks = count_calls("variokrig.bayes", "_prepare")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rows = density_map(points, data, draws, 0.3, 7.0, 1.2, grid)
     assert [str(w.message) for w in caught] == [
         "dropped 1 duplicate locations from the neighborhoods of the density map"]
-    assert [len(block.points) for block, *_ in blocks] == sizes
+    assert [len(block.points) for _, _, block, *_ in blocks] == sizes
     assert len(sizes) >= 2
-    for block, *_ in blocks:
+    for _, _, block, *_ in blocks:
         assert np.flatnonzero(block.dropped).tolist() == [9]
     statuses = []
     with warnings.catch_warnings():
@@ -287,9 +288,9 @@ def test_density_map_across_blocks_equals_each_points_density(count_calls):
 
 
 def test_density_map_factors_each_neighbour_set_once(count_calls):
-    # points of one neighbour set share its stacked factorisation: one
-    # chol_with_jitter call per distinct served set, here fewer than the
-    # served points
+    # points of one neighbour set share its factor: under each draw, each
+    # distinct served set is one matrix of one stacked chol_with_jitter call
+    # per set size, here fewer than the served points
     from oracles import neighbour_sets
 
     rng = np.random.default_rng(36)
@@ -301,14 +302,17 @@ def test_density_map_factors_each_neighbour_set_once(count_calls):
     assert len(set(served)) < len(served)
     factors = count_calls("variokrig._linalg", "chol_with_jitter")
     rows = density_map(points, data, draws, 0.3, 7.0, 3.0, DensityGrid(step=0.25))
-    assert len(factors) == len(set(served))
+    stacks = [np.shape(mat) for mat, in factors if np.ndim(mat) == 3]
+    assert sum(shape[0] for shape in stacks) == len(draws) * len(set(served))
+    assert len(stacks) == len(draws) * len({len(s) for s in set(served)})
     assert sum(r.status != "too_few_neighbors" for r in rows) == len(served)
 
 
-def test_density_blocks_of_one_point_share_their_set_factor(count_calls):
-    # 100 draws of the pair lags of 100 stations take more than MAP_BYTES:
-    # each block holds one point, takes its values from the block before,
-    # and keeps the factors of the one global set
+def test_density_map_factors_the_global_set_once_per_draw(count_calls):
+    # 100 draws of the pair lags of 100 stations would take more than
+    # MAP_BYTES, but a block holds one draw's values and factors at a time:
+    # the three points are one block, and each draw evaluates its lags once
+    # and factors the one global set once
     from variokrig.krige import MAP_BYTES
 
     rng = np.random.default_rng(40)
@@ -317,13 +321,14 @@ def test_density_blocks_of_one_point_share_their_set_factor(count_calls):
     points = rng.uniform(0.0, 10.0, size=(3, 2))
     grid = DensityGrid(step=0.25)
     assert 8 * 100 * (100 * 99 // 2) > MAP_BYTES
-    blocks = count_calls("variokrig.bayes", "_SharedCovariances")
+    blocks = count_calls("variokrig.bayes", "_prepare")
     evals = count_calls("variokrig.models", "covariance_eval")
     factors = count_calls("variokrig._linalg", "chol_with_jitter")
     rows = density_map(points, data, draws, 0.3, 7.0, math.inf, grid)
-    assert [len(block.points) for block, *_ in blocks] == [1, 1, 1]
-    assert len(factors) == 1
-    assert len(evals) == 3 * len(draws)  # each block evaluates its own cross lags
+    assert [len(block.points) for _, _, block, *_ in blocks] == [3]
+    assert [np.shape(mat) for mat, in factors if np.ndim(mat) == 3] == \
+        [(1, 100, 100)] * len(draws)
+    assert len(evals) == len(draws)
     for row, x0 in zip(rows, points):
         summary = predictive_density_at(x0, data, draws, 0.3, 7.0, math.inf, grid).summary
         got, expect = (np.array(list(s.values())) for s in (row.summary, summary))
@@ -331,26 +336,31 @@ def test_density_blocks_of_one_point_share_their_set_factor(count_calls):
 
 
 def test_density_map_peak_memory_is_bounded_by_the_budget():
-    # 150 draws over 300 points: the shared values of one block take
-    # 8 T bytes per distinct lag, so the map holds a few MAP_BYTES at once
-    # (the values of the block and of the one before it, the factors of one
-    # set, a block's search), not the values of the whole map
+    # 150 draws over 300 points, then 40 draws of 200 stations that every
+    # point holds in its set (as a radius of 200 does over the stations of
+    # the benchmark): a block holds its moments (16 T bytes per point) and
+    # one draw's lags and factors at a time, so the map holds a few
+    # MAP_BYTES at once, not the values of the whole map or the 12.8 MB of
+    # one set's factors under all 40 draws
     import tracemalloc
 
     from variokrig.krige import MAP_BYTES
 
     rng = np.random.default_rng(38)
-    data = log_dataset(rng, n=40)
-    draws = several_draws(rng, 150)
-    points = rng.uniform(0.0, 10.0, size=(300, 2))
+    cases = [(log_dataset(rng, n=40), several_draws(rng, 150),
+              rng.uniform(0.0, 10.0, size=(300, 2)), 4.0),
+             (log_dataset(rng, n=200), several_draws(rng, 40),
+              rng.uniform(0.0, 10.0, size=(12, 2)), 200.0)]
     grid = DensityGrid(step=0.25)
-    tracemalloc.start()
-    try:
-        density_map(points, data, draws, 0.3, 7.0, 4.0, grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * MAP_BYTES
+    for data, draws, points, radius in cases:
+        tracemalloc.start()
+        try:
+            rows = density_map(points, data, draws, 0.3, 7.0, radius, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "ok" in {r.status for r in rows}
+        assert peak < 3 * MAP_BYTES
 
 
 def test_forward_rule_reproduces_reference_weighting():
@@ -571,7 +581,9 @@ def test_density_map_evaluates_each_draw_once(count_calls):
     sets = {s for s in neighbour_sets(grid, data.locations, 4.0, 4) if s is not None}
     assert len(evals) == len(draws)
     assert sum(r.status != "too_few_neighbors" for r in rows) > 1
-    assert len(factors) == len(sets)  # one stacked factorisation per set
+    # each set is one matrix of one stacked factorisation per draw
+    stacks = [np.shape(mat) for mat, in factors if np.ndim(mat) == 3]
+    assert sum(shape[0] for shape in stacks) == len(draws) * len(sets)
 
 
 def test_failing_draw_fails_only_its_point(monkeypatch):
@@ -599,10 +611,11 @@ def test_failing_draw_fails_only_its_point(monkeypatch):
     solved = []
     conditional_moments = bayes._conditional_moments
     monkeypatch.setattr(bayes, "_conditional_moments",
-                        lambda L, lam: solved.append(1) or conditional_moments(L, lam))
+                        lambda *args: solved.append(1) or conditional_moments(*args))
     rows = density_map(grid, data, draws, 0.3, 7.0, 4.0)
     served = [i for i, r in enumerate(rows) if r.status != "too_few_neighbors"]
-    assert len(solved) == len(draws) * len(served) and len(served) > 10
+    # one draw's moments over the block, once per draw
+    assert len(solved) == len(draws) and len(served) > 10
     assert [r.status for r in rows[:-1]].count("numeric_failure") == 0
     assert rows[-1].status == "numeric_failure" and rows[-1].summary is None
     for x0, row in zip(grid[:-1], rows):

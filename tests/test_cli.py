@@ -840,6 +840,18 @@ def test_invalid_flag_is_one_line_user_error(tmp_path, capsys, inputs, argv):
     assert flag in line and argv[-1] in line
 
 
+def test_density_grid_past_the_float_range_prints_its_count_in_e_notation(tmp_path, capsys,
+                                                                          inputs):
+    # 1.15e303 grid points: the count is read as a float, not as an integer
+    # of some 300 digits
+    out = tmp_path / "o"
+    code = run("density", "--input", inputs["DATA"], "--draws", inputs["DRAWS"],
+               "--at", "0,0", "--grid-step", "1e-300", "--out", str(out))
+    line = assert_user_error(code, capsys, out)
+    assert "density grid of 1.15e+301 points exceeds the cap" in line
+    assert len(line) < 120
+
+
 def test_too_fine_density_grid_is_one_line_user_error(tmp_path, capsys, inputs):
     # 11.5e9 grid points: refused by their count, before anything is allocated
     from variokrig.bayes import DensityGrid
@@ -1029,18 +1041,23 @@ def far_inputs(tmp_path):
     return str(data), str(draws)
 
 
-@pytest.mark.parametrize("command", ["ordinary", "bayes", "bayes-linear", "density"])
+@pytest.mark.parametrize("command", ["ordinary", "bayes", "bayes-linear", "density",
+                                     "bayes-huge-prior", "density-huge-prior"])
 def test_map_points_with_overflowing_lags_are_numeric_failures(tmp_path, capsys, far_inputs,
                                                                command):
     data, draws = far_inputs
     out = tmp_path / "o"
-    if command == "density":
-        argv = ["density", "--input", data, "--draws", draws, "--radius", "inf"]
+    # a prior variance of 1e308 makes every system K + phi overflow its
+    # trace: the jitter ladder fails it without a numpy warning
+    prior = ["--prior-var", "1e308"] if command.endswith("-huge-prior") else []
+    if command.startswith("density"):
+        argv = ["density", "--input", data, "--draws", draws, "--radius", "inf", *prior]
         name = "density_map.csv"
     else:
-        method = ["bayes", "--basis", "linear"] if command == "bayes-linear" else [command]
+        method = ["bayes", "--basis", "linear"] if command == "bayes-linear" else ["bayes"]
+        method = ["ordinary"] if command == "ordinary" else method
         argv = ["krige", "--input", data, "--method", *method, "--model",
-                "kind=exponential nugget=0.1 sill=1.0 range=10.0"]
+                "kind=exponential nugget=0.1 sill=1.0 range=10.0", *prior]
         name = "krige.csv"
     capsys.readouterr()
     assert run(*argv, *FAR_GRID, "--out", str(out)) == 0
@@ -1049,6 +1066,14 @@ def test_map_points_with_overflowing_lags_are_numeric_failures(tmp_path, capsys,
     # the overflowing coordinate differences, and a linear trend's terms at
     # those coordinates, print no numpy warning
     assert capsys.readouterr().err == ""
+    if command == "density-huge-prior":
+        # at the stations the lags are finite, and the failing systems are
+        # one `numeric failure:` line
+        argv = ["density", "--input", data, "--draws", draws, "--at=-1e308,3", "--radius",
+                "inf", *prior, "--out", str(tmp_path / "at")]
+        assert run(*argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numeric failure:")
 
 
 def test_density_at_a_point_with_overflowing_lags_exits_2(tmp_path, capsys, far_inputs):

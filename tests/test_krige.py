@@ -120,16 +120,16 @@ def test_neighbour_sets_number_each_distinct_set_once():
     assert len({idx.tobytes() for idx in sets}) == len(sets) == 2
     assert sorted(set(set_of.tolist()) - {-1}) == list(range(len(sets)))
     # a block drops the duplicate where a served point reaches it
-    [(block, _)] = _map_blocks(points, locations, radius, least,
-                               lambda block: (np.zeros(len(block.points)), None))
+    [block] = _map_blocks(points, locations, radius, least,
+                          lambda block: np.zeros(len(block.points)))
     assert np.flatnonzero(block.dropped).tolist() == [5]
 
     member, set_of, sets, cross, starts = _neighbour_sets(points[[1, 4]], locations, first,
                                                           radius, least)
     assert set_of.tolist() == [-1, -1] and sets == []
     assert not member.any() and cross.size == 0 and starts.tolist() == [0, 0, 0]
-    [(block, _)] = _map_blocks(points[[1, 4]], locations, radius, least,
-                               lambda block: (np.zeros(len(block.points)), None))
+    [block] = _map_blocks(points[[1, 4]], locations, radius, least,
+                          lambda block: np.zeros(len(block.points)))
     assert not block.dropped.any() and block.cross.size == 0
 
 
@@ -663,8 +663,9 @@ def test_local_map_evaluates_covariances_at_most_twice_per_block(count_calls, me
     assert "numeric_failure" not in statuses
     assert statuses.count("ok") > len(grid) // 2
     assert len(blocks) >= 2
-    # one Gram over the block's new sets, one cross row
-    assert len(evals) <= 2 * len(blocks)
+    # one evaluation of the pair lags of the block's new sets and its
+    # cross lags
+    assert len(evals) == len(blocks)
     assert searches == []  # one block search, no per-point neighborhood
 
 
@@ -729,8 +730,8 @@ def test_clamped_variances_warn_once_per_map_and_per_call():
 @pytest.mark.parametrize("method", METHODS)
 def test_map_set_whose_gram_fails_fails_alone(count_calls, method):
     # two tight clusters 200 apart and a set spanning 140: C(h) of this spec
-    # is not finite beyond h ~ 127, so the block's union Gram holds NaN and
-    # the set that gathers one leaves its group
+    # is not finite beyond h ~ 127, so the block's pair lags hold NaN and
+    # the set that gathers one fails alone
     spec = MAP_SPECS["overflowing"]
     rng = np.random.default_rng(25)
     cluster = rng.uniform(0.0, 2.0, size=(6, 2))
@@ -742,7 +743,7 @@ def test_map_set_whose_gram_fails_fails_alone(count_calls, method):
         covariance_eval(spec, np.array([138.0]))
     evals = count_calls("variokrig.models", "covariance_eval")
     rows = krige_map(grid, method, data, spec, 71.0, mean=0.3, basis=LINEAR, prior=PRIOR)
-    assert len(evals) == 2  # the union and the cross rows, once each
+    assert len(evals) == 1  # the pair lags and the cross lags, at once
     expect = point_rows(grid, method, data, spec, 71.0)
     assert [(r.status, r.result) for r in rows] == expect
     assert [status for status, _ in expect] == ["ok", "ok", "numeric_failure", "ok"]
@@ -927,8 +928,8 @@ def kriging_blocks(grid, locations, radius, least=4):
     from variokrig.krige import _factor_bytes, _map_blocks
 
     blocks, previous = [], set()
-    for block, _ in _map_blocks(grid, locations, radius, least,
-                                lambda block: _factor_bytes(previous, block)):
+    for block in _map_blocks(grid, locations, radius, least,
+                             lambda block: _factor_bytes(previous, block)):
         blocks.append(block)
         previous = {idx.tobytes() for idx in block.sets}
     return blocks
@@ -977,10 +978,11 @@ def test_map_block_holds_one_point_past_the_budget(count_calls):
 
 def test_large_radius_bayes_map_peak_memory_is_bounded_by_the_budget():
     # about 100 of the 300 stations in each set: the factors new to a block
-    # take at most MAP_BYTES, so the map holds those of a block and of the
-    # one before it, a size group's gathered Gram matrices while it is
-    # factored, the search ahead and the rows: less than 4 MAP_BYTES at
-    # once, where blocks sized by their distances alone held 40 MB
+    # take at most MAP_BYTES, so the map holds those of a block and their
+    # gather indices, the ones it reuses from the block before, a size
+    # group's gathered Gram matrices while it is factored, the search ahead
+    # and the rows: less than 4 MAP_BYTES at once, where blocks sized by
+    # their distances alone held 40 MB
     import tracemalloc
 
     from variokrig.krige import MAP_BYTES
