@@ -9,13 +9,13 @@ the resulting lognormal densities over the draws on a fixed log grid and
 is summarised by grid-exact quantiles.
 
 Under each draw, these moments are the constant-trend Bayes kriging map's:
-a density map runs that map's two steps over the same blocks
-(`krige._map_blocks`, under the one byte budget MAP_BYTES). A block's
-spec-independent half (`krige._prepare`) is built once; each draw runs the
-per-spec half (`krige._solve`: one covariance evaluation, one factorisation
-per size group of neighbour sets, stacked predictions) over the whole
-block (`_conditional_moments`), so its moments have the bits of that map's
-rows.
+a density map runs that map's two steps over runs of grid points and
+chunks of neighbour sets (`krige._map_runs` and `krige._chunks`, under
+the one byte budget MAP_BYTES). A chunk's spec-independent half
+(`krige._prepare`) is built once; each draw runs the per-spec half
+(`krige._solve`: one covariance evaluation, one factorisation per size
+group of neighbour sets, stacked predictions) over the whole chunk
+(`_conditional_moments`), so its moments have the bits of that map's rows.
 """
 
 import math
@@ -28,8 +28,8 @@ import numpy as np
 from ._linalg import spd_solve
 from .empvario import SpatialDataset
 from .exceptions import DomainError, NumericError
-from .krige import (BayesPrior, TrendBasis, _factor_bytes, _map_blocks, _point_terms, _prepare,
-                    _solve, _warn_dropped)
+from .krige import (BayesPrior, TrendBasis, _chunks, _map_runs, _point_terms, _prepare, _solve,
+                    _warn_dropped)
 from .models import PosteriorDraws, covariance_matrix
 from .util import MIN_NEIGHBORS, fmt_float, parallel_map
 
@@ -121,36 +121,39 @@ class PredictiveDensity:
         return "\n".join(lines) + "\n"
 
 
-def _conditional_moments(prepared, spec, prior):
-    """One draw's means and variances at the points of a block, NaN at a
-    point that has none: the per-spec step of the constant-trend Bayes
+def _conditional_moments(prepared, spec, prior, out):
+    """One draw's means and variances at the points of a chunk of a run,
+    written into their places in `out` (the means, the variances and C(0)
+    over the run's points): the per-spec step of the constant-trend Bayes
     kriging map (`krige._solve`), so each has the bits of that map's row.
-    Called once per draw and block, the span `bayes.draw_moment` of
+    Called once per draw and chunk, the span `bayes.draw_moment` of
     `perfbench/tracing.py`."""
-    _, mean, variance, _ = _solve("bayes", prepared, spec, 0.0, prior)
-    return mean, variance
+    _solve("bayes", prepared, spec, 0.0, prior, out)
 
 
-def _moment_blocks(points, log_data: SpatialDataset, draws: PosteriorDraws, prior_mean: float,
-                   prior_var: float, radius: float):
-    """The blocks of a density map over `points` (`krige._map_blocks`), each
-    with the means and variances of its points under the T draws, a
-    (2, T, P) array. A block holds what a kriging map's block holds when
-    none of its sets is reused, and 16 T bytes per point for the moments."""
+def _moment_runs(points, log_data: SpatialDataset, draws: PosteriorDraws, prior_mean: float,
+                 prior_var: float, radius: float):
+    """The runs of a density map over `points` (`krige._map_runs`, keeping
+    16 T bytes per point for the moments under T draws), each with the means
+    and variances of its points under the draws, a (2, T, P) array, NaN at a
+    point that has none. A run's sets are prepared in chunks
+    (`krige._chunks`, `krige._prepare`), and each chunk is solved once per
+    draw; no chunk is carried to the next run."""
     specs = draws.specs()
     basis, prior = TrendBasis.constant(), BayesPrior.scalar(prior_mean, prior_var)
-    for block in _map_blocks(points, log_data.locations, radius, MIN_NEIGHBORS,
-                             lambda block: _factor_bytes({}, block) + 16.0 * len(specs)):
-        prepared = _prepare("bayes", log_data, block, {}, basis,
-                            _point_terms("bayes", block.points, basis, prior))
-        moments = np.empty((2, len(specs), len(block.points)))
-        for t, spec in enumerate(specs):
-            moments[:, t] = _conditional_moments(prepared, spec, prior)
+    for block in _map_runs(points, log_data.locations, radius, MIN_NEIGHBORS, 16 * len(specs)):
+        terms = _point_terms("bayes", block.points, basis, prior)
+        moments = np.full((2, len(specs), len(block.points)), np.nan)
+        c00 = np.empty(len(block.points))
+        for chunk in _chunks(block.sets, range(len(block.sets))):
+            prepared = _prepare("bayes", log_data, block, chunk, {}, basis, terms)
+            for t, spec in enumerate(specs):
+                _conditional_moments(prepared, spec, prior, (*moments[:, t], c00))
         yield block, moments
 
 
 def _moment_table(block, moments, i: int):
-    """(mean, variance) under every draw at point i of a block, a (T, 2)
+    """(mean, variance) under every draw at point i of a run, a (T, 2)
     array, or None when it has too few neighbours; NumericError when a
     draw's variance is not positive or a moment not finite, as it is where
     a covariance of the point's own lags is not finite or a draw's system
@@ -251,7 +254,7 @@ def predictive_density_at(
     """
     _check_prior_moments(prior_mean, prior_var)
     points = np.asarray(x0, dtype=float).reshape(1, -1)
-    [(block, moments)] = _moment_blocks(points, log_data, draws, prior_mean, prior_var, radius)
+    [(block, moments)] = _moment_runs(points, log_data, draws, prior_mean, prior_var, radius)
     _warn_dropped(block.dropped, "neighborhood of the density", stacklevel=2)
     table = _moment_table(block, moments, 0)
     return None if table is None else _density(table, grid)
@@ -287,25 +290,27 @@ def density_map(
     missing rows rather than errors.
 
     Under each draw, the map is the constant-trend Bayes kriging map with
-    the prior N(prior_mean, prior_var) (`krige_map`): the same block driver
-    (`krige._map_blocks`), neighbour search and set numbering. A block ends
-    where the bytes it holds at once would pass MAP_BYTES: its distances to
-    the n data locations, 8 n per point, the factors of its sets, 8 m^2 per
-    set of m locations, and its points' moments, 16 T bytes per point under
-    T draws. A block's spec-independent half is prepared once
-    (`krige._prepare`); per draw, one covariance evaluation, one
-    factorisation per size group of its sets and the stacked predictions
-    give the draw's moments at every point (`_conditional_moments`). A
-    point fails when a draw's variance is not positive or a moment not
-    finite. Each point is then one `parallel_map` item, which builds its
-    density from its column of moments. Duplicate locations are dropped as
-    a Bayes kriging map drops them, with one warning per map.
+    the prior N(prior_mean, prior_var) (`krige_map`): the same run driver
+    (`krige._map_runs`), neighbour search, set numbering and chunks. A run
+    holds MAP_BYTES // (8 n + 16 T) consecutive points: per point its
+    distances to the n data locations, 8 n bytes, and its moments under T
+    draws, 16 T bytes. The run's sets are prepared in chunks whose factors
+    and gather indices, 16 m^2 bytes per set of m locations, stay within
+    MAP_BYTES (`krige._chunks`, `krige._prepare`); per draw, one covariance
+    evaluation, one factorisation per size group of a chunk's sets and the
+    stacked predictions give the draw's moments at the chunk's points
+    (`_conditional_moments`). Nothing is carried from one run to the next,
+    as that would hold every draw's factors. A point fails when a draw's
+    variance is not positive or a moment not finite. Each point is then one
+    `parallel_map` item, which builds its density from its column of
+    moments. Duplicate locations are dropped as a Bayes kriging map drops
+    them, with one warning per map.
     """
     _check_prior_moments(prior_mean, prior_var)
     pts = np.atleast_2d(np.asarray(grid_points, dtype=float))
     dropped = np.zeros(len(log_data), dtype=bool)
     rows = []
-    for block, moments in _moment_blocks(pts, log_data, draws, prior_mean, prior_var, radius):
+    for block, moments in _moment_runs(pts, log_data, draws, prior_mean, prior_var, radius):
         dropped |= block.dropped
         rows += parallel_map(partial(_density_row, block, moments, grid),
                              range(len(block.points)))

@@ -4,19 +4,22 @@ All predictors share the covariance convention that the nugget contributes
 only at exactly zero distance, a diagonal-jitter ladder for degenerate
 Gram matrices, and a clamp-to-zero policy for small negative variances
 produced by floating cancellation (counted, warned once per map or call,
-never silent). Maps and `bayes` densities build and number a block's
+never silent). Maps and `bayes` densities build and number a run's
 neighbour sets and lay out its cross lags in `_neighbour_sets`, which drops
 duplicate locations (warned once).
 
-Kriging maps and density maps run one block driver, `_map_blocks`, under one
-byte budget, MAP_BYTES, and one way to factor and solve a block's systems,
-in two steps. `_prepare` builds what no covariance spec changes, once per
-block: the size groups of its new neighbour sets, their trend designs and
-rank checks, and one lag vector. `_solve` runs per spec: one covariance
+Kriging maps and density maps run one run driver, `_map_runs`, under one
+byte budget, MAP_BYTES: fixed runs of consecutive grid points, one
+neighbour search each, whose sets are factored in chunks sorted by size
+(`_chunks`). A chunk's systems are factored and solved one way, in two
+steps. `_prepare` builds what no covariance spec changes, once per chunk:
+the size groups of its neighbour sets, their trend designs and rank
+checks, and one lag vector. `_solve` runs per spec: one covariance
 evaluation of that vector, one factorisation per size group, and the
-stacked predictions. A kriging map runs it once per block; a density map,
-which is the constant-trend Bayes kriging map under each posterior draw,
-once per draw and block. Per point, only its triangular solves against its
+stacked predictions. A kriging map runs it once per chunk, and carries the
+factors of a run's last chunk into the next run; a density map, which is
+the constant-trend Bayes kriging map under each posterior draw, once per
+draw and chunk. Per point, only its triangular solves against its
 set's factor (`_linalg.chol_solve_each`) run in Python; the right-hand
 sides, the dot products, the variances and the statuses are stacked numpy
 steps over the points of one stack of factors (`_predictions`,
@@ -204,8 +207,8 @@ def _dedupe(data: SpatialDataset) -> SpatialDataset:
     return data.subset(keep)
 
 
-# The one byte budget of the blocks of kriging and density maps (see
-# `_map_blocks`).
+# The one byte budget of kriging and density maps (see `_map_runs` and
+# `_chunks`).
 MAP_BYTES = 3 * 2**20
 
 
@@ -221,8 +224,8 @@ def _neighbour_sets(points, locations, first, radius: float, least: int):
     point's start: point i's lags are `cross[starts[i]:starts[i + 1]]`.
 
     The distances are formed for MAP_BYTES // (64 n) points at a time, an
-    eighth of the points whose distances alone would fill a block's budget,
-    so that their differences and masks stay well within it too."""
+    eighth of the points whose distances alone would fill the budget, so
+    that their differences and masks stay well within it too."""
     if not radius > 0.0:  # also rejects NaN
         raise DomainError("search radius must be > 0")
     p, n = len(points), len(locations)
@@ -511,11 +514,11 @@ STATUS_FEW = "too_few_neighbors"
 STATUS_NUMERIC = "numeric_failure"
 
 class _Block(NamedTuple):
-    """A run of consecutive grid points of a map and their neighbour search:
-    the points, the number of each point's set (-1 when it is not served),
-    the distinct index sets, the cross lags of the served points laid out by
-    `_neighbour_sets` (point i's at `cross[starts[i]:starts[i + 1]]`), and
-    the mask of the duplicate locations dropped from the sets."""
+    """A run of consecutive grid points of a map and their neighbour search
+    (`_neighbour_sets`): the points, the number of each point's set (-1 when
+    it is not served), the distinct index sets, the cross lags of the served
+    points (point i's at `cross[starts[i]:starts[i + 1]]`), and the mask of
+    the duplicate locations dropped from the sets."""
 
     points: np.ndarray
     set_of: np.ndarray
@@ -525,79 +528,40 @@ class _Block(NamedTuple):
     dropped: np.ndarray
 
 
-def _run_slice(run, a: int, b: int, first) -> _Block:
-    """Points a to b of a searched run (points, member mask, set numbers,
-    sets, cross lags and their starts) as a `_Block`, their sets numbered
-    anew in the run's order. `first` holds the index of each location's
-    first occurrence: a duplicate is dropped where its first occurrence is a
-    member, as it lies at the same distance."""
-    points, member, set_of, sets, cross, starts = run
-    set_of = set_of[a:b]
-    used = np.zeros(len(sets) + 1, dtype=bool)  # the last entry stands for -1
-    used[set_of] = True
-    number = np.cumsum(used) - 1
-    number[-1] = -1
-    reached = np.any(member[a:b], axis=0)
-    return _Block(points[a:b], number[set_of], [sets[j] for j in np.flatnonzero(used[:-1])],
-                  cross[starts[a]:starts[b]], starts[a:b + 1] - starts[a],
-                  reached[first] & (first != np.arange(first.size)))
-
-
-def _map_blocks(grid, locations, radius: float, least: int, held):
-    """The one block driver of kriging and density maps: yields the blocks
-    of `grid`, in order, each a `_Block` over the data `locations` (see
-    `_neighbour_sets` for `radius` and `least`).
-
-    A block is the longest run of the next grid points, at least one, whose
-    bytes stay within MAP_BYTES: 8 n per point for its distances to the n
-    locations, plus what the map keeps for it. `held(window)` counts the
-    latter for a `_Block` of candidate points: it returns the bytes each
-    point adds to those of the points before it (a block is the head of the
-    window it was cut from). A kriging map counts the factors of the sets
-    new to the block (`_factor_bytes`); a density map counts every set of
-    the block as new and adds 16 T bytes per point for its moments under T
-    draws. A window holds twice the last block's points (the whole search
-    ahead at first), and twice as many again while it fits whole.
-
-    The search runs ahead of the blocks: it covers the MAP_BYTES // (8 n)
-    next points at once, whose distances alone would fill the budget, and
-    the blocks are cut from it. When the rest of that run fits in one block,
-    the search starts again at its first point."""
-    n = len(locations)
+def _map_runs(grid, locations, radius: float, least: int, extra: int):
+    """The one run driver of kriging and density maps: yields `grid` in
+    consecutive runs of MAP_BYTES // (8 n + extra) points, at least one, each
+    the `_Block` of one neighbour search over the n data `locations` (see
+    `_neighbour_sets` for `radius` and `least`). A point's 8 n bytes are its
+    distances; `extra` is what the map keeps per point besides: 0 for a
+    kriging map, and 16 T for a density map's moments under T draws. A
+    duplicate location is dropped where its first occurrence is a member of
+    a set of the run, as it lies at the same distance."""
     first = _first_occurrences(locations)
-    keep = first == np.arange(n)
-    most = max(1, MAP_BYTES // (8 * n))
-    start, size = 0, most
-    while start < len(grid):
-        points = grid[start:start + most]
-        run = (points, *_neighbour_sets(points, locations, keep, radius, least))
-        a, end = 0, len(points)
-        while a < end:
-            b = min(end, a + 2 * size)
-            while True:
-                window = _run_slice(run, a, b, first)
-                total = 8 * n * np.arange(1, b - a + 1) + np.cumsum(held(window))
-                size = max(1, int(np.searchsorted(total, MAP_BYTES, side="right")))
-                if size < b - a or b == end:
-                    break
-                b = min(end, a + 2 * (b - a))
-            if 0 < a and a + size == end < len(grid) - start:
-                break  # the block may reach past the run
-            yield window if size == b - a else _run_slice(run, a, a + size, first)
-            a += size
-        start += a
+    keep = first == np.arange(len(locations))
+    size = max(1, MAP_BYTES // (8 * len(locations) + extra))
+    for start in range(0, len(grid), size):
+        points = grid[start:start + size]
+        member, set_of, sets, cross, starts = _neighbour_sets(points, locations, keep, radius,
+                                                              least)
+        yield _Block(points, set_of, sets, cross, starts, np.any(member, axis=0)[first] & ~keep)
 
 
-def _factor_bytes(previous, block: _Block):
-    """A kriging map's `held`: the factor of each of the block's sets that
-    is new to it, 8 m^2 bytes for m locations, counted at the first point
-    of the set; a set is new unless its key is in `previous`, those of the
-    sets of the block before."""
-    numbers, firsts = np.unique(block.set_of, return_index=True)
-    new = [j for j, idx in enumerate(block.sets) if idx.tobytes() not in previous]
-    extra = np.zeros(len(block.points))
-    extra[firsts[numbers >= 0][new]] = 8.0 * np.array([block.sets[j].size for j in new]) ** 2
-    return extra
+def _chunks(sets, numbers):
+    """The sets `numbers` of a run in chunks to factor together: in the order
+    of their sizes (a stable sort), cut so that each chunk's factors and
+    their gather indices, 16 m^2 bytes per set of m locations, stay within
+    MAP_BYTES. A chunk holds one set at least."""
+    chunk, held = [], 0
+    for j in sorted(numbers, key=lambda j: sets[j].size):
+        size = 16 * sets[j].size ** 2
+        if chunk and held + size > MAP_BYTES:
+            yield chunk
+            chunk, held = [], 0
+        chunk.append(j)
+        held += size
+    if chunk:
+        yield chunk
 
 
 class MapRow(NamedTuple):
@@ -607,20 +571,19 @@ class MapRow(NamedTuple):
 
 
 class _Prepared(NamedTuple):
-    """The half of a block's systems that no covariance spec changes
+    """The half of a chunk's systems that no covariance spec changes
     (`_prepare`), for `_solve`.
 
-    `lags` holds the distances of the location pairs that share a set new
-    to the block, then the block's cross lags (`_Block.cross`). Each size
-    group of the new sets that pass their checks is (the index (G, n, n)
-    that gathers its matrices from the lags, its data values (G, n), its
-    trend designs (G, n, k) or None). `reused` holds the factored stacks
-    (`_Factored`) of the block before that this block's sets reuse. A
-    stack, the groups' first and then the reused ones, is (its points,
-    their items in it, the index (P, n + 1) of their cross rows [C(0), c0]
-    in the lags, their trend terms). `set_stack` and `set_item` give each
-    set's stack and item (-1 where the set fails its checks), `count` the
-    number of points."""
+    `lags` holds the distances of the location pairs that share a new set of
+    the chunk, then the cross lags of the chunk's points. Each size group of
+    the new sets that pass their checks is (the index (G, n, n) that gathers
+    its matrices from the lags, its data values (G, n), its trend designs
+    (G, n, k) or None). `reused` holds the factored stacks (`_Factored`) of
+    the reused sets. A stack, the groups' first and then the reused ones, is
+    (its points in the run, their items in it, where their cross rows
+    [C(0), c0] start in the lags, one row of n + 1 lags after another, their
+    trend terms). `set_stack` and `set_item` give each set's stack and item
+    (-1 where the set is not in the chunk or fails its checks)."""
 
     lags: np.ndarray
     groups: list
@@ -628,13 +591,13 @@ class _Prepared(NamedTuple):
     stacks: list
     set_stack: np.ndarray
     set_item: np.ndarray
-    count: int
 
 
-def _prepare(method, data: SpatialDataset, block: _Block, previous, basis, terms) -> _Prepared:
-    """The spec-independent half of the systems of a block's sets: a set
-    whose key is in `previous` reuses its `(fac, g)` there, or fails as it
-    did (STATUS_NUMERIC); the others are new. `terms` are the points'
+def _prepare(method, data: SpatialDataset, block: _Block, new, reused, basis,
+             terms) -> _Prepared:
+    """The spec-independent half of the systems of a chunk of a run's sets:
+    the sets `new`, to be factored, and the sets of the dict `reused`, each
+    with its `(fac, g)`, factored before. `terms` are the run's
     `_point_terms`.
 
     The new sets form one group per size. Their trend designs are rows of
@@ -644,17 +607,15 @@ def _prepare(method, data: SpatialDataset, block: _Block, previous, basis, terms
     set once, a pair and its mirror as one (the distances are symmetric bit
     for bit), not every pair of the union; a group's gather index is read
     off the numbering of those pairs over the union."""
-    keys = [idx.tobytes() for idx in block.sets]
-    set_stack = np.full(len(keys) + 1, -1)  # the last entry stands for -1
-    set_item = np.zeros(len(keys) + 1, dtype=int)
+    set_stack = np.full(len(block.sets) + 1, -1)  # the last entry stands for -1
+    set_item = np.zeros(len(block.sets) + 1, dtype=int)
     by_size = {}
-    for j, key in enumerate(keys):
-        if key not in previous:
-            by_size.setdefault(block.sets[j].size, []).append(j)
+    for j in new:
+        by_size.setdefault(block.sets[j].size, []).append(j)
     groups, pair_lags = [], np.zeros(0)
     if by_size:
         member = np.zeros(len(data.values), dtype=bool)  # np.unique would import numpy.ma
-        member[np.concatenate([block.sets[j] for js in by_size.values() for j in js])] = True
+        member[np.concatenate([block.sets[j] for j in new])] = True
         union = np.flatnonzero(member)
         locations = data.locations[union]
         design = basis.evaluate(locations) if method in ("universal", "bayes") else None
@@ -675,28 +636,27 @@ def _prepare(method, data: SpatialDataset, block: _Block, previous, basis, terms
         pairs[lo, hi] = pairs[hi, lo] = np.arange(lo.size)
         pair_lags = pair_distances(locations[lo], locations[hi])
         groups = [(pairs[pos[:, :, None], pos[:, None, :]], z, F) for pos, z, F in groups]
-    reused = {}  # id of a stack -> its place among the reused stacks, the stack
-    for j, key in enumerate(keys):
-        system = previous.get(key, STATUS_NUMERIC)
-        if system is not STATUS_NUMERIC:
-            fac, set_item[j] = system
-            set_stack[j] = len(groups) + reused.setdefault(id(fac), (len(reused), fac))[0]
-    reused = [fac for _, fac in reused.values()]
+    stacked = {}  # id of a reused stack -> its place among them, the stack
+    for j, (fac, g) in reused.items():
+        set_stack[j] = len(groups) + stacked.setdefault(id(fac), (len(stacked), fac))[0]
+        set_item[j] = g
+    reused = [fac for _, fac in stacked.values()]
     stack_of, item_of = set_stack[block.set_of], set_item[block.set_of]
-    stacks = []
+    lags, stacks, at = [pair_lags], [], pair_lags.size
     for s, n in enumerate([values.shape[1] for _, values, _ in groups] +
                           [fac.values.shape[1] for fac in reused]):
         pts = np.flatnonzero(stack_of == s)
-        rows = pair_lags.size + block.starts[pts, None] + np.arange(n + 1)
-        stacks.append((pts, item_of[pts], rows, tuple(t[pts] for t in terms)))
-    return _Prepared(np.concatenate([pair_lags, block.cross]), groups, reused, stacks,
-                     set_stack, set_item, len(block.points))
+        lags.append(block.cross[block.starts[pts, None] + np.arange(n + 1)].ravel())
+        stacks.append((pts, item_of[pts], at, tuple(t[pts] for t in terms)))
+        at += lags[-1].size
+    return _Prepared(np.concatenate(lags), groups, reused, stacks, set_stack, set_item)
 
 
-def _solve(method, prepared: _Prepared, spec, mean, prior):
-    """The per-spec half of a block's systems: the factored stacks, the
-    groups' and then the reused ones, and the predictions, variances and
-    C(0) of the block's points, NaN at a point that has no stack.
+def _solve(method, prepared: _Prepared, spec, mean, prior, out):
+    """The per-spec half of a chunk's systems: writes the predictions,
+    variances and C(0) of the chunk's points into their places in `out`,
+    three arrays over the run's points, and returns the factored stacks,
+    the groups' and then the reused ones.
 
     The lags take one covariance evaluation (`covariance_values`), each
     group is gathered from it and factored in one call (`_factor`), and the
@@ -707,29 +667,47 @@ def _solve(method, prepared: _Prepared, spec, mean, prior):
     values = covariance_values(spec, lags) if lags.size else lags
     facs = [_factor(method, z, F, values[gather], mean, prior)
             for gather, z, F in prepared.groups] + prepared.reused
-    pred, var, c00 = np.full((3, prepared.count), np.nan)
-    for (pts, which, rows, terms), fac in zip(prepared.stacks, facs):
-        row = values[rows]
+    pred, var, c00 = out
+    for (pts, which, at, terms), fac in zip(prepared.stacks, facs):
+        row = values[at:at + pts.size * (fac.values.shape[1] + 1)].reshape(pts.size, -1)
         c00[pts] = row[:, 0]
         pred[pts], var[pts] = _predictions(fac, which, terms, row[:, 1:], row[:, 0])
-    return facs, pred, var, c00
+    return facs
 
 
-def _block_rows(method, block: _Block, data: SpatialDataset, previous, spec, mean, basis,
-                prior):
-    """The rows of a block's points (`_prepare`, then `_solve`), and the
-    systems of its sets by their keys, for the block after it: `(fac, g)`,
-    or STATUS_NUMERIC where a set fails its checks. `previous` holds those
-    of the block before; it is emptied once this block has taken the
-    stacks it reuses, so that the others are let go before it is factored.
+def _run_rows(method, block: _Block, data: SpatialDataset, carry, spec, mean, basis, prior):
+    """The rows of a run's points, and the carry for the run after it.
+
+    `carry` maps the key (index bytes) of each set of the last chunk of the
+    run before that passed its checks to its `(fac, g)`. This run's sets
+    with those keys are solved first, on those factors; then, if the run
+    has sets of its own, the carry is emptied, so that its stacks are let go
+    before anything new is factored, and the new sets are prepared, factored
+    and solved chunk by chunk (`_chunks`, `_prepare`, `_solve`). Their last
+    chunk is the next carry; a run with no new set passes its carry on.
     A point is ok when its prediction and sd are finite (`_finish_sd`): a
     NaN among its values, a NaN factor or a failed solve makes it a numeric
     failure. Then each point only builds its row, one `parallel_map` item
     per point."""
-    prepared = _prepare(method, data, block, previous, basis,
-                        _point_terms(method, block.points, basis, prior))
-    previous.clear()
-    facs, pred, var, c00 = _solve(method, prepared, spec, mean, prior)
+    terms = _point_terms(method, block.points, basis, prior)
+    out = np.full((3, len(block.points)), np.nan)
+    keys = [idx.tobytes() for idx in block.sets]
+    reused = {j: carry[key] for j, key in enumerate(keys) if key in carry}
+    if reused:
+        _solve(method, _prepare(method, data, block, [], reused, basis, terms), spec, mean,
+               prior, out)
+    new = [j for j in range(len(keys)) if j not in reused]
+    if new:
+        reused = None
+        carry.clear()
+        for chunk in _chunks(block.sets, new):
+            facs = prepared = None  # the chunk before is let go before this one is built
+            prepared = _prepare(method, data, block, chunk, {}, basis, terms)
+            facs = _solve(method, prepared, spec, mean, prior, out)
+        carry = {keys[j]: (facs[s], g) for j, s, g in
+                 zip(chunk, prepared.set_stack[chunk].tolist(), prepared.set_item[chunk].tolist())
+                 if s >= 0}
+    pred, var, c00 = out
     sd = _finish_sd(var, c00)
     ok = np.isfinite(pred) & np.isfinite(sd)
     code = (block.set_of >= 0).astype(int) + ok  # 0 too few neighbours, 1 failed, 2 ok
@@ -737,14 +715,11 @@ def _block_rows(method, block: _Block, data: SpatialDataset, previous, spec, mea
     rows = parallel_map(partial(_map_row, method, block.points, pred.tolist(), sd.tolist(),
                                 (np.diff(block.starts) - 1).tolist(), statuses.tolist()),
                         range(len(block.points)))
-    systems = {idx.tobytes(): STATUS_NUMERIC if s < 0 else (facs[s], g)
-               for idx, s, g in zip(block.sets, prepared.set_stack.tolist(),
-                                    prepared.set_item.tolist())}
-    return rows, systems
+    return rows, carry
 
 
 def _map_row(method, points, preds, sds, sizes, statuses, i: int) -> MapRow:
-    """The row of point i of a block, from the block's stacked results."""
+    """The row of point i of a run, from the run's stacked results."""
     if statuses[i] != STATUS_OK:
         return MapRow(points[i], None, statuses[i])
     return MapRow(points[i], KrigingResult(preds[i], sds[i], sizes[i], method), STATUS_OK)
@@ -767,43 +742,49 @@ def krige_map(
     a missing row, never an error; per-point numeric failures are reported
     with their own status code.
 
-    The map works block by block (`_map_blocks`). A block ends where the
-    bytes it holds at once would pass MAP_BYTES: its distances to the n
-    data locations, 8 n per point, and the factors of its new neighbour
-    sets, 8 m^2 per set of m locations (a set of the block before is reused,
-    not factored or counted again). One search of the points ahead gives
-    every neighbour set of a block and every point's cross lags. Duplicate
-    locations are dropped once per map (they lie at the same distance, so
-    they enter and leave a set together), with one warning. The points of
-    one numbered set share its factored system.
+    The map works run by run (`_map_runs`): fixed runs of
+    MAP_BYTES // (8 n) consecutive grid points, as many as fill the budget
+    with their distances to the n data locations. One search per run gives
+    every neighbour set of the run, numbered once, and every point's cross
+    lags. Duplicate locations are dropped once per map (they lie at the
+    same distance, so they enter and leave a set together), with one
+    warning. The points of one numbered set share its factored system.
 
-    Each block takes two steps. `_prepare` does what no spec changes: it
-    groups the new sets by size, checks their trend designs, rows of one
-    basis evaluation over the union of the new sets, as one stack per
-    group, and lays out one lag vector, the distances of the location pairs
-    that share a new set and the block's cross lags. `_solve` evaluates
-    that vector once (`covariance_values`), factors each group in one
-    `chol_with_jitter` call and predicts the points of one stack of factors
-    together (`_predictions`): per point, only its two triangular solves
-    against a view of its set's factor run in Python
-    (`_linalg.chol_solve_each`). The right-hand sides, the dot products,
-    the variances with their clamp rule (`_finish_sd`) and the statuses
-    are stacked numpy steps whose items keep the bits of the point's own
-    products, so a row equals the single-point predictor's. A lag or value
-    that is not finite is NaN, as is the factor of a set past the jitter
-    ladder, and fails only the set or point that holds it; a row is ok
-    when its prediction and sd are finite. The trend terms (f0, or Bayes'
-    Phi f0, f0'mu and f0'Phi f0) take one basis evaluation and three
-    stacked products. Each point then only builds its row. A global radius
-    gives one set, so the whole map factors one matrix.
+    A run's sets are factored in chunks (`_chunks`): sorted by size, and cut
+    so that each chunk's factors and their gather indices, 16 m^2 bytes per
+    set of m locations, stay within MAP_BYTES. The factors of the last
+    chunk of a run are carried into the next run, which solves the sets it
+    shares with them first and lets them go before it factors anything new
+    (a run with no set of its own passes them on). So each distinct set of
+    a run is factored once, and a global radius gives one set, so the whole
+    map factors one matrix.
 
-    Memory: besides the block's budget, the map keeps the stacks of the
-    previous block's factors that hold the sets it reuses, and the search
-    ahead keeps the member mask and cross lags of at most MAP_BYTES // (8 n)
-    points. The block's gather indices, as large as its new factors, are
-    held while it is solved, and a group's gathered Gram matrices while it
-    is factored. The stacked steps hold vectors of the points (P x m
-    floats), and no factor is copied per point.
+    Each chunk takes two steps. `_prepare` does what no spec changes: it
+    groups the chunk's sets by size, checks their trend designs, rows of
+    one basis evaluation over the union of the chunk's sets, as one stack
+    per group, and lays out one lag vector, the distances of the location
+    pairs that share a set of the chunk and the cross lags of the chunk's
+    points. `_solve` evaluates that vector once (`covariance_values`),
+    factors each group in one `chol_with_jitter` call and predicts the
+    points of one stack of factors together (`_predictions`): per point,
+    only its two triangular solves against a view of its set's factor run
+    in Python (`_linalg.chol_solve_each`). The right-hand sides, the dot
+    products, the variances with their clamp rule (`_finish_sd`) and the
+    statuses are stacked numpy steps whose items keep the bits of the
+    point's own products, so a row equals the single-point predictor's. A
+    lag or value that is not finite is NaN, as is the factor of a set past
+    the jitter ladder, and fails only the set or point that holds it; a row
+    is ok when its prediction and sd are finite. The trend terms (f0, or
+    Bayes' Phi f0, f0'mu and f0'Phi f0) take one basis evaluation per run
+    and three stacked products. Each point then only builds its row.
+
+    Memory: a run keeps its distances' member mask and cross lags and its
+    points' results; a chunk, its factors and their gather indices, within
+    MAP_BYTES, and a size group's gathered Gram matrices while it is
+    factored; and the map, the carried factors of one chunk until the next
+    run factors its own. A chunk holds one set at least, so a set whose
+    factor passes the budget is held alone. The stacked steps hold vectors
+    of the points (P x m floats), and no factor is copied per point.
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     if grid.shape[0] == 0:
@@ -819,13 +800,11 @@ def krige_map(
 
     dropped = np.zeros(len(data), dtype=bool)
     clamped = clamped_variance_count()
-    rows, previous = [], {}
-    for block in _map_blocks(grid, data.locations, radius, min_neighbors,
-                             lambda block: _factor_bytes(previous, block)):
+    rows, carry = [], {}
+    for block in _map_runs(grid, data.locations, radius, min_neighbors, 0):
         dropped |= block.dropped
-        block_rows, previous = _block_rows(method, block, data, previous, spec, mean, basis,
-                                           prior)
-        rows += block_rows
+        run_rows, carry = _run_rows(method, block, data, carry, spec, mean, basis, prior)
+        rows += run_rows
     _warn_dropped(dropped, "kriging neighborhoods of the map", stacklevel=2)
     _warn_clamped(clamped, f"{method} kriging", stacklevel=2)
     return rows

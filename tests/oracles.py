@@ -235,60 +235,29 @@ def neighbour_sets(points, locations, radius, least):
     return out
 
 
-def block_sizes(n, budget, count, added):
-    """The sizes of a map's blocks under one byte budget, point by point: a
-    block is the longest run of the next points, at least one, whose 8 n
-    bytes per point (distances to n locations) and the bytes the points add
-    stay within `budget`. `added(before)` starts a block after the points
-    `before` (a range, the block before): it returns a function of a
-    point's index giving the bytes that point adds to the block."""
-    sizes, start, before = [], 0, range(0)
-    while start < count:
-        add = added(before)
-        total, end = 8 * n + add(start), start + 1
-        while end < count:
-            total += 8 * n + add(end)
-            if total > budget:
-                break
-            end += 1
-        sizes.append(end - start)
-        start, before = end, range(start, end)
-    return sizes
-
-
-def factor_bytes(sets):
-    """`added` of `block_sizes` for a kriging map: 8 m^2 bytes for the factor
-    of each set of m locations new to the block, one that the block before
-    did not hold."""
-
-    def added(before):
-        kept, seen = {sets[i] for i in before}, set()
-
-        def add(i):
-            if sets[i] is None or sets[i] in seen:
-                return 0
-            seen.add(sets[i])
-            return 0 if sets[i] in kept else 8 * len(sets[i]) ** 2
-
-        return add
-
-    return added
-
-
-def moment_bytes(sets, draws):
-    """`added` of `block_sizes` for a density map under `draws` draws: the
-    rule of a kriging map that holds no set of the block before (8 m^2 bytes
-    for the factor of each set of m locations, at its first point in the
-    block) and 16 T bytes per point for its T means and variances."""
-
-    def added(before):
-        seen = set()
-
-        def add(i):
-            new = sets[i] is not None and sets[i] not in seen
-            seen.add(sets[i])
-            return 16 * draws + (8 * len(sets[i]) ** 2 if new else 0)
-
-        return add
-
-    return added
+def map_chunks(sets, n, run, budget, carry):
+    """The runs of a map and the chunks of each, from every grid point's
+    neighbour set over n locations (a tuple of location indices, or None):
+    runs of `run` consecutive points. A run's distinct sets, in the order
+    of the bytes of their member masks over the n locations, are stably
+    sorted by size. With `carry`, the sets that the last chunk of the run
+    before held are carried into the run, not chunked again; a run with no
+    other set keeps the carry. The rest are cut into chunks whose factors
+    and gather indices, 16 m^2 bytes per set of m locations, stay within
+    `budget`, one set at least. Returns, per run, (its points' sets,
+    the sets carried into it, its chunks)."""
+    out, carried = [], set()
+    for start in range(0, len(sets), run):
+        points = sets[start:start + run]
+        distinct = {s for s in points if s is not None}
+        masks = {s: np.isin(np.arange(n), s).tobytes() for s in distinct}
+        kept = distinct & carried if carry else set()
+        chunks = []
+        for s in sorted(distinct - kept, key=lambda s: (len(s), masks[s])):
+            if not chunks or sum(16 * len(t) ** 2 for t in chunks[-1] + [s]) > budget:
+                chunks.append([])
+            chunks[-1].append(s)
+        out.append((points, kept, chunks))
+        if chunks:
+            carried = set(chunks[-1])
+    return out

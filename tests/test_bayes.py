@@ -17,7 +17,7 @@ from variokrig import (
     gls_beta,
     predictive_density_at,
 )
-from variokrig.bayes import _moment_blocks, _moment_table, density_map_csv
+from variokrig.bayes import _moment_runs, _moment_table, density_map_csv
 from variokrig.exceptions import NumericError
 from variokrig.models import covariance_eval
 from variokrig.fit import FitResult
@@ -36,8 +36,8 @@ def one_draw(nugget=0.05, sill=1.2, range_=6.0, nu=0.5):
 def one_block(points, data, draws, prior_mean, prior_var, radius):
     """The one block of a density map over `points` and the means and
     variances of its points under every draw, (2, T, P)."""
-    [(block, moments)] = _moment_blocks(np.asarray(points, dtype=float), data, draws,
-                                        prior_mean, prior_var, radius)
+    [(block, moments)] = _moment_runs(np.asarray(points, dtype=float), data, draws,
+                                      prior_mean, prior_var, radius)
     return block, moments
 
 
@@ -232,15 +232,16 @@ def test_density_drops_duplicates_as_the_bayes_map_does():
 
 
 def test_density_map_across_blocks_equals_each_points_density(count_calls):
-    # a block is the longest run of the next points, at least one, whose
-    # distances (8 n bytes per point), factors (8 m^2 bytes per set of m
-    # locations, none reused from the block before) and moments (16 T bytes
-    # per point) stay within MAP_BYTES; each row has the bits of the point's
-    # own density, and every block drops the duplicated station, which is
+    # a block is a run of MAP_BYTES // (8 n + 16 T) points: per point its
+    # distances (8 n bytes) and its moments under T draws (16 T bytes). Its
+    # sets, none carried from the run before, are prepared in chunks, sorted
+    # by size, whose factors and gather indices (16 m^2 bytes per set of m
+    # locations) stay within MAP_BYTES; each row has the bits of the point's
+    # own density, and every run drops the duplicated station, which is
     # warned about once
     import warnings
 
-    from oracles import block_sizes, moment_bytes, neighbour_sets
+    from oracles import map_chunks, neighbour_sets
     from variokrig.krige import MAP_BYTES
 
     rng = np.random.default_rng(35)
@@ -249,19 +250,27 @@ def test_density_map_across_blocks_equals_each_points_density(count_calls):
     locs[9], values[9] = locs[2], values[2] - 0.25
     data = SpatialDataset(locs, values)
     draws = several_draws(rng, 10)
-    points = rng.uniform(-1.0, 11.0, size=(900, 2))
+    points = rng.uniform(-1.0, 11.0, size=(1000, 2))
     grid = DensityGrid(step=0.25)
-    sets = neighbour_sets(points, locs, 1.2, 4)
-    sizes = block_sizes(len(locs), MAP_BYTES, len(points), moment_bytes(sets, len(draws)))
-    blocks = count_calls("variokrig.bayes", "_prepare")
+    run = MAP_BYTES // (8 * len(locs) + 16 * len(draws))
+    expect = map_chunks(neighbour_sets(points, locs, 2.0, 4), len(locs), run, MAP_BYTES,
+                        carry=False)
+    prepares = count_calls("variokrig.bayes", "_prepare")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        rows = density_map(points, data, draws, 0.3, 7.0, 1.2, grid)
+        rows = density_map(points, data, draws, 0.3, 7.0, 2.0, grid)
     assert [str(w.message) for w in caught] == [
         "dropped 1 duplicate locations from the neighborhoods of the density map"]
-    assert [len(block.points) for _, _, block, *_ in blocks] == sizes
-    assert len(sizes) >= 2
-    for _, _, block, *_ in blocks:
+    runs = []
+    for _, _, block, new, reused, *_ in prepares:
+        assert reused == {}
+        if not runs or runs[-1][0] is not block:
+            runs.append((block, []))
+        runs[-1][1].append([tuple(block.sets[j].tolist()) for j in new])
+    assert [(len(block.points), chunks) for block, chunks in runs] == \
+        [(len(pts), chunks) for pts, _, chunks in expect]
+    assert len(runs) == 2 and len(runs[0][1]) >= 2
+    for block, _ in runs:
         assert np.flatnonzero(block.dropped).tolist() == [9]
     statuses = []
     with warnings.catch_warnings():
@@ -269,7 +278,7 @@ def test_density_map_across_blocks_equals_each_points_density(count_calls):
         for row, x0 in zip(rows, points):
             assert np.array_equal(row.location, x0)
             try:
-                pd = predictive_density_at(x0, data, draws, 0.3, 7.0, 1.2, grid)
+                pd = predictive_density_at(x0, data, draws, 0.3, 7.0, 2.0, grid)
             except NumericError:
                 status, summary = "numeric_failure", None
             else:
@@ -614,7 +623,7 @@ def test_failing_draw_fails_only_its_point(monkeypatch):
                         lambda *args: solved.append(1) or conditional_moments(*args))
     rows = density_map(grid, data, draws, 0.3, 7.0, 4.0)
     served = [i for i, r in enumerate(rows) if r.status != "too_few_neighbors"]
-    # one draw's moments over the block, once per draw
+    # one draw's moments over the block's one chunk, once per draw
     assert len(solved) == len(draws) and len(served) > 10
     assert [r.status for r in rows[:-1]].count("numeric_failure") == 0
     assert rows[-1].status == "numeric_failure" and rows[-1].summary is None

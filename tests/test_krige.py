@@ -79,7 +79,7 @@ def test_neighborhood_preserves_order():
 
 
 def test_neighbour_sets_number_each_distinct_set_once():
-    from variokrig.krige import _first_occurrences, _map_blocks, _neighbour_sets
+    from variokrig.krige import _first_occurrences, _map_runs, _neighbour_sets
 
     # station 5 repeats station 1; stations 4 and 6 lie exactly at the radius
     # of the origin; the four stations near (10.5, 10.5) are exactly `least`
@@ -119,17 +119,18 @@ def test_neighbour_sets_number_each_distinct_set_once():
                 assert (set_of[i] == set_of[k]) == same
     assert len({idx.tobytes() for idx in sets}) == len(sets) == 2
     assert sorted(set(set_of.tolist()) - {-1}) == list(range(len(sets)))
-    # a block drops the duplicate where a served point reaches it
-    [block] = _map_blocks(points, locations, radius, least,
-                          lambda block: np.zeros(len(block.points)))
+    # a run drops the duplicate where a served point reaches it, and keeps
+    # the numbering of its one search
+    [block] = _map_runs(points, locations, radius, least, 0)
+    assert np.array_equal(block.set_of, set_of)
+    assert [idx.tobytes() for idx in block.sets] == [idx.tobytes() for idx in sets]
     assert np.flatnonzero(block.dropped).tolist() == [5]
 
     member, set_of, sets, cross, starts = _neighbour_sets(points[[1, 4]], locations, first,
                                                           radius, least)
     assert set_of.tolist() == [-1, -1] and sets == []
     assert not member.any() and cross.size == 0 and starts.tolist() == [0, 0, 0]
-    [block] = _map_blocks(points[[1, 4]], locations, radius, least,
-                          lambda block: np.zeros(len(block.points)))
+    [block] = _map_runs(points[[1, 4]], locations, radius, least, 0)
     assert not block.dropped.any() and block.cross.size == 0
 
 
@@ -618,15 +619,16 @@ def test_global_map_factors_one_matrix(count_calls, method):
 
     rng = np.random.default_rng(22)
     data, spec, grid = map_instance(rng, expo(nugget=0.1))
-    # a block holds fewer points than fill the budget with distances alone
+    # a run holds as many points as fill the budget with distances alone:
+    # the second run solves the first run's one set on its factor
     most = MAP_BYTES // (8 * len(data))
     grid = np.vstack([grid, rng.uniform(0.0, 10.0, size=(most, 2))])
-    blocks = count_calls("variokrig.krige", "_block_rows")
+    runs = count_calls("variokrig.krige", "_run_rows")
     factors = count_calls("variokrig._linalg", "chol_with_jitter")
     with pytest.warns(UserWarning, match="duplicate"):
         rows = krige_map(grid, method, data, spec, math.inf, mean=0.3, basis=LINEAR,
                          prior=PRIOR)
-    assert len(blocks) == 2
+    assert len(runs) == 2
     assert len(factors) == 1
     assert sum(r.status == "ok" for r in rows) == len(grid)
 
@@ -637,7 +639,7 @@ def test_local_map_factors_each_distinct_neighbour_set_once(count_calls, method)
     data = SpatialDataset(rng.uniform(0.0, 10.0, size=(25, 2)), rng.normal(size=25))
     g = np.linspace(0.25, 9.75, 10)
     grid = np.array([(x, y) for x in g for y in g])
-    sets = [neighborhood(data, x0, 3.0) for x0 in grid]  # one block of the map
+    sets = [neighborhood(data, x0, 3.0) for x0 in grid]  # one run and chunk of the map
     served = [s.locations.tobytes() for s in sets if s is not None and len(s) > 4]
     sizes = {len(s) for s in sets if s is not None and len(s) > 4}
     factors = count_calls("variokrig._linalg", "chol_with_jitter")
@@ -654,7 +656,8 @@ def test_local_map_evaluates_covariances_at_most_twice_per_block(count_calls, me
     rng = np.random.default_rng(24)
     data = SpatialDataset(rng.uniform(0.0, 10.0, size=(40, 2)), rng.normal(size=40))
     grid = rng.uniform(0.0, 10.0, size=(MAP_BYTES // (8 * 40) + 5, 2))
-    blocks = count_calls("variokrig.krige", "_block_rows")
+    runs = count_calls("variokrig.krige", "_run_rows")
+    chunks = count_calls("variokrig.krige", "_prepare")
     evals = count_calls("variokrig.models", "covariance_eval")
     searches = count_calls("variokrig.krige", "neighborhood")
     rows = krige_map(grid, method, data, expo(nugget=0.1), 2.5, mean=0.3, basis=LINEAR,
@@ -662,11 +665,13 @@ def test_local_map_evaluates_covariances_at_most_twice_per_block(count_calls, me
     statuses = [r.status for r in rows]
     assert "numeric_failure" not in statuses
     assert statuses.count("ok") > len(grid) // 2
-    assert len(blocks) >= 2
-    # one evaluation of the pair lags of the block's new sets and its
-    # cross lags
-    assert len(evals) == len(blocks)
-    assert searches == []  # one block search, no per-point neighborhood
+    assert len(runs) == 2
+    # one evaluation per chunk, of the pair lags of its new sets and its
+    # points' cross lags: the first run's sets fit one chunk, and the second
+    # run solves the sets carried from it, then its own
+    assert [len(block.points) for _, _, block, *_ in chunks] == [len(grid) - 5, 5]
+    assert len(evals) == len(chunks)
+    assert searches == []  # one search per run, no per-point neighborhood
 
 
 def test_map_warns_once_about_duplicates():
@@ -922,58 +927,128 @@ def rule_instance(n=200):
     return locs, rng.uniform(-1.0, 11.0, size=(2500, 2))
 
 
-def kriging_blocks(grid, locations, radius, least=4):
-    """The blocks of a kriging map, each counting the factors of the sets
-    new to it, as `krige_map` runs `_map_blocks`."""
-    from variokrig.krige import _factor_bytes, _map_blocks
+def observed_chunks(prepares):
+    """Per run of a map, from the calls of `_prepare` in it: (its points'
+    sets, the sets carried into it, its chunks of new sets), each set a
+    tuple of location indices, as `oracles.map_chunks` gives them."""
+    runs = []
+    for _, _, block, new, reused, *_ in prepares:
+        if not runs or runs[-1][0] is not block:
+            runs.append((block, set(), []))
+        sets = [tuple(idx.tolist()) for idx in block.sets]
+        runs[-1][1].update(sets[j] for j in reused)
+        if new:
+            runs[-1][2].append([sets[j] for j in new])
+    return [([None if j < 0 else tuple(block.sets[j].tolist()) for j in block.set_of.tolist()],
+             kept, chunks) for block, kept, chunks in runs]
 
-    blocks, previous = [], set()
-    for block in _map_blocks(grid, locations, radius, least,
-                             lambda block: _factor_bytes(previous, block)):
-        blocks.append(block)
-        previous = {idx.tobytes() for idx in block.sets}
-    return blocks
 
-
-def test_map_block_rule():
-    # a block is the longest run of the next points, at least one, whose
-    # distances (8 n bytes per point) and the factors of the sets new to it
-    # (8 m^2 bytes per set of m locations the block before did not hold)
-    # stay within MAP_BYTES
-    from oracles import block_sizes, factor_bytes, neighbour_sets
+def test_map_block_rule(count_calls):
+    # a map's blocks are fixed runs of MAP_BYTES // (8 n) consecutive points,
+    # as many as fill the budget with their distances, one neighbour search
+    # each. A run's sets that the last chunk of the run before factored are
+    # solved first, on those factors; the others are factored in chunks,
+    # sorted by size, whose factors and gather indices (16 m^2 bytes per set
+    # of m locations) stay within MAP_BYTES. Every run drops the duplicate
+    # that it reaches
+    from oracles import map_chunks, neighbour_sets
     from variokrig.krige import MAP_BYTES
 
     assert MAP_BYTES == 3 * 2**20
     locs, grid = rule_instance()
-    for radius in (1.0, 2.5, math.inf):
-        sets = neighbour_sets(grid, locs, radius, 4)
-        expect = block_sizes(len(locs), MAP_BYTES, len(grid), factor_bytes(sets))
-        blocks = kriging_blocks(grid, locs, radius)
-        assert [len(block.points) for block in blocks] == expect
-        assert len(expect) >= 2
-        assert np.array_equal(np.vstack([block.points for block in blocks]), grid)
-        got = [None if j < 0 else tuple(block.sets[j].tolist())
-               for block in blocks for j in block.set_of.tolist()]
-        assert got == sets
-        for block in blocks:  # every block reaches the duplicate and drops it
+    data = SpatialDataset(locs, np.random.default_rng(28).normal(size=len(locs)))
+    prepares = count_calls("variokrig.krige", "_prepare")
+    for radius in (1.0, 2.5, 4.0, math.inf):
+        prepares.clear()
+        with pytest.warns(UserWarning, match="duplicate"):
+            rows = krige_map(grid, "ordinary", data, expo(nugget=0.1), radius)
+        expect = map_chunks(neighbour_sets(grid, locs, radius, 4), len(locs),
+                            MAP_BYTES // (8 * len(locs)), MAP_BYTES, carry=True)
+        assert observed_chunks(prepares) == expect
+        assert len(expect) == 2
+        assert any(kept for _, kept, _ in expect)
+        if 1.0 < radius < math.inf:
+            assert min(len(chunks) for *_, chunks in expect) >= 2
+        for _, _, block, *_ in prepares:
             assert np.flatnonzero(block.dropped).tolist() == [9]
+        assert np.array_equal(np.vstack([r.location for r in rows]), grid)
 
 
-def test_map_block_holds_one_point_past_the_budget(count_calls):
-    # one set of 700 locations takes 3.9 MB of factor, more than MAP_BYTES:
-    # the first block holds one point, and the next reuses its set
+@pytest.mark.parametrize("radius", [1.0, 4.0, math.inf])
+def test_map_factors_each_distinct_set_of_a_run_once_but_the_carried(count_calls, radius):
+    # each distinct set of a run is factored once, as one matrix of a
+    # stacked call, except those carried from the run before, which are not
+    # factored again
+    from oracles import map_chunks, neighbour_sets
+    from variokrig.krige import MAP_BYTES
+
+    locs, grid = rule_instance()
+    data = SpatialDataset(locs, np.random.default_rng(28).normal(size=len(locs)))
+    factors = count_calls("variokrig._linalg", "chol_with_jitter")
+    with pytest.warns(UserWarning, match="duplicate"):
+        krige_map(grid, "bayes", data, expo(nugget=0.1), radius,
+                  basis=TrendBasis.constant(), prior=BayesPrior.scalar(0.0, 4.0))
+    runs = map_chunks(neighbour_sets(grid, locs, radius, 4), len(locs),
+                      MAP_BYTES // (8 * len(locs)), MAP_BYTES, carry=True)
+    distinct = [{s for s in points if s is not None} for points, *_ in runs]
+    carried = [kept for _, kept, _ in runs]
+    assert sum(np.shape(mat)[0] for mat, in factors if np.ndim(mat) == 3) == \
+        sum(len(d) - len(kept) for d, kept in zip(distinct, carried))
+    assert all(kept <= d for d, kept in zip(distinct, carried))
+    assert any(carried)
+
+
+def test_map_chunk_holds_one_set_past_the_budget(count_calls):
+    # one set of 700 locations takes 7.8 MB of factor and gather index, more
+    # than MAP_BYTES: its chunk holds it alone, and the next run solves it on
+    # the carried factor
     from variokrig.krige import MAP_BYTES
 
     rng = np.random.default_rng(26)
     data = SpatialDataset(rng.uniform(0.0, 10.0, size=(700, 2)), rng.normal(size=700))
-    grid = rng.uniform(0.0, 10.0, size=(3, 2))
-    assert 8 * 700 + 8 * 700**2 > MAP_BYTES
-    blocks = kriging_blocks(grid, data.locations, math.inf)
-    assert [len(block.points) for block in blocks] == [1, 2]
+    most = MAP_BYTES // (8 * 700)
+    grid = rng.uniform(0.0, 10.0, size=(most + 3, 2))
+    assert 16 * 700**2 > MAP_BYTES
+    prepares = count_calls("variokrig.krige", "_prepare")
     factors = count_calls("variokrig._linalg", "chol_with_jitter")
     rows = krige_map(grid, "simple", data, expo(nugget=0.1), math.inf, mean=0.3)
-    assert [r.status for r in rows] == ["ok"] * 3
-    assert len(factors) == 1
+    assert [(len(block.points), list(new), list(reused))
+            for _, _, block, new, reused, *_ in prepares] == [(most, [0], []), (3, [], [0])]
+    assert [r.status for r in rows] == ["ok"] * len(grid)
+    assert [np.shape(mat) for mat, in factors] == [(1, 700, 700)]
+
+
+@pytest.mark.parametrize("method", [*METHODS, "density"])
+def test_maps_do_not_depend_on_the_byte_budget(monkeypatch, count_calls, method):
+    # under a budget of 64 KiB a run holds 40 points (39 of a density under
+    # two draws), and most chunks hold one set, of about 60 locations: every
+    # row keeps its bits
+    from variokrig import DensityGrid, PosteriorDraws, density_map, krige
+    from variokrig.bayes import density_map_csv
+
+    rng = np.random.default_rng(41)
+    locs = rng.uniform(0.0, 10.0, size=(200, 2))
+    locs[9] = locs[4]
+    data = SpatialDataset(locs, rng.normal(size=len(locs)))
+    grid = np.vstack([rng.uniform(-1.0, 11.0, size=(150, 2)), [[50.0, 50.0]]])
+    if method == "density":
+        draws = PosteriorDraws(np.array([[0.05, 1.2, 6.0, 0.5], [0.1, 0.9, 4.0, 1.7]]))
+        run = lambda: density_map_csv(density_map(grid, data, draws, 0.3, 7.0, 3.0,
+                                                  DensityGrid(step=0.25)))
+    else:
+        run = lambda: krige_map_csv(krige_map(grid, method, data, expo(nugget=0.1), 3.0,
+                                              mean=0.3, basis=LINEAR, prior=PRIOR))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        expect = run()
+        monkeypatch.setattr(krige, "MAP_BYTES", 2**16)
+        prepares = count_calls("variokrig.krige", "_prepare")
+        got = run()
+    assert got == expect
+    assert "ok" in got and "too_few_neighbors" in got
+    assert len({id(block) for _, _, block, *_ in prepares}) >= 4
+    chunks = [len(new) for _, _, _, new, *_ in prepares if len(new)]
+    assert chunks.count(1) > len(chunks) // 2
 
 
 def test_large_radius_bayes_map_peak_memory_is_bounded_by_the_budget():
@@ -1005,9 +1080,7 @@ def test_large_radius_bayes_map_peak_memory_is_bounded_by_the_budget():
 @pytest.mark.parametrize("points", [1, 1965, 1966, 1967, 2500])
 def test_map_searches_ahead_in_runs_of_the_budget(count_calls, points):
     # a search covers the MAP_BYTES // (8 n) next points, as many as fill the
-    # budget with distances alone, and the blocks are cut from it; it starts
-    # again at the first point of a block that reaches the end of its run
-    from oracles import block_sizes, factor_bytes, neighbour_sets
+    # budget with distances alone, and its run is those points
     from variokrig.krige import MAP_BYTES
 
     locs, grid = rule_instance()
@@ -1015,24 +1088,17 @@ def test_map_searches_ahead_in_runs_of_the_budget(count_calls, points):
     grid = grid[:points]
     most = MAP_BYTES // (8 * len(locs))
     assert most == 1966
-    sizes = block_sizes(len(locs), MAP_BYTES, points,
-                        factor_bytes(neighbour_sets(grid, locs, 1.5, 4)))
-    runs, start, a = [0], 0, 0
-    for size in sizes:
-        end = min(points, start + most)
-        if a > start and a + size >= end and end < points:
-            runs.append(a)
-            start = a
-        a += size
     searches = count_calls("variokrig.krige", "_neighbour_sets")
-    blocks = count_calls("variokrig.krige", "_block_rows")
+    runs = count_calls("variokrig.krige", "_run_rows")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        krige_map(grid, "ordinary", data, expo(nugget=0.1), 1.5)
-    assert [len(block.points) for _, block, *_ in blocks] == sizes
+        rows = krige_map(grid, "ordinary", data, expo(nugget=0.1), 1.5)
+    starts = range(0, points, most)
     assert [block.tolist() for block, *_ in searches] == \
-        [grid[s:s + most].tolist() for s in runs]
-    assert len(runs) > 1 or points <= most
+        [grid[s:s + most].tolist() for s in starts]
+    assert [block.points.tolist() for _, block, *_ in runs] == \
+        [grid[s:s + most].tolist() for s in starts]
+    assert len(rows) == points
 
 
 def _bits(values):
@@ -1113,9 +1179,9 @@ def test_map_rows_equal_the_per_point_reference_bit_for_bit(count_calls, method,
     basis = TrendBasis.constant() if basis == "constant" else LINEAR
     k = len(basis)
     prior = BayesPrior(np.linspace(-0.5, 0.5, k), np.eye(k) + 0.3)
-    blocks = count_calls("variokrig.krige", "_block_rows")
+    runs = count_calls("variokrig.krige", "_run_rows")
     rows = krige_map(grid, method, data, spec, radius, mean=0.3, basis=basis, prior=prior)
-    assert len(blocks) >= 2
+    assert len(runs) >= 2
     expect = reference_rows(grid, method, data, spec, radius, basis, prior)
     assert [r.status for r in rows] == [status for status, *_ in expect]
     served = [(r, e) for r, e in zip(rows, expect) if r.status == "ok"]
