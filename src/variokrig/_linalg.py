@@ -20,6 +20,7 @@ the `scipy.linalg` package; where that module is missing, it imports
 """
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .exceptions import SingularMatrixError
 from .util import scipy_extension
@@ -57,15 +58,18 @@ def _chol_one(mat):
 def chol_with_jitter(mat):
     """Lower Cholesky factor of ``mat + delta*I`` for the smallest workable delta.
 
-    ``mat`` is one (n, n) matrix or a (G, n, n) stack: a group of same-size
-    neighbour sets of a kriging or density map, under one covariance spec.
-    Returns ``(L, delta)``. One matrix past the ladder raises
-    SingularMatrixError. A stack is factored in one call and, when any of
-    its matrices needs jitter, again matrix by matrix, each with its own
-    delta (the largest is returned); a matrix past the ladder then gets a
-    NaN factor and adds no delta, and the stack never raises. The factor of
+    ``mat`` is one (n, n) matrix or a stack (S, n, n): a size group of
+    neighbour sets of a kriging or density map, each under one covariance
+    spec or under several posterior draws. Returns ``(L, delta)``. One
+    matrix past the ladder raises SingularMatrixError. A stack is factored
+    in one call that leaves a NaN factor where a matrix fails; only those
+    matrices climb the ladder, one by one, each with its own delta (the
+    largest is returned), so the retries of a stack of many draws are those
+    of its failing matrices alone. A matrix past the ladder keeps its NaN
+    factor and adds no delta, and the stack never raises. The factor of
     each matrix is the same either way, and the same as a call on that
-    matrix alone.
+    matrix alone: the stacked call is the LAPACK routine of
+    `np.linalg.cholesky`, without its error on the first failure.
     """
     mat = np.asarray(mat, dtype=float)
     if mat.ndim == 2:
@@ -75,15 +79,13 @@ def chol_with_jitter(mat):
                 f"matrix of order {mat.shape[0]} is not positive definite even after jitter"
             )
         return factored
-    try:
-        L = np.linalg.cholesky(mat)
-        if np.all(np.isfinite(L)):
-            return L, 0.0
-    except np.linalg.LinAlgError:
-        pass
-    failed = (np.full(mat.shape[1:], np.nan), 0.0)
-    factors = [_chol_one(m) or failed for m in mat]
-    return np.stack([L for L, _ in factors]), max(delta for _, delta in factors)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore"):
+        L = _umath_linalg.cholesky_lo(mat, signature="d->d")
+    delta = 0.0
+    for g in np.flatnonzero(~np.isfinite(L).all(axis=(1, 2))).tolist():
+        L[g], d = _chol_one(mat[g]) or (np.nan, 0.0)
+        delta = max(delta, d)
+    return L, delta
 
 
 def _load_dtrtrs():

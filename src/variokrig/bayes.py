@@ -12,10 +12,13 @@ Under each draw, these moments are the constant-trend Bayes kriging map's:
 a density map runs that map's two steps over runs of grid points and
 chunks of neighbour sets (`krige._map_runs` and `krige._chunks`, under
 the one byte budget MAP_BYTES). A chunk's spec-independent half
-(`krige._prepare`) is built once; each draw runs the per-spec half
-(`krige._solve`: one covariance evaluation, one factorisation per size
-group of neighbour sets, stacked predictions) over the whole chunk
-(`_conditional_moments`), so its moments have the bits of that map's rows.
+(`krige._prepare`) is built once. The per-spec half (`krige._solve`) runs
+once per slice of the draws whose values of the chunk's lags fill half of
+MAP_BYTES (`krige._spec_slices`, `_conditional_moments`): one covariance
+evaluation per draw, then per size group of neighbour sets one
+factorisation of its matrices under the slice's draws, in stacks of as
+many draws as the other half holds, and one stacked prediction of each
+stack's (draw, point) items. Each moment has the bits of that map's row.
 """
 
 import math
@@ -29,7 +32,7 @@ from ._linalg import spd_solve
 from .empvario import SpatialDataset
 from .exceptions import DomainError, NumericError
 from .krige import (BayesPrior, TrendBasis, _chunks, _map_runs, _point_terms, _prepare, _solve,
-                    _warn_dropped)
+                    _spec_slices, _warn_dropped)
 from .models import PosteriorDraws, covariance_matrix
 from .util import MIN_NEIGHBORS, fmt_float, parallel_map
 
@@ -121,14 +124,14 @@ class PredictiveDensity:
         return "\n".join(lines) + "\n"
 
 
-def _conditional_moments(prepared, spec, prior, out):
-    """One draw's means and variances at the points of a chunk of a run,
-    written into their places in `out` (the means, the variances and C(0)
-    over the run's points): the per-spec step of the constant-trend Bayes
-    kriging map (`krige._solve`), so each has the bits of that map's row.
-    Called once per draw and chunk, the span `bayes.draw_moment` of
-    `perfbench/tracing.py`."""
-    _solve("bayes", prepared, spec, 0.0, prior, out)
+def _conditional_moments(prepared, specs, prior, out):
+    """The means and variances under a slice of D draws at the points of a
+    chunk of a run, written into their places in `out`, two (D, points of
+    the run) arrays: the per-spec step of the constant-trend Bayes kriging
+    map (`krige._solve`) under each draw of the slice, so each has the bits
+    of that map's row. Called once per draw slice and chunk, the span
+    `bayes.draw_moment` of `perfbench/tracing.py`."""
+    _solve("bayes", prepared, specs, 0.0, prior, out)
 
 
 def _moment_runs(points, log_data: SpatialDataset, draws: PosteriorDraws, prior_mean: float,
@@ -138,17 +141,17 @@ def _moment_runs(points, log_data: SpatialDataset, draws: PosteriorDraws, prior_
     and variances of its points under the draws, a (2, T, P) array, NaN at a
     point that has none. A run's sets are prepared in chunks
     (`krige._chunks`, `krige._prepare`), and each chunk is solved once per
-    draw; no chunk is carried to the next run."""
+    slice of the draws whose values of its lags fit half of MAP_BYTES
+    (`krige._spec_slices`); no chunk is carried to the next run."""
     specs = draws.specs()
     basis, prior = TrendBasis.constant(), BayesPrior.scalar(prior_mean, prior_var)
     for block in _map_runs(points, log_data.locations, radius, MIN_NEIGHBORS, 16 * len(specs)):
         terms = _point_terms("bayes", block.points, basis, prior)
         moments = np.full((2, len(specs), len(block.points)), np.nan)
-        c00 = np.empty(len(block.points))
         for chunk in _chunks(block.sets, range(len(block.sets))):
             prepared = _prepare("bayes", log_data, block, chunk, {}, basis, terms)
-            for t, spec in enumerate(specs):
-                _conditional_moments(prepared, spec, prior, (*moments[:, t], c00))
+            for draws in _spec_slices(len(specs), 8 * prepared.lags.size):
+                _conditional_moments(prepared, specs[draws], prior, moments[:, draws])
         yield block, moments
 
 
@@ -296,11 +299,16 @@ def density_map(
     distances to the n data locations, 8 n bytes, and its moments under T
     draws, 16 T bytes. The run's sets are prepared in chunks whose factors
     and gather indices, 16 m^2 bytes per set of m locations, stay within
-    MAP_BYTES (`krige._chunks`, `krige._prepare`); per draw, one covariance
-    evaluation, one factorisation per size group of a chunk's sets and the
-    stacked predictions give the draw's moments at the chunk's points
-    (`_conditional_moments`). Nothing is carried from one run to the next,
-    as that would hold every draw's factors. A point fails when a draw's
+    MAP_BYTES (`krige._chunks`, `krige._prepare`). A chunk is solved per
+    draw slice (`_conditional_moments`): the D draws whose values of the
+    chunk's L lags, 8 D L bytes, fit half of MAP_BYTES, one at least. Each
+    draw's lags take one covariance evaluation, and each size group of G
+    sets of m locations is factored in stacks of the slice's draws whose
+    factors and gathered matrices, 16 m^2 G bytes per draw, fit the other
+    half, one draw at least (under one draw a group is within the budget,
+    by the chunks). The (draw, point) items of a stack are predicted in
+    one stacked step. Nothing is carried from one run to the next, as that
+    would hold every draw's factors. A point fails when a draw's
     variance is not positive or a moment not finite. Each point is then one
     `parallel_map` item, which builds its density from its column of
     moments. Duplicate locations are dropped as a Bayes kriging map drops

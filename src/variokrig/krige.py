@@ -14,17 +14,20 @@ neighbour search each, whose sets are factored in chunks sorted by size
 (`_chunks`). A chunk's systems are factored and solved one way, in two
 steps. `_prepare` builds what no covariance spec changes, once per chunk:
 the size groups of its neighbour sets, their trend designs and rank
-checks, and one lag vector. `_solve` runs per spec: one covariance
-evaluation of that vector, one factorisation per size group, and the
-stacked predictions. A kriging map runs it once per chunk, and carries the
-factors of a run's last chunk into the next run; a density map, which is
-the constant-trend Bayes kriging map under each posterior draw, once per
-draw and chunk. Per point, only its triangular solves against its
-set's factor (`_linalg.chol_solve_each`) run in Python; the right-hand
-sides, the dot products, the variances and the statuses are stacked numpy
-steps over the points of one stack of factors (`_predictions`,
-`_finish_sd`), whose items keep the bits of the point's own products. The
-single-point predictors run the same steps on a stack of one point."""
+checks, and one lag vector. `_solve` runs on a sequence of specs: one
+covariance evaluation of that vector per spec, one factorisation per size
+group under all the specs whose stack fits the budget, and the stacked
+predictions. A kriging map runs it once per chunk on its one spec, and
+carries the factors of a run's last chunk into the next run. A density
+map, which is the constant-trend Bayes kriging map under each posterior
+draw, runs it once per chunk and draw slice (`_spec_slices`), so a draw
+is a stack axis, not a loop. Per (spec, point) item, only its triangular
+solves against its set's factor (`_linalg.chol_solve_each`) run in
+Python; the right-hand sides, the dot products, the variances and the
+statuses are stacked numpy steps over the items of one stack of factors
+(`_predictions`, `_finish_sd`), whose items keep the bits of the point's
+own products. The single-point predictors run the same steps on a stack
+of one point."""
 
 import warnings
 from dataclasses import dataclass
@@ -289,12 +292,13 @@ def _check_prior(basis: TrendBasis, prior: BayesPrior | None):
 
 @dataclass(frozen=True)
 class _Factored:
-    """The location-independent half of one predictor on G neighbour sets of
-    one size, stacked: their data values (G, n) and the Cholesky factors L
-    (G, n, n) of K (Bayes: K + F Phi F'). Simple kriging adds resid = z - m;
-    Bayes kriging the designs F (G, n, k) and resid = z - F mu; universal
-    kriging the designs, M = F'K^-1 F (G, k, k), the GLS trends beta (G, k)
-    and resid = z - F beta. Set g of the stack is `(fac, g)`.
+    """The location-independent half of one predictor on a stack of
+    neighbour sets of one size: their data values (S, n) and the Cholesky
+    factors L (S, n, n) of K (Bayes: K + F Phi F'). Simple kriging adds
+    resid = z - m; Bayes kriging the designs F (S, n, k) and
+    resid = z - F mu; universal kriging the designs, M = F'K^-1 F (S, k, k),
+    the GLS trends beta (S, k) and resid = z - F beta. Item i of the stack is
+    `(fac, i)`: a set under one spec, or, for a density, a (draw, set) pair.
     """
 
     method: str
@@ -308,28 +312,31 @@ class _Factored:
 
 
 def _factor(method, values, F, K, mean=0.0, prior=None) -> _Factored:
-    """Factor the systems of G checked sets of one size at once: their data
-    values (G, n), trend designs F (G, n, k) (universal and Bayes kriging,
-    else None) and covariances K (G, n, n). The G matrices, K or Bayes'
-    K + F Phi F', take one `chol_with_jitter` call, in which a matrix past
-    the jitter ladder gets a NaN factor, and so NaN solves and predictions.
-    The residuals take one stacked product, each item the product F mu (or
-    F beta) of its set alone."""
+    """Factor the systems of G checked sets of one size under D specs at
+    once: their data values (G, n), trend designs F (G, n, k) (universal and
+    Bayes kriging, else None) and covariances K (D G, n, n), whose item
+    d G + g is set g under spec d, as is the item of the stack returned.
+    The D G matrices, K or Bayes' K + F Phi F' (added to K in place), take
+    one `chol_with_jitter` call, in which a matrix past the jitter ladder
+    gets a NaN factor, and so NaN solves and predictions. What no spec
+    changes is formed once per set and repeated for each spec: F Phi F',
+    and Bayes' residuals, each item the product F mu of its set alone."""
+    specs, n = len(K) // len(values), values.shape[1]
     if method == "bayes":
-        K = K + F @ prior.phi @ F.transpose(0, 2, 1)
+        K = K.reshape(specs, -1, n, n)
+        K += F @ prior.phi @ F.transpose(0, 2, 1)
+        K = K.reshape(-1, n, n)
     L, _ = chol_with_jitter(K)
-    if method == "bayes":
-        return _Factored(method, values, L, F=F,
-                         resid=values - np.matmul(F, prior.mu[:, None])[:, :, 0])
-    if method == "simple":
-        return _Factored(method, values, L, mean=mean, resid=values - mean)
+    resid = values - (np.matmul(F, prior.mu[:, None])[:, :, 0] if method == "bayes" else mean)
+    values, F, resid = (a if a is None or specs == 1 else np.concatenate([a] * specs)
+                        for a in (values, F, resid))
     if method == "universal":
         KiF = [chol_solve(L[g], F[g]) for g in range(len(L))]
         M = np.stack([F[g].T @ KiF[g] for g in range(len(L))])
         beta = np.stack([np.linalg.solve(M[g], KiF[g].T @ values[g]) for g in range(len(L))])
         return _Factored(method, values, L, F=F, M=M, beta=beta,
                          resid=values - np.matmul(F, beta[:, :, None])[:, :, 0])
-    return _Factored(method, values, L)
+    return _Factored(method, values, L, mean=mean, resid=resid, F=F)
 
 
 def _dots(a, b):
@@ -652,26 +659,72 @@ def _prepare(method, data: SpatialDataset, block: _Block, new, reused, basis,
     return _Prepared(np.concatenate(lags), groups, reused, stacks, set_stack, set_item)
 
 
-def _solve(method, prepared: _Prepared, spec, mean, prior, out):
-    """The per-spec half of a chunk's systems: writes the predictions,
-    variances and C(0) of the chunk's points into their places in `out`,
-    three arrays over the run's points, and returns the factored stacks,
-    the groups' and then the reused ones.
+def _spec_slices(specs: int, each: int):
+    """Slices of `specs` covariance specs to take together: as many as keep
+    `each` bytes per spec within half of MAP_BYTES, one at least. A
+    density's draw slice holds its values of a chunk's lags, 8 bytes per lag
+    and draw, in one half; a stack of a size group under the specs of a
+    slice, its factors and gathered matrices, 16 n^2 bytes per set of n
+    locations and spec, in the other. Under one spec, a chunk's size group
+    is one stack, as `_chunks` keeps it within MAP_BYTES."""
+    step = max(1, MAP_BYTES // (2 * max(each, 1)))
+    return [slice(d, d + step) for d in range(0, specs, step)]
 
-    The lags take one covariance evaluation (`covariance_values`), each
-    group is gathered from it and factored in one call (`_factor`), and the
-    points of each stack are predicted together (`_predictions`). A lag or
-    value that is not finite is NaN, as is the factor of a system past the
-    jitter ladder, and fails only the sets and points that hold it."""
+
+def _solve_stack(fac: _Factored, stack, values, out):
+    """Writes the predictions, variances and, where `out` has a third array,
+    C(0) of the points of `stack` under each of the D specs of `fac` into
+    row d of `out`'s arrays (D, points of the run). Row d of `values` holds
+    the lags' values under spec d, and item d G + g of `fac` is the stack's
+    set g under it. Each (spec, point) pair is one item of one
+    `_predictions` call."""
+    pts, which, at, terms = stack
+    specs, n = len(values), fac.values.shape[1]
+    rows = values[:, at:at + pts.size * (n + 1)].reshape(-1, n + 1)
+    if specs > 1:
+        which = (np.arange(specs)[:, None] * (len(fac.values) // specs) + which).ravel()
+        terms = tuple(np.concatenate([t] * specs) for t in terms)
+    for array, result in zip(out, (*_predictions(fac, which, terms, rows[:, 1:], rows[:, 0]),
+                                   rows[:, 0])):
+        array[:, pts] = result.reshape(specs, -1)
+
+
+def _solve(method, prepared: _Prepared, specs, mean, prior, out):
+    """The per-spec half of a chunk's systems under a sequence of D
+    covariance specs: a kriging map passes its one spec, a density map a
+    slice of its posterior draws. Writes the predictions, variances and,
+    where `out` has a third array, C(0) of the chunk's points under spec d
+    into row d of `out`'s arrays (D, points of the run). Under one spec it
+    returns the factored stacks, the groups' and then the reused ones, for
+    a kriging map's carry; under several it keeps none, so that no stack
+    outlives its predictions.
+
+    The lags take one covariance evaluation per spec (`covariance_values`),
+    into one (D, lags) array. Each size group is gathered from it and
+    factored under the specs of one `_spec_slices` slice in one call
+    (`_factor`): under all D where its stack fits, and under one spec in
+    one call in any case. The (spec, point) items of each stack are then
+    predicted together (`_solve_stack`). A lag or value that is not finite
+    is NaN, as is the factor of a system past the jitter ladder, and fails
+    only the sets, specs and points that hold it."""
     lags = prepared.lags
-    values = covariance_values(spec, lags) if lags.size else lags
-    facs = [_factor(method, z, F, values[gather], mean, prior)
-            for gather, z, F in prepared.groups] + prepared.reused
-    pred, var, c00 = out
-    for (pts, which, at, terms), fac in zip(prepared.stacks, facs):
-        row = values[at:at + pts.size * (fac.values.shape[1] + 1)].reshape(pts.size, -1)
-        c00[pts] = row[:, 0]
-        pred[pts], var[pts] = _predictions(fac, which, terms, row[:, 1:], row[:, 0])
+    if len(specs) == 1:  # a kriging map: its one evaluation is the array, uncopied
+        values = covariance_values(specs[0], lags)[None]
+    else:
+        values = np.empty((len(specs), lags.size))
+        for d, spec in enumerate(specs):
+            values[d] = covariance_values(spec, lags)
+    facs = []
+    for (gather, z, F), stack in zip(prepared.groups, prepared.stacks):
+        n = z.shape[1]
+        for some in _spec_slices(len(specs), 16 * n * n * len(z)):
+            fac = _factor(method, z, F, values[some][:, gather].reshape(-1, n, n), mean, prior)
+            _solve_stack(fac, stack, values[some], [array[some] for array in out])
+        if len(specs) == 1:
+            facs.append(fac)
+    for fac, stack in zip(prepared.reused, prepared.stacks[len(prepared.groups):]):
+        _solve_stack(fac, stack, values, out)
+        facs.append(fac)
     return facs
 
 
@@ -690,11 +743,11 @@ def _run_rows(method, block: _Block, data: SpatialDataset, carry, spec, mean, ba
     failure. Then each point only builds its row, one `parallel_map` item
     per point."""
     terms = _point_terms(method, block.points, basis, prior)
-    out = np.full((3, len(block.points)), np.nan)
+    out = np.full((3, 1, len(block.points)), np.nan)
     keys = [idx.tobytes() for idx in block.sets]
     reused = {j: carry[key] for j, key in enumerate(keys) if key in carry}
     if reused:
-        _solve(method, _prepare(method, data, block, [], reused, basis, terms), spec, mean,
+        _solve(method, _prepare(method, data, block, [], reused, basis, terms), [spec], mean,
                prior, out)
     new = [j for j in range(len(keys)) if j not in reused]
     if new:
@@ -703,11 +756,11 @@ def _run_rows(method, block: _Block, data: SpatialDataset, carry, spec, mean, ba
         for chunk in _chunks(block.sets, new):
             facs = prepared = None  # the chunk before is let go before this one is built
             prepared = _prepare(method, data, block, chunk, {}, basis, terms)
-            facs = _solve(method, prepared, spec, mean, prior, out)
+            facs = _solve(method, prepared, [spec], mean, prior, out)
         carry = {keys[j]: (facs[s], g) for j, s, g in
                  zip(chunk, prepared.set_stack[chunk].tolist(), prepared.set_item[chunk].tolist())
                  if s >= 0}
-    pred, var, c00 = out
+    pred, var, c00 = out[:, 0]
     sd = _finish_sd(var, c00)
     ok = np.isfinite(pred) & np.isfinite(sd)
     code = (block.set_of >= 0).astype(int) + ok  # 0 too few neighbours, 1 failed, 2 ok

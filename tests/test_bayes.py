@@ -297,9 +297,10 @@ def test_density_map_across_blocks_equals_each_points_density(count_calls):
 
 
 def test_density_map_factors_each_neighbour_set_once(count_calls):
-    # points of one neighbour set share its factor: under each draw, each
-    # distinct served set is one matrix of one stacked chol_with_jitter call
-    # per set size, here fewer than the served points
+    # points of one neighbour set share its factor: each distinct served set
+    # is one matrix per draw, and each set size is one stacked
+    # chol_with_jitter call under all six draws (draw-major: item d G + g is
+    # set g under draw d), here fewer matrices than served points and draws
     from oracles import neighbour_sets
 
     rng = np.random.default_rng(36)
@@ -311,17 +312,21 @@ def test_density_map_factors_each_neighbour_set_once(count_calls):
     assert len(set(served)) < len(served)
     factors = count_calls("variokrig._linalg", "chol_with_jitter")
     rows = density_map(points, data, draws, 0.3, 7.0, 3.0, DensityGrid(step=0.25))
-    stacks = [np.shape(mat) for mat, in factors if np.ndim(mat) == 3]
-    assert sum(shape[0] for shape in stacks) == len(draws) * len(set(served))
-    assert len(stacks) == len(draws) * len({len(s) for s in set(served)})
+    stacks = sorted((np.shape(mat) for mat, in factors if np.ndim(mat) == 3), key=lambda s: s[1])
+    sizes = sorted({len(s) for s in served})
+    assert stacks == [(len(draws) * sum(len(s) == n for s in set(served)), n, n) for n in sizes]
     assert sum(r.status != "too_few_neighbors" for r in rows) == len(served)
 
 
 def test_density_map_factors_the_global_set_once_per_draw(count_calls):
     # 100 draws of the pair lags of 100 stations would take more than
-    # MAP_BYTES, but a block holds one draw's values and factors at a time:
-    # the three points are one block, and each draw evaluates its lags once
-    # and factors the one global set once
+    # MAP_BYTES. The three points are one block of one chunk, with
+    # L = 100 * 101 / 2 + 3 * 101 lags (the pairs of the set, each with
+    # itself, and each point's C(0) and cross lags): a draw slice holds the
+    # values of MAP_BYTES // (16 L) = 36 draws (half the budget), and a
+    # stack the factors and gathered matrices of MAP_BYTES // (32 * 100^2)
+    # = 9 draws (the other half). Each draw evaluates its lags once and
+    # factors the one global set once
     from variokrig.krige import MAP_BYTES
 
     rng = np.random.default_rng(40)
@@ -329,14 +334,19 @@ def test_density_map_factors_the_global_set_once_per_draw(count_calls):
     draws = several_draws(rng, 100)
     points = rng.uniform(0.0, 10.0, size=(3, 2))
     grid = DensityGrid(step=0.25)
-    assert 8 * 100 * (100 * 99 // 2) > MAP_BYTES
+    lags = 100 * 101 // 2 + 3 * 101
+    assert 8 * lags * len(draws) > MAP_BYTES
+    assert (MAP_BYTES // (16 * lags), MAP_BYTES // (32 * 100**2)) == (36, 9)
     blocks = count_calls("variokrig.bayes", "_prepare")
+    slices = count_calls("variokrig.bayes", "_conditional_moments")
     evals = count_calls("variokrig.models", "covariance_eval")
     factors = count_calls("variokrig._linalg", "chol_with_jitter")
     rows = density_map(points, data, draws, 0.3, 7.0, math.inf, grid)
     assert [len(block.points) for _, _, block, *_ in blocks] == [3]
+    assert [p.lags.size for p, *_ in slices] == [lags] * 3
+    assert [len(specs) for _, specs, *_ in slices] == [36, 36, 28]
     assert [np.shape(mat) for mat, in factors if np.ndim(mat) == 3] == \
-        [(1, 100, 100)] * len(draws)
+        [(d, 100, 100) for d in [9] * 8 + [9, 9, 9, 1]]
     assert len(evals) == len(draws)
     for row, x0 in zip(rows, points):
         summary = predictive_density_at(x0, data, draws, 0.3, 7.0, math.inf, grid).summary
@@ -590,9 +600,11 @@ def test_density_map_evaluates_each_draw_once(count_calls):
     sets = {s for s in neighbour_sets(grid, data.locations, 4.0, 4) if s is not None}
     assert len(evals) == len(draws)
     assert sum(r.status != "too_few_neighbors" for r in rows) > 1
-    # each set is one matrix of one stacked factorisation per draw
+    # each set is one matrix per draw, and each set size one stacked
+    # factorisation under all the draws
     stacks = [np.shape(mat) for mat, in factors if np.ndim(mat) == 3]
     assert sum(shape[0] for shape in stacks) == len(draws) * len(sets)
+    assert sorted(shape[1] for shape in stacks) == sorted({len(s) for s in sets})
 
 
 def test_failing_draw_fails_only_its_point(monkeypatch):
@@ -623,8 +635,9 @@ def test_failing_draw_fails_only_its_point(monkeypatch):
                         lambda *args: solved.append(1) or conditional_moments(*args))
     rows = density_map(grid, data, draws, 0.3, 7.0, 4.0)
     served = [i for i, r in enumerate(rows) if r.status != "too_few_neighbors"]
-    # one draw's moments over the block's one chunk, once per draw
-    assert len(solved) == len(draws) and len(served) > 10
+    # the moments of one slice of all six draws over the block's one chunk,
+    # solved once: the failing draw fails its point inside the slice
+    assert len(solved) == 1 and len(served) > 10
     assert [r.status for r in rows[:-1]].count("numeric_failure") == 0
     assert rows[-1].status == "numeric_failure" and rows[-1].summary is None
     for x0, row in zip(grid[:-1], rows):
@@ -635,6 +648,54 @@ def test_failing_draw_fails_only_its_point(monkeypatch):
     # under the other draws the point is served
     others = PosteriorDraws(np.delete(draws.table, 3, axis=0))
     assert predictive_density_at(grid[-1], data, others, 0.3, 7.0, 4.0) is not None
+
+
+def test_density_map_under_draw_slices_and_stacks_keeps_every_bit(monkeypatch, count_calls):
+    # under a budget of 32 KiB the first chunk is solved in four slices of
+    # three draws, and a size group of a slice is factored in stacks of
+    # fewer draws where its factors pass half the budget; draw 5 fails the
+    # point next to station 4 (as in the test above) from inside a slice
+    # of three. The rows are the default budget's, text for text, and each
+    # is the point's own density, bit for bit
+    from variokrig import krige, models
+
+    rng = np.random.default_rng(37)
+    data = log_dataset(rng, n=30)
+    draws = several_draws(rng, 12)
+    g = np.linspace(0.5, 9.5, 5)
+    grid = np.vstack([[(x, y) for x in g for y in g], data.locations[[4]] + [1e-7, 0.0]])
+    tilted_range = draws.table[5, 2]
+    evaluate = models.covariance_eval
+
+    def tilted(spec, h):
+        c = evaluate(spec, h)
+        h = np.asarray(h, dtype=float)
+        if spec.range_ != tilted_range:
+            return c
+        return np.where((h > 0.0) & (h < 1e-6), 1.001 * (spec.nugget + spec.sill), c)
+
+    monkeypatch.setattr(models, "covariance_eval", tilted)
+    expect = density_map_csv(density_map(grid, data, draws, 0.3, 7.0, 4.0))
+    monkeypatch.setattr(krige, "MAP_BYTES", 2**15)
+    slices = count_calls("variokrig.bayes", "_conditional_moments")
+    factors = count_calls("variokrig._linalg", "chol_with_jitter")
+    rows = density_map(grid, data, draws, 0.3, 7.0, 4.0)
+    assert density_map_csv(rows) == expect
+    first = [len(specs) for prepared, specs, *_ in slices if prepared is slices[0][0]]
+    assert first == [3, 3, 3, 3]
+    stacks = [mat for mat, in factors if np.ndim(mat) == 3]
+    assert len(stacks) > sum(len(prepared.groups) for prepared, *_ in slices)
+    assert [r.status for r in rows].count("numeric_failure") == 1
+    assert rows[-1].status == "numeric_failure"
+    for x0, row in zip(grid[:-1], rows):
+        pd = predictive_density_at(x0, data, draws, 0.3, 7.0, 4.0)
+        if pd is None:
+            assert row.summary is None and row.status == "too_few_neighbors"
+        else:
+            got, want = (np.array(list(s.values())) for s in (row.summary, pd.summary))
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    with pytest.raises(NumericError, match="not positive"):
+        predictive_density_at(grid[-1], data, draws, 0.3, 7.0, 4.0)
 
 
 def test_beta_posterior_rank_deficient_prior():

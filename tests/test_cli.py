@@ -741,6 +741,45 @@ def test_krige_map_with_blas_threads_unset_equals_one_thread(tmp_path):
     assert maps[0] == maps[1]
 
 
+def test_density_map_with_two_blas_threads_equals_one_thread(tmp_path):
+    # a density stacks each size group's systems under many draws; on the
+    # benchmark's 20 x 15 grid at radius 40 over 200 stations (sets of at
+    # most a few dozen locations) a second BLAS thread changes no byte.
+    # OpenBLAS factors a matrix of order 99 or more on several threads, and
+    # then in other bits, which the README allows when a thread count is set
+    import subprocess
+    import sys
+
+    import variokrig
+
+    src = os.path.dirname(os.path.dirname(variokrig.__file__))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def cli(threads, *argv):
+        subprocess.run([sys.executable, "-m", "variokrig", *argv],
+                       env=dict(env, OPENBLAS_NUM_THREADS=threads), capture_output=True,
+                       check=True)
+
+    cli("1", "synth", "--seed", "422", "--n", "200", "--out", str(tmp_path / "in"))
+    rng = np.random.default_rng(422)
+    draws = rng.uniform([0.02, 0.8, 20.0, 0.6, 0.6, 90.0, 1.1],
+                        [0.15, 1.6, 70.0, 0.9, 1.2, 220.0, 1.4], size=(12, 7))
+    (tmp_path / "draws.csv").write_text(
+        "nugget,sill1,range1,nu1,sill2,range2,nu2\n"
+        + "".join(",".join(map(repr, row)) + "\n" for row in draws.tolist()))
+    maps = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        cli(threads, "density", "--input", str(tmp_path / "in" / "synth.csv"), "--log",
+            "--draws", str(tmp_path / "draws.csv"), "--grid", "20", "15", "-148", "149",
+            "-108", "109", "--radius", "40", "--out", str(out))
+        maps.append((out / "density_map.csv").read_bytes())
+    assert maps[0] == maps[1]
+    assert maps[0].count(b",ok\n") > 100
+
+
 # -- flag and cell validation ---------------------------------------------------------
 
 GRID = ["--grid", "3", "3", "0", "10", "0", "10"]

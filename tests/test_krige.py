@@ -1022,7 +1022,10 @@ def test_map_chunk_holds_one_set_past_the_budget(count_calls):
 def test_maps_do_not_depend_on_the_byte_budget(monkeypatch, count_calls, method):
     # under a budget of 64 KiB a run holds 40 points (39 of a density under
     # two draws), and most chunks hold one set, of about 60 locations: every
-    # row keeps its bits
+    # row keeps its bits. A density factors each size group under both
+    # draws in one stack where the stack fits half the budget, as every
+    # group does under the default budget, and draw by draw where it does
+    # not, as a set of 60 locations (2 * 16 * 60^2 bytes per draw) does not
     from variokrig import DensityGrid, PosteriorDraws, density_map, krige
     from variokrig.bayes import density_map_csv
 
@@ -1038,9 +1041,12 @@ def test_maps_do_not_depend_on_the_byte_budget(monkeypatch, count_calls, method)
     else:
         run = lambda: krige_map_csv(krige_map(grid, method, data, expo(nugget=0.1), 3.0,
                                               mean=0.3, basis=LINEAR, prior=PRIOR))
+    factors = count_calls("variokrig._linalg", "chol_with_jitter")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         expect = run()
+        stacks = [np.shape(mat) for mat, in factors if np.ndim(mat) == 3]
+        factors.clear()
         monkeypatch.setattr(krige, "MAP_BYTES", 2**16)
         prepares = count_calls("variokrig.krige", "_prepare")
         got = run()
@@ -1049,6 +1055,10 @@ def test_maps_do_not_depend_on_the_byte_budget(monkeypatch, count_calls, method)
     assert len({id(block) for _, _, block, *_ in prepares}) >= 4
     chunks = [len(new) for _, _, _, new, *_ in prepares if len(new)]
     assert chunks.count(1) > len(chunks) // 2
+    if method == "density":
+        assert all(shape[0] % 2 == 0 for shape in stacks)
+        small = [np.shape(mat) for mat, in factors if np.ndim(mat) == 3]
+        assert (1, 60, 60) in small
 
 
 def test_large_radius_bayes_map_peak_memory_is_bounded_by_the_budget():

@@ -92,3 +92,25 @@ def test_solves_of_a_stack_equal_one_solve_per_item_bit_for_bit():
     # a block of another layout would be copied by LAPACK's wrapper, not solved
     with pytest.raises(ValueError):
         chol_solve_each(L, which, blocks.copy().transpose(0, 2, 1).copy())
+
+
+def test_a_stack_retries_only_the_matrices_that_fail(monkeypatch):
+    # a density factors a size group under many draws in one stack: one
+    # matrix that needs jitter, and one past the ladder, climb the ladder
+    # alone, and every other matrix keeps the factor of the stacked call
+    from variokrig import _linalg
+
+    rungs = [0] * 40
+    rungs[7], rungs[29] = 3, RUNGS
+    mats = np.stack([needing(rung) for rung in rungs])
+    climbed = []
+    chol_one = _linalg._chol_one
+    monkeypatch.setattr(_linalg, "_chol_one", lambda mat: climbed.append(mat) or chol_one(mat))
+    L, delta = chol_with_jitter(mats)
+    assert len(climbed) == 2
+    assert all(np.array_equal(mat, mats[g]) for mat, g in zip(climbed, [7, 29]))
+    assert delta == delta_of(3, mats[7])
+    assert np.isnan(L[29]).all()
+    for rung, mat, factor in zip(rungs, mats, L):
+        if rung < RUNGS:
+            assert np.array_equal(factor, np.linalg.cholesky(mat + delta_of(rung, mat) * np.eye(4)))
